@@ -34,7 +34,6 @@ from .polygon import (
     apriori_deviation_bound,
     charlier_state_trace,
     euler_polygon,
-    lipschitz_bound,
     system_matrix,
     system_matrix_norm_bound,
     trace_deviation,
@@ -101,7 +100,6 @@ __all__ = [
     "hermite_fn",
     "hermite_zeros_in_order",
     "kummer_m",
-    "lipschitz_bound",
     "ln_gamma",
     "pochhammer_rising",
     "reciprocal_gamma",

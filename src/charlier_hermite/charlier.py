@@ -79,7 +79,13 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     terms = np.empty(n + 1)
     terms[0] = 1.0
     np.cumprod(ratios, out=terms[1:])
-    return math.fsum(terms.tolist())
+    try:
+        total = math.fsum(terms.tolist())
+    except (ValueError, OverflowError):  # infinite terms, or an inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"c_n^a(nu) at n={n}, a={a!r}, nu={nu!r} is outside double range")
+    return total
 
 
 def charlier_degree_sequence(a: float, nu: float, n_max: int) -> list:
@@ -180,7 +186,15 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     """
     if mode == "float":
         nu_f = float(nu)
-        return (2.0 * point.a) ** (nu_f / 2.0) * charlier_direct(point.n, point.a, nu_f)
+        try:
+            scale = (2.0 * point.a) ** (nu_f / 2.0)
+        except OverflowError:
+            scale = math.inf
+        value = scale * charlier_direct(point.n, point.a, nu_f)
+        if not math.isfinite(value):
+            raise DomainError(
+                f"y_nu^a(x) at a={point.a!r}, nu={nu!r} is outside double range")
+        return value
     if mode != "rational":
         raise DomainError(f"unknown mode {mode!r}")
     nu_r = _to_fraction(nu, "nu")

@@ -1,20 +1,21 @@
 """Command line interface.
 
-Grammar: charlier-hermite <group> <action> --flag value
+Grammar: charlier-hermite <group> <action> --flag value [--out csv|json],
+and [--mode float|rational] on eval charlier and eval scaled.  Each command
+is one row of _COMMANDS, from which the parser is built and the command run.
 
-Output goes to stdout as CSV (default) or JSON (--out json); both carry
-the same table, numbers rendered with 17 significant digits, so a given
-invocation is byte-for-byte reproducible.  Diagnostics and fit summaries
-go to stderr.  Exit codes: 0 success, 1 domain error (including usage
-errors), 2 numerical non-convergence.
+Tables go to stdout as CSV (default) or JSON (--out json), numbers with
+17 significant digits, so a given invocation is byte-for-byte
+reproducible; diagnostics and fit summaries go to stderr.  Exit codes: 0
+success, 1 domain error (usage errors, results outside double range, plot
+fnu grids over the row limit), 2 numerical non-convergence.
 """
-
-from __future__ import annotations
 
 import argparse
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -24,8 +25,10 @@ from .charlier import ScaledPoint, charlier_direct, scaled_y
 from .errors import ConvergenceError, DomainError
 from .hermite import hermite_fn
 from .polygon import charlier_state_trace, euler_polygon, trace_deviation
-from .ratefit import fit_rate
+from .ratefit import RateFit, fit_rate
 from .zeros import zero_convergence_table
+
+_MAX_ROWS = 1_000_000  # plot fnu limit, checked before any row is built
 
 
 @dataclass
@@ -37,55 +40,31 @@ class OutputTable:
 def _fmt_number(v) -> str:
     if isinstance(v, bool):
         raise TypeError("bool is not a table value")
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        if math.isnan(v):
-            return "nan"
-        return format(v + 0.0, ".17g")  # +0.0 normalizes -0.0
-    if isinstance(v, Fraction):
-        return str(v)
+    if isinstance(v, float):  # +0.0 normalizes -0.0
+        return "nan" if math.isnan(v) else format(v + 0.0, ".17g")
     return str(v)
 
 
 def render_csv(table: OutputTable) -> str:
-    lines = [",".join(table.header)]
-    for row in table.rows:
-        cells = []
-        for key in table.header:
-            v = row.get(key)
-            if v is None:
-                cells.append("")
-            else:
-                # commas would break the unquoted dialect
-                cells.append(_fmt_number(v).replace(",", ";"))
-        lines.append(",".join(cells))
+    # None is an empty cell; commas would break the unquoted dialect
+    lines = [",".join(table.header)] + [
+        ",".join("" if row.get(k) is None else _fmt_number(row[k]).replace(",", ";")
+                 for k in table.header) for row in table.rows]
     return "\n".join(lines) + "\n"
 
 
 def _json_cell(v) -> str:
-    if v is None:
+    # by hand: json.dumps writes floats with repr, not 17 significant digits
+    if v is None or (isinstance(v, float) and math.isnan(v)):
         return "null"
-    if isinstance(v, float) and math.isnan(v):
-        return "null"
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return _fmt_number(v)
-    return json.dumps(_fmt_number(v))
+    text = _fmt_number(v)
+    return text if isinstance(v, (int, float)) else json.dumps(text)
 
 
 def render_json(table: OutputTable) -> str:
-    rows = []
-    for row in table.rows:
-        cells = ", ".join(
-            f"{json.dumps(key)}: {_json_cell(row.get(key))}" for key in table.header
-        )
-        rows.append("  {" + cells + "}")
+    rows = ["  {" + ", ".join(f"{json.dumps(key)}: {_json_cell(row.get(key))}"
+                              for key in table.header) + "}" for row in table.rows]
     return "[\n" + ",\n".join(rows) + "\n]\n"
-
-
-def _emit(table: OutputTable, out: str) -> None:
-    text = render_csv(table) if out == "csv" else render_json(table)
-    sys.stdout.write(text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,307 +73,176 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _parse_float(s: str, name: str) -> float:
-    try:
-        v = float(s)
-    except ValueError as exc:
-        raise DomainError(f"invalid number for {name}: {s!r}") from exc
-    if not math.isfinite(v):
-        raise DomainError(f"{name} must be finite, got {s!r}")
-    return v
+def _flag_parser(convert, what):
+    def parse(s: str, name: str):
+        try:
+            v = convert(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"invalid {what} for {name}: {s!r}") from exc
+        if isinstance(v, float) and not math.isfinite(v):
+            raise DomainError(f"{name} must be finite, got {s!r}")
+        return v
+    return parse
 
 
-def _parse_int(s: str, name: str) -> int:
-    try:
-        return int(s)
-    except ValueError as exc:
-        raise DomainError(f"invalid integer for {name}: {s!r}") from exc
+_parse_int = _flag_parser(int, "integer")
+_parse_float = _flag_parser(float, "number")
+_parse_fraction = _flag_parser(Fraction, "rational")
 
 
-def _parse_fraction(s: str, name: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"invalid rational for {name}: {s!r}") from exc
-
-
-def _parse_a_list(s: str) -> list:
+def _parse_a_list(s: str, name: str) -> list:
     try:
         values = [float(part) for part in s.split(",") if part != ""]
     except ValueError as exc:
-        raise DomainError(f"invalid --a-list: {s!r}") from exc
+        raise DomainError(f"invalid {name}: {s!r}") from exc
     if not values:
-        raise DomainError("--a-list is empty")
+        raise DomainError(f"{name} is empty")
     return values
 
 
-def _slope_columns(points):
-    """Fit slope over (a, err) points with err > 0; None columns if the
-    fit is not possible."""
+def _report_rate(rows) -> Optional[RateFit]:
+    """Fit err ~ a^slope over the rows with abs_err > 0, write the fit to
+    stderr and fill every row's slope and r_squared (empty without a fit)."""
+    points = [(r["a"], r["abs_err"]) for r in rows if r.get("abs_err") is not None]
     usable = [(a, e) for a, e in points if e > 0]
+    fit = None
     if len(usable) < 3 or len({a for a, _ in usable}) < len(usable):
-        return None, None, None, len(points) - len(usable)
-    fit = fit_rate(usable)
-    return fit.slope, fit.intercept, fit.r_squared, len(points) - len(usable)
-
-
-def _cmd_eval_charlier(args) -> tuple:
-    n = _parse_int(args.n, "--n")
-    if args.mode == "rational":
-        a = _parse_fraction(args.a, "--a")
-        nu = _parse_fraction(args.nu, "--nu")
-        value = charlier_direct(n, a, nu, mode="rational")
+        print("rate fit skipped: fewer than 3 usable rows with err > 0", file=sys.stderr)
     else:
-        a = _parse_float(args.a, "--a")
-        nu = _parse_float(args.nu, "--nu")
-        value = charlier_direct(n, a, nu)
-    table = OutputTable(("n", "a", "nu", "value"),
-                        [{"n": n, "a": a, "nu": nu, "value": value}])
-    return table, 0
+        fit = fit_rate(usable)
+        if len(points) > len(usable):
+            print(f"rate fit excluded {len(points) - len(usable)} row(s) with err <= 0 "
+                  "or failures", file=sys.stderr)
+        print(f"fitted slope {fit.slope:.6g} (intercept {fit.intercept:.6g}, "
+              f"r^2 {fit.r_squared:.6g})", file=sys.stderr)
+    for r in rows:
+        r.update(slope=fit and fit.slope, r_squared=fit and fit.r_squared)
+    return fit
 
 
-def _cmd_eval_hermite(args) -> tuple:
-    if args.mode == "rational":
-        raise DomainError("rational mode is not available for hermite evaluation")
-    nu = _parse_float(args.nu, "--nu")
-    x = _parse_float(args.x, "--x")
-    table = OutputTable(("nu", "x", "value"),
-                        [{"nu": nu, "x": x, "value": hermite_fn(nu, x)}])
-    return table, 0
-
-
-def _cmd_eval_scaled(args) -> tuple:
-    x = _parse_float(args.x, "--x")
-    a = _parse_float(args.a, "--a")
+def _eval_scaled(x, a, nu, mode):
     point = ScaledPoint(x, a)
-    if args.mode == "rational":
-        nu = _parse_fraction(args.nu, "--nu")
-        value = scaled_y(point, nu, mode="rational")
-    else:
-        nu = _parse_float(args.nu, "--nu")
-        value = scaled_y(point, nu)
-    table = OutputTable(
-        ("x", "a", "nu", "n", "theta", "value"),
-        [{"x": x, "a": a, "nu": nu, "n": point.n, "theta": point.theta,
-          "value": value}],
-    )
-    return table, 0
+    return [{**vars(point), "nu": nu, "value": scaled_y(point, nu, mode)}]
 
 
-def _cmd_sweep_convergence(args) -> tuple:
-    nu = _parse_float(args.nu, "--nu")
-    x = _parse_float(args.x, "--x")
-    a_values = _parse_a_list(args.a_list)
+def _sweep_convergence(nu, x, a_list):
     h = hermite_fn(nu, x)
     rows = []
-    ok = 0
-    for a in a_values:
-        row = {"a": a, "y": None, "hermite": None, "abs_err": None, "error": None}
+    for a in a_list:
         try:
-            point = ScaledPoint(x, a)
-            y = scaled_y(point, nu)
-            row.update(y=y, hermite=h, abs_err=abs(y - h))
-            ok += 1
+            y = scaled_y(ScaledPoint(x, a), nu)
+            rows.append({"a": a, "y": y, "hermite": h, "abs_err": abs(y - h)})
         except DomainError as exc:
-            row["error"] = str(exc)
-        rows.append(row)
-    points = [(r["a"], r["abs_err"]) for r in rows if r["abs_err"] is not None]
-    slope, intercept, r2, dropped = _slope_columns(points)
-    for r in rows:
-        r["slope"] = slope
-        r["r_squared"] = r2
-    if slope is None:
-        print("rate fit skipped: fewer than 3 usable rows with err > 0",
-              file=sys.stderr)
-    else:
-        if dropped:
-            print(f"rate fit excluded {dropped} row(s) with err <= 0 or failures",
-                  file=sys.stderr)
-        print(f"fitted slope {slope:.6g} (intercept {intercept:.6g}, "
-              f"r^2 {r2:.6g})", file=sys.stderr)
-    table = OutputTable(("a", "y", "hermite", "abs_err", "slope", "r_squared",
-                         "error"), rows)
-    return table, 0 if ok >= 3 else 1
+            rows.append({"a": a, "error": str(exc)})
+    _report_rate(rows)
+    return rows
 
 
-def _cmd_plot_fnu(args) -> tuple:
-    nu = _parse_float(args.nu, "--nu")
-    t_max = _parse_float(args.t_max, "--t-max")
-    dt = _parse_float(args.dt, "--dt")
+def _plot_fnu(nu, t_max, dt):
     if dt <= 0 or t_max < 0:
         raise DomainError(f"need dt > 0 and t-max >= 0, got dt={dt}, t-max={t_max}")
-    count = int(math.floor(t_max / dt + 1e-12)) + 1
-    rows = [{"t": i * dt, "f": f_nu(i * dt, nu)} for i in range(count)]
-    return OutputTable(("t", "f"), rows), 0
+    span = t_max / dt + 1e-12
+    if span >= _MAX_ROWS:
+        raise DomainError(f"t-max/dt = {span:.6g} asks for more than {_MAX_ROWS} rows")
+    return [{"t": i * dt, "f": f_nu(i * dt, nu)} for i in range(int(span) + 1)]
 
 
-def _cmd_zeros_convergence(args) -> tuple:
-    x = _parse_float(args.x, "--x")
-    target = _parse_float(args.target_nu, "--target-nu")
-    a_values = _parse_a_list(args.a_list)
-    result = zero_convergence_table(x, target, a_values)
-    rows = []
-    ok = 0
-    for r in result:
-        failed = r.error is not None
-        rows.append({
-            "a": r.a,
-            "n": None if failed else r.n,
-            "nu_n": None if failed else r.nu_n,
-            "abs_err": None if failed else r.abs_err,
-            "error": r.error,
-        })
-        ok += 0 if failed else 1
-    points = [(row["a"], row["abs_err"]) for row in rows
-              if row["abs_err"] is not None]
-    slope, intercept, r2, _ = _slope_columns(points)
-    for row in rows:
-        row["slope"] = slope
-    if slope is None:
-        print("rate fit skipped: fewer than 3 usable rows with err > 0",
-              file=sys.stderr)
-    else:
-        print(f"fitted slope {slope:.6g} (intercept {intercept:.6g}, "
-              f"r^2 {r2:.6g})", file=sys.stderr)
-    table = OutputTable(("a", "n", "nu_n", "abs_err", "slope", "error"), rows)
-    return table, 0 if ok >= 3 else 1
+def _zeros_convergence(x, target_nu, a_list):
+    rows = [{"a": r.a, "n": r.n, "nu_n": r.nu_n, "abs_err": r.abs_err} if r.error is None
+            else {"a": r.a, "error": r.error}
+            for r in zero_convergence_table(x, target_nu, a_list)]
+    _report_rate(rows)
+    return rows
 
 
-def _cmd_polygon_compare(args) -> tuple:
-    nu = _parse_float(args.nu, "--nu")
-    x_max = _parse_float(args.x_max, "--x-max")
-    a = _parse_float(args.a, "--a")
+def _polygon_compare(nu, x_max, a):
     z = charlier_state_trace(nu, a, x_max)
     u = euler_polygon(nu, z.states[0], x_max, z.step)
-    rows = []
-    for k in range(len(z.xs)):
-        dev = math.hypot(z.states[k, 0] - u.states[k, 0],
-                         z.states[k, 1] - u.states[k, 1])
-        rows.append({
-            "x": float(z.xs[k]),
-            "u_y": float(u.states[k, 0]),
-            "u_dy": float(u.states[k, 1]),
-            "z_y": float(z.states[k, 0]),
-            "z_dy": float(z.states[k, 1]),
-            "deviation": dev,
-        })
+    rows = [{"x": float(xk), "u_y": float(uy), "u_dy": float(udy), "z_y": float(zy),
+             "z_dy": float(zdy), "deviation": math.hypot(zy - uy, zdy - udy)}
+            for xk, (uy, udy), (zy, zdy) in zip(z.xs, u.states, z.states)]
     print(f"max node deviation {trace_deviation(z, u):.6g} over {len(rows)} nodes",
           file=sys.stderr)
-    table = OutputTable(("x", "u_y", "u_dy", "z_y", "z_dy", "deviation"), rows)
-    return table, 0
+    return rows
 
 
-def _cmd_asymptotics_head_tail(args) -> tuple:
-    a = _parse_float(args.a, "--a")
-    nu = _parse_float(args.nu, "--nu")
+def _asymptotics_head_tail(a, nu):
     cfg = SplitConfig(a, nu)
     rep = head_tail_split(cfg)
-    row = {
-        "a": a,
-        "nu": nu,
-        "A": cfg.A,
-        "M": cfg.M,
-        "dt": cfg.dt,
-        "r_head": rep.r_head,
-        "r_tail": rep.r_tail,
-        "y0_reconstructed": rep.y0_reconstructed,
-        "y0_direct": rep.y0_direct,
-        "y0_direct_ceiling": rep.y0_direct_ceiling,
-        "h_nu_0": rep.h_nu_0,
-        "abs_err_vs_hermite": abs(rep.y0_reconstructed - rep.h_nu_0),
-    }
-    header = ("a", "nu", "A", "M", "dt", "r_head", "r_tail", "y0_reconstructed",
-              "y0_direct", "y0_direct_ceiling", "h_nu_0", "abs_err_vs_hermite")
-    return OutputTable(header, [row]), 0
+    return [{**vars(cfg), **vars(rep),
+             "abs_err_vs_hermite": abs(rep.y0_reconstructed - rep.h_nu_0)}]
 
 
-def _add_common_flags(parser) -> None:
-    parser.add_argument("--out", choices=("csv", "json"), default="csv")
-    parser.add_argument("--mode", choices=("float", "rational"), default="float")
+# One row per command.  flags are (flag, parser) pairs, parsed in order; a
+# None parser reads a float, or a Fraction under --mode rational, and only
+# commands with such a flag take --mode.  The handler gets the parsed flags
+# (and mode) as keywords and returns the row dicts; the exit code is 1 when
+# fewer than min_ok rows have no error.
+_Command = namedtuple("_Command", "group action flags handler header min_ok", defaults=(0,))
+_GROUP_HELP = {
+    "eval": "evaluate a single value", "sweep": "convergence sweep over a",
+    "plot": "tabulate f_nu for plotting", "zeros": "zero convergence toward a Hermite zero",
+    "polygon": "Charlier trace vs Euler polygon", "asymptotics": "head/tail split at x = 0"}
+_F = _parse_float  # the common flag type, short so that _COMMANDS stays readable
+_COMMANDS = (
+    _Command("eval", "charlier", (("--n", _parse_int), ("--a", None), ("--nu", None)),
+             lambda n, a, nu, mode: [{"n": n, "a": a, "nu": nu,
+                                      "value": charlier_direct(n, a, nu, mode)}],
+             ("n", "a", "nu", "value")),
+    _Command("eval", "hermite", (("--nu", _F), ("--x", _F)),
+             lambda nu, x: [{"nu": nu, "x": x, "value": hermite_fn(nu, x)}],
+             ("nu", "x", "value")),
+    _Command("eval", "scaled", (("--x", _F), ("--a", _F), ("--nu", None)),
+             _eval_scaled, ("x", "a", "nu", "n", "theta", "value")),
+    _Command("sweep", "convergence",
+             (("--nu", _F), ("--x", _F), ("--a-list", _parse_a_list)), _sweep_convergence,
+             ("a", "y", "hermite", "abs_err", "slope", "r_squared", "error"), 3),
+    _Command("plot", "fnu", (("--nu", _F), ("--t-max", _F), ("--dt", _F)),
+             _plot_fnu, ("t", "f")),
+    _Command("zeros", "convergence",
+             (("--x", _F), ("--target-nu", _F), ("--a-list", _parse_a_list)),
+             _zeros_convergence, ("a", "n", "nu_n", "abs_err", "slope", "error"), 3),
+    _Command("polygon", "compare", (("--nu", _F), ("--x-max", _F), ("--a", _F)),
+             _polygon_compare, ("x", "u_y", "u_dy", "z_y", "z_dy", "deviation")),
+    _Command("asymptotics", "head-tail", (("--a", _F), ("--nu", _F)),
+             _asymptotics_head_tail,
+             ("a", "nu", "A", "M", "dt", "r_head", "r_tail", "y0_reconstructed",
+              "y0_direct", "y0_direct_ceiling", "h_nu_0", "abs_err_vs_hermite")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="charlier-hermite", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-
-    ev = groups.add_parser("eval", help="evaluate a single value")
-    ev_actions = ev.add_subparsers(dest="action", required=True)
-    p = ev_actions.add_parser("charlier")
-    for flag in ("--n", "--a", "--nu"):
-        p.add_argument(flag, required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_eval_charlier)
-    p = ev_actions.add_parser("hermite")
-    for flag in ("--nu", "--x"):
-        p.add_argument(flag, required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_eval_hermite)
-    p = ev_actions.add_parser("scaled")
-    for flag in ("--x", "--a", "--nu"):
-        p.add_argument(flag, required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_eval_scaled)
-
-    sw = groups.add_parser("sweep", help="convergence sweep over a")
-    sw_actions = sw.add_subparsers(dest="action", required=True)
-    p = sw_actions.add_parser("convergence")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--a-list", dest="a_list", required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_sweep_convergence)
-
-    pl = groups.add_parser("plot", help="tabulate f_nu for plotting")
-    pl_actions = pl.add_subparsers(dest="action", required=True)
-    p = pl_actions.add_parser("fnu")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--t-max", dest="t_max", required=True)
-    p.add_argument("--dt", required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_plot_fnu)
-
-    zr = groups.add_parser("zeros", help="zero convergence toward a Hermite zero")
-    zr_actions = zr.add_subparsers(dest="action", required=True)
-    p = zr_actions.add_parser("convergence")
-    p.add_argument("--x", required=True)
-    p.add_argument("--target-nu", dest="target_nu", required=True)
-    p.add_argument("--a-list", dest="a_list", required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_zeros_convergence)
-
-    pg = groups.add_parser("polygon", help="Charlier trace vs Euler polygon")
-    pg_actions = pg.add_subparsers(dest="action", required=True)
-    p = pg_actions.add_parser("compare")
-    p.add_argument("--nu", required=True)
-    p.add_argument("--x-max", dest="x_max", required=True)
-    p.add_argument("--a", required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_polygon_compare)
-
-    asym = groups.add_parser("asymptotics", help="head/tail split at x = 0")
-    asym_actions = asym.add_subparsers(dest="action", required=True)
-    p = asym_actions.add_parser("head-tail")
-    p.add_argument("--a", required=True)
-    p.add_argument("--nu", required=True)
-    _add_common_flags(p)
-    p.set_defaults(handler=_cmd_asymptotics_head_tail)
-
+    actions = {group: groups.add_parser(group, help=text).add_subparsers(
+        dest="action", required=True) for group, text in _GROUP_HELP.items()}
+    for cmd in _COMMANDS:
+        p = actions[cmd.group].add_parser(cmd.action)
+        for flag, _ in cmd.flags:
+            p.add_argument(flag, required=True)
+        p.add_argument("--out", choices=("csv", "json"), default="csv")
+        if any(parse is None for _, parse in cmd.flags):
+            p.add_argument("--mode", choices=("float", "rational"), default="float")
+        p.set_defaults(command=cmd)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        table, code = args.handler(args)
-        _emit(table, args.out)
-        return code
-    except DomainError as exc:
+        args = vars(build_parser().parse_args(argv))
+        cmd, mode = args["command"], args.get("mode")
+        values = {} if mode is None else {"mode": mode}
+        for flag, parse in cmd.flags:
+            parse = parse or (_parse_fraction if mode == "rational" else _parse_float)
+            dest = flag[2:].replace("-", "_")
+            values[dest] = parse(args[dest], flag)
+        rows = cmd.handler(**values)
+        render = render_csv if args["out"] == "csv" else render_json
+        sys.stdout.write(render(OutputTable(cmd.header, rows)))
+        return 0 if sum(row.get("error") is None for row in rows) >= cmd.min_ok else 1
+    except (DomainError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ConvergenceError) else 1
 
 
 if __name__ == "__main__":

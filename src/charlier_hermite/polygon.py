@@ -140,24 +140,19 @@ def trace_deviation(t1: PolygonTrace, t2: PolygonTrace) -> float:
     return float(np.max(np.linalg.norm(t1.states - t2.states, axis=1)))
 
 
-def lipschitz_bound(xi: float, psi: float) -> float:
-    """L = sqrt(1 + 4 psi^2 + 4 xi^2): Lipschitz constant of u -> A(x) u
-    valid for |nu| <= psi, |x| <= xi."""
-    return math.sqrt(1.0 + 4.0 * psi * psi + 4.0 * xi * xi)
-
-
 def apriori_deviation_bound(x: float, dx: float, u0_norm: float,
                             init_err: float, xi: float, psi: float) -> float:
     """A-priori Euler bound at |x| <= xi:
 
         |u(x) - y(x)| <= init_err e^{Lx} + dx (C/L + M)(e^{Lx} - 1),
 
-    with L = lipschitz_bound(xi, psi), M = L u0_norm e^{L xi} the growth
-    bound for |u'|, and C = 2 u0_norm e^{L xi} bounding the second
+    with L = system_matrix_norm_bound(xi, psi), the Lipschitz constant of
+    u -> A(x) u for |nu| <= psi and |x| <= xi, M = L u0_norm e^{L xi} the
+    growth bound for |u'|, and C = 2 u0_norm e^{L xi} bounding the second
     difference.  Tests assert it dominates the observed deviation; the
     constant convention is not unique, so no equality is claimed.
     """
-    L = lipschitz_bound(xi, psi)
+    L = system_matrix_norm_bound(xi, psi)
     m_bound = L * u0_norm * math.exp(L * xi)
     c_bound = 2.0 * u0_norm * math.exp(L * xi)
     return init_err * math.exp(L * x) + dx * (c_bound / L + m_bound) * (

@@ -63,7 +63,10 @@ def reciprocal_gamma(x: float) -> float:
     lg, sign = ln_gamma(x)
     # exp underflows to 0.0 for huge positive arguments of Gamma; that is
     # the correct limit for 1/Gamma.
-    return sign * math.exp(-lg)
+    try:
+        return sign * math.exp(-lg)
+    except OverflowError:
+        raise DomainError(f"1/Gamma({x!r}) is outside double range") from None
 
 
 def pochhammer_rising(x: float, k: int):

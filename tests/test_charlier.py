@@ -186,6 +186,18 @@ def test_scaled_y_float():
     assert math.isclose(scaled_y(ScaledPoint(x=1.0, a=8.0), 1.0), 2.0, rel_tol=1e-13)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_results_outside_double_range_raise():
+    # an inf - inf among the terms, terms that are all infinite, and a scale
+    # (2a)^(nu/2) = 2000^200 past the float range
+    with pytest.raises(DomainError, match="outside double range"):
+        charlier_direct(200, 10.0, 500.5)
+    with pytest.raises(DomainError, match="outside double range"):
+        charlier_direct(400, 1.0, -300.5)
+    with pytest.raises(DomainError, match="outside double range"):
+        scaled_y(ScaledPoint(x=0.0, a=1000.0), 400.0)
+
+
 def test_scaled_y_rational():
     got = scaled_y(ScaledPoint(x=0.5, a=2.0), 2, mode="rational")
     assert got == 0 and isinstance(got, Fraction)

@@ -8,6 +8,8 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -235,8 +237,12 @@ def test_subprocess_runs_are_byte_identical():
     cmd = [sys.executable, "-m", "charlier_hermite.cli", "sweep",
            "convergence", "--nu", "1.5", "--x", "0.7",
            "--a-list", "100,1000,10000"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the child finds the package from a plain checkout, installed or not
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
     assert first.stdout.count(b"\n") == 4  # header + 3 rows

@@ -12,7 +12,6 @@ from charlier_hermite import (
     hermite_at_zero,
     hermite_derivative,
     hermite_fn,
-    lipschitz_bound,
     scaled_y,
     ScaledPoint,
     system_matrix,
@@ -154,5 +153,4 @@ def test_apriori_bound_dominates_measured_deviation():
 def test_lipschitz_bound_value():
     xi, psi = 1.0, 2.0
     want = math.sqrt(1.0 + 4.0 * psi ** 2 + 4.0 * xi ** 2)
-    assert lipschitz_bound(xi, psi) == want
-    assert lipschitz_bound(xi, psi) == system_matrix_norm_bound(xi, psi)
+    assert system_matrix_norm_bound(xi, psi) == want

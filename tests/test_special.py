@@ -6,6 +6,7 @@ import pytest
 
 from charlier_hermite import (
     ConvergenceError,
+    DomainError,
     PoleError,
     kummer_m,
     ln_gamma,
@@ -77,6 +78,12 @@ def test_reciprocal_gamma_values():
     assert reciprocal_gamma(1.0) == 1.0
     for x, want in RECIPROCAL_GAMMA_ORACLE:
         assert math.isclose(reciprocal_gamma(x), want, rel_tol=1e-14)
+
+
+def test_reciprocal_gamma_outside_double_range_raises():
+    # |Gamma(-199.5)| is about e^-859, so its reciprocal overflows
+    with pytest.raises(DomainError, match="outside double range"):
+        reciprocal_gamma(-199.5)
 
 
 def test_pochhammer_rising():

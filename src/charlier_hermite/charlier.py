@@ -29,6 +29,10 @@ from .errors import DegenerateArgumentError, DomainError, RationalModeError
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
 
+# The float sum drops a tail certified below 2^-160 of its largest term;
+# at 2^-110 the last bit of a cancelling sum was seen to flip.
+_TAIL_FRACTION = 2.0 ** -160
+
 
 def _check_degree(n: int, name: str = "n") -> int:
     if isinstance(n, bool) or n != int(n) or n < 0:
@@ -49,7 +53,10 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     """Evaluate c_n^a(nu) by direct summation of the defining series.
 
     mode="float": terms generated by the overflow-safe ratio recurrence
-    and accumulated with exactly rounded (compensated) summation.
+    and accumulated with exactly rounded (compensated) summation.  The
+    sum stops once the terms left are certified to total at most 2^-160
+    of the largest term, so the work is O(sqrt(min(a, n))) past the peak
+    term rather than O(n).
     mode="rational": the same recurrence in Fraction arithmetic; exact.
     """
     n = _check_degree(n)
@@ -72,20 +79,59 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     nu_f = float(nu)
     if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
         raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
-    if n == 0:
-        return 1.0
-    k = np.arange(n, dtype=float)
-    ratios = ((n - k) / (k + 1.0)) * ((k - nu_f) / a_f)
-    terms = np.empty(n + 1)
-    terms[0] = 1.0
-    np.cumprod(ratios, out=terms[1:])
+    values = _float_terms(n, a_f, nu_f)
     try:
-        total = math.fsum(terms.tolist())
+        total = math.fsum(values)
     except (ValueError, OverflowError):  # infinite terms, or an inf - inf
         total = math.inf
     if not math.isfinite(total):
         raise DomainError(f"c_n^a(nu) at n={n}, a={a!r}, nu={nu!r} is outside double range")
     return total
+
+
+def _float_terms(n: int, a: float, nu: float) -> list:
+    """The terms t_0, t_1, ... of c_n^a(nu) with t_{k+1} = t_k r_k, each
+    rounded as one cumprod over all n ratios r_k would round it.  They stop
+    before t_n only where the rest is certified negligible or a term is
+    no longer finite.
+
+    Up to about 50 terms a Python loop beats numpy's cost per call; it
+    rounds as numpy does, and float arithmetic overflows to inf silently.
+    Beyond that the terms are built in blocks, a block's first ratio
+    multiplied by the last term before its cumprod.  For j >= k > max(nu, 0)
+    every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
+    size, so once rho < 1 the terms past k sum to at most
+    |t_k| rho/(1-rho).  The terms stop after the first block where that
+    bound is at most _TAIL_FRACTION of the largest term, or whose last
+    term is not finite.  Past the peak, the terms above that fraction span
+    about 16 sqrt(min(a, n)) indices; a block is a quarter of that.
+    """
+    values = [1.0]
+    if n <= 48:
+        t = 1.0
+        for j in range(n):
+            t *= ((n - j) / (j + 1.0)) * ((j - nu) / a)
+            values.append(t)
+        return values
+    start, largest = 0, 1.0
+    block = max(1024, int(4.0 * math.sqrt(min(a, n))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            stop = min(n, start + block)
+            k = np.arange(start, stop, dtype=float)
+            ratios = ((n - k) / (k + 1.0)) * ((k - nu) / a)
+            ratios[0] *= values[-1]
+            terms = np.cumprod(ratios)
+            values += terms.tolist()
+            last = values[-1]
+            if stop == n or not math.isfinite(last):
+                return values
+            largest = max(largest, float(np.abs(terms).max()))
+            if stop > nu:
+                rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
+                if rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho):
+                    return values
+            start = stop
 
 
 def charlier_degree_sequence(a: float, nu: float, n_max: int) -> list:

@@ -103,15 +103,14 @@ def _parse_a_list(s: str, name: str) -> list:
 def _report_rate(rows) -> Optional[RateFit]:
     """Fit err ~ a^slope over the rows with abs_err > 0, write the fit to
     stderr and fill every row's slope and r_squared (empty without a fit)."""
-    points = [(r["a"], r["abs_err"]) for r in rows if r.get("abs_err") is not None]
-    usable = [(a, e) for a, e in points if e > 0]
+    usable = [(r["a"], r["abs_err"]) for r in rows if r.get("abs_err", 0) > 0]
     fit = None
     if len(usable) < 3 or len({a for a, _ in usable}) < len(usable):
         print("rate fit skipped: fewer than 3 usable rows with err > 0", file=sys.stderr)
     else:
         fit = fit_rate(usable)
-        if len(points) > len(usable):
-            print(f"rate fit excluded {len(points) - len(usable)} row(s) with err <= 0 "
+        if len(rows) > len(usable):
+            print(f"rate fit excluded {len(rows) - len(usable)} row(s) with err <= 0 "
                   "or failures", file=sys.stderr)
         print(f"fitted slope {fit.slope:.6g} (intercept {fit.intercept:.6g}, "
               f"r^2 {fit.r_squared:.6g})", file=sys.stderr)

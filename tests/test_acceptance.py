@@ -61,8 +61,9 @@ def _line(n: int, ok: bool, detail: str) -> str:
     return msg
 
 
-def _fixed_theta_ladder(x: float, theta: float) -> list:
-    """One ScaledPoint near each rung of A_SWEEP, all with offset theta.
+def _fixed_theta_ladder(x: float, theta: float, rungs=A_SWEEP) -> list:
+    """One ScaledPoint near each rung (A_SWEEP by default), all with offset
+    theta.
 
     With m the integer nearest a0 - x*sqrt(2*a0), r = x + sqrt(x^2 +
     2(m - theta)) and a = r^2/2, the offset a - x*sqrt(2a) is m - theta,
@@ -70,7 +71,7 @@ def _fixed_theta_ladder(x: float, theta: float) -> list:
     rounding of a - x*sqrt(2a) could put the ceiling at m or m + 1.
     """
     ladder = []
-    for a0 in A_SWEEP:
+    for a0 in rungs:
         m = round(a0 - x * math.sqrt(2.0 * a0))
         r = x + math.sqrt(x * x + 2.0 * (m - theta))
         ladder.append(ScaledPoint(x=x, a=0.5 * r * r))
@@ -100,6 +101,22 @@ def test_criterion_1_pointwise_rate():
     msg = _line(1, not bad, detail + " at theta "
                 + "/".join(f"{t:g}" for t in THETAS) + "; band [-0.6, -0.4]")
     assert not bad, msg
+
+
+def test_pointwise_rate_to_a_1e9():
+    # The Charlier sum costs O(sqrt a), so criterion 1's fixed-theta
+    # ladders reach a = 1e9.  Up there a - x*sqrt(2a) carries about 1e-7
+    # of rounding, which bounds how exactly each rung holds theta.
+    slopes = {}
+    for nu, x in ((-1.5, 0.0), (0.5, 0.5), (1.5, 0.7)):
+        h = hermite_fn(nu, x)
+        for theta in THETAS:
+            ladder = _fixed_theta_ladder(x, theta, (1e6, 1e7, 1e8, 1e9))
+            assert max(abs(p.theta - theta) for p in ladder) <= 1e-6, (nu, x, theta)
+            slopes[nu, x, theta] = fit_rate(
+                [(p.a, abs(scaled_y(p, nu) - h)) for p in ladder]).slope
+    bad = {k: s for k, s in slopes.items() if not -0.55 <= s <= -0.45}
+    assert not bad, bad
 
 
 def test_uniform_error_rate():

@@ -186,7 +186,6 @@ def test_scaled_y_float():
     assert math.isclose(scaled_y(ScaledPoint(x=1.0, a=8.0), 1.0), 2.0, rel_tol=1e-13)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_float_results_outside_double_range_raise():
     # an inf - inf among the terms, terms that are all infinite, and a scale
     # (2a)^(nu/2) = 2000^200 past the float range
@@ -196,6 +195,48 @@ def test_float_results_outside_double_range_raise():
         charlier_direct(400, 1.0, -300.5)
     with pytest.raises(DomainError, match="outside double range"):
         scaled_y(ScaledPoint(x=0.0, a=1000.0), 400.0)
+
+
+def _full_sum(n, a, nu):
+    """c_n^a(nu) from all n + 1 terms of one cumprod, as the float path
+    summed before it stopped at a certified tail.  The exact zeros left by
+    underflow are dropped; they cannot change fsum's exactly rounded sum."""
+    k = np.arange(n, dtype=float)
+    ratios = ((n - k) / (k + 1.0)) * ((k - nu) / a)
+    terms = np.empty(n + 1)
+    terms[0] = 1.0
+    np.cumprod(ratios, out=terms[1:])
+    return math.fsum(terms[terms != 0].tolist())
+
+
+def test_truncated_sum_matches_full_sum():
+    # n <= 64 covers the Python loop and the numpy path on both sides of
+    # their threshold.  n > 1024 makes the sum run in blocks and stop at
+    # the certified tail: every fifth nu there is an integer, and every
+    # tenth a lies in [2e4, 2e5], where nu > 0 cancels most and a dropped
+    # tail would first flip a last bit.
+    rng = np.random.default_rng(160)
+    cases = [(int(rng.integers(1, 65)), float(rng.uniform(0.5, 80.0)),
+              float(rng.uniform(-9.0, 9.0))) for _ in range(400)]
+    for i in range(2000):
+        x = float(rng.uniform(-3.0, 3.0))
+        nu = float(rng.integers(-9, 10)) if i % 5 == 0 else float(rng.uniform(-9.0, 9.0))
+        a = float(10.0 ** (rng.uniform(4.3, 5.3) if i % 10 == 0 else rng.uniform(3.2, 4.3)))
+        n = ScaledPoint(x, a).n
+        assert n > 1024, (n, a, x)
+        cases.append((n, a, nu))
+    diffs = [(n, a, nu) for n, a, nu in cases if charlier_direct(n, a, nu) != _full_sum(n, a, nu)]
+    assert not diffs, diffs[:5]
+
+
+def test_float_work_is_bounded_before_allocation(arange_cap):
+    # The full sums would need 8e12, 8e10 and 8e9 bytes per array; the
+    # capped np.arange fails past 10^6 elements in one call.
+    with pytest.raises(DomainError, match="outside double range"):
+        charlier_direct(10 ** 12, 1.0, 0.5)
+    with pytest.raises(DomainError, match="outside double range"):
+        charlier_direct(10 ** 10, 1e9, 1.5)
+    assert math.isfinite(charlier_direct(10 ** 9, 1e9, 1.5))
 
 
 def test_scaled_y_rational():

@@ -58,17 +58,20 @@ def test_zeros_reports_excluded_rows():
     assert out.splitlines()[1] == "100,100,1,0,-0.51453582475286863,"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["eval", "charlier", "--n", "200", "--a", "10", "--nu", "500.5"],
     ["eval", "charlier", "--n", "400", "--a", "1", "--nu", "-300.5"],
     ["eval", "scaled", "--x", "0", "--a", "1000", "--nu", "400"],
     ["sweep", "convergence", "--nu", "400", "--x", "0", "--a-list", "100,1000,10000"],
+    ["eval", "charlier", "--n", "1000000000000", "--a", "1", "--nu", "0.5"],
 ])
-def test_overflow_is_a_domain_error(argv):
+def test_overflow_is_a_domain_error(arange_cap, argv):
+    # one stderr line, the error, with no numpy warning before it; the
+    # capped np.arange shows n = 10^12 is rejected without O(n) work
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "outside double range" in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 @pytest.mark.parametrize("dt", ["5e-324", "1e-300"])

@@ -22,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .charlier import charlier_direct
 from .errors import DomainError
 from .hermite import hermite_at_zero
@@ -185,6 +183,7 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
+    import numpy as np
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
     k = np.arange(A, dtype=float)  # 0 .. A-1, the step k -> k+1
     # log q(k): q(0) = Gamma(-nu); q(k+1)/q(k) = (k - nu)/(k + 1)

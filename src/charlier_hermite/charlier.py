@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from .errors import DegenerateArgumentError, DomainError, RationalModeError
 
 Rational = Union[int, Fraction]
@@ -113,6 +111,7 @@ def _float_terms(n: int, a: float, nu: float) -> list:
             t *= ((n - j) / (j + 1.0)) * ((j - nu) / a)
             values.append(t)
         return values
+    import numpy as np
     start, largest = 0, 1.0
     block = max(1024, int(4.0 * math.sqrt(min(a, n))))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -105,8 +105,11 @@ def _report_rate(rows) -> Optional[RateFit]:
     stderr and fill every row's slope and r_squared (empty without a fit)."""
     usable = [(r["a"], r["abs_err"]) for r in rows if r.get("abs_err", 0) > 0]
     fit = None
-    if len(usable) < 3 or len({a for a, _ in usable}) < len(usable):
+    if len(usable) < 3:
         print("rate fit skipped: fewer than 3 usable rows with err > 0", file=sys.stderr)
+    elif len({a for a, _ in usable}) < len(usable):
+        print("rate fit skipped: repeated a values among the rows with err > 0",
+              file=sys.stderr)
     else:
         fit = fit_rate(usable)
         if len(rows) > len(usable):

@@ -22,11 +22,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .charlier import charlier_direct
 from .errors import DomainError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+_MAX_NODES = 1_000_000  # the row limit of plot fnu, checked before allocating
 
 
 @dataclass(frozen=True)
@@ -46,6 +50,7 @@ class PolygonTrace:
 
 def system_matrix(x: float, nu: float) -> np.ndarray:
     """A(x) = [[0, 1], [-2 nu, 2 x]]."""
+    import numpy as np
     return np.array([[0.0, 1.0], [-2.0 * nu, 2.0 * x]])
 
 
@@ -59,7 +64,10 @@ def _node_count(x_max: float, dx: float) -> int:
         raise DomainError(f"dx must be positive, got {dx!r}")
     if not (math.isfinite(x_max) and x_max >= 0):
         raise DomainError(f"x_max must be >= 0, got {x_max!r}")
-    return int(math.floor(x_max / dx + 1e-12))
+    span = x_max / dx + 1e-12
+    if span >= _MAX_NODES:
+        raise DomainError(f"x_max/dx = {span:.6g} asks for more than {_MAX_NODES} nodes")
+    return int(math.floor(span))
 
 
 def euler_polygon(nu: float, init, x_max: float, dx: float,
@@ -72,6 +80,7 @@ def euler_polygon(nu: float, init, x_max: float, dx: float,
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
     y, yp = float(init[0]), float(init[1])
     steps = _node_count(x_max, dx)
+    import numpy as np
     h = direction * dx
     xs = np.empty(steps + 1)
     states = np.empty((steps + 1, 2))
@@ -114,6 +123,7 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
             cache[m] = charlier_direct(m, a, nu)
         return cache[m]
 
+    import numpy as np
     scale = r ** nu
     xs = np.empty(steps + 1)
     states = np.empty((steps + 1, 2))
@@ -135,6 +145,7 @@ def trace_deviation(t1: PolygonTrace, t2: PolygonTrace) -> float:
 
     The node grids must be identical.
     """
+    import numpy as np
     if len(t1.xs) != len(t2.xs) or t1.step != t2.step or not np.array_equal(t1.xs, t2.xs):
         raise DomainError("trace_deviation requires identical node grids")
     return float(np.max(np.linalg.norm(t1.states - t2.states, axis=1)))

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .charlier import _exact_sqrt, _to_fraction, charlier_direct
 from .errors import DomainError, RationalModeError
 
@@ -46,6 +44,7 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
         raise DomainError("fit_rate needs positive a values")
     if any(e <= 0 for e in (p[1] for p in pts)):
         raise DomainError("fit_rate needs strictly positive errors")
+    import numpy as np
     la = np.log([p[0] for p in pts])
     le = np.log([p[1] for p in pts])
     slope, intercept = np.polyfit(la, le, 1)

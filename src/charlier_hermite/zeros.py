@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from .charlier import charlier_direct
 from .errors import DomainError
 from .hermite import hermite_fn
@@ -69,23 +67,23 @@ def _scan(f: Callable[[float], float], lo: float, hi: float,
         raise DomainError(f"need a finite interval lo < hi, got [{lo!r}, {hi!r}]")
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid!r}")
-    xs = np.linspace(lo, hi, grid)
-    fs = [f(float(x)) for x in xs]
+    import numpy as np
+    xs = np.linspace(lo, hi, grid).tolist()
+    fs = [f(x) for x in xs]
     found = []
     spacing = xs[1] - xs[0]
-    for i in range(len(xs) - 1):
+    for i, x in enumerate(xs):
         if fs[i] == 0.0:
-            # grid node hit the zero exactly: bracket it symmetrically
+            # grid node hit the zero exactly, either end included: bracket
+            # it symmetrically; the intervals beside it show no sign change
             d = spacing * 1e-6
-            flo, fhi = f(xs[i] - d), f(xs[i] + d)
+            flo, fhi = f(x - d), f(x + d)
             if flo * fhi < 0:
-                found.append(_bisect(f, xs[i] - d, xs[i] + d, flo, fhi))
+                found.append(_bisect(f, x - d, x + d, flo, fhi))
             else:
-                found.append(ZeroResult(float(xs[i]), float(xs[i] - d),
-                                        float(xs[i] + d), 0.0, 0))
-            continue
-        if fs[i] * fs[i + 1] < 0:
-            found.append(_bisect(f, float(xs[i]), float(xs[i + 1]), fs[i], fs[i + 1]))
+                found.append(ZeroResult(x, x - d, x + d, 0.0, 0))
+        elif i + 1 < len(xs) and fs[i] * fs[i + 1] < 0:
+            found.append(_bisect(f, x, xs[i + 1], fs[i], fs[i + 1]))
     return found
 
 
@@ -137,7 +135,7 @@ def count_positive_zeros(n: int, a: float, max_grid: int = 1 << 16) -> int:
                                        lo, hi, grid)]
         count = len(roots)
         spacing = (hi - lo) / (grid - 1)
-        min_gap = min(np.diff(roots)) if count >= 2 else hi - lo
+        min_gap = min(s - r for r, s in zip(roots, roots[1:])) if count >= 2 else hi - lo
         if count == prev and spacing <= min_gap / 4.0:
             return count
         prev = count

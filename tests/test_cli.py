@@ -233,16 +233,59 @@ def test_render_csv_escapes_commas():
     assert render_csv(table) == "k,msg\n1,bad; worse\n"
 
 
+def _checkout_env():
+    # the child finds the package from a plain checkout, installed or not
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+
 def test_subprocess_runs_are_byte_identical():
     cmd = [sys.executable, "-m", "charlier_hermite.cli", "sweep",
            "convergence", "--nu", "1.5", "--x", "0.7",
            "--a-list", "100,1000,10000"]
-    # the child finds the package from a plain checkout, installed or not
-    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
-    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    env = _checkout_env()
     first = subprocess.run(cmd, capture_output=True, check=True, env=env)
     second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stderr == second.stderr
     assert first.stdout.count(b"\n") == 4  # header + 3 rows
+
+
+# Runs each argv in turn in one fresh interpreter and prints, per step,
+# the exit code and whether numpy has been imported so far.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import charlier_hermite
+steps = [[0, "numpy" in sys.modules]]
+from charlier_hermite import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    steps.append([code, "numpy" in sys.modules])
+print(json.dumps(steps))
+"""
+
+
+def test_scalar_commands_do_not_import_numpy():
+    commands = {
+        "eval hermite": ["eval", "hermite", "--nu", "2.5", "--x", "0.5"],
+        "eval charlier rational": ["eval", "charlier", "--n", "60", "--a", "7/2",
+                                   "--nu", "5/2", "--mode", "rational"],
+        "eval charlier n=10": ["eval", "charlier", "--n", "10", "--a", "2.5", "--nu", "1.5"],
+        "plot fnu": ["plot", "fnu", "--nu", "-3", "--t-max", "3", "--dt", "0.01"],
+        # last, so the probe is shown to see an import when there is one
+        "eval scaled": ["eval", "scaled", "--x", "0.5", "--a", "100", "--nu", "1.5"],
+    }
+    done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
+                           json.dumps(list(commands.values()))],
+                          capture_output=True, check=True, env=_checkout_env(), text=True)
+    steps = dict(zip(["import charlier_hermite", *commands], json.loads(done.stdout)))
+    assert steps == {
+        "import charlier_hermite": [0, False],
+        "eval hermite": [0, False],
+        "eval charlier rational": [0, False],
+        "eval charlier n=10": [0, False],
+        "plot fnu": [0, False],
+        "eval scaled": [0, True],
+    }

@@ -8,7 +8,8 @@ errors.  Each case is replayed in-process and must match byte for byte.
 The tests after the replay pin the inputs the corpus leaves out because
 their behaviour was changed on purpose: --mode on commands without a
 rational path, the excluded-rows note of zeros convergence, results
-outside double range, and the plot fnu row limit.
+outside double range, the plot fnu row limit, the node limit of polygon
+compare, and the skipped-fit note for repeated a values.
 """
 
 import contextlib
@@ -64,13 +65,16 @@ def test_zeros_reports_excluded_rows():
     ["eval", "scaled", "--x", "0", "--a", "1000", "--nu", "400"],
     ["sweep", "convergence", "--nu", "400", "--x", "0", "--a-list", "100,1000,10000"],
     ["eval", "charlier", "--n", "1000000000000", "--a", "1", "--nu", "0.5"],
+    ["polygon", "compare", "--nu", "1", "--x-max", "1", "--a", "1e12"],
 ])
 def test_overflow_is_a_domain_error(arange_cap, argv):
     # one stderr line, the error, with no numpy warning before it; the
-    # capped np.arange shows n = 10^12 is rejected without O(n) work
+    # capped np.arange shows n = 10^12 is rejected without O(n) work, and
+    # that polygon compare's 1.4e6 nodes are refused before a Charlier sum
     code, out, err = run_cli(*argv)
     assert (code, out) == (1, "")
-    assert err.startswith("error:") and "outside double range" in err
+    reason = "1000000 nodes" if argv[0] == "polygon" else "outside double range"
+    assert err.startswith("error:") and reason in err
     assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
@@ -83,3 +87,13 @@ def test_plot_fnu_row_limit_precedes_work(monkeypatch, dt):
     code, out, err = run_cli("plot", "fnu", "--nu", "-3", "--t-max", "3", "--dt", dt)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "1000000 rows" in err
+
+
+def test_repeated_a_names_the_reason_the_fit_is_skipped():
+    # four rows with err > 0, so the reason is the repeat, not the count
+    code, out, err = run_cli("sweep", "convergence", "--nu", "1.5", "--x", "0.5",
+                             "--a-list", "100,100,1000,10000")
+    assert code == 0
+    assert err == "rate fit skipped: repeated a values among the rows with err > 0\n"
+    assert len(out.splitlines()) == 5
+    assert all(line.endswith(",,,") for line in out.splitlines()[1:])

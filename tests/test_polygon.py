@@ -18,6 +18,7 @@ from charlier_hermite import (
     system_matrix_norm_bound,
     trace_deviation,
 )
+from charlier_hermite import polygon
 
 
 def test_system_matrix_entries():
@@ -75,6 +76,25 @@ def test_euler_validation():
         euler_polygon(1.0, (0.0, 2.0), 1.0, 0.1, direction=0)
     with pytest.raises(DomainError):
         euler_polygon(1.0, (0.0, 2.0), -1.0, 0.1)
+
+
+def test_node_count_is_capped_before_any_work(monkeypatch):
+    # the capped inputs ask for 10^9, 1.4e6 and infinitely many nodes; the
+    # cap must reject them before an array or a Charlier sum is made
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the node count was checked")
+
+    monkeypatch.setattr(np, "empty", no_work)
+    monkeypatch.setattr(polygon, "charlier_direct", no_work)
+    for x_max, dx in ((1.0, 1e-9), (1e308, 1e-300)):
+        with pytest.raises(DomainError, match="1000000 nodes"):
+            euler_polygon(1.0, (0.0, 2.0), x_max, dx)
+    with pytest.raises(DomainError, match="1000000 nodes"):
+        charlier_state_trace(1.0, 1e12, 1.0)
+    # 10^6 nodes are still allowed, one more is not
+    assert polygon._node_count(999_999.0, 1.0) == 999_999
+    with pytest.raises(DomainError, match="1000000 nodes"):
+        polygon._node_count(1_000_000.0, 1.0)
 
 
 def test_state_trace_nu_zero_is_constant():

@@ -69,6 +69,34 @@ def test_hermite_zero_free_interval_is_empty():
     assert hermite_zeros_in_order(0.0, 1.5, 2.5, grid=64) == []
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.5, 1.0)])
+def test_hermite_scan_finds_a_zero_on_an_end_node(lo, hi):
+    # H_1(0) = 0 sits on the first grid node, then on the last one
+    assert [z.root for z in hermite_zeros_in_order(0.0, lo, hi, grid=8)] == [1.0]
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, 1.5), (0.5, 1.0)])
+def test_charlier_scan_finds_a_zero_on_an_end_node(lo, hi):
+    # c_5^5(1) = 1 + 5 (-1)/5 = 0: the only terms are k = 0 and k = 1
+    assert [z.root for z in charlier_zeros_in_order(5, 5.0, lo, hi, grid=8)] == [1.0]
+
+
+def test_zeros_on_both_end_nodes_are_counted_once():
+    roots = hermite_zeros_in_order(0.0, 1.0, 3.0, grid=5)
+    assert [z.root for z in roots] == [1.0, 3.0]
+
+
+def test_zero_results_are_python_floats():
+    # exact hits on interior and end nodes, and bracketed sign changes
+    results = (hermite_zeros_in_order(0.0, 0.0, 4.0, grid=5)
+               + charlier_zeros_in_order(5, 5.0, 0.5, 1.0, grid=8)
+               + charlier_zeros_in_order(2, 2.0, 0.0, 10.0, grid=128))
+    assert len(results) == 5
+    for z in results:
+        assert type(z.root) is float
+        assert type(z.bracket_lo) is float and type(z.bracket_hi) is float
+
+
 def test_hermite_zero_at_x1_against_oracle():
     roots = hermite_zeros_in_order(1.0, 0.5, 3.0, grid=256)
     assert len(roots) >= 1

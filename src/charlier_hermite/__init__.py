@@ -10,13 +10,11 @@ from .asymptotics import (
     factor_p,
     factor_q,
     head_tail_split,
-    term_T,
     trapezoid_gamma_check,
 )
 from .charlier import (
     ScaledPoint,
     charlier_backward_step,
-    charlier_degree_sequence,
     charlier_direct,
     charlier_order_shift,
     scaled_y,
@@ -34,7 +32,6 @@ from .polygon import (
     apriori_deviation_bound,
     charlier_state_trace,
     euler_polygon,
-    system_matrix,
     system_matrix_norm_bound,
     trace_deviation,
 )
@@ -46,7 +43,6 @@ from .ratefit import (
     sharpness_check,
 )
 from .special import (
-    LnGamma,
     kummer_m,
     ln_gamma,
     pochhammer_rising,
@@ -68,7 +64,6 @@ __all__ = [
     "ConvergenceError",
     "DegenerateArgumentError",
     "DomainError",
-    "LnGamma",
     "PoleError",
     "PolygonTrace",
     "RateFit",
@@ -83,7 +78,6 @@ __all__ = [
     "admissible_sharpness_pairs",
     "apriori_deviation_bound",
     "charlier_backward_step",
-    "charlier_degree_sequence",
     "charlier_direct",
     "charlier_order_shift",
     "charlier_state_trace",
@@ -105,9 +99,7 @@ __all__ = [
     "reciprocal_gamma",
     "scaled_y",
     "sharpness_check",
-    "system_matrix",
     "system_matrix_norm_bound",
-    "term_T",
     "trace_deviation",
     "trapezoid_gamma_check",
     "upper_incomplete_gamma",

@@ -19,10 +19,11 @@ of f_nu(t) = t^{-nu-1} exp(-t^2/2).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charlier import charlier_direct
+from .charlier import _term_block, charlier_direct
 from .errors import DomainError
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
@@ -80,24 +81,6 @@ class SplitReport:
     y0_direct: float
     h_nu_0: float
     y0_direct_ceiling: Optional[float] = None
-
-
-def term_T(k: int, cfg: SplitConfig) -> float:
-    """T_k, computed in log space and exponentiated; the sign of
-    Gamma(k - nu) is carried separately (always + for nu < 0)."""
-    if k != int(k) or k < 0 or k > cfg.A:
-        raise DomainError(f"term_T needs integer 0 <= k <= A={cfg.A}, got {k!r}")
-    k = int(k)
-    lg_q, sign = ln_gamma(k - cfg.nu)
-    log_t = (
-        0.5 * cfg.nu * math.log(cfg.a)
-        + lg_q
-        - math.lgamma(k + 1.0)
-        + math.lgamma(cfg.A + 1.0)
-        - math.lgamma(cfg.A - k + 1.0)
-        - k * math.log(cfg.a)
-    )
-    return sign * math.exp(log_t)
 
 
 def factor_p(k: int, A: int) -> float:
@@ -176,28 +159,33 @@ def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidChec
 def head_tail_split(cfg: SplitConfig) -> SplitReport:
     """Split sum_{k=0}^{A} T_k at M and reconstruct y_nu(0).
 
-    Requires nu <= -4 (the head estimate needs it).  The T_k logs are
-    accumulated incrementally (cumulative sums of single-step log
-    ratios) so the reconstruction identity against direct evaluation
-    holds to near machine precision even for A ~ 1e5.
+    Requires nu <= -4 (the head estimate needs it).  T_k = C t_k, with
+    C = a^{nu/2} Gamma(-nu) and t_k the terms of c_A^a(nu), so the split
+    sums the Charlier kernel's own terms and y_nu(0) = (2a)^{nu/2} sum t_k.
+    For nu <= -4 the t_k are positive and unimodal from t_0 = 1; they are
+    built block by block until a block ends below the smallest normal
+    double, past the peak, so the work is O(sqrt(a)) and not O(A).
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
-    import numpy as np
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
-    k = np.arange(A, dtype=float)  # 0 .. A-1, the step k -> k+1
-    # log q(k): q(0) = Gamma(-nu); q(k+1)/q(k) = (k - nu)/(k + 1)
-    lg0, _ = ln_gamma(-nu)
-    log_q = np.concatenate(([lg0], lg0 + np.cumsum(np.log((k - nu) / (k + 1.0)))))
-    # log p-part with the true a: p(0) = 1; ratio (A - k)/a
-    log_p = np.concatenate(([0.0], np.cumsum(np.log((A - k) / a))))
-    log_T = 0.5 * nu * math.log(a) + log_q + log_p
-    T = np.exp(log_T)
-    r_head = math.fsum(T[:M].tolist())
-    r_tail = math.fsum(T[M:].tolist())
-    prefactor = 2.0 ** (0.5 * nu) / math.gamma(-nu)
-    y0_reconstructed = prefactor * (r_head + r_tail)
+    terms, start = [1.0], 0
+    block = max(1024, int(4.0 * math.sqrt(min(a, A))))
+    while start < A and sys.float_info.min <= terms[-1] < math.inf:
+        stop = min(A, start + block)
+        terms += _term_block(A, a, nu, start, stop, terms[-1]).tolist()
+        start = stop
     scale = (2.0 * a) ** (0.5 * nu)
+    try:
+        c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
+        s_head = math.fsum(terms[:M])
+        s_tail = math.fsum(terms[M:])
+        sums = (c * s_head, c * s_tail, scale * (s_head + s_tail))
+    except OverflowError:
+        sums = (math.inf,)
+    if not all(map(math.isfinite, sums)):
+        raise DomainError(f"head/tail split at a={a!r}, nu={nu!r} is outside double range")
+    r_head, r_tail, y0_reconstructed = sums
     y0_direct = scale * charlier_direct(A, a, nu)
     y0_ceiling = None
     if math.ceil(a) != A:

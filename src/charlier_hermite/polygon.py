@@ -48,12 +48,6 @@ class PolygonTrace:
             raise DomainError(f"step must be positive, got {self.step!r}")
 
 
-def system_matrix(x: float, nu: float) -> np.ndarray:
-    """A(x) = [[0, 1], [-2 nu, 2 x]]."""
-    import numpy as np
-    return np.array([[0.0, 1.0], [-2.0 * nu, 2.0 * x]])
-
-
 def system_matrix_norm_bound(x: float, nu: float) -> float:
     """sqrt(1 + 4 nu^2 + 4 x^2), an upper bound for ||A(x)||_2."""
     return math.sqrt(1.0 + 4.0 * nu * nu + 4.0 * x * x)

@@ -7,7 +7,8 @@ def arange_cap(monkeypatch):
     """Make np.arange(stop) and np.arange(start, stop) fail, before they
     allocate, when one call asks for more than 10^6 elements or the calls
     of the test together ask for more than 10^7.  A test can then show a
-    call does bounded work without running it uncapped."""
+    call does bounded work without running it uncapped.  The fixture's
+    value, a one-element list, counts the elements asked for so far."""
     arange = np.arange
     asked = [0]
 
@@ -21,3 +22,4 @@ def arange_cap(monkeypatch):
         return arange(start, stop, **kwargs)
 
     monkeypatch.setattr(np, "arange", capped)
+    return asked

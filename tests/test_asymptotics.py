@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from charlier_hermite import (
     factor_q,
     head_tail_split,
     hermite_at_zero,
-    term_T,
     trapezoid_gamma_check,
     upper_incomplete_gamma,
 )
@@ -37,27 +37,6 @@ def test_split_config_derivations():
     assert (cfg.A, cfg.M) == (10, 6)  # ceil(5.623...)
     with pytest.raises(DomainError):
         SplitConfig(a=0.9, nu=-4.0)
-
-
-def test_term_t_seeds():
-    cfg = SplitConfig(a=50.0, nu=-4.5)
-    want0 = 50.0 ** (-2.25) * math.gamma(4.5)
-    assert math.isclose(term_T(0, cfg), want0, rel_tol=1e-12)
-    want1 = want0 * 4.5 * (cfg.A / cfg.a)
-    assert math.isclose(term_T(1, cfg), want1, rel_tol=1e-12)
-    with pytest.raises(DomainError):
-        term_T(-1, cfg)
-    with pytest.raises(DomainError):
-        term_T(cfg.A + 1, cfg)
-
-
-def test_term_t_sum_reconstructs_direct_value():
-    for a, nu in ((300.0, -4.5), (1000.0, -6.0)):
-        cfg = SplitConfig(a=a, nu=nu)
-        total = math.fsum(term_T(k, cfg) for k in range(cfg.A + 1))
-        lhs = 2.0 ** (0.5 * nu) / math.gamma(-nu) * total
-        rhs = (2.0 * a) ** (0.5 * nu) * charlier_direct(cfg.A, a, nu)
-        assert math.isclose(lhs, rhs, rel_tol=1e-9), (a, nu)
 
 
 def test_factor_p_values():
@@ -179,3 +158,55 @@ def test_head_converges_to_hermite_and_tail_vanishes():
     # the tail is asymptotically negligible next to the total error
     assert all(t < e for t, e in zip(tails, errs))
     assert tails[-1] < 1e-10
+
+
+def _exact_split_sums(a, nu, bits=1200):
+    """Head and tail sums of the terms t_k of c_A^a(nu), split at M, as
+    integers in units of 2^-bits.  Each step t_{k+1} = t_k (A-k)(k-nu)/((k+1)a)
+    is done in integers from the exact binary values of a and nu and
+    floored, so each term is off by at most k units: far below 1e-13 of
+    either sum at the inputs tested.  The loop ends once a term floors
+    to 0, since every later one does too."""
+    cfg = SplitConfig(a, nu)
+    fa, fnu = Fraction(a), Fraction(nu)
+    t, sums = 1 << bits, [0, 0]
+    for k in range(cfg.A + 1):
+        if t == 0:
+            break
+        sums[k >= cfg.M] += t
+        t = (t * (cfg.A - k) * (k * fnu.denominator - fnu.numerator) * fa.denominator
+             // ((k + 1) * fnu.denominator * fa.numerator))
+    return [Fraction(s, 1 << bits) for s in sums]
+
+
+@pytest.mark.parametrize("a, nu", [(100.0, -4.0), (1000.5, -4.5), (1e4, -4.0),
+                                   (2e4, -5.3), (1e5, -5.5), (1e6, -4.0)])
+def test_head_tail_split_matches_exact_sums(a, nu):
+    # T_k = a^{nu/2} Gamma(-nu) t_k and y_nu(0) = (2a)^{nu/2} sum t_k
+    s_head, s_tail = _exact_split_sums(a, nu)
+    c = math.gamma(-nu) * a ** (0.5 * nu)
+    rep = head_tail_split(SplitConfig(a, nu))
+    assert math.isclose(rep.r_head, c * float(s_head), rel_tol=1e-13)
+    assert math.isclose(rep.r_tail, c * float(s_tail), rel_tol=1e-13)
+    want = (2.0 * a) ** (0.5 * nu) * float(s_head + s_tail)
+    assert math.isclose(rep.y0_reconstructed, want, rel_tol=1e-13)
+
+
+def test_head_tail_split_at_large_negative_order():
+    # Gamma(-nu) overflows at nu = -200 and 2^{nu/2}/Gamma(-nu) underflows
+    # at nu = -171, but C = a^{nu/2} Gamma(-nu) and y_nu(0) are in range
+    for nu, y0 in ((-200.0, 2.185e-178), (-171.0, 3.665e-149)):
+        rep = head_tail_split(SplitConfig(100.0, nu))
+        assert math.isclose(rep.y0_direct, y0, rel_tol=1e-3)
+        assert math.isclose(rep.y0_reconstructed, rep.y0_direct, rel_tol=1e-12)
+    with pytest.raises(DomainError, match="outside double range"):
+        head_tail_split(SplitConfig(1e4, -1000.0))
+
+
+def test_head_tail_split_work_is_bounded(arange_cap):
+    # the terms stop about 38 sqrt(a) in, once below the smallest normal
+    # double, and not at A = 1e9
+    rep = head_tail_split(SplitConfig(1e9, -5.0))
+    assert math.isclose(rep.y0_reconstructed, rep.y0_direct, rel_tol=1e-12)
+    with pytest.raises(DomainError, match="more than 10000000 terms"):
+        head_tail_split(SplitConfig(1e15, -5.0))

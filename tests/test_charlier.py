@@ -10,7 +10,6 @@ from charlier_hermite import (
     RationalModeError,
     ScaledPoint,
     charlier_backward_step,
-    charlier_degree_sequence,
     charlier_direct,
     charlier_order_shift,
     scaled_y,
@@ -85,18 +84,6 @@ def test_degree_validation():
         charlier_direct(2, 0.0, 1.0)
     with pytest.raises(DomainError):
         charlier_direct(2, -3.0, 1.0)
-
-
-def test_degree_sequence_matches_direct():
-    a, nu = 2.0, 2.0
-    seq = charlier_degree_sequence(a, nu, 6)
-    assert seq[0] == 1.0
-    assert math.isclose(seq[1], 1.0 - nu / a, rel_tol=1e-15)
-    assert math.isclose(seq[2], -0.5, rel_tol=1e-13)
-    for n, value in enumerate(seq):
-        assert math.isclose(value, charlier_direct(n, a, nu), rel_tol=1e-11, abs_tol=1e-13), n
-    # nu = 0 collapses to all ones
-    assert charlier_degree_sequence(3.7, 0.0, 5) == [1.0] * 6
 
 
 def test_degree_recurrence_residual():
@@ -237,6 +224,13 @@ def test_float_work_is_bounded_before_allocation(arange_cap):
     with pytest.raises(DomainError, match="outside double range"):
         charlier_direct(10 ** 10, 1e9, 1.5)
     assert math.isfinite(charlier_direct(10 ** 9, 1e9, 1.5))
+
+
+def test_term_cap_precedes_allocation(arange_cap):
+    # the first block at a = 1e15 would hold 1.26e8 terms
+    with pytest.raises(DomainError, match="more than 10000000 terms"):
+        charlier_direct(10 ** 15, 1e15, -5.0)
+    assert arange_cap == [0]
 
 
 def test_scaled_y_rational():

@@ -2,6 +2,7 @@
 
 Each test drives main() in-process and parses the emitted table; one
 test runs the module twice in subprocesses to check byte determinism.
+The last test pins the package's public names.
 """
 
 import contextlib
@@ -289,3 +290,22 @@ def test_scalar_commands_do_not_import_numpy():
         "plot fnu": [0, False],
         "eval scaled": [0, True],
     }
+
+
+def test_public_names_are_pinned():
+    # a name added to or dropped from the package's surface shows up here
+    import charlier_hermite
+    assert sorted(charlier_hermite.__all__) == [
+        "ConvergenceError", "DegenerateArgumentError", "DomainError", "PoleError",
+        "PolygonTrace", "RateFit", "RationalModeError", "ScaledPoint", "SharpnessResult",
+        "SplitConfig", "SplitReport", "TrapezoidCheck", "ZeroConvergenceRow", "ZeroResult",
+        "admissible_sharpness_pairs", "apriori_deviation_bound", "charlier_backward_step",
+        "charlier_direct", "charlier_order_shift", "charlier_state_trace",
+        "charlier_zeros_in_order", "count_positive_zeros", "euler_polygon", "f_nu",
+        "factor_p", "factor_q", "fit_rate", "head_tail_split", "hermite_at_zero",
+        "hermite_derivative", "hermite_fn", "hermite_zeros_in_order", "kummer_m",
+        "ln_gamma", "pochhammer_rising", "reciprocal_gamma", "scaled_y", "sharpness_check",
+        "system_matrix_norm_bound", "trace_deviation", "trapezoid_gamma_check",
+        "upper_incomplete_gamma", "zero_convergence_table",
+    ]
+    assert all(hasattr(charlier_hermite, name) for name in charlier_hermite.__all__)

@@ -9,7 +9,8 @@ The tests after the replay pin the inputs the corpus leaves out because
 their behaviour was changed on purpose: --mode on commands without a
 rational path, the excluded-rows note of zeros convergence, results
 outside double range, the plot fnu row limit, the node limit of polygon
-compare, and the skipped-fit note for repeated a values.
+compare, the term cap of the Charlier sum, and the skipped-fit note for
+repeated a values.
 """
 
 import contextlib
@@ -66,6 +67,7 @@ def test_zeros_reports_excluded_rows():
     ["sweep", "convergence", "--nu", "400", "--x", "0", "--a-list", "100,1000,10000"],
     ["eval", "charlier", "--n", "1000000000000", "--a", "1", "--nu", "0.5"],
     ["polygon", "compare", "--nu", "1", "--x-max", "1", "--a", "1e12"],
+    ["asymptotics", "head-tail", "--a", "10000", "--nu", "-1000"],
 ])
 def test_overflow_is_a_domain_error(arange_cap, argv):
     # one stderr line, the error, with no numpy warning before it; the
@@ -76,6 +78,17 @@ def test_overflow_is_a_domain_error(arange_cap, argv):
     reason = "1000000 nodes" if argv[0] == "polygon" else "outside double range"
     assert err.startswith("error:") and reason in err
     assert err.count("\n") == 1 and err.endswith("\n"), err
+
+
+def test_term_cap_is_a_domain_error(arange_cap):
+    # the first block of terms at a = 1e15 would hold 1.26e8 of them; the
+    # cap refuses it before any np.arange call
+    code, out, err = run_cli("eval", "charlier", "--n", "1000000000000000",
+                             "--a", "1e15", "--nu", "-5")
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "more than 10000000 terms" in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    assert arange_cap == [0]
 
 
 @pytest.mark.parametrize("dt", ["5e-324", "1e-300"])

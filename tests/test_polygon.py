@@ -14,16 +14,10 @@ from charlier_hermite import (
     hermite_fn,
     scaled_y,
     ScaledPoint,
-    system_matrix,
     system_matrix_norm_bound,
     trace_deviation,
 )
 from charlier_hermite import polygon
-
-
-def test_system_matrix_entries():
-    assert np.array_equal(system_matrix(0.0, 0.0), [[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(system_matrix(1.0, 2.0), [[0.0, 1.0], [-4.0, 2.0]])
 
 
 def test_norm_bound_dominates_singular_value():
@@ -31,7 +25,7 @@ def test_norm_bound_dominates_singular_value():
     for _ in range(200):
         nu = float(rng.uniform(-5.0, 5.0))
         x = float(rng.uniform(-3.0, 3.0))
-        sigma = np.linalg.svd(system_matrix(x, nu), compute_uv=False)[0]
+        sigma = np.linalg.svd([[0.0, 1.0], [-2.0 * nu, 2.0 * x]], compute_uv=False)[0]
         assert sigma <= system_matrix_norm_bound(x, nu) * (1.0 + 1e-12), (nu, x)
 
 
@@ -39,7 +33,7 @@ def test_euler_single_step():
     u0 = np.array([0.7, -1.2])
     dx = 0.01
     tr = euler_polygon(1.3, u0, 0.015, dx)  # two nodes
-    want = u0 + dx * system_matrix(0.0, 1.3) @ u0
+    want = u0 + dx * np.array([[0.0, 1.0], [-2.0 * 1.3, 0.0]]) @ u0
     assert np.allclose(tr.states[1], want, rtol=0.0, atol=0.0)
     assert tr.xs[0] == 0.0 and tr.xs[1] == dx
 

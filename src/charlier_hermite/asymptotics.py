@@ -23,7 +23,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charlier import _term_block, charlier_direct
+from .charlier import (_MAX_TERMS, _block_size, _scaled, _term_block, _too_many_terms,
+                       charlier_direct)
 from .errors import DomainError
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
@@ -170,26 +171,27 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
     terms, start = [1.0], 0
-    block = max(1024, int(4.0 * math.sqrt(min(a, A))))
+    block = _block_size(A, a)
     while start < A and sys.float_info.min <= terms[-1] < math.inf:
         stop = min(A, start + block)
+        if stop > _MAX_TERMS:
+            raise _too_many_terms(A, a, nu)
         terms += _term_block(A, a, nu, start, stop, terms[-1]).tolist()
         start = stop
-    scale = (2.0 * a) ** (0.5 * nu)
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
         s_head = math.fsum(terms[:M])
         s_tail = math.fsum(terms[M:])
-        sums = (c * s_head, c * s_tail, scale * (s_head + s_tail))
+        sums = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
     except OverflowError:
         sums = (math.inf,)
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"head/tail split at a={a!r}, nu={nu!r} is outside double range")
     r_head, r_tail, y0_reconstructed = sums
-    y0_direct = scale * charlier_direct(A, a, nu)
+    y0_direct = _scaled(2.0 * a, 0.5 * nu, charlier_direct(A, a, nu))
     y0_ceiling = None
     if math.ceil(a) != A:
-        y0_ceiling = scale * charlier_direct(math.ceil(a), a, nu)
+        y0_ceiling = _scaled(2.0 * a, 0.5 * nu, charlier_direct(math.ceil(a), a, nu))
     return SplitReport(
         r_head=r_head,
         r_tail=r_tail,

@@ -17,7 +17,9 @@ is the quantity that approaches the Hermite function H_nu(x) as a grows.
 
 from __future__ import annotations
 
+import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
@@ -33,6 +35,8 @@ _TAIL_FRACTION = 2.0 ** -160
 # No float sum builds more terms than this; every a <= 1e10 measured
 # needs at most 2.3e6.
 _MAX_TERMS = 10_000_000
+# A term block of several degrees holds at most this many elements.
+_BLOCK_ELEMENTS = 2 ** 15
 
 
 def _check_degree(n: int, name: str = "n") -> int:
@@ -80,73 +84,164 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     nu_f = float(nu)
     if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
         raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
-    values = _float_terms(n, a_f, nu_f)
+    if n > 48:  # a one-degree call of the block loop
+        return _checked(n, a, nu, _chunk_sums([n], a_f, nu_f, _block_size(n, a_f))[0])
+    # A short sum costs less in a Python loop than in numpy; the loop
+    # rounds as the block loop does, and float arithmetic overflows to inf
+    # silently.
+    values = [1.0]
+    t = 1.0
+    for j in range(n):
+        t *= ((n - j) / (j + 1.0)) * ((j - nu_f) / a_f)
+        values.append(t)
+    return _checked(n, a, nu, _fsum(values))
+
+
+def _fsum(terms) -> float:
     try:
-        total = math.fsum(values)
+        return math.fsum(terms)
     except (ValueError, OverflowError):  # infinite terms, or an inf - inf
-        total = math.inf
+        return math.inf
+
+
+def _too_many_terms(n: int, a, nu) -> DomainError:
+    return DomainError(f"the Charlier sum at n={n}, a={float(a)!r}, nu={float(nu)!r} "
+                       f"needs more than {_MAX_TERMS} terms")
+
+
+def _checked(n: int, a, nu, total):
+    """total, the float sum of c_n^a(nu), or the DomainError
+    charlier_direct raises for it: None stands for a sum refused at
+    _MAX_TERMS, and a sum outside double range is not finite."""
+    if total is None:
+        raise _too_many_terms(n, a, nu)
     if not math.isfinite(total):
         raise DomainError(f"c_n^a(nu) at n={n}, a={a!r}, nu={nu!r} is outside double range")
     return total
 
 
-def _float_terms(n: int, a: float, nu: float) -> list:
-    """The terms t_0, t_1, ... of c_n^a(nu) with t_{k+1} = t_k r_k, each
-    rounded as one cumprod over all n ratios r_k would round it.  They stop
-    before t_n only where the rest is certified negligible or a term is
-    no longer finite.
+def _charlier_values(ns: list, a, nu) -> list:
+    """charlier_direct(n, a, nu) in float mode for each degree n of ns, the
+    terms of all of them built together by _float_sums.  Each value is the
+    double charlier_direct returns; the DomainError raised is the one
+    charlier_direct raises at the first n in ns where it raises."""
+    a_f = float(a)
+    nu_f = float(nu)
+    if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
+        raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
+    return [_checked(n, a, nu, total) for n, total in zip(ns, _float_sums(ns, a_f, nu_f))]
 
-    Up to about 50 terms a Python loop beats numpy's cost per call; it
-    rounds as numpy does, and float arithmetic overflows to inf silently.
-    Beyond that the terms are built in blocks, a block's first ratio
-    multiplied by the last term before its cumprod.  For j >= k > max(nu, 0)
+
+def _block_size(n: int, a: float) -> int:
+    # Past the peak, the terms above _TAIL_FRACTION of the largest span
+    # about 16 sqrt(min(a, n)) indices; a block is a quarter of that, and
+    # at least 1024 (4 sqrt(65536)).
+    m = min(a, n)
+    return 1024 if m <= 65536 else int(4.0 * math.sqrt(m))
+
+
+def _float_sums(ns: list, a: float, nu: float) -> list:
+    """The exactly rounded sum of the terms t_0, t_1, ... of c_n^a(nu) with
+    t_{k+1} = t_k r_k, for each degree n of ns; None where the sum would
+    need more than _MAX_TERMS terms.
+
+    The terms are built in blocks of _block_size(n, a), one 2-D block for
+    a chunk of degrees with the same block size and at most
+    _BLOCK_ELEMENTS elements, each row continued from the last term of
+    its previous block.  Every term is rounded as one cumprod over all n
+    ratios r_k would round it, and fsum is exactly rounded, so each sum
+    is the same double whatever the other degrees in its chunk.  A row
+    stops at t_n, after the first block whose last term is not finite,
+    or once the rest is certified negligible: for j >= k > max(nu, 0)
     every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
     size, so once rho < 1 the terms past k sum to at most
-    |t_k| rho/(1-rho).  The terms stop after the first block where that
-    bound is at most _TAIL_FRACTION of the largest term, or whose last
-    term is not finite.  Past the peak, the terms above that fraction span
-    about 16 sqrt(min(a, n)) indices; a block is a quarter of that.
+    |t_k| rho/(1-rho), and the row stops after the first block where
+    that bound is at most _TAIL_FRACTION of its largest term.
     """
-    values = [1.0]
-    if n <= 48:
-        t = 1.0
-        for j in range(n):
-            t *= ((n - j) / (j + 1.0)) * ((j - nu) / a)
-            values.append(t)
-        return values
-    start, largest = 0, 1.0
-    block = max(1024, int(4.0 * math.sqrt(min(a, n))))
+    sums = [None] * len(ns)
+    groups = {}
+    for i, n in enumerate(ns):
+        groups.setdefault(_block_size(n, a), []).append(i)
+    for block, rows in groups.items():
+        per_chunk = max(1, _BLOCK_ELEMENTS // block)
+        for j in range(0, len(rows), per_chunk):
+            chunk = rows[j:j + per_chunk]
+            for i, total in zip(chunk, _chunk_sums([ns[i] for i in chunk], a, nu, block)):
+                sums[i] = total
+    return sums
+
+
+def _chunk_sums(ns: list, a: float, nu: float, block: int) -> list:
+    """_float_sums for degrees that share one block size, as one 2-D block
+    of len(ns) rows at a time."""
+    sums = [None] * len(ns)
+    # per row still summing: its index, degree, largest |term| and terms
+    live = [[i, n, 1.0, []] for i, n in enumerate(ns)]
+    prev, start = [1.0] * len(ns), 0
     while True:
-        stop = min(n, start + block)
-        terms = _term_block(n, a, nu, start, stop, values[-1])
-        values += terms.tolist()
-        last = values[-1]
-        if stop == n or not math.isfinite(last):
-            return values
-        largest = max(largest, float(abs(terms).max()))
-        if stop > nu:
-            rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
-            if rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho):
-                return values
+        if start + block > _MAX_TERMS:  # refuse, before allocating, the rows past the cap
+            fit = [j for j, row in enumerate(live) if row[1] <= _MAX_TERMS]
+            if not fit:
+                return sums
+            live, prev = [live[j] for j in fit], [prev[j] for j in fit]
+        if len(live) == 1:  # as cheap as a 1-D block
+            top = live[0][1]
+            stop = min(start + block, top)
+            t = _term_block(top, a, nu, start, stop, prev[0])[None]
+        else:
+            degrees = [row[1] for row in live]
+            top = max(degrees)
+            stop = min(start + block, top)
+            t = _term_block(degrees, a, nu, start, stop, prev)
+        if stop < top:
+            lasts, highs, lows = t[:, -1].tolist(), t.max(axis=1).tolist(), t.min(axis=1).tolist()
+        kept = []
+        for j, row in enumerate(live):
+            i, n, largest, terms = row
+            if n <= stop:
+                terms.append(memoryview(t[j] if n == stop else t[j, :n - start]))
+            else:
+                terms.append(memoryview(t[j]))
+                last = lasts[j]
+                if math.isfinite(last):
+                    row[2] = largest = max(largest, abs(highs[j]), abs(lows[j]))
+                    rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
+                    if stop <= nu or not (rho < 1.0 and abs(last) * rho
+                                          <= _TAIL_FRACTION * largest * (1.0 - rho)):
+                        kept.append(j)
+                        continue
+            sums[i] = _fsum(itertools.chain((1.0,), *terms))
+        if not kept:
+            return sums
+        live, prev = [live[j] for j in kept], [lasts[j] for j in kept]
         start = stop
 
 
-def _term_block(n: int, a: float, nu: float, start: int, stop: int, prev: float):
+def _term_block(n, a: float, nu: float, start: int, stop: int, prev):
     """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a numpy array,
     continued from prev = t_start by one cumprod of the ratios
-    ((n-k)/(k+1)) ((k-nu)/a), k = start .. stop-1.  Overflow gives inf
-    silently.  Raises DomainError, before allocating, when stop is past
-    _MAX_TERMS.
+    ((n-k)/(k+1)) ((k-nu)/a), k = start .. stop-1.  With numbers n and
+    prev it is 1-D; with lists of degrees and of their previous terms it
+    has a row per degree, each rounded as the 1-D block of its degree.
+    Overflow gives inf silently.
     """
-    if stop > _MAX_TERMS:
-        raise DomainError(f"the Charlier sum at n={n}, a={a!r}, nu={nu!r} needs more "
-                          f"than {_MAX_TERMS} terms")
     import numpy as np
     k = np.arange(start, stop, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = ((n - k) / (k + 1.0)) * ((k - nu) / a)
-        ratios[0] *= prev
-        return np.cumprod(ratios)
+        if not isinstance(n, list):
+            ratios = ((n - k) / (k + 1.0)) * ((k - nu) / a)
+            if start:  # t_0 = 1, so the first block needs no prev
+                ratios[0] *= prev
+            return ratios.cumprod()
+        # The same operations in place: for many rows, fresh 2-D
+        # temporaries cost more than the arithmetic, and for one short row
+        # in-place calls cost more than they save.
+        ratios = np.array(n, dtype=float)[:, None] - k
+        ratios /= k + 1.0
+        ratios *= (k - nu) / a
+        if start:
+            ratios[:, 0] *= prev
+        return ratios.cumprod(axis=-1, out=ratios)
 
 
 def charlier_order_shift(n: int, a: float, nu: float,
@@ -220,6 +315,28 @@ def _exact_sqrt(f: Fraction):
     return None
 
 
+def _scaled(base: float, p: float, c, factor: float = 1.0):
+    """factor * base^p * c, for c a float or a numpy array, as
+    (base^p * factor) * c while base^p is a normal double or overflows.
+    Below 2^-1022 a power has lost digits, so base^p is applied as two
+    equal normal factors s = base^(p/2), as ((s * factor) * c) * s.
+    Raises DomainError when s is not normal either, or when a nonzero c
+    still gives a result below the normal range.
+    """
+    try:
+        scale = base ** p
+    except OverflowError:
+        scale = math.inf
+    if scale >= sys.float_info.min:
+        return scale * factor * c
+    s = base ** (p / 2.0)
+    value = s * factor * c * s
+    lost = (c != 0) & (abs(value) < sys.float_info.min)  # a bool, or an array of them
+    if s < sys.float_info.min or getattr(lost, "any", lambda: lost)():
+        raise DomainError(f"scaling by {base!r}**{p!r} leaves the normal double range")
+    return value
+
+
 def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     """y_nu^a(x) = (2a)^{nu/2} c_n^a(nu) at a ScaledPoint.
 
@@ -228,11 +345,7 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     """
     if mode == "float":
         nu_f = float(nu)
-        try:
-            scale = (2.0 * point.a) ** (nu_f / 2.0)
-        except OverflowError:
-            scale = math.inf
-        value = scale * charlier_direct(point.n, point.a, nu_f)
+        value = _scaled(2.0 * point.a, nu_f / 2.0, charlier_direct(point.n, point.a, nu_f))
         if not math.isfinite(value):
             raise DomainError(
                 f"y_nu^a(x) at a={point.a!r}, nu={nu!r} is outside double range")

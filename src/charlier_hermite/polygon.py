@@ -16,6 +16,8 @@ state
 whose second component is the difference quotient toward the previous
 node, (y(x_k) - y(x_{k-1}))/dx; at k = 0 that equals 2 nu y_{nu-1}(0)
 exactly.  The deviation between the two traces decays like 1/sqrt(a).
+The c_m of all the trace's degrees are summed together, their terms
+built in shared blocks, and each is the double charlier_direct gives.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .charlier import charlier_direct
+from .charlier import _charlier_values, _scaled
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -95,8 +97,10 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
                          direction: int = 1) -> PolygonTrace:
     """Charlier z-trace on the natural grid dx = 1/sqrt(2a).
 
-    Built from charlier_direct evaluations at consecutive degrees; a
-    must be large enough that every node keeps degree m >= 1.
+    The steps + 2 consecutive degrees are summed together by the Charlier
+    kernel, a chunk of degrees per block of terms, and each c_m is the
+    value charlier_direct(m, a, nu) returns.  For direction=1, a must be
+    large enough that every node keeps degree m >= 1.
     """
     if direction not in (1, -1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
@@ -110,27 +114,25 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
         raise DomainError(
             f"a={a} too small for x_max={x_max}: degree would fall below 1"
         )
-    cache = {}
-
-    def c(m: int) -> float:
-        if m not in cache:
-            cache[m] = charlier_direct(m, a, nu)
-        return cache[m]
-
+    # c_m at every node's degree top - direction*k and at top + direction,
+    # the degree of the node before x = 0; asked for in the order the
+    # nodes use them, top first, so that an error names the same degree
+    c = _charlier_values([top, top + direction]
+                         + [top - direction * k for k in range(1, steps + 1)], a, nu)
+    c[0], c[1] = c[1], c[0]
     import numpy as np
-    scale = r ** nu
-    xs = np.empty(steps + 1)
+    c = np.array(c)
+    # x accumulates by +h from 0, as in euler_polygon
+    xs = np.full(steps + 1, direction * dx)
+    xs[0] = 0.0
+    np.cumsum(xs, out=xs)
     states = np.empty((steps + 1, 2))
-    h = direction * dx
-    x = 0.0
-    for k in range(steps + 1):
-        m = top - direction * k
-        xs[k] = x
-        x += h
-        states[k, 0] = scale * c(m)
-        # difference quotient toward the previous node; the previous
-        # node's degree is m + direction
-        states[k, 1] = direction * scale * r * (c(m) - c(m + direction))
+    states[:, 0] = _scaled(r, nu, c[1:])
+    # difference quotient toward the previous node, whose degree is
+    # m + direction
+    states[:, 1] = _scaled(r, nu, c[1:] - c[:-1], direction * r)
+    if not np.isfinite(states).all():
+        raise DomainError(f"the state trace at a={a!r}, nu={nu!r} is outside double range")
     return PolygonTrace(xs, states, dx)
 
 

@@ -1,4 +1,9 @@
+import contextlib
+import functools
+import io
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +19,7 @@ from charlier_hermite import (
     charlier_order_shift,
     scaled_y,
 )
+from charlier_hermite.charlier import _checked, _float_sums
 
 # mpmath (50 digits) oracle for the float path, frozen to 17 digits
 CHARLIER_ORACLE = [
@@ -245,3 +251,98 @@ def test_scaled_y_rational():
         scaled_y(ScaledPoint(x=0.0, a=3.0), 1, mode="rational")  # sqrt(6) irrational
     with pytest.raises(RationalModeError):
         scaled_y(ScaledPoint(x=0.0, a=2.0), Fraction(1, 2), mode="rational")
+
+
+def _assert_same_as_one_degree_calls(ns, a, nu):
+    """_float_sums over the degrees ns gives, degree by degree, what
+    charlier_direct gives: the same double, bit for bit, or the same
+    DomainError."""
+    for n, total in zip(ns, _float_sums(ns, a, nu)):
+        try:
+            want = charlier_direct(n, a, nu)
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=re.escape(str(exc))):
+                _checked(n, a, nu, total)
+        else:
+            assert _checked(n, a, nu, total).hex() == want.hex(), (n, a, nu)
+
+
+@pytest.mark.parametrize("ns, a, nu", [
+    # degree 0, the n <= 48 loop's degrees and numpy's, in one list
+    ([0, 1, 5, 48, 49, 50, 200, 0], 0.7, 2.3),
+    # one block against two: 1024 terms fit in the first block, 1025 do not
+    ([0, 3, 48] + list(range(1015, 1035)), 1000.5, -3.7),
+    (list(range(1035, 1010, -1)), 1000.5, 0.37),
+    (list(range(990, 1060, 3)), 1024.0, 4.5),
+    # more degrees than one chunk holds, in no particular order
+    ([5000 + (37 * i) % 101 - 50 for i in range(101)], 5000.25, -1.2),
+    # block sizes 1024 up to 1058 at a > 65536, so several groups
+    (list(range(65400, 65700, 13)) + list(range(69990, 70011, 4)) + [70500], 70000.5, 1.5),
+    # rows whose terms overflow, and rows refused at the term cap
+    ([0, 10, 40, 60, 100, 150, 300], 0.5, 300.5),
+    ([0, 5, 49, 10 ** 7, 10 ** 15, 3], 1e15, -5.0),
+])
+def test_batched_sums_match_one_degree_calls(ns, a, nu):
+    _assert_same_as_one_degree_calls(ns, a, nu)
+
+
+def test_batched_sums_match_one_degree_calls_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(0.5, 3000.0), st.floats(-9.0, 9.0),
+                      st.lists(st.integers(0, 3200), min_size=1, max_size=12))
+    def check(a, nu, ns):
+        _assert_same_as_one_degree_calls(ns, a, nu)
+
+    check()
+
+
+@functools.lru_cache(maxsize=None)
+def _mp_scaled_y(n, a, nu, digits=30):
+    """(2a)^{nu/2} c_n^a(nu) from the series summed by mpmath; the terms
+    are positive for nu < 0, so there is no cancellation."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(digits):
+        term = total = mp.mpf(1)
+        for k in range(n):
+            term *= mp.mpf(n - k) / (k + 1) * (k - mp.mpf(nu)) / a
+            total += term
+        return total * (2 * mp.mpf(a)) ** (mp.mpf(nu) / 2)
+
+
+@pytest.mark.parametrize("nu", [-140.0, -150.0, -160.0])
+def test_subnormal_scale_keeps_digits(nu):
+    # (2a)^{nu/2} is 8.5e-302, 2.5e-323 (subnormal) and 0 (underflow) at
+    # a = 1e4, while y_nu^a(0) and the trace's states are normal doubles
+    from charlier_hermite import SplitConfig, charlier_state_trace, head_tail_split
+    a = 1e4
+    want = float(_mp_scaled_y(10000, a, nu))
+    assert math.isclose(scaled_y(ScaledPoint(0.0, a), nu), want, rel_tol=1e-13)
+    rep = head_tail_split(SplitConfig(a, nu))
+    assert math.isclose(rep.y0_direct, want, rel_tol=1e-13)
+    assert math.isclose(rep.y0_reconstructed, want, rel_tol=1e-13)
+    z = charlier_state_trace(nu, a, 0.01)
+    r = math.sqrt(2.0 * a)
+    dy = r * (_mp_scaled_y(10000, a, nu) - _mp_scaled_y(10001, a, nu))
+    assert math.isclose(z.states[0, 0], want, rel_tol=1e-13)
+    assert math.isclose(z.states[0, 1], float(dy), rel_tol=1e-11)
+    # and through the command line, exit 0 with the same digits
+    from charlier_hermite.cli import main
+    for argv, columns in ((["eval", "scaled", "--x", "0"], ["value"]),
+                          (["asymptotics", "head-tail"], ["y0_reconstructed", "y0_direct"])):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv + ["--a", "10000", "--nu", str(nu), "--out", "json"]) == 0
+        row = json.loads(out.getvalue())[0]
+        for column in columns:
+            assert math.isclose(row[column], want, rel_tol=1e-13), (argv, column)
+
+
+@pytest.mark.parametrize("nu", [-276.0, -300.0])
+def test_subnormal_scale_without_a_normal_result_is_a_domain_error(nu):
+    # at a = 1e4: for nu = -276 the value itself is below 2^-1022, and for
+    # nu = -300 so is (2a)^{nu/4}
+    with pytest.raises(DomainError, match="normal double range"):
+        scaled_y(ScaledPoint(0.0, 1e4), nu)

@@ -17,7 +17,7 @@ from charlier_hermite import (
     system_matrix_norm_bound,
     trace_deviation,
 )
-from charlier_hermite import polygon
+from charlier_hermite import charlier, charlier_direct, polygon
 
 
 def test_norm_bound_dominates_singular_value():
@@ -79,7 +79,7 @@ def test_node_count_is_capped_before_any_work(monkeypatch):
         raise AssertionError("work started before the node count was checked")
 
     monkeypatch.setattr(np, "empty", no_work)
-    monkeypatch.setattr(polygon, "charlier_direct", no_work)
+    monkeypatch.setattr(polygon, "_charlier_values", no_work)
     for x_max, dx in ((1.0, 1e-9), (1e308, 1e-300)):
         with pytest.raises(DomainError, match="1000000 nodes"):
             euler_polygon(1.0, (0.0, 2.0), x_max, dx)
@@ -168,3 +168,58 @@ def test_lipschitz_bound_value():
     xi, psi = 1.0, 2.0
     want = math.sqrt(1.0 + 4.0 * psi ** 2 + 4.0 * xi ** 2)
     assert system_matrix_norm_bound(xi, psi) == want
+
+
+def _assert_states_are_per_degree_values(tr, nu, a, direction, nodes=None):
+    # z_k = (r^nu c_m, r^{nu+1} (c_m - c_{m+direction})) with m = ceil(a) -
+    # direction k, each c_m a charlier_direct call, rounded as a node-by-node
+    # evaluation rounds them
+    r = math.sqrt(2.0 * a)
+    scale = r ** nu
+    top = math.ceil(a)
+    for k in range(len(tr.xs)) if nodes is None else nodes:
+        m = top - direction * k
+        c, c_prev = charlier_direct(m, a, nu), charlier_direct(m + direction, a, nu)
+        assert tr.states[k, 0] == scale * c, (k, m)
+        assert tr.states[k, 1] == direction * scale * r * (c - c_prev), (k, m)
+
+
+@pytest.mark.parametrize("nu, a, x_max, direction", [
+    (0.7, 0.5, 2.0, -1),        # reaches degree 0
+    (-2.3, 3000.0, 1.0, 1),
+    (-2.3, 3000.0, 1.0, -1),
+    (2.7, 20000.0, 1.0, 1),     # chunks of 32 degrees
+    (2.7, 20000.0, 1.0, -1),
+    (1.5, 70050.5, 0.3, 1),     # block sizes 1057 and 1058
+    (-0.4, 70050.5, 0.3, -1),
+])
+def test_state_trace_is_the_per_degree_formula(nu, a, x_max, direction):
+    tr = charlier_state_trace(nu, a, x_max, direction)
+    x = 0.0
+    for k in range(len(tr.xs)):
+        assert tr.xs[k] == x
+        x += direction * tr.step
+    _assert_states_are_per_degree_values(tr, nu, a, direction)
+
+
+def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
+    # 45 nodes at a = 1e9 need 46 degrees with blocks of 126,491 terms: in
+    # one block they would hold 5.8e6 elements, so each degree gets its own
+    shapes = []
+    term_block = charlier._term_block
+
+    def recorded(*args):
+        t = term_block(*args)
+        shapes.append(t.shape)
+        return t
+
+    monkeypatch.setattr(charlier, "_term_block", recorded)
+    tr = charlier_state_trace(0.7, 1e9, 0.001)
+    assert len(tr.xs) == 45 and shapes
+    assert all(len(s) == 1 for s in shapes), set(shapes)
+    _assert_states_are_per_degree_values(tr, 0.7, 1e9, 1, nodes=(0, 22, 44))
+    # at a = 2e4 the degrees share blocks, none above the budget
+    shapes.clear()
+    charlier_state_trace(2.7, 20000.0, 1.0)
+    rows = [s for s in shapes if len(s) == 2]
+    assert rows and max(r * w for r, w in rows) <= charlier._BLOCK_ELEMENTS

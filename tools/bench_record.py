@@ -1,6 +1,6 @@
-"""Record a parent-versus-change benchmark comparison as BENCH_<pr>.json.
+"""Record a parent-versus-change benchmark comparison as one JSON file.
 
-    python3 tools/bench_record.py --parent DIR --change DIR --out BENCH_7.json \
+    python3 tools/bench_record.py --parent DIR --change DIR --out OUT.json \
         [--pairs trace=10,sweep=3,zeros=3,cli=3] [--first-seed 941] \
         [--seconds 20] [--layers trace] [--tier1]
 

@@ -23,8 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charlier import (_MAX_TERMS, _block_size, _scaled, _term_block, _too_many_terms,
-                       charlier_direct)
+from .charlier import _block_size, _scaled, _term_block, charlier_direct
 from .errors import DomainError
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
@@ -174,9 +173,7 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     block = _block_size(A, a)
     while start < A and sys.float_info.min <= terms[-1] < math.inf:
         stop = min(A, start + block)
-        if stop > _MAX_TERMS:
-            raise _too_many_terms(A, a, nu)
-        terms += _term_block(A, a, nu, start, stop, terms[-1]).tolist()
+        terms += _term_block([A], a, nu, start, stop, [terms[-1]])[0].tolist()
         start = stop
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))

@@ -80,10 +80,7 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         return total
     if mode != "float":
         raise DomainError(f"unknown mode {mode!r}")
-    a_f = float(a)
-    nu_f = float(nu)
-    if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
-        raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
+    a_f, nu_f = _float_args(a, nu)
     if n > 48:  # a one-degree call of the block loop
         return _checked(n, a, nu, _chunk_sums([n], a_f, nu_f, _block_size(n, a_f))[0])
     # A short sum costs less in a Python loop than in numpy; the loop
@@ -95,6 +92,14 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         t *= ((n - j) / (j + 1.0)) * ((j - nu_f) / a_f)
         values.append(t)
     return _checked(n, a, nu, _fsum(values))
+
+
+def _float_args(a, nu) -> tuple:
+    a_f = float(a)
+    nu_f = float(nu)
+    if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
+        raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
+    return a_f, nu_f
 
 
 def _fsum(terms) -> float:
@@ -122,14 +127,23 @@ def _checked(n: int, a, nu, total):
 
 def _charlier_values(ns: list, a, nu) -> list:
     """charlier_direct(n, a, nu) in float mode for each degree n of ns, the
-    terms of all of them built together by _float_sums.  Each value is the
-    double charlier_direct returns; the DomainError raised is the one
+    terms of all of them built together: the degrees are grouped by
+    _block_size and each group summed by _chunk_sums, at most
+    _BLOCK_ELEMENTS // block degrees at a time.  Each value is the double
+    charlier_direct returns; the DomainError raised is the one
     charlier_direct raises at the first n in ns where it raises."""
-    a_f = float(a)
-    nu_f = float(nu)
-    if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
-        raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
-    return [_checked(n, a, nu, total) for n, total in zip(ns, _float_sums(ns, a_f, nu_f))]
+    a_f, nu_f = _float_args(a, nu)
+    sums = [None] * len(ns)
+    groups = {}
+    for i, n in enumerate(ns):
+        groups.setdefault(_block_size(n, a_f), []).append(i)
+    for block, rows in groups.items():
+        per_chunk = max(1, _BLOCK_ELEMENTS // block)
+        for j in range(0, len(rows), per_chunk):
+            chunk = rows[j:j + per_chunk]
+            for i, total in zip(chunk, _chunk_sums([ns[i] for i in chunk], a_f, nu_f, block)):
+                sums[i] = total
+    return [_checked(n, a, nu, total) for n, total in zip(ns, sums)]
 
 
 def _block_size(n: int, a: float) -> int:
@@ -140,40 +154,23 @@ def _block_size(n: int, a: float) -> int:
     return 1024 if m <= 65536 else int(4.0 * math.sqrt(m))
 
 
-def _float_sums(ns: list, a: float, nu: float) -> list:
+def _chunk_sums(ns: list, a: float, nu: float, block: int) -> list:
     """The exactly rounded sum of the terms t_0, t_1, ... of c_n^a(nu) with
     t_{k+1} = t_k r_k, for each degree n of ns; None where the sum would
     need more than _MAX_TERMS terms.
 
-    The terms are built in blocks of _block_size(n, a), one 2-D block for
-    a chunk of degrees with the same block size and at most
-    _BLOCK_ELEMENTS elements, each row continued from the last term of
-    its previous block.  Every term is rounded as one cumprod over all n
-    ratios r_k would round it, and fsum is exactly rounded, so each sum
-    is the same double whatever the other degrees in its chunk.  A row
-    stops at t_n, after the first block whose last term is not finite,
-    or once the rest is certified negligible: for j >= k > max(nu, 0)
-    every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
-    size, so once rho < 1 the terms past k sum to at most
-    |t_k| rho/(1-rho), and the row stops after the first block where
-    that bound is at most _TAIL_FRACTION of its largest term.
+    The terms are built in blocks of `block` terms, one 2-D _term_block
+    for all degrees still summing, each row continued from the last term
+    of its previous block.  Every term is rounded as one cumprod over all
+    n ratios r_k would round it, and fsum is exactly rounded, so each sum
+    is the same double whatever the other degrees beside it.  A row stops
+    at t_n, after the first block whose last term is not finite, or once
+    the rest is certified negligible: for j >= k > max(nu, 0) every later
+    ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in size, so once
+    rho < 1 the terms past k sum to at most |t_k| rho/(1-rho), and the row
+    stops after the first block where that bound is at most
+    _TAIL_FRACTION of its largest term.
     """
-    sums = [None] * len(ns)
-    groups = {}
-    for i, n in enumerate(ns):
-        groups.setdefault(_block_size(n, a), []).append(i)
-    for block, rows in groups.items():
-        per_chunk = max(1, _BLOCK_ELEMENTS // block)
-        for j in range(0, len(rows), per_chunk):
-            chunk = rows[j:j + per_chunk]
-            for i, total in zip(chunk, _chunk_sums([ns[i] for i in chunk], a, nu, block)):
-                sums[i] = total
-    return sums
-
-
-def _chunk_sums(ns: list, a: float, nu: float, block: int) -> list:
-    """_float_sums for degrees that share one block size, as one 2-D block
-    of len(ns) rows at a time."""
     sums = [None] * len(ns)
     # per row still summing: its index, degree, largest |term| and terms
     live = [[i, n, 1.0, []] for i, n in enumerate(ns)]
@@ -184,15 +181,10 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int) -> list:
             if not fit:
                 return sums
             live, prev = [live[j] for j in fit], [prev[j] for j in fit]
-        if len(live) == 1:  # as cheap as a 1-D block
-            top = live[0][1]
-            stop = min(start + block, top)
-            t = _term_block(top, a, nu, start, stop, prev[0])[None]
-        else:
-            degrees = [row[1] for row in live]
-            top = max(degrees)
-            stop = min(start + block, top)
-            t = _term_block(degrees, a, nu, start, stop, prev)
+        degrees = [row[1] for row in live]
+        top = max(degrees)
+        stop = min(start + block, top)
+        t = _term_block(degrees, a, nu, start, stop, prev)
         if stop < top:
             lasts, highs, lows = t[:, -1].tolist(), t.max(axis=1).tolist(), t.min(axis=1).tolist()
         kept = []
@@ -217,31 +209,28 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int) -> list:
         start = stop
 
 
-def _term_block(n, a: float, nu: float, start: int, stop: int, prev):
-    """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a numpy array,
-    continued from prev = t_start by one cumprod of the ratios
-    ((n-k)/(k+1)) ((k-nu)/a), k = start .. stop-1.  With numbers n and
-    prev it is 1-D; with lists of degrees and of their previous terms it
-    has a row per degree, each rounded as the 1-D block of its degree.
-    Overflow gives inf silently.
+def _term_block(ns: list, a: float, nu: float, start: int, stop: int, prev: list):
+    """The terms t_{start+1}, ..., t_stop of c_n^a(nu) for each degree n of
+    ns, a row per degree of a 2-D numpy array: the row of n is continued
+    from its prev = t_start by one cumprod of the ratios
+    ((n-k)/(k+1)) ((k-nu)/a), k = start .. stop-1.  Overflow gives inf
+    silently.  Raises DomainError, before allocating, when stop is past
+    _MAX_TERMS.
     """
+    if stop > _MAX_TERMS:
+        raise _too_many_terms(max(ns), a, nu)
     import numpy as np
-    k = np.arange(start, stop, dtype=float)
+    # k is a row, so that for one degree no operand is broadcast after the
+    # first; the block is built in place, as fresh 2-D temporaries cost
+    # more than the arithmetic
+    k = np.arange(start, stop, dtype=float)[None]
     with np.errstate(over="ignore", invalid="ignore"):
-        if not isinstance(n, list):
-            ratios = ((n - k) / (k + 1.0)) * ((k - nu) / a)
-            if start:  # t_0 = 1, so the first block needs no prev
-                ratios[0] *= prev
-            return ratios.cumprod()
-        # The same operations in place: for many rows, fresh 2-D
-        # temporaries cost more than the arithmetic, and for one short row
-        # in-place calls cost more than they save.
-        ratios = np.array(n, dtype=float)[:, None] - k
+        ratios = np.array(ns, dtype=float)[:, None] - k
         ratios /= k + 1.0
         ratios *= (k - nu) / a
-        if start:
+        if start:  # t_0 = 1, so the first block needs no prev
             ratios[:, 0] *= prev
-        return ratios.cumprod(axis=-1, out=ratios)
+        return ratios.cumprod(axis=1, out=ratios)
 
 
 def charlier_order_shift(n: int, a: float, nu: float,

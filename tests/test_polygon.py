@@ -216,10 +216,10 @@ def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
     monkeypatch.setattr(charlier, "_term_block", recorded)
     tr = charlier_state_trace(0.7, 1e9, 0.001)
     assert len(tr.xs) == 45 and shapes
-    assert all(len(s) == 1 for s in shapes), set(shapes)
+    assert all(r == 1 for r, _ in shapes), set(shapes)
     _assert_states_are_per_degree_values(tr, 0.7, 1e9, 1, nodes=(0, 22, 44))
     # at a = 2e4 the degrees share blocks, none above the budget
     shapes.clear()
     charlier_state_trace(2.7, 20000.0, 1.0)
-    rows = [s for s in shapes if len(s) == 2]
+    rows = [s for s in shapes if s[0] > 1]
     assert rows and max(r * w for r, w in rows) <= charlier._BLOCK_ELEMENTS

@@ -1,20 +1,22 @@
 """Record a parent-versus-change benchmark comparison as one JSON file.
 
     python3 tools/bench_record.py --parent DIR --change DIR --out OUT.json \
-        [--pairs trace=10,sweep=3,zeros=3,cli=3] [--first-seed 941] \
-        [--seconds 20] [--layers trace] [--tier1]
+        --first-seed SEED [--pairs trace=10,sweep=3,zeros=3,cli=3] [--layers trace]
 
 DIR is the root of a checkout of the parent commit and of the change.
 For each workload, pair i runs `perfbench/run.py` with seed first-seed + i
-once in each checkout, one run at a time; odd pairs run the change first,
-so that a drift of the host's speed falls on both sides alike.  The record
+for the change's BENCHMARK.json `run_seconds` once in each checkout, one
+run at a time; odd pairs run the change first, so that a drift of the
+host's speed falls on both sides alike.  The record
 holds, per workload and end-to-end metric, each side's values, median and
 quartiles, the number of pairs the change won (`better` as in
 BENCHMARK.json) and whether the medians differ by more than the parent's
 interquartile range; per run, `correct`, `failed` and `attempted`; with
---layers, the per-layer metrics of one traced run per side; with --tier1,
-the wall time of the Tier-1 test command in each checkout; and each side's
-git SHA and Python and numpy versions, as perfbench reports them.
+--layers, the per-layer metrics of one traced run per side; the wall time
+of the Tier-1 test command in each checkout; and each side's git SHA and
+Python and numpy versions, as perfbench reports them.  There is no default
+seed: seeds used while developing a change should not be the ones that
+judge it.
 
 Standard library only.  Progress goes to stderr.
 """
@@ -79,15 +81,15 @@ def main(argv=None):
     ap.add_argument("--change", required=True)
     ap.add_argument("--out", required=True)
     ap.add_argument("--pairs", default="trace=10,sweep=3,zeros=3,cli=3")
-    ap.add_argument("--first-seed", type=int, default=941)
-    ap.add_argument("--seconds", type=int, default=20)
+    ap.add_argument("--first-seed", type=int, required=True)
     ap.add_argument("--layers", default="", help="comma-separated workloads to trace once per side")
-    ap.add_argument("--tier1", action="store_true")
     args = ap.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     with open(os.path.join(roots["change"], "BENCHMARK.json")) as f:
-        better = {m["name"]: m["better"] for m in json.load(f)["end_to_end"]}
-    record = {"seconds": args.seconds, "environment": {}, "workloads": {}, "layers": {}}
+        bench = json.load(f)
+    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
+    record = {"seconds": seconds, "environment": {}, "workloads": {}, "layers": {}}
     for spec in filter(None, args.pairs.split(",")):
         workload, count = spec.split("=")
         pairs, runs = [], []
@@ -96,7 +98,7 @@ def main(argv=None):
             order = ("change", "parent") if i % 2 else ("parent", "change")
             res = {}
             for side in order:
-                env, res[side] = run_bench(roots[side], workload, seed, args.seconds)
+                env, res[side] = run_bench(roots[side], workload, seed, seconds)
                 record["environment"][side] = env
                 print(f"{workload} seed {seed} {side}: correct={res[side]['correct']} "
                       f"failed={res[side]['failed']}/{res[side]['attempted']} wall_s="
@@ -109,11 +111,10 @@ def main(argv=None):
     for workload in filter(None, args.layers.split(",")):
         record["layers"][workload] = {}
         for side in ("parent", "change"):
-            _, res = run_bench(roots[side], workload, args.first_seed, args.seconds, trace=1)
+            _, res = run_bench(roots[side], workload, args.first_seed, seconds, trace=1)
             record["layers"][workload][side] = {k: m["value"] for k, m in res["metrics"].items()}
             print(f"{workload} traced {side}", file=sys.stderr, flush=True)
-    if args.tier1:
-        record["tier1"] = {side: tier1(root) for side, root in roots.items()}
+    record["tier1"] = {side: tier1(root) for side, root in roots.items()}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)
         f.write("\n")

@@ -19,6 +19,7 @@ from charlier_hermite import (
     charlier_order_shift,
     scaled_y,
 )
+from charlier_hermite import charlier
 from charlier_hermite.charlier import _charlier_values
 
 # mpmath (50 digits) oracle for the float path, frozen to 17 digits
@@ -220,6 +221,125 @@ def test_truncated_sum_matches_full_sum():
         cases.append((n, a, nu))
     diffs = [(n, a, nu) for n, a, nu in cases if charlier_direct(n, a, nu) != _full_sum(n, a, nu)]
     assert not diffs, diffs[:5]
+
+
+def _recorded(monkeypatch, name):
+    """Wrap charlier.<name> so that each result is also appended to the
+    returned list."""
+    results, fn = [], getattr(charlier, name)
+
+    def recorded(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(charlier, name, recorded)
+    return results
+
+
+def test_tree_sums_match_full_sum(monkeypatch):
+    # The TwoSum tree path of _charlier_values against fsum over all n + 1
+    # terms, bit for bit: chunks of 32 degrees at block 1024, every fifth nu
+    # an integer, nu up to 9 where rows cancel past certifying and fall
+    # back, and 8 degrees at each block size 1024 .. 1058 at a > 65536.
+    certified = _recorded(monkeypatch, "_certified_sum")
+    rng = np.random.default_rng(1058)
+    cases = []
+    for i in range(25):
+        nu = float(rng.integers(-9, 10)) if i % 5 == 0 else float(rng.uniform(-9.0, 9.0))
+        a = float(10.0 ** rng.uniform(3.0, 4.3))
+        top = ScaledPoint(float(rng.uniform(-1.0, 1.0)), a).n
+        cases.append((list(range(top - 31, top + 1)), a, nu))
+    ns = []
+    for block in range(1024, 1059):
+        centre = min(int(((block + 0.5) / 4.0) ** 2), 70000)
+        ns += list(range(centre - 4, centre + 4))
+    assert {charlier._block_size(n, 70000.5) for n in ns} == set(range(1024, 1059))
+    cases += [(ns, 70000.5, 1.5), (ns, 70000.5, -0.4)]
+    for ns, a, nu in cases:
+        got = [v.hex() for v in _charlier_values(ns, a, nu)]
+        assert got == [_full_sum(n, a, nu).hex() for n in ns], (a, nu)
+    # both sides of the certificate ran
+    assert certified.count(None) > 0 and len(certified) - certified.count(None) > 500
+
+
+def _tree_row_sum(terms):
+    """The sum of one row of terms from the TwoSum tree and its certificate,
+    or _fsum's where the certificate fails; and whether it held."""
+    t = np.array([terms], dtype=float)
+    (s,), (err,), (size,) = charlier._tree_sums(t, 1, [np.empty(0)])  # no skip test
+    total = charlier._certified_sum([s], err, size, t.shape[1], t.shape[1])
+    return (charlier._fsum(terms), False) if total is None else (total, True)
+
+
+@pytest.mark.parametrize("terms, fast", [
+    ([1.0, 2.0 ** -53], False),                 # a tie: fsum rounds it to even
+    ([1.0, 2.0 ** -53, 2.0 ** -106], False),    # just past the tie: rounds up
+    ([1.0, -1.0, 0.0, -0.0], False),            # sums to zero
+    ([0.0, -0.0, -0.0], False),
+    ([-0.0, -0.0], False),
+    ([1.0, -2.0 ** -60], True),                 # below a power of two, rounds to it
+    ([1.0, -3.0 * 2.0 ** -55], True),           # rounds to the double below 1
+    ([1.0, -2.0 ** -54, -2.0 ** -108], False),  # just past the tie below 1
+    ([(-0.7) ** k / (k + 1) for k in range(67)], True),
+    ([math.inf, 1.0], False),
+    ([math.inf, -math.inf, 1.0], False),
+    ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], False),  # fsum overflows on a prefix
+    ([1.7e308, -1.7e308, 1.0], False),          # too large in size to certify
+])
+def test_certified_sum_is_fsum_or_declines(terms, fast):
+    total, took_fast_path = _tree_row_sum(terms)
+    assert total.hex() == charlier._fsum(terms).hex()
+    assert math.copysign(1.0, total) == math.copysign(1.0, charlier._fsum(terms))
+    assert took_fast_path == fast
+
+
+def test_certified_sum_widens_the_residual_by_the_error_bound():
+    # err = 2^-53 - 2^-106 puts sum(parts) + err just below the tie at
+    # 1 + 2^-53, but the exact sum of e may lie anywhere within the bound
+    # (about 2^-97 here) of err, on either side of the tie
+    assert charlier._certified_sum([1.0], 2.0 ** -53 - 2.0 ** -106, 1.0, 1024, 1024) is None
+    assert charlier._certified_sum([1.0], 2.0 ** -54, 1.0, 1024, 1024) == 1.0
+
+
+def test_tree_path_keeps_exact_zeros_and_domain_errors(monkeypatch):
+    # c_n^a(1) = 1 - n/a is exactly 0 at n = a = 1000; its row falls back
+    # to fsum, as does a zero row handed to the helper directly
+    certified = _recorded(monkeypatch, "_certified_sum")
+    ns = list(range(985, 1017))
+    assert [v.hex() for v in _charlier_values(ns, 1000.0, 1.0)] == \
+        [charlier_direct(n, 1000.0, 1.0).hex() for n in ns]
+    assert charlier_direct(1000, 1000.0, 1.0) == 0.0 and certified.count(None) == 1
+    t = charlier._term_block([1000], 1000.0, 1.0, 0, 1000, [1.0])
+    assert _tree_row_sum([1.0] + t[0].tolist()) == (0.0, False)
+    # rows that overflow give charlier_direct's DomainError, in a tree chunk
+    _assert_same_as_one_degree_calls([0, 10, 40, 60, 100, 150, 300] + list(range(51, 61)),
+                                     0.5, 300.5)
+
+
+def test_one_degree_sums_do_not_enter_the_tree(monkeypatch):
+    # the tree loses on one row of a few thousand terms, so charlier_direct,
+    # scaled_y and the zero finders keep fsum (a one-degree call enters it
+    # only from blocks of 8192 terms on, at min(a, n) >= 4.2e6)
+    from charlier_hermite import zero_convergence_table
+
+    def refuse(*args):
+        raise AssertionError("a one-degree sum entered the TwoSum tree")
+
+    monkeypatch.setattr(charlier, "_tree_sums", refuse)
+    for n, a, nu in [(60, 70.0, 2.3), (1000, 1000.0, 1.5), (10 ** 6, 1e6, -1.2), (4 * 10 ** 6, 4e6, 0.5)]:
+        charlier_direct(n, a, nu)
+    scaled_y(ScaledPoint(0.5, 1e6), 2.5)
+    assert zero_convergence_table(0.0, 3.0, (100.0, 1600.0, 6400.0))[-1].n == 6400
+
+
+def test_large_one_degree_sums_through_the_tree_match_fsum(monkeypatch):
+    # from blocks of 8192 terms on, one degree alone fills a tree chunk
+    cases = [(6 * 10 ** 6, 6e6, 1.5), (6 * 10 ** 6 - 3000, 6e6, -2.5), (10 ** 9, 1e9, 1.5)]
+    certified = _recorded(monkeypatch, "_certified_sum")
+    via_tree = [charlier_direct(n, a, nu).hex() for n, a, nu in cases]
+    assert len(certified) == 3 and None not in certified
+    monkeypatch.setattr(charlier, "_TREE_ELEMENTS", 10 ** 9)
+    assert via_tree == [charlier_direct(n, a, nu).hex() for n, a, nu in cases]
 
 
 def test_float_work_is_bounded_before_allocation(arange_cap):

@@ -191,10 +191,11 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
     """
     sums = [None] * len(ns)
     tree = len(ns) * block >= _TREE_ELEMENTS
-    shared = [] if shared is None else shared
-    # per row still summing: its index, degree, largest |term| and terms; for
-    # the tree also its block sums and the sums of its blocks' errs and sizes
-    live = [[i, n, 1.0, [], [1.0], 0.0, 0.0] for i, n in enumerate(ns)]
+    if tree:  # per degree: its blocks' sums, and the sums of their errs and sizes
+        parts, errs, sizes = [[1.0] for _ in ns], [0.0] * len(ns), [0.0] * len(ns)
+        shared = [] if shared is None else shared
+    # per row still summing: its index, degree, largest |term| and terms
+    live = [[i, n, 1.0, []] for i, n in enumerate(ns)]
     prev, start = [1.0] * len(ns), 0
     while True:
         if start + block > _MAX_TERMS:  # refuse, before allocating, the rows past the cap
@@ -212,11 +213,11 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
             tree = _tree_sums(t, start, shared)
         kept = []
         for j, row in enumerate(live):
-            i, n, largest, terms, parts = row[:5]
+            i, n, largest, terms = row
             if tree:
-                parts.append(tree[0][j])
-                row[5] += tree[1][j]
-                row[6] += tree[2][j]
+                parts[i].append(tree[0][j])
+                errs[i] += tree[1][j]
+                sizes[i] += tree[2][j]
             if n <= stop:
                 terms.append(memoryview(t[j] if n == stop else t[j, :n - start]))
             else:
@@ -229,7 +230,7 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
                                           <= _TAIL_FRACTION * largest * (1.0 - rho)):
                         kept.append(j)
                         continue
-            total = _certified_sum(parts, row[5], row[6], block, stop) if tree else None
+            total = _certified_sum(parts[i], errs[i], sizes[i], block, stop) if tree else None
             sums[i] = _fsum(itertools.chain((1.0,), *terms)) if total is None else total
         if not kept:
             return sums

@@ -23,3 +23,20 @@ def arange_cap(monkeypatch):
 
     monkeypatch.setattr(np, "arange", capped)
     return asked
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """recorded(module, name) wraps module.<name> for the test so that each
+    result it returns is also appended to the list recorded returns."""
+    def record(module, name):
+        results, fn = [], getattr(module, name)
+
+        def wrapper(*args):
+            results.append(fn(*args))
+            return results[-1]
+
+        monkeypatch.setattr(module, name, wrapper)
+        return results
+
+    return record

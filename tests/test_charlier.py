@@ -223,25 +223,12 @@ def test_truncated_sum_matches_full_sum():
     assert not diffs, diffs[:5]
 
 
-def _recorded(monkeypatch, name):
-    """Wrap charlier.<name> so that each result is also appended to the
-    returned list."""
-    results, fn = [], getattr(charlier, name)
-
-    def recorded(*args):
-        results.append(fn(*args))
-        return results[-1]
-
-    monkeypatch.setattr(charlier, name, recorded)
-    return results
-
-
-def test_tree_sums_match_full_sum(monkeypatch):
+def test_tree_sums_match_full_sum(recorded):
     # The TwoSum tree path of _charlier_values against fsum over all n + 1
     # terms, bit for bit: chunks of 32 degrees at block 1024, every fifth nu
     # an integer, nu up to 9 where rows cancel past certifying and fall
     # back, and 8 degrees at each block size 1024 .. 1058 at a > 65536.
-    certified = _recorded(monkeypatch, "_certified_sum")
+    certified = recorded(charlier, "_certified_sum")
     rng = np.random.default_rng(1058)
     cases = []
     for i in range(25):
@@ -301,10 +288,10 @@ def test_certified_sum_widens_the_residual_by_the_error_bound():
     assert charlier._certified_sum([1.0], 2.0 ** -54, 1.0, 1024, 1024) == 1.0
 
 
-def test_tree_path_keeps_exact_zeros_and_domain_errors(monkeypatch):
+def test_tree_path_keeps_exact_zeros_and_domain_errors(recorded):
     # c_n^a(1) = 1 - n/a is exactly 0 at n = a = 1000; its row falls back
     # to fsum, as does a zero row handed to the helper directly
-    certified = _recorded(monkeypatch, "_certified_sum")
+    certified = recorded(charlier, "_certified_sum")
     ns = list(range(985, 1017))
     assert [v.hex() for v in _charlier_values(ns, 1000.0, 1.0)] == \
         [charlier_direct(n, 1000.0, 1.0).hex() for n in ns]
@@ -332,10 +319,10 @@ def test_one_degree_sums_do_not_enter_the_tree(monkeypatch):
     assert zero_convergence_table(0.0, 3.0, (100.0, 1600.0, 6400.0))[-1].n == 6400
 
 
-def test_large_one_degree_sums_through_the_tree_match_fsum(monkeypatch):
+def test_large_one_degree_sums_through_the_tree_match_fsum(monkeypatch, recorded):
     # from blocks of 8192 terms on, one degree alone fills a tree chunk
     cases = [(6 * 10 ** 6, 6e6, 1.5), (6 * 10 ** 6 - 3000, 6e6, -2.5), (10 ** 9, 1e9, 1.5)]
-    certified = _recorded(monkeypatch, "_certified_sum")
+    certified = recorded(charlier, "_certified_sum")
     via_tree = [charlier_direct(n, a, nu).hex() for n, a, nu in cases]
     assert len(certified) == 3 and None not in certified
     monkeypatch.setattr(charlier, "_TREE_ELEMENTS", 10 ** 9)

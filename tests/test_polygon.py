@@ -246,24 +246,13 @@ def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
     _assert_states_are_per_degree_values(tr, 1.5, 70050.5, 1)
 
 
-def test_state_trace_range_takes_the_certified_fast_path(monkeypatch):
+def test_state_trace_range_takes_the_certified_fast_path(recorded):
     # Over the `trace` benchmark's range (nu in [-2, 3], a from 1e3 to 2e4,
     # both directions), every row of a chunk summed by the TwoSum tree is
     # certified: no chunk is left to fsum and no row falls back to it.  A
     # certificate that always failed would pass every bit-identity test.
-    chunks, rows = [], []
-    tree_sums, certified_sum = charlier._tree_sums, charlier._certified_sum
-
-    def tree(*args):
-        chunks.append(tree_sums(*args))
-        return chunks[-1]
-
-    def certified(*args):
-        rows.append(certified_sum(*args))
-        return rows[-1]
-
-    monkeypatch.setattr(charlier, "_tree_sums", tree)
-    monkeypatch.setattr(charlier, "_certified_sum", certified)
+    chunks = recorded(charlier, "_tree_sums")
+    rows = recorded(charlier, "_certified_sum")
     rng = np.random.default_rng(34)
     for i in range(17):
         a = 10.0 ** (3.0 + 1.3 * i / 16)

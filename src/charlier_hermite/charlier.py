@@ -37,10 +37,10 @@ _TAIL_FRACTION = 2.0 ** -160
 _MAX_TERMS = 10_000_000
 # A term block of several degrees holds at most this many elements.
 _BLOCK_ELEMENTS = 2 ** 15
-# Chunks whose blocks hold at least this many elements are summed by the
-# TwoSum tree; on smaller ones numpy's per-call cost makes it slower than
-# fsum.  Tree/fsum time: 15 for one row of 128 terms, 3.5 for one of 1024,
-# 1.15 for 4 rows of 1024, 0.66 for 8, 0.30 for 32 and for one of 8192.
+# Chunks of several degrees whose blocks hold at least this many elements
+# are summed by the TwoSum tree; on smaller ones numpy's per-call cost
+# makes it slower than fsum.  Tree/fsum time: 15 for one row of 128 terms,
+# 3.5 for one of 1024, 1.15 for 4 rows of 1024, 0.66 for 8, 0.30 for 32.
 _TREE_ELEMENTS = 2 ** 13
 # A row whose terms total more than this in size is left to fsum: no
 # partial sum of the tree, nor any prefix sum fsum forms, can overflow.
@@ -90,7 +90,7 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         raise DomainError(f"unknown mode {mode!r}")
     a_f, nu_f = _float_args(a, nu)
     if n > 48:  # a one-degree call of the block loop
-        return _checked(n, a, nu, _chunk_sums([n], a_f, nu_f, _block_size(n, a_f))[0])
+        return _checked(n, a, nu, _chunk_sums([n], a_f, nu_f, _block_size(n, a_f), False)[0])
     # A short sum costs less in a Python loop than in numpy; the loop
     # rounds as the block loop does, and float arithmetic overflows to inf
     # silently.
@@ -137,12 +137,13 @@ def _charlier_values(ns: list, a, nu) -> list:
     """charlier_direct(n, a, nu) in float mode for each degree n of ns, the
     terms of all of them built together: the degrees are grouped by
     _block_size and each group summed by _chunk_sums, at most
-    _BLOCK_ELEMENTS // block degrees at a time.  Each value is the double
-    charlier_direct returns; the DomainError raised is the one
-    charlier_direct raises at the first n in ns where it raises."""
+    _BLOCK_ELEMENTS // block degrees at a time, with the TwoSum tree where a
+    chunk of several degrees holds at least _TREE_ELEMENTS elements a
+    block.  Each value is the double charlier_direct returns; the
+    DomainError raised is the one charlier_direct raises at the first n in
+    ns where it raises."""
     a_f, nu_f = _float_args(a, nu)
     sums = [None] * len(ns)
-    shared = []  # the call's TwoSum scratch array, or None: its sums are left to fsum
     groups = {}
     for i, n in enumerate(ns):
         groups.setdefault(_block_size(n, a_f), []).append(i)
@@ -150,8 +151,9 @@ def _charlier_values(ns: list, a, nu) -> list:
         per_chunk = max(1, _BLOCK_ELEMENTS // block)
         for j in range(0, len(rows), per_chunk):
             chunk = rows[j:j + per_chunk]
-            for i, total in zip(chunk, _chunk_sums([ns[i] for i in chunk], a_f, nu_f, block,
-                                                   shared)):
+            tree = len(chunk) > 1 and len(chunk) * block >= _TREE_ELEMENTS
+            totals = _chunk_sums([ns[i] for i in chunk], a_f, nu_f, block, tree)
+            for i, total in zip(chunk, totals):
                 sums[i] = total
     return [_checked(n, a, nu, total) for n, total in zip(ns, sums)]
 
@@ -164,7 +166,7 @@ def _block_size(n: int, a: float) -> int:
     return 1024 if m <= 65536 else int(4.0 * math.sqrt(m))
 
 
-def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
+def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool) -> list:
     """The exactly rounded sum of the terms t_0, t_1, ... of c_n^a(nu) with
     t_{k+1} = t_k r_k, for each degree n of ns; None where the sum would
     need more than _MAX_TERMS terms.
@@ -181,19 +183,15 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
     stops after the first block where that bound is at most
     _TAIL_FRACTION of its largest term.
 
-    When the chunk's blocks hold at least _TREE_ELEMENTS elements, each
-    block is also summed, all rows at once, by _tree_sums, and a stopped
-    row takes the value _certified_sum proves to be fsum's; fsum runs only
-    on the rows it cannot certify, or on every chunk when the first one
-    looks beyond certifying (heavy cancellation).  Every sum stays the
-    double fsum gives.  shared, a list, carries the tree's scratch array or
-    that verdict from chunk to chunk.
+    With tree, each block is summed, all rows at once, by _tree_sums in
+    one scratch array the size of the first block, unless that block
+    _cancels_too_far; a stopped row then takes the value _certified_sum
+    proves to be fsum's, and a row it cannot certify is summed again
+    alone, by fsum.  Every sum stays the double fsum gives.  Otherwise
+    fsum sums each row over the blocks it kept.
     """
     sums = [None] * len(ns)
-    tree = len(ns) * block >= _TREE_ELEMENTS
-    if tree:  # per degree: its blocks' sums, and the sums of their errs and sizes
-        parts, errs, sizes = [[1.0] for _ in ns], [0.0] * len(ns), [0.0] * len(ns)
-        shared = [] if shared is None else shared
+    parts = None  # with the tree, per degree: 1.0 and its blocks' s; errs, sizes: their sums
     # per row still summing: its index, degree, largest |term| and terms
     live = [[i, n, 1.0, []] for i, n in enumerate(ns)]
     prev, start = [1.0] * len(ns), 0
@@ -209,19 +207,22 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
         t = _term_block(degrees, a, nu, start, stop, prev)
         if stop < top:
             lasts, highs, lows = t[:, -1].tolist(), t.max(axis=1).tolist(), t.min(axis=1).tolist()
-        if tree:  # from here on its three lists, or None for a chunk left to fsum
-            tree = _tree_sums(t, start, shared)
+        if not start and tree and not _cancels_too_far(t):
+            import numpy as np
+            scratch = np.empty(t.size)
+            parts, errs, sizes = [[1.0] for _ in ns], [0.0] * len(ns), [0.0] * len(ns)
+        if parts:
+            block_s, block_errs, block_sizes = _tree_sums(t, start, scratch)  # overwrites t
         kept = []
         for j, row in enumerate(live):
             i, n, largest, terms = row
-            if tree:
-                parts[i].append(tree[0][j])
-                errs[i] += tree[1][j]
-                sizes[i] += tree[2][j]
-            if n <= stop:
-                terms.append(memoryview(t[j] if n == stop else t[j, :n - start]))
+            if parts:
+                parts[i].append(block_s[j])
+                errs[i] += block_errs[j]
+                sizes[i] += block_sizes[j]
             else:
-                terms.append(memoryview(t[j]))
+                terms.append(memoryview(t[j] if n >= stop else t[j, :n - start]))
+            if n > stop:
                 last = lasts[j]
                 if math.isfinite(last):
                     row[2] = largest = max(largest, abs(highs[j]), abs(lows[j]))
@@ -230,27 +231,39 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, shared=None) -> list:
                                           <= _TAIL_FRACTION * largest * (1.0 - rho)):
                         kept.append(j)
                         continue
-            total = _certified_sum(parts[i], errs[i], sizes[i], block, stop) if tree else None
-            sums[i] = _fsum(itertools.chain((1.0,), *terms)) if total is None else total
+            if not parts:
+                sums[i] = _fsum(itertools.chain((1.0,), *terms))
+                continue
+            sums[i] = _certified_sum(parts[i], errs[i], sizes[i], block, stop)
+            if sums[i] is None:
+                sums[i] = _chunk_sums([n], a, nu, block, False)[0]
         if not kept:
             return sums
         live, prev = [live[j] for j in kept], [lasts[j] for j in kept]
         start = stop
 
 
-def _tree_sums(t, start: int, shared: list):
+def _cancels_too_far(t) -> bool:
+    """Whether the middle row of t, the first block of a chunk, cancels so
+    far that the _error_bound its size gives is at least 2^-56 of its
+    naive sum (t_0 = 1 included).  A certificate of _certified_sum fails
+    about once in 2^-53 |sum| / bound rows, here once in 8 or more, and
+    each row that fails is summed again alone: fsum alone then sums the
+    chunk about as fast or faster.  The rows of a chunk, nearby degrees
+    at the same a and nu, cancel alike."""
+    import numpy as np
+    row = t[len(t) // 2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        size, naive = float(np.abs(row).sum()) + 1.0, float(row.sum()) + 1.0
+    return _error_bound(size, len(row), len(row)) * 2.0 ** 56 >= abs(naive)
+
+
+def _tree_sums(t, start: int, scratch):
     """For each row of the 2-D block t of terms t_{start+1}, ...: the float
     s its terms reduce to in a tree of error-free TwoSums (Knuth), err,
     the float sum of those TwoSums' errors e, so that the row's exact sum
     is s + sum(e), and size, the float sum of its |terms| (plus |t_0| = 1
-    in the first block).  Returned as three lists.
-
-    shared, empty at first, then holds the scratch array, or None: the
-    first call judges up to three rows of its block (a first block) and
-    leaves the sums to fsum, returning None now and on every later call,
-    when most of them cancel so far that the _error_bound their size gives
-    exceeds the gap at their naive sum.  How far the sums cancel is set
-    mostly by a and nu, which all calls sharing the list have in common.
+    in the first block).  Returned as three lists; t is overwritten.
 
     Each level adds the first half of what is left to the second half, an
     odd last term passing up unchanged, until one term is left; every e is
@@ -258,29 +271,19 @@ def _tree_sums(t, start: int, shared: list):
     first half was, in acc; each later level adds its e into acc's first
     rows, and acc is then folded in halves, so that each e meets at most
     2 levels - 2 rounded additions on its way into err.  The tree works on
-    a copy x of t with a row per term index, so that every operand is
-    contiguous, and on o, of the same size, for the |terms| and then each
-    level's sums and its TwoSums' b' = s - a.  Both are views of the
-    scratch array, replaced by a larger one when it has fewer than
-    2 t.size elements.
+    a copy x of t in scratch, which holds at least t.size doubles, with a
+    row per term index, so that every operand is contiguous; and on o,
+    t's own memory in the same shape, for the |terms| and then each
+    level's sums and its TwoSums' b' = s - a.  t, as _term_block returns
+    it, is C-contiguous, so o is a view of it.
     """
     import numpy as np
     rows, w = t.shape
     with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or nan fall back
-        if not shared:  # judged on a few rows: their sizes and naive sums, with t_0
-            some = t[::max(1, (rows - 1) // 2)]
-            hopeless = sum(_error_bound(size + 1.0, w, w) * 2.0 ** 53 >= abs(naive + 1.0)
-                           for size, naive in zip(np.abs(some).sum(axis=1).tolist(),
-                                                  some.sum(axis=1).tolist()))
-            shared.append(None if 2 * hopeless > len(some) else np.empty(0))
-        if shared[0] is None:
-            return None
-        if len(shared[0]) < 2 * t.size:
-            shared[0] = np.empty(2 * max(t.size, _BLOCK_ELEMENTS))
-        x = shared[0][:t.size].reshape(w, rows)
-        o = shared[0][t.size:2 * t.size].reshape(w, rows)
-        size = np.abs(t, out=o.reshape(rows, w)).sum(axis=1) + (0.0 if start else 1.0)
+        x = scratch[:t.size].reshape(w, rows)
         np.copyto(x, t.T)
+        size = np.abs(t, out=t).sum(axis=1) + (0.0 if start else 1.0)
+        o = t.reshape(w, rows)
         spare = (o, x[w // 2:])  # the first level's input and acc never meet
         acc, src, level = x[:w // 2], x, 0
         while w > 1:

@@ -253,7 +253,7 @@ def _tree_row_sum(terms):
     """The sum of one row of terms from the TwoSum tree and its certificate,
     or _fsum's where the certificate fails; and whether it held."""
     t = np.array([terms], dtype=float)
-    (s,), (err,), (size,) = charlier._tree_sums(t, 1, [np.empty(0)])  # no skip test
+    (s,), (err,), (size,) = charlier._tree_sums(t, 1, np.empty(t.size))
     total = charlier._certified_sum([s], err, size, t.shape[1], t.shape[1])
     return (charlier._fsum(terms), False) if total is None else (total, True)
 
@@ -305,28 +305,18 @@ def test_tree_path_keeps_exact_zeros_and_domain_errors(recorded):
 
 def test_one_degree_sums_do_not_enter_the_tree(monkeypatch):
     # the tree loses on one row of a few thousand terms, so charlier_direct,
-    # scaled_y and the zero finders keep fsum (a one-degree call enters it
-    # only from blocks of 8192 terms on, at min(a, n) >= 4.2e6)
+    # scaled_y and the zero finders keep fsum, whatever the block size
     from charlier_hermite import zero_convergence_table
 
     def refuse(*args):
         raise AssertionError("a one-degree sum entered the TwoSum tree")
 
     monkeypatch.setattr(charlier, "_tree_sums", refuse)
-    for n, a, nu in [(60, 70.0, 2.3), (1000, 1000.0, 1.5), (10 ** 6, 1e6, -1.2), (4 * 10 ** 6, 4e6, 0.5)]:
+    for n, a, nu in [(60, 70.0, 2.3), (1000, 1000.0, 1.5), (10 ** 6, 1e6, -1.2),
+                     (6 * 10 ** 6, 6e6, 0.5), (10 ** 9, 1e9, 1.5)]:
         charlier_direct(n, a, nu)
     scaled_y(ScaledPoint(0.5, 1e6), 2.5)
     assert zero_convergence_table(0.0, 3.0, (100.0, 1600.0, 6400.0))[-1].n == 6400
-
-
-def test_large_one_degree_sums_through_the_tree_match_fsum(monkeypatch, recorded):
-    # from blocks of 8192 terms on, one degree alone fills a tree chunk
-    cases = [(6 * 10 ** 6, 6e6, 1.5), (6 * 10 ** 6 - 3000, 6e6, -2.5), (10 ** 9, 1e9, 1.5)]
-    certified = recorded(charlier, "_certified_sum")
-    via_tree = [charlier_direct(n, a, nu).hex() for n, a, nu in cases]
-    assert len(certified) == 3 and None not in certified
-    monkeypatch.setattr(charlier, "_TREE_ELEMENTS", 10 ** 9)
-    assert via_tree == [charlier_direct(n, a, nu).hex() for n, a, nu in cases]
 
 
 def test_float_work_is_bounded_before_allocation(arange_cap):

@@ -213,23 +213,22 @@ def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
         shapes.append(t.shape)
         return t
 
-    # and the TwoSum tree's input and its scratch: a copy of the block and
-    # one more array of its size, never padded (a block of 1057 terms padded
-    # to 2048 would hold 22 degrees * 2048 = 45,056 elements)
+    # and the TwoSum tree's input and its scratch: one array of the chunk's
+    # first block's size, never padded (a block of 1057 terms padded to 2048 would hold
+    # 22 degrees * 2048 = 45,056 elements)
     trees = []
     tree_sums = charlier._tree_sums
 
     def tree_recorded(t, start, scratch):
-        out = tree_sums(t, start, scratch)
-        trees.append((t.shape, scratch[0].shape))
-        return out
+        trees.append((t.shape, scratch.shape))
+        return tree_sums(t, start, scratch)
 
     monkeypatch.setattr(charlier, "_term_block", recorded)
     monkeypatch.setattr(charlier, "_tree_sums", tree_recorded)
     tr = charlier_state_trace(0.7, 1e9, 0.001)
     assert len(tr.xs) == 45 and shapes
     assert all(r == 1 for r, _ in shapes), set(shapes)
-    assert trees and all(s == 2 * w for (_, w), (s,) in trees), set(trees)
+    assert not trees  # one degree a chunk: fsum sums it
     _assert_states_are_per_degree_values(tr, 0.7, 1e9, 1, nodes=(0, 22, 44))
     # at a = 2e4 and a = 70050.5 (blocks of 1057 and 1058 terms) the
     # degrees share blocks, none above the budget
@@ -240,8 +239,7 @@ def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
         rows = [s for s in shapes if s[0] > 1]
         assert rows and max(r * w for r, w in rows) <= charlier._BLOCK_ELEMENTS
         assert {w for (_, w), _ in trees} == widths
-        assert all(r * w <= charlier._BLOCK_ELEMENTS and s == 2 * charlier._BLOCK_ELEMENTS
-                   for (r, w), (s,) in trees), set(trees)
+        assert all(r * w <= s <= charlier._BLOCK_ELEMENTS for (r, w), (s,) in trees), set(trees)
     assert (22, 1057) in {t for t, _ in trees}
     _assert_states_are_per_degree_values(tr, 1.5, 70050.5, 1)
 
@@ -251,12 +249,12 @@ def test_state_trace_range_takes_the_certified_fast_path(recorded):
     # both directions), every row of a chunk summed by the TwoSum tree is
     # certified: no chunk is left to fsum and no row falls back to it.  A
     # certificate that always failed would pass every bit-identity test.
-    chunks = recorded(charlier, "_tree_sums")
+    chunks = recorded(charlier, "_cancels_too_far")
     rows = recorded(charlier, "_certified_sum")
     rng = np.random.default_rng(34)
     for i in range(17):
         a = 10.0 ** (3.0 + 1.3 * i / 16)
         for direction in (1, -1):
             charlier_state_trace(float(rng.uniform(-2.0, 3.0)), a, 1.0, direction)
-    assert None not in chunks and None not in rows
+    assert chunks and not any(chunks) and None not in rows
     assert len(rows) > 2500

@@ -213,9 +213,9 @@ def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
         shapes.append(t.shape)
         return t
 
-    # and the TwoSum tree's input and its scratch: one array of the chunk's
-    # first block's size, never padded (a block of 1057 terms padded to 2048 would hold
-    # 22 degrees * 2048 = 45,056 elements)
+    # and the TwoSum tree's input and its scratch: one array of the size of
+    # the chunk's first block, never padded (a block of 1057 terms padded
+    # to 2048 would hold 22 degrees * 2048 = 45,056 elements)
     trees = []
     tree_sums = charlier._tree_sums
 

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charlier import _block_size, _scaled, _term_block, charlier_direct
+from .charlier import _block_size, _python_terms, _scaled, _term_block, _term_row, charlier_direct
 from .errors import DomainError
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
@@ -171,9 +171,14 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
     terms, start = [1.0], 0
     block = _block_size(A, a)
+    # the rows take about ten blocks, and charlier_direct(A) after them five
+    python_terms = _python_terms(15 * block)
     while start < A and sys.float_info.min <= terms[-1] < math.inf:
         stop = min(A, start + block)
-        terms += _term_block([A], a, nu, start, stop, [terms[-1]])[0].tolist()
+        if stop <= python_terms:
+            terms += _term_row(A, a, nu, start, stop, terms[-1])
+        else:
+            terms += _term_block([A], a, nu, start, stop, [terms[-1]])[0].tolist()
         start = stop
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))

@@ -35,6 +35,10 @@ _TAIL_FRACTION = 2.0 ** -160
 # No float sum builds more terms than this; every a <= 1e10 measured
 # needs at most 2.3e6.
 _MAX_TERMS = 10_000_000
+# A one-degree sum builds at most this many terms in Python while numpy is
+# not loaded, about as many as numpy's import (170 ms cold) is worth: on a
+# 2-vCPU VM, cold `eval charlier` at n = a broke even at 6e5 to 9e5 terms.
+_PYTHON_TERMS = 700_000
 # A term block of several degrees holds at most this many elements.
 _BLOCK_ELEMENTS = 2 ** 15
 # Chunks of several degrees whose blocks hold at least this many elements
@@ -91,15 +95,9 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     a_f, nu_f = _float_args(a, nu)
     if n > 48:  # a one-degree call of the block loop
         return _checked(n, a, nu, _chunk_sums([n], a_f, nu_f, _block_size(n, a_f), False)[0])
-    # A short sum costs less in a Python loop than in numpy; the loop
-    # rounds as the block loop does, and float arithmetic overflows to inf
-    # silently.
-    values = [1.0]
-    t = 1.0
-    for j in range(n):
-        t *= ((n - j) / (j + 1.0)) * ((j - nu_f) / a_f)
-        values.append(t)
-    return _checked(n, a, nu, _fsum(values))
+    # A short sum costs less in Python than in a numpy block, numpy loaded
+    # or not.
+    return _checked(n, a, nu, _fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
 
 
 def _float_args(a, nu) -> tuple:
@@ -166,15 +164,27 @@ def _block_size(n: int, a: float) -> int:
     return 1024 if m <= 65536 else int(4.0 * math.sqrt(m))
 
 
-def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool) -> list:
+def _python_terms(expected: int) -> int:
+    """How many terms of one degree to build by _term_row, in Python, for a
+    sum or row expected to need about `expected` terms: _PYTHON_TERMS
+    before numpy is loaded, but none once it is (its blocks are faster) or
+    where the sum would pass _PYTHON_TERMS anyway and load it then."""
+    return _PYTHON_TERMS if expected <= _PYTHON_TERMS and "numpy" not in sys.modules else 0
+
+
+def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool,
+                python_terms: int | None = None) -> list:
     """The exactly rounded sum of the terms t_0, t_1, ... of c_n^a(nu) with
     t_{k+1} = t_k r_k, for each degree n of ns; None where the sum would
     need more than _MAX_TERMS terms.
 
     The terms are built in blocks of `block` terms, one 2-D _term_block
     for all degrees still summing, each row continued from the last term
-    of its previous block.  Every term is rounded as one cumprod over all
-    n ratios r_k would round it, and fsum is exactly rounded, so each sum
+    of its previous block.  One degree's blocks that end at or before
+    python_terms are built by _term_row instead, with the same roundings;
+    by default that is _python_terms of five blocks, the most a sum at
+    n = a > 65536 was seen to need.  Every term is rounded as one cumprod
+    over all n ratios r_k would round it, and fsum is exactly rounded, so each sum
     is the same double whatever the other degrees beside it.  A row stops
     at t_n, after the first block whose last term is not finite, or once
     the rest is certified negligible: for j >= k > max(nu, 0) every later
@@ -190,6 +200,8 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool) -> list:
     alone, by fsum.  Every sum stays the double fsum gives.  Otherwise
     fsum sums each row over the blocks it kept.
     """
+    if python_terms is None:
+        python_terms = _python_terms(5 * block)
     sums = [None] * len(ns)
     parts = None  # with the tree, per degree: 1.0 and its blocks' s; errs, sizes: their sums
     # per row still summing: its index, degree, largest |term| and terms
@@ -204,9 +216,16 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool) -> list:
         degrees = [row[1] for row in live]
         top = max(degrees)
         stop = min(start + block, top)
-        t = _term_block(degrees, a, nu, start, stop, prev)
-        if stop < top:
-            lasts, highs, lows = t[:, -1].tolist(), t.max(axis=1).tolist(), t.min(axis=1).tolist()
+        python = len(ns) == 1 and stop <= python_terms
+        if python:
+            t = [_term_row(top, a, nu, start, stop, prev[0])]
+            if stop < top:
+                lasts, highs, lows = [t[0][-1]], [max(t[0])], [min(t[0])]
+        else:
+            t = _term_block(degrees, a, nu, start, stop, prev)
+            if stop < top:
+                lasts = t[:, -1].tolist()
+                highs, lows = t.max(axis=1).tolist(), t.min(axis=1).tolist()
         if not start and tree and not _cancels_too_far(t):
             import numpy as np
             scratch = np.empty(t.size)
@@ -221,7 +240,8 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool) -> list:
                 errs[i] += block_errs[j]
                 sizes[i] += block_sizes[j]
             else:
-                terms.append(memoryview(t[j] if n >= stop else t[j, :n - start]))
+                part = t[j] if n >= stop else t[j, :n - start]
+                terms.append(part if python else memoryview(part))
             if n > stop:
                 last = lasts[j]
                 if math.isfinite(last):
@@ -353,6 +373,19 @@ def _certified_sum(parts: list, err: float, size: float, block: int, stop: int):
     if math.fsum(parts + [err, -r, bound, -up]) < 0.0 < math.fsum(parts + [err, -r, -bound, down]):
         return r
     return None
+
+
+def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:
+    """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a list, continued
+    from prev = t_start: _term_block's row for n, built in Python with the
+    same roundings, since each is one IEEE operation in the same order.
+    Raises DomainError, before building any, when stop is past _MAX_TERMS.
+    """
+    if stop > _MAX_TERMS:
+        raise _too_many_terms(n, a, nu)
+    nf, t = float(n), prev
+    return [t := t * (((nf - k) / (k + 1.0)) * ((k - nu) / a))
+            for k in itertools.islice(itertools.count(float(start)), stop - start)]
 
 
 def _term_block(ns: list, a: float, nu: float, start: int, stop: int, prev: list):

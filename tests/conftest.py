@@ -1,5 +1,22 @@
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+
+# Runs cli.main(ARGV) in the interpreter it starts and prints, as JSON, the
+# exit code, stdout, stderr and whether numpy has been imported.
+_FRESH_CLI = """
+import contextlib, io, json, sys
+from charlier_hermite import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules]))
+"""
 
 
 @pytest.fixture
@@ -40,3 +57,20 @@ def recorded(monkeypatch):
         return results
 
     return record
+
+
+@pytest.fixture
+def fresh_cli():
+    """fresh_cli(*argv) runs the command line in a fresh interpreter, which
+    finds the package from this checkout, installed or not, and returns
+    (exit code, stdout, stderr, whether numpy was loaded)."""
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+
+    def run(*argv):
+        done = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv],
+                              capture_output=True, check=True, env=env, text=True)
+        return tuple(json.loads(done.stdout))
+
+    return run

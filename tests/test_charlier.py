@@ -336,6 +336,75 @@ def test_term_cap_precedes_allocation(arange_cap):
     assert arange_cap == [0]
 
 
+def _hexes(row):
+    return [float(v).hex() for v in row]
+
+
+def test_python_rows_match_term_block_rows():
+    # _term_row against _term_block's row, bit for bit, on a seeded grid:
+    # continued from prev at start > 0, every fourth nu an integer (exact
+    # zero terms), and rows that underflow to 0, overflow to inf and then
+    # meet a zero ratio at k = nu, inf * 0 = nan
+    rng = np.random.default_rng(49)
+    cases = [(5000, 1e6, -0.5, 0, 1024, 1.0), (400, 0.5, 300.0, 0, 400, 1.0),
+             (400, 0.5, -300.5, 100, 400, -1e300), (10 ** 15, 1e15, -5.0, 9990, 10000, 0.3)]
+    for i in range(300):
+        n = int(rng.integers(1, 10 ** 6))
+        a = float(10.0 ** rng.uniform(-1.0, 6.0))
+        nu = float(rng.integers(-9, 400)) if i % 4 == 0 else float(rng.uniform(-300.0, 300.0))
+        start = int(rng.integers(0, n))
+        stop = min(n, start + int(rng.integers(1, 3000)))
+        prev = float(rng.choice([1.0, -1.0]) * 10.0 ** rng.uniform(-300, 300)) if start else 1.0
+        cases.append((n, a, nu, start, stop, prev))
+    seen = set()
+    for n, a, nu, start, stop, prev in cases:
+        want = charlier._term_block([n], a, nu, start, stop, [prev])[0]
+        assert _hexes(charlier._term_row(n, a, nu, start, stop, prev)) == _hexes(want), \
+            (n, a, nu, start, stop, prev)
+        seen |= {"zero" for v in want if v == 0} | {"inf" for v in want if math.isinf(v)}
+        seen |= {"nan" for v in want if math.isnan(v)}
+    assert seen == {"zero", "inf", "nan"}
+
+
+def test_python_rows_then_numpy_rows_give_the_numpy_sum(recorded):
+    # one-degree sums built in Python up to python_terms and in numpy past
+    # it, as once a sum crosses _PYTHON_TERMS: every block boundary is a
+    # crossing point, and each sum is the all-numpy double or None
+    rows, blocks = recorded(charlier, "_term_row"), recorded(charlier, "_term_block")
+    rng = np.random.default_rng(707)
+    cases = [(400, 1.0, -300.5), (1200, 0.5, 300.0), (10 ** 15, 1e15, -5.0)]
+    for i in range(40):
+        a = float(10.0 ** rng.uniform(3.0, 6.5))
+        nu = float(rng.integers(-9, 10)) if i % 5 == 0 else float(rng.uniform(-9.0, 9.0))
+        cases.append((ScaledPoint(float(rng.uniform(-3.0, 3.0)), a).n, a, nu))
+    crossed = 0
+    for n, a, nu in cases:
+        block = charlier._block_size(n, a)
+        [want] = charlier._chunk_sums([n], a, nu, block, False, 0)
+        for python_terms in (block, 2 * block, 3 * block + 1, charlier._MAX_TERMS):
+            del rows[:], blocks[:]
+            [got] = charlier._chunk_sums([n], a, nu, block, False, python_terms)
+            assert repr(got) == repr(want), (n, a, nu, python_terms)  # repr is exact
+            assert sum(map(len, rows)) <= python_terms
+            crossed += bool(rows and blocks)
+    assert crossed > 50
+    # with numpy loaded, as here, a sum builds no term in Python by default
+    assert charlier._python_terms(1) == 0
+
+
+def test_python_rows_refuse_the_term_cap_before_building():
+    class NoTerms(float):
+        def __mul__(self, other):
+            raise AssertionError("a term was built")
+
+    with pytest.raises(AssertionError, match="a term was built"):
+        charlier._term_row(10 ** 15, 1e15, -5.0, 0, 1, NoTerms(1.0))
+    with pytest.raises(DomainError, match="more than 10000000 terms"):
+        charlier._term_row(10 ** 15, 1e15, -5.0, 0, charlier._MAX_TERMS + 1, NoTerms(1.0))
+    cap = charlier._MAX_TERMS
+    assert len(charlier._term_row(10 ** 15, 1e15, -5.0, cap - 1, cap, 0.5)) == 1
+
+
 def test_scaled_y_rational():
     got = scaled_y(ScaledPoint(x=0.5, a=2.0), 2, mode="rational")
     assert got == 0 and isinstance(got, Fraction)

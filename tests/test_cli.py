@@ -275,8 +275,12 @@ def test_scalar_commands_do_not_import_numpy():
                                    "--nu", "5/2", "--mode", "rational"],
         "eval charlier n=10": ["eval", "charlier", "--n", "10", "--a", "2.5", "--nu", "1.5"],
         "plot fnu": ["plot", "fnu", "--nu", "-3", "--t-max", "3", "--dt", "0.01"],
-        # last, so the probe is shown to see an import when there is one
         "eval scaled": ["eval", "scaled", "--x", "0.5", "--a", "100", "--nu", "1.5"],
+        "eval charlier n=150": ["eval", "charlier", "--n", "150", "--a", "250", "--nu", "0.4"],
+        "eval scaled a=10000": ["eval", "scaled", "--x", "0.5", "--a", "10000", "--nu", "1.5"],
+        "asymptotics head-tail": ["asymptotics", "head-tail", "--a", "10000", "--nu", "-4.5"],
+        # last, so the probe is shown to see an import when there is one
+        "polygon compare": ["polygon", "compare", "--nu", "1", "--x-max", "1", "--a", "100"],
     }
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
                            json.dumps(list(commands.values()))],
@@ -288,7 +292,11 @@ def test_scalar_commands_do_not_import_numpy():
         "eval charlier rational": [0, False],
         "eval charlier n=10": [0, False],
         "plot fnu": [0, False],
-        "eval scaled": [0, True],
+        "eval scaled": [0, False],
+        "eval charlier n=150": [0, False],
+        "eval scaled a=10000": [0, False],
+        "asymptotics head-tail": [0, False],
+        "polygon compare": [0, True],
     }
 
 

@@ -4,6 +4,10 @@
 stderr of `python -m charlier_hermite.cli ARGV`: every README command in
 CSV and JSON, rational evaluations, row failures, and usage and domain
 errors.  Each case is replayed in-process and must match byte for byte.
+The cases of the commands that sum the Charlier series are replayed once
+more, each in a fresh interpreter: until numpy is loaded, one-degree sums
+build their terms in Python, which the in-process replay, run with numpy
+loaded, never reaches.
 
 The tests after the replay pin the inputs the corpus leaves out because
 their behaviour was changed on purpose: --mode on commands without a
@@ -35,6 +39,16 @@ def run_cli(*argv):
 @pytest.mark.parametrize("case", CASES, ids=[" ".join(c["argv"]) or "-" for c in CASES])
 def test_golden_case(case):
     assert run_cli(*case["argv"]) == (case["code"], case["stdout"], case["stderr"])
+
+
+SUMMING = (["eval", "charlier"], ["eval", "scaled"], ["sweep", "convergence"],
+           ["asymptotics", "head-tail"])
+FRESH_CASES = [c for c in CASES if c["argv"][:2] in SUMMING]
+
+
+@pytest.mark.parametrize("case", FRESH_CASES, ids=[" ".join(c["argv"]) for c in FRESH_CASES])
+def test_golden_case_in_a_fresh_interpreter(fresh_cli, case):
+    assert fresh_cli(*case["argv"])[:3] == (case["code"], case["stdout"], case["stderr"])
 
 
 @pytest.mark.parametrize("argv", [
@@ -89,6 +103,15 @@ def test_term_cap_is_a_domain_error(arange_cap):
     assert err.startswith("error:") and "more than 10000000 terms" in err
     assert err.count("\n") == 1 and err.endswith("\n"), err
     assert arange_cap == [0]
+
+
+def test_term_cap_in_a_fresh_interpreter(fresh_cli):
+    # refused before any term is built, in Python or in numpy
+    code, out, err, numpy_loaded = fresh_cli("eval", "charlier", "--n", "1000000000000000",
+                                             "--a", "1e15", "--nu", "-5")
+    assert (code, out, numpy_loaded) == (1, "", False)
+    assert err.startswith("error:") and "more than 10000000 terms" in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 @pytest.mark.parametrize("dt", ["5e-324", "1e-300"])

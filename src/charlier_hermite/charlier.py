@@ -383,9 +383,11 @@ def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -
     """
     if stop > _MAX_TERMS:
         raise _too_many_terms(n, a, nu)
-    nf, t = float(n), prev
-    return [t := t * (((nf - k) / (k + 1.0)) * ((k - nu) / a))
-            for k in itertools.islice(itertools.count(float(start)), stop - start)]
+    nf, t, row = float(n), prev, []
+    for k in itertools.islice(itertools.count(float(start)), stop - start):
+        t *= ((nf - k) / (k + 1.0)) * ((k - nu) / a)
+        row.append(t)
+    return row
 
 
 def _term_block(ns: list, a: float, nu: float, start: int, stop: int, prev: list):

@@ -184,14 +184,14 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool,
     python_terms are built by _term_row instead, with the same roundings;
     by default that is _python_terms of five blocks, the most a sum at
     n = a > 65536 was seen to need.  Every term is rounded as one cumprod
-    over all n ratios r_k would round it, and fsum is exactly rounded, so each sum
-    is the same double whatever the other degrees beside it.  A row stops
-    at t_n, after the first block whose last term is not finite, or once
-    the rest is certified negligible: for j >= k > max(nu, 0) every later
-    ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in size, so once
-    rho < 1 the terms past k sum to at most |t_k| rho/(1-rho), and the row
-    stops after the first block where that bound is at most
-    _TAIL_FRACTION of its largest term.
+    over all n ratios r_k would round it, and fsum is exactly rounded, so
+    each sum is the same double whatever the other degrees beside it.  A
+    row stops at t_n, after the first block whose last term is not finite,
+    or once the rest is certified negligible: for j >= k > max(nu, 0)
+    every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
+    size, so once rho < 1 the terms past k sum to at most
+    |t_k| rho/(1-rho), and the row stops after the first block where that
+    bound is at most _TAIL_FRACTION of its largest term.
 
     With tree, each block is summed, all rows at once, by _tree_sums in
     one scratch array the size of the first block, unless that block

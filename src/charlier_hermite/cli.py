@@ -130,8 +130,8 @@ def _eval_scaled(x, a, nu, mode):
 def _sweep_convergence(nu, x, a_list):
     # The rate fit loads numpy.  Loaded first, it also builds the terms of
     # the sums, which at large a cost more in Python than its import: cold,
-    # --a-list 1e8,3e8,1e9 took 551 ms with the sums in Python, 347 ms in
-    # numpy (2-vCPU VM).
+    # --a-list 1e8,3e8,1e9 took 551 ms with the sums in Python and 320 ms
+    # with numpy loaded first (2-vCPU VM).
     import numpy  # noqa: F401
     h = hermite_fn(nu, x)
     rows = []

@@ -23,7 +23,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charlier import _block_size, _python_terms, _scaled, _term_block, _term_row, charlier_direct
+from .charlier import (_block_size, _python_row, _python_terms, _scaled, _term_block,
+                       charlier_direct)
 from .errors import DomainError
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
@@ -176,7 +177,7 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     while start < A and sys.float_info.min <= terms[-1] < math.inf:
         stop = min(A, start + block)
         if stop <= python_terms:
-            terms += _term_row(A, a, nu, start, stop, terms[-1])
+            terms += _python_row(A, a, nu, start, stop, terms[-1])
         else:
             terms += _term_block([A], a, nu, start, stop, [terms[-1]])[0].tolist()
         start = stop

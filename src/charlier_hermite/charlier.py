@@ -35,10 +35,12 @@ _TAIL_FRACTION = 2.0 ** -160
 # No float sum builds more terms than this; every a <= 1e10 measured
 # needs at most 2.3e6.
 _MAX_TERMS = 10_000_000
-# A one-degree sum builds at most this many terms in Python while numpy is
-# not loaded, about as many as numpy's import (170 ms cold) is worth: on a
-# 2-vCPU VM, cold `eval charlier` at n = a broke even at 6e5 to 9e5 terms.
+# A process builds at most this many terms of its one-degree sums in
+# Python while numpy is not loaded, about as many as numpy's import
+# (170 ms cold) is worth: on a 2-vCPU VM, cold `eval charlier` at n = a
+# broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
+_python_spent = 0  # the terms _python_row has built so far
 # A term block of several degrees holds at most this many elements.
 _BLOCK_ELEMENTS = 2 ** 15
 # Chunks of several degrees whose blocks hold at least this many elements
@@ -165,11 +167,32 @@ def _block_size(n: int, a: float) -> int:
 
 
 def _python_terms(expected: int) -> int:
-    """How many terms of one degree to build by _term_row, in Python, for a
-    sum or row expected to need about `expected` terms: _PYTHON_TERMS
-    before numpy is loaded, but none once it is (its blocks are faster) or
-    where the sum would pass _PYTHON_TERMS anyway and load it then."""
-    return _PYTHON_TERMS if expected <= _PYTHON_TERMS and "numpy" not in sys.modules else 0
+    """How many terms of one degree a sum or row expected to need about
+    `expected` terms may build in Python, by _python_row: what is left of
+    the process's _PYTHON_TERMS while numpy is not loaded, but none once
+    it is (its blocks are faster) or where the sum would pass what is
+    left and load it anyway.  Spending the budget and then importing
+    numpy costs a process at most twice the cheaper of the two (the
+    ski-rental rule), however many sums it goes on to make."""
+    left = _PYTHON_TERMS - _python_spent
+    return left if expected <= left and "numpy" not in sys.modules else 0
+
+
+def _load_numpy_before(sums) -> None:
+    """Load numpy now where the one-degree sums at the (n, a) pairs of
+    `sums`, each expected to need five blocks, would together pass what
+    is left of the process's _PYTHON_TERMS: a caller that knows its sums
+    ahead then builds no term in Python only to load numpy partway."""
+    if not _python_terms(sum(5 * _block_size(n, a) for n, a in sums if n > 48)):
+        import numpy  # noqa: F401
+
+
+def _python_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:
+    """_term_row, its terms counted against the process's _PYTHON_TERMS."""
+    global _python_spent
+    row = _term_row(n, a, nu, start, stop, prev)
+    _python_spent += len(row)
+    return row
 
 
 def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool,
@@ -181,7 +204,7 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool,
     The terms are built in blocks of `block` terms, one 2-D _term_block
     for all degrees still summing, each row continued from the last term
     of its previous block.  One degree's blocks that end at or before
-    python_terms are built by _term_row instead, with the same roundings;
+    python_terms are built by _python_row instead, with the same roundings;
     by default that is _python_terms of five blocks, the most a sum at
     n = a > 65536 was seen to need.  Every term is rounded as one cumprod
     over all n ratios r_k would round it, and fsum is exactly rounded, so
@@ -218,7 +241,7 @@ def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool,
         stop = min(start + block, top)
         python = len(ns) == 1 and stop <= python_terms
         if python:
-            t = [_term_row(top, a, nu, start, stop, prev[0])]
+            t = [_python_row(top, a, nu, start, stop, prev[0])]
             if stop < top:
                 lasts, highs, lows = [t[0][-1]], [max(t[0])], [min(t[0])]
         else:

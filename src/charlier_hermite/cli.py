@@ -4,6 +4,9 @@ Grammar: charlier-hermite <group> <action> --flag value [--out csv|json],
 and [--mode float|rational] on eval charlier and eval scaled.  Each command
 is one row of _COMMANDS, from which the parser is built and the command run.
 
+Each handler imports the package modules it runs when it runs, so that
+a command loads no module it does not call.
+
 Tables go to stdout as CSV (default) or JSON (--out json), numbers with
 17 significant digits, so a given invocation is byte-for-byte
 reproducible; diagnostics and fit summaries go to stderr.  Exit codes: 0
@@ -16,25 +19,13 @@ import json
 import math
 import sys
 from collections import namedtuple
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
 
-from .asymptotics import SplitConfig, head_tail_split, f_nu
-from .charlier import ScaledPoint, charlier_direct, scaled_y
 from .errors import ConvergenceError, DomainError
-from .hermite import hermite_fn
-from .polygon import charlier_state_trace, euler_polygon, trace_deviation
-from .ratefit import RateFit, fit_rate
-from .zeros import zero_convergence_table
 
 _MAX_ROWS = 1_000_000  # plot fnu limit, checked before any row is built
 
 
-@dataclass
-class OutputTable:
-    header: tuple
-    rows: list  # list of dicts keyed by header names
+OutputTable = namedtuple("OutputTable", "header rows")  # rows: dicts keyed by header names
 
 
 def _fmt_number(v) -> str:
@@ -87,7 +78,14 @@ def _flag_parser(convert, what):
 
 _parse_int = _flag_parser(int, "integer")
 _parse_float = _flag_parser(float, "number")
-_parse_fraction = _flag_parser(Fraction, "rational")
+
+
+def _fraction(s: str):
+    from fractions import Fraction
+    return Fraction(s)
+
+
+_parse_fraction = _flag_parser(_fraction, "rational")
 
 
 def _parse_a_list(s: str, name: str) -> list:
@@ -100,9 +98,10 @@ def _parse_a_list(s: str, name: str) -> list:
     return values
 
 
-def _report_rate(rows) -> Optional[RateFit]:
+def _report_rate(rows) -> None:
     """Fit err ~ a^slope over the rows with abs_err > 0, write the fit to
     stderr and fill every row's slope and r_squared (empty without a fit)."""
+    from .ratefit import fit_rate
     usable = [(r["a"], r["abs_err"]) for r in rows if r.get("abs_err", 0) > 0]
     fit = None
     if len(usable) < 3:
@@ -119,28 +118,45 @@ def _report_rate(rows) -> Optional[RateFit]:
               f"r^2 {fit.r_squared:.6g})", file=sys.stderr)
     for r in rows:
         r.update(slope=fit and fit.slope, r_squared=fit and fit.r_squared)
-    return fit
+
+
+def _eval_charlier(n, a, nu, mode):
+    from .charlier import charlier_direct
+    return [{"n": n, "a": a, "nu": nu, "value": charlier_direct(n, a, nu, mode)}]
+
+
+def _eval_hermite(nu, x):
+    from .hermite import hermite_fn
+    return [{"nu": nu, "x": x, "value": hermite_fn(nu, x)}]
 
 
 def _eval_scaled(x, a, nu, mode):
+    from .charlier import ScaledPoint, scaled_y
     point = ScaledPoint(x, a)
     return [{**vars(point), "nu": nu, "value": scaled_y(point, nu, mode)}]
 
 
 def _sweep_convergence(nu, x, a_list):
-    # The rate fit loads numpy.  Loaded first, it also builds the terms of
-    # the sums, which at large a cost more in Python than its import: cold,
-    # --a-list 1e8,3e8,1e9 took 551 ms with the sums in Python and 320 ms
-    # with numpy loaded first (2-vCPU VM).
-    import numpy  # noqa: F401
-    h = hermite_fn(nu, x)
+    from .charlier import ScaledPoint, _load_numpy_before, scaled_y
+    from .hermite import hermite_fn
     rows = []
     for a in a_list:
         try:
-            y = scaled_y(ScaledPoint(x, a), nu)
-            rows.append({"a": a, "y": y, "hermite": h, "abs_err": abs(y - h)})
+            rows.append({"a": a, "point": ScaledPoint(x, a)})
         except DomainError as exc:
             rows.append({"a": a, "error": str(exc)})
+    # The sums are known ahead.  Loaded partway, numpy came after 4.4e5
+    # terms built in Python for nothing: cold, --a-list 1e8,3e8,1e9 took
+    # 18 to 26% longer than with it loaded first (2-vCPU VM).
+    _load_numpy_before([(r["point"].n, r["a"]) for r in rows if "point" in r])
+    h = hermite_fn(nu, x)
+    for r in rows:
+        if "point" in r:
+            try:
+                y = scaled_y(r.pop("point"), nu)
+                r.update(y=y, hermite=h, abs_err=abs(y - h))
+            except DomainError as exc:
+                r["error"] = str(exc)
     _report_rate(rows)
     return rows
 
@@ -151,10 +167,12 @@ def _plot_fnu(nu, t_max, dt):
     span = t_max / dt + 1e-12
     if span >= _MAX_ROWS:
         raise DomainError(f"t-max/dt = {span:.6g} asks for more than {_MAX_ROWS} rows")
+    from .asymptotics import f_nu
     return [{"t": i * dt, "f": f_nu(i * dt, nu)} for i in range(int(span) + 1)]
 
 
 def _zeros_convergence(x, target_nu, a_list):
+    from .zeros import zero_convergence_table
     rows = [{"a": r.a, "n": r.n, "nu_n": r.nu_n, "abs_err": r.abs_err} if r.error is None
             else {"a": r.a, "error": r.error}
             for r in zero_convergence_table(x, target_nu, a_list)]
@@ -163,6 +181,7 @@ def _zeros_convergence(x, target_nu, a_list):
 
 
 def _polygon_compare(nu, x_max, a):
+    from .polygon import charlier_state_trace, euler_polygon, trace_deviation
     z = charlier_state_trace(nu, a, x_max)
     u = euler_polygon(nu, z.states[0], x_max, z.step)
     rows = [{"x": float(xk), "u_y": float(uy), "u_dy": float(udy), "z_y": float(zy),
@@ -174,6 +193,7 @@ def _polygon_compare(nu, x_max, a):
 
 
 def _asymptotics_head_tail(a, nu):
+    from .asymptotics import SplitConfig, head_tail_split
     cfg = SplitConfig(a, nu)
     rep = head_tail_split(cfg)
     return [{**vars(cfg), **vars(rep),
@@ -193,11 +213,8 @@ _GROUP_HELP = {
 _F = _parse_float  # the common flag type, short so that _COMMANDS stays readable
 _COMMANDS = (
     _Command("eval", "charlier", (("--n", _parse_int), ("--a", None), ("--nu", None)),
-             lambda n, a, nu, mode: [{"n": n, "a": a, "nu": nu,
-                                      "value": charlier_direct(n, a, nu, mode)}],
-             ("n", "a", "nu", "value")),
-    _Command("eval", "hermite", (("--nu", _F), ("--x", _F)),
-             lambda nu, x: [{"nu": nu, "x": x, "value": hermite_fn(nu, x)}],
+             _eval_charlier, ("n", "a", "nu", "value")),
+    _Command("eval", "hermite", (("--nu", _F), ("--x", _F)), _eval_hermite,
              ("nu", "x", "value")),
     _Command("eval", "scaled", (("--x", _F), ("--a", _F), ("--nu", None)),
              _eval_scaled, ("x", "a", "nu", "n", "theta", "value")),

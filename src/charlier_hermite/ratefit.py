@@ -1,7 +1,9 @@
 """Log-log rate fitting and the exact sharpness identity.
 
 fit_rate puts a least-squares line through (ln a, ln err); a slope near
--1/2 is the empirical signature of O(1/sqrt(a)) convergence.
+-1/2 is the empirical signature of O(1/sqrt(a)) convergence.  Slope,
+intercept and r^2 are each the correctly rounded value of the exact fit
+of the float logs.
 
 sharpness_check verifies, in exact rational arithmetic, that for nu = 2
 and admissible (x, a), meaning a = r^2/2 with r even and x r a
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .charlier import _exact_sqrt, _to_fraction, charlier_direct
 from .errors import DomainError, RationalModeError
@@ -32,7 +34,8 @@ class RateFit:
 def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
     """Least-squares line through (ln a, ln err).
 
-    Needs at least 3 points, all a distinct and positive, all err > 0.
+    Needs at least 3 points, all finite, all a distinct and positive,
+    all err > 0.
     """
     pts = tuple((float(a), float(e)) for a, e in points)
     if len(pts) < 3:
@@ -44,15 +47,26 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
         raise DomainError("fit_rate needs positive a values")
     if any(e <= 0 for e in (p[1] for p in pts)):
         raise DomainError("fit_rate needs strictly positive errors")
-    import numpy as np
-    la = np.log([p[0] for p in pts])
-    le = np.log([p[1] for p in pts])
-    slope, intercept = np.polyfit(la, le, 1)
-    pred = slope * la + intercept
-    ss_res = float(np.sum((le - pred) ** 2))
-    ss_tot = float(np.sum((le - np.mean(le)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(float(slope), float(intercept), r_squared, pts)
+    values = [value for point in pts for value in point]
+    if not all(map(math.isfinite, values)):
+        raise DomainError("fit_rate needs finite a and err values")
+    # The least-squares line of the float logs, exactly: each log is an
+    # integer over k, the largest of their power-of-two denominators, so
+    # every sum below is an exact integer, and int / int rounds correctly.
+    ratios = [math.log(value).as_integer_ratio() for value in values]
+    k = max(d for _, d in ratios)
+    u = [num * (k // d) for num, d in ratios[0::2]]
+    v = [num * (k // d) for num, d in ratios[1::2]]
+    m, su, sv = len(pts), sum(u), sum(v)
+    suu, suv = sum(x * x for x in u), sum(x * y for x, y in zip(u, v))
+    sxx, sxy = m * suu - su * su, m * suv - su * sv
+    syy = m * sum(y * y for y in v) - sv * sv
+    if sxx == 0:
+        raise DomainError("fit_rate needs distinct ln a values")
+    slope = sxy / sxx
+    intercept = (sv * suu - su * suv) / (k * sxx)
+    r_squared = 1.0 if syy == 0 else sxy * sxy / (sxx * syy)
+    return RateFit(slope, intercept, r_squared, pts)
 
 
 @dataclass(frozen=True)

@@ -67,12 +67,9 @@ def _scan(f: Callable[[float], float], lo: float, hi: float,
         raise DomainError(f"need a finite interval lo < hi, got [{lo!r}, {hi!r}]")
     if grid < 2:
         raise DomainError(f"grid must be >= 2, got {grid!r}")
-    # numpy stays: loaded here, it builds the terms of the scan's hundreds
-    # of Charlier sums, which cost more in Python, and the rate fit of
-    # `zeros convergence` loads it anyway.  Cold, that command took 335 ms,
-    # and 378 ms with a Python grid (2-vCPU VM).
-    import numpy as np
-    xs = np.linspace(lo, hi, grid).tolist()
+    # np.linspace's grid, node for node, built without numpy
+    step = (hi - lo) / (grid - 1)
+    xs = [i * step + lo for i in range(grid - 1)] + [hi]
     fs = [f(x) for x in xs]
     found = []
     spacing = xs[1] - xs[0]

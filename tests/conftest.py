@@ -60,17 +60,24 @@ def recorded(monkeypatch):
 
 
 @pytest.fixture
-def fresh_cli():
-    """fresh_cli(*argv) runs the command line in a fresh interpreter, which
-    finds the package from this checkout, installed or not, and returns
-    (exit code, stdout, stderr, whether numpy was loaded)."""
+def fresh_python():
+    """fresh_python(code, *args) runs `code` with `args` in a fresh
+    interpreter, which finds the package from this checkout, installed or
+    not, and returns what the code prints, read as JSON."""
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
 
-    def run(*argv):
-        done = subprocess.run([sys.executable, "-c", _FRESH_CLI, *argv],
+    def run(code, *args):
+        done = subprocess.run([sys.executable, "-c", code, *args],
                               capture_output=True, check=True, env=env, text=True)
-        return tuple(json.loads(done.stdout))
+        return json.loads(done.stdout)
 
     return run
+
+
+@pytest.fixture
+def fresh_cli(fresh_python):
+    """fresh_cli(*argv) runs the command line in a fresh interpreter and
+    returns (exit code, stdout, stderr, whether numpy was loaded)."""
+    return lambda *argv: tuple(fresh_python(_FRESH_CLI, *argv))

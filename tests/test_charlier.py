@@ -392,6 +392,66 @@ def test_python_rows_then_numpy_rows_give_the_numpy_sum(recorded):
     assert charlier._python_terms(1) == 0
 
 
+# Spends the process's Python-term budget in a fresh interpreter: a short
+# sum (n <= 48) and a head/tail split, then sums at n = a = 10^6 with nu
+# stepping by 1/2 until one loads numpy (at most 500 sums).  Prints the
+# terms spent after each of the first two steps and, per sum of the run,
+# nu, the budget left before it, the terms spent after it, whether numpy
+# was loaded after it and the value's hex.
+_BUDGET_PROBE = """
+import json, sys
+from charlier_hermite import asymptotics, charlier
+charlier.charlier_direct(40, 100.0, 0.5)
+first = [charlier._python_spent]
+asymptotics.head_tail_split(asymptotics.SplitConfig(10000.0, -4.5))
+first.append(charlier._python_spent)
+charlier._load_numpy_before([(10 ** 6, 1e6)] * 10)
+steps, nu = [], 0.25
+while "numpy" not in sys.modules and len(steps) < 500:
+    left = charlier._PYTHON_TERMS - charlier._python_spent
+    value = charlier.charlier_direct(10 ** 6, 1e6, nu)
+    steps.append([nu, left, charlier._python_spent, "numpy" in sys.modules, value.hex()])
+    nu += 0.5
+print(json.dumps([first, steps]))
+"""
+
+
+def test_python_terms_are_a_budget_per_process(fresh_python):
+    first, steps = fresh_python(_BUDGET_PROBE)
+    # the short sum spends nothing; the split, its rows and c_A, does
+    assert first[0] == 0 < first[1] <= charlier._PYTHON_TERMS
+    expected = 5 * charlier._block_size(10 ** 6, 1e6)
+    *python, last = steps
+    assert len(python) > 10
+    spent = first[1]
+    for nu, left, after, numpy_loaded, value in python:
+        assert left >= expected and not numpy_loaded
+        assert spent < after <= charlier._PYTHON_TERMS
+        spent = after
+    # once what is left is less than the next sum expects, that sum goes
+    # to numpy, spends nothing, and gives the same double
+    nu, left, after, numpy_loaded, value = last
+    assert left < expected and after == spent and numpy_loaded
+    for nu, _, _, _, value in steps:
+        assert charlier_direct(10 ** 6, 1e6, nu).hex() == value, nu
+
+
+_AHEAD_PROBE = """
+import json, sys
+from charlier_hermite import charlier
+charlier._load_numpy_before([(10 ** 6, 1e6)] * 35 + [(10, 1e9)])
+print(json.dumps(["numpy" in sys.modules, charlier._python_spent]))
+"""
+
+
+def test_sums_known_ahead_past_the_budget_load_numpy_first(fresh_python):
+    # 35 sums expected to need 5 blocks of 4000 terms fit in the budget,
+    # 36 do not, and a sum at n <= 48 expects none
+    assert charlier._PYTHON_TERMS // (5 * charlier._block_size(10 ** 6, 1e6)) == 35
+    assert fresh_python(_AHEAD_PROBE) == [False, 0]
+    assert fresh_python(_AHEAD_PROBE.replace("* 35", "* 36")) == [True, 0]
+
+
 def test_python_rows_refuse_the_term_cap_before_building():
     class NoTerms(float):
         def __mul__(self, other):

@@ -1,8 +1,9 @@
 """Tests for the command line interface.
 
-Each test drives main() in-process and parses the emitted table; one
-test runs the module twice in subprocesses to check byte determinism.
-The last test pins the package's public names.
+Most tests drive main() in-process and parse the emitted table.  The
+rest run fresh interpreters: to check byte determinism, and which
+package modules, and whether numpy, each command loads.  The last tests
+pin the package's public names and their lazy loading.
 """
 
 import contextlib
@@ -13,6 +14,8 @@ import os
 import pathlib
 import subprocess
 import sys
+
+import pytest
 
 from charlier_hermite.cli import OutputTable, main, render_csv
 
@@ -279,6 +282,10 @@ def test_scalar_commands_do_not_import_numpy():
         "eval charlier n=150": ["eval", "charlier", "--n", "150", "--a", "250", "--nu", "0.4"],
         "eval scaled a=10000": ["eval", "scaled", "--x", "0.5", "--a", "10000", "--nu", "1.5"],
         "asymptotics head-tail": ["asymptotics", "head-tail", "--a", "10000", "--nu", "-4.5"],
+        "sweep convergence": ["sweep", "convergence", "--nu", "1.5", "--x", "0.7",
+                              "--a-list", "100,1000,10000,100000"],
+        "zeros convergence": ["zeros", "convergence", "--x", "0", "--target-nu", "3",
+                              "--a-list", "100,400,1600,6400"],
         # last, so the probe is shown to see an import when there is one
         "polygon compare": ["polygon", "compare", "--nu", "1", "--x-max", "1", "--a", "100"],
     }
@@ -296,8 +303,75 @@ def test_scalar_commands_do_not_import_numpy():
         "eval charlier n=150": [0, False],
         "eval scaled a=10000": [0, False],
         "asymptotics head-tail": [0, False],
+        "sweep convergence": [0, False],
+        "zeros convergence": [0, False],
         "polygon compare": [0, True],
     }
+
+
+# Runs cli.main(ARGV) in a fresh interpreter and prints its exit code, the
+# package modules loaded and whether numpy is.
+_MODULES_PROBE = """
+import contextlib, io, json, sys
+from charlier_hermite import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
+                               if m.startswith("charlier_hermite.")), "numpy" in sys.modules]))
+"""
+
+_SCALAR = ["errors", "hermite", "special"]
+_SUM = ["charlier", "cli", "errors"]
+_SPLIT = ["asymptotics", "charlier", "cli", "errors", "hermite", "special"]
+
+
+_README_IMPORTS = [
+    ("eval hermite --nu 2 --x 0.5", ["cli", *_SCALAR], False),
+    ("eval charlier --n 137 --a 250 --nu 0.37", _SUM, False),
+    ("eval charlier --n 1 --a 5/2 --nu 1/2 --mode rational", _SUM, False),
+    ("eval scaled --x 0.5 --a 10000 --nu 1.5", _SUM, False),
+    ("sweep convergence --nu 1.5 --x 0.7 --a-list 100,1000,10000,100000",
+     [*_SUM, "hermite", "ratefit", "special"], False),
+    ("plot fnu --nu -3 --t-max 3 --dt 0.01", _SPLIT, False),
+    ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
+     [*_SUM, "hermite", "ratefit", "special", "zeros"], False),
+    ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], True),
+    ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False),
+]
+
+
+@pytest.mark.parametrize("argv, modules, numpy_loaded", _README_IMPORTS,
+                         ids=[case[0] for case in _README_IMPORTS])
+def test_readme_commands_import_only_what_they_run(fresh_python, argv, modules, numpy_loaded):
+    assert fresh_python(_MODULES_PROBE, *argv.split()) == [0, modules, numpy_loaded]
+
+
+_PACKAGE_PROBE = """
+import json, sys
+import charlier_hermite
+loaded = sorted(m for m in sys.modules if m.startswith("charlier_hermite."))
+listed = dir(charlier_hermite)
+star = {}
+exec("from charlier_hermite import *", star)
+print(json.dumps([loaded, "numpy" in sys.modules, listed, sorted(star.keys() - {"__builtins__"}),
+                  charlier_hermite.__all__]))
+"""
+
+
+def test_package_import_loads_no_submodule(fresh_python):
+    loaded, numpy_loaded, listed, star, names = fresh_python(_PACKAGE_PROBE)
+    assert (loaded, numpy_loaded) == ([], False)
+    # the lazy names are listed before they load, and a star import loads them
+    assert len(names) == 43 and set(names) <= set(listed)
+    assert star == sorted(names)
+
+
+def test_public_names_load_the_module_that_defines_them():
+    import charlier_hermite
+    for name, module in charlier_hermite._MODULE_OF.items():
+        assert getattr(charlier_hermite, name).__module__ == f"charlier_hermite.{module}"
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        charlier_hermite.no_such_name
 
 
 def test_public_names_are_pinned():

@@ -1,6 +1,7 @@
 """Tests for log-log rate fitting and the exact sharpness identity."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -42,6 +43,66 @@ def test_fit_rate_input_validation():
         fit_rate([(-10.0, 0.1), (50.0, 0.05), (100.0, 0.03)])
     with pytest.raises(DomainError):
         fit_rate([(10.0, 0.0), (50.0, 0.05), (100.0, 0.03)])
+
+
+def test_fit_rate_rejects_non_finite_points_and_equal_logs():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="finite"):
+            fit_rate([(10.0, 0.1), (bad, 0.05), (100.0, 0.03)])
+        with pytest.raises(DomainError, match="finite"):
+            fit_rate([(10.0, 0.1), (50.0, bad), (100.0, 0.03)])
+    # distinct a whose float logs are all equal: no line to fit
+    a = 1e10
+    pts = [(a, 0.1), (math.nextafter(a, 0.0), 0.2), (math.nextafter(a, math.inf), 0.3)]
+    assert len({math.log(p[0]) for p in pts}) == 1
+    with pytest.raises(DomainError, match="distinct ln a"):
+        fit_rate(pts)
+
+
+def _fraction_fit(points):
+    """The least-squares line of the same float logs in Fraction
+    arithmetic: slope, intercept and r^2, each rounded once to a double."""
+    xs = [Fraction(math.log(a)) for a, _ in points]
+    ys = [Fraction(math.log(e)) for _, e in points]
+    m, sx, sy = len(xs), sum(xs), sum(ys)
+    sxx = m * sum(x * x for x in xs) - sx * sx
+    sxy = m * sum(x * y for x, y in zip(xs, ys)) - sx * sy
+    syy = m * sum(y * y for y in ys) - sy * sy
+    slope = sxy / sxx
+    r_squared = 1 if syy == 0 else sxy * sxy / (sxx * syy)
+    return float(slope), float((sy - slope * sx) / m), float(r_squared)
+
+
+def test_fit_rate_is_the_correctly_rounded_exact_fit():
+    # seeded: 3 to 21 points, a in [1, 1e10]; a third of the cases have
+    # constant errors, a third follow an exact power law
+    rng = random.Random(1988)
+    kinds = set()
+    for i in range(300):
+        m = rng.randint(3, 21)
+        a_values = {1.0} if i % 7 == 0 else set()
+        while len(a_values) < m:
+            a_values.add(10.0 ** rng.uniform(0.0, 10.0))
+        kind = ("constant", "power", "random")[i % 3]
+        if kind == "constant":
+            e = 10.0 ** rng.uniform(-300.0, 0.0)
+            pts = [(a, e) for a in a_values]
+        elif kind == "power":
+            p, c = rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(-8.0, 2.0)
+            pts = [(a, c * a ** p) for a in a_values]
+        else:
+            pts = [(a, 10.0 ** rng.uniform(-300.0, 0.0)) for a in a_values]
+        fit = fit_rate(pts)
+        got = (fit.slope, fit.intercept, fit.r_squared)
+        assert [v.hex() for v in got] == [v.hex() for v in _fraction_fit(pts)], pts
+        if kind == "constant":
+            assert (fit.slope, fit.r_squared) == (0.0, 1.0)
+            assert math.copysign(1.0, fit.slope) == 1.0
+        elif kind == "power":
+            assert math.isclose(fit.slope, p, rel_tol=1e-9, abs_tol=1e-12)
+            assert math.isclose(fit.r_squared, 1.0, rel_tol=1e-12)
+        kinds.add(kind)
+    assert kinds == {"constant", "power", "random"}
 
 
 def test_fit_rate_on_theorem_sweep():

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 
 from charlier_hermite import (
@@ -11,6 +12,7 @@ from charlier_hermite import (
     hermite_zeros_in_order,
     zero_convergence_table,
 )
+from charlier_hermite.zeros import _scan
 
 # smallest nu-zero of H_nu(1) in (0, 3); mpmath bisection at 50 digits
 HERMITE_NU_ZERO_AT_X1 = 2.5371955308039388
@@ -159,3 +161,24 @@ def test_charlier_zero_scan_validation():
         charlier_zeros_in_order(2, 2.0, 5.0, 1.0, grid=64)
     with pytest.raises(DomainError):
         charlier_zeros_in_order(2, 2.0, 0.0, 10.0, grid=1)
+
+
+def _scan_grid(lo, hi, grid):
+    # _scan evaluates f at every node, in order, before any bisection; an f
+    # with no sign change leaves exactly those calls
+    nodes = []
+    _scan(lambda v: nodes.append(v) or 1.0, lo, hi, grid)
+    return nodes
+
+
+def test_scan_grid_is_numpys_linspace():
+    rng = np.random.default_rng(64)
+    cases = [(0.0, 1.0, 2), (1e-12, 5.0, 1 << 16), (-3.5, 7.25, 1 << 16), (2.5, 3.5, 64),
+             (-1e-300, 1e-300, 400), (1e6, 1e6 + 1e-6, 3)]
+    for _ in range(500):
+        lo = float(rng.uniform(-1e3, 1e3) * 10.0 ** rng.uniform(-6, 6))
+        hi = lo + float(10.0 ** rng.uniform(-8, 6))
+        cases.append((lo, hi, int(rng.choice([2, 3, 64, 128, 400, rng.integers(2, 5000)]))))
+    for lo, hi, grid in cases:
+        if hi > lo:
+            assert _scan_grid(lo, hi, grid) == np.linspace(lo, hi, grid).tolist(), (lo, hi, grid)

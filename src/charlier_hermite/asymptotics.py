@@ -23,8 +23,6 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .charlier import (_block_size, _python_row, _python_terms, _scaled, _term_block,
-                       charlier_direct)
 from .errors import DomainError
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
@@ -169,6 +167,8 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
+    from .charlier import (_block_size, _python_row, _python_terms, _scaled, _term_block,
+                           charlier_direct)
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
     terms, start = [1.0], 0
     block = _block_size(A, a)
@@ -179,7 +179,7 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
         if stop <= python_terms:
             terms += _python_row(A, a, nu, start, stop, terms[-1])
         else:
-            terms += _term_block([A], a, nu, start, stop, [terms[-1]])[0].tolist()
+            terms += _term_block(A, a, nu, start, stop, terms[-1]).tolist()
         start = stop
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))

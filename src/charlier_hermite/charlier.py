@@ -41,16 +41,6 @@ _MAX_TERMS = 10_000_000
 # broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
 _python_spent = 0  # the terms _python_row has built so far
-# A term block of several degrees holds at most this many elements.
-_BLOCK_ELEMENTS = 2 ** 15
-# Chunks of several degrees whose blocks hold at least this many elements
-# are summed by the TwoSum tree; on smaller ones numpy's per-call cost
-# makes it slower than fsum.  Tree/fsum time: 15 for one row of 128 terms,
-# 3.5 for one of 1024, 1.15 for 4 rows of 1024, 0.66 for 8, 0.30 for 32.
-_TREE_ELEMENTS = 2 ** 13
-# A row whose terms total more than this in size is left to fsum: no
-# partial sum of the tree, nor any prefix sum fsum forms, can overflow.
-_TREE_MAGNITUDE = 2.0 ** 1020
 
 
 def _check_degree(n: int, name: str = "n") -> int:
@@ -95,8 +85,8 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     if mode != "float":
         raise DomainError(f"unknown mode {mode!r}")
     a_f, nu_f = _float_args(a, nu)
-    if n > 48:  # a one-degree call of the block loop
-        return _checked(n, a, nu, _chunk_sums([n], a_f, nu_f, _block_size(n, a_f), False)[0])
+    if n > 48:
+        return _checked(n, a, nu, _chunk_sums(n, a_f, nu_f, _block_size(n, a_f)))
     # A short sum costs less in Python than in a numpy block, numpy loaded
     # or not.
     return _checked(n, a, nu, _fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
@@ -131,31 +121,6 @@ def _checked(n: int, a, nu, total):
     if not math.isfinite(total):
         raise DomainError(f"c_n^a(nu) at n={n}, a={a!r}, nu={nu!r} is outside double range")
     return total
-
-
-def _charlier_values(ns: list, a, nu) -> list:
-    """charlier_direct(n, a, nu) in float mode for each degree n of ns, the
-    terms of all of them built together: the degrees are grouped by
-    _block_size and each group summed by _chunk_sums, at most
-    _BLOCK_ELEMENTS // block degrees at a time, with the TwoSum tree where a
-    chunk of several degrees holds at least _TREE_ELEMENTS elements a
-    block.  Each value is the double charlier_direct returns; the
-    DomainError raised is the one charlier_direct raises at the first n in
-    ns where it raises."""
-    a_f, nu_f = _float_args(a, nu)
-    sums = [None] * len(ns)
-    groups = {}
-    for i, n in enumerate(ns):
-        groups.setdefault(_block_size(n, a_f), []).append(i)
-    for block, rows in groups.items():
-        per_chunk = max(1, _BLOCK_ELEMENTS // block)
-        for j in range(0, len(rows), per_chunk):
-            chunk = rows[j:j + per_chunk]
-            tree = len(chunk) > 1 and len(chunk) * block >= _TREE_ELEMENTS
-            totals = _chunk_sums([ns[i] for i in chunk], a_f, nu_f, block, tree)
-            for i, total in zip(chunk, totals):
-                sums[i] = total
-    return [_checked(n, a, nu, total) for n, total in zip(ns, sums)]
 
 
 def _block_size(n: int, a: float) -> int:
@@ -195,213 +160,51 @@ def _python_row(n: int, a: float, nu: float, start: int, stop: int, prev: float)
     return row
 
 
-def _chunk_sums(ns: list, a: float, nu: float, block: int, tree: bool,
-                python_terms: int | None = None) -> list:
+def _chunk_sums(n: int, a: float, nu: float, block: int, python_terms: int | None = None):
     """The exactly rounded sum of the terms t_0, t_1, ... of c_n^a(nu) with
-    t_{k+1} = t_k r_k, for each degree n of ns; None where the sum would
-    need more than _MAX_TERMS terms.
+    t_{k+1} = t_k r_k; None where the sum would need more than _MAX_TERMS
+    terms.
 
-    The terms are built in blocks of `block` terms, one 2-D _term_block
-    for all degrees still summing, each row continued from the last term
-    of its previous block.  One degree's blocks that end at or before
-    python_terms are built by _python_row instead, with the same roundings;
-    by default that is _python_terms of five blocks, the most a sum at
-    n = a > 65536 was seen to need.  Every term is rounded as one cumprod
-    over all n ratios r_k would round it, and fsum is exactly rounded, so
-    each sum is the same double whatever the other degrees beside it.  A
-    row stops at t_n, after the first block whose last term is not finite,
-    or once the rest is certified negligible: for j >= k > max(nu, 0)
-    every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
-    size, so once rho < 1 the terms past k sum to at most
-    |t_k| rho/(1-rho), and the row stops after the first block where that
-    bound is at most _TAIL_FRACTION of its largest term.
-
-    With tree, each block is summed, all rows at once, by _tree_sums in
-    one scratch array the size of the first block, unless that block
-    _cancels_too_far; a stopped row then takes the value _certified_sum
-    proves to be fsum's, and a row it cannot certify is summed again
-    alone, by fsum.  Every sum stays the double fsum gives.  Otherwise
-    fsum sums each row over the blocks it kept.
+    The terms are built in blocks of `block` terms by _term_block, each
+    continued from the last term of the previous block.  Blocks that end
+    at or before python_terms are built by _python_row instead, with the
+    same roundings; by default that is _python_terms of five blocks, the
+    most a sum at n = a > 65536 was seen to need.  The sum stops at t_n,
+    after the first block whose last term is not finite, or once the rest
+    is certified negligible: for j >= k > max(nu, 0) every later ratio is
+    at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in size, so once rho < 1
+    the terms past k sum to at most |t_k| rho/(1-rho), and the sum stops
+    after the first block where that bound is at most _TAIL_FRACTION of
+    its largest term.  Every term is rounded as one cumprod over all its
+    ratios would round it, wherever the blocks break, and fsum, which sums
+    the blocks kept, is exactly rounded.
     """
     if python_terms is None:
         python_terms = _python_terms(5 * block)
-    sums = [None] * len(ns)
-    parts = None  # with the tree, per degree: 1.0 and its blocks' s; errs, sizes: their sums
-    # per row still summing: its index, degree, largest |term| and terms
-    live = [[i, n, 1.0, []] for i, n in enumerate(ns)]
-    prev, start = [1.0] * len(ns), 0
+    largest, prev, start, terms = 1.0, 1.0, 0, [(1.0,)]
     while True:
-        if start + block > _MAX_TERMS:  # refuse, before allocating, the rows past the cap
-            fit = [j for j, row in enumerate(live) if row[1] <= _MAX_TERMS]
-            if not fit:
-                return sums
-            live, prev = [live[j] for j in fit], [prev[j] for j in fit]
-        degrees = [row[1] for row in live]
-        top = max(degrees)
-        stop = min(start + block, top)
-        python = len(ns) == 1 and stop <= python_terms
-        if python:
-            t = [_python_row(top, a, nu, start, stop, prev[0])]
-            if stop < top:
-                lasts, highs, lows = [t[0][-1]], [max(t[0])], [min(t[0])]
-        else:
-            t = _term_block(degrees, a, nu, start, stop, prev)
-            if stop < top:
-                lasts = t[:, -1].tolist()
-                highs, lows = t.max(axis=1).tolist(), t.min(axis=1).tolist()
-        if not start and tree and not _cancels_too_far(t):
-            import numpy as np
-            scratch = np.empty(t.size)
-            parts, errs, sizes = [[1.0] for _ in ns], [0.0] * len(ns), [0.0] * len(ns)
-        if parts:
-            block_s, block_errs, block_sizes = _tree_sums(t, start, scratch)  # overwrites t
-        kept = []
-        for j, row in enumerate(live):
-            i, n, largest, terms = row
-            if parts:
-                parts[i].append(block_s[j])
-                errs[i] += block_errs[j]
-                sizes[i] += block_sizes[j]
-            else:
-                part = t[j] if n >= stop else t[j, :n - start]
-                terms.append(part if python else memoryview(part))
-            if n > stop:
-                last = lasts[j]
-                if math.isfinite(last):
-                    row[2] = largest = max(largest, abs(highs[j]), abs(lows[j]))
-                    rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
-                    if stop <= nu or not (rho < 1.0 and abs(last) * rho
-                                          <= _TAIL_FRACTION * largest * (1.0 - rho)):
-                        kept.append(j)
-                        continue
-            if not parts:
-                sums[i] = _fsum(itertools.chain((1.0,), *terms))
+        if start + block > _MAX_TERMS and n > _MAX_TERMS:  # refuse before allocating
+            return None
+        stop = min(start + block, n)
+        python = stop <= python_terms
+        t = (_python_row if python else _term_block)(n, a, nu, start, stop, prev)
+        terms.append(t if python else memoryview(t))
+        prev = float(t[-1])
+        if n > stop and math.isfinite(prev):
+            high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
+            largest = max(largest, abs(high), abs(low))
+            rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
+            if stop <= nu or not (rho < 1.0 and abs(prev) * rho
+                                  <= _TAIL_FRACTION * largest * (1.0 - rho)):
+                start = stop
                 continue
-            sums[i] = _certified_sum(parts[i], errs[i], sizes[i], block, stop)
-            if sums[i] is None:
-                sums[i] = _chunk_sums([n], a, nu, block, False)[0]
-        if not kept:
-            return sums
-        live, prev = [live[j] for j in kept], [lasts[j] for j in kept]
-        start = stop
-
-
-def _cancels_too_far(t) -> bool:
-    """Whether the middle row of t, the first block of a chunk, cancels so
-    far that the _error_bound its size gives is at least 2^-56 of its
-    naive sum (t_0 = 1 included).  A certificate of _certified_sum fails
-    about once in 2^-53 |sum| / bound rows, here once in 8 or more, and
-    each row that fails is summed again alone: fsum alone then sums the
-    chunk about as fast or faster.  The rows of a chunk, nearby degrees
-    at the same a and nu, cancel alike."""
-    import numpy as np
-    row = t[len(t) // 2]
-    with np.errstate(over="ignore", invalid="ignore"):
-        size, naive = float(np.abs(row).sum()) + 1.0, float(row.sum()) + 1.0
-    return _error_bound(size, len(row), len(row)) * 2.0 ** 56 >= abs(naive)
-
-
-def _tree_sums(t, start: int, scratch):
-    """For each row of the 2-D block t of terms t_{start+1}, ...: the float
-    s its terms reduce to in a tree of error-free TwoSums (Knuth), err,
-    the float sum of those TwoSums' errors e, so that the row's exact sum
-    is s + sum(e), and size, the float sum of its |terms| (plus |t_0| = 1
-    in the first block).  Returned as three lists; t is overwritten.
-
-    Each level adds the first half of what is left to the second half, an
-    odd last term passing up unchanged, until one term is left; every e is
-    exact unless a sum overflows.  The e of the first level stay where its
-    first half was, in acc; each later level adds its e into acc's first
-    rows, and acc is then folded in halves, so that each e meets at most
-    2 levels - 2 rounded additions on its way into err.  The tree works on
-    a copy x of t in scratch, which holds at least t.size doubles, with a
-    row per term index, so that every operand is contiguous; and on o,
-    t's own memory in the same shape, for the |terms| and then each
-    level's sums and its TwoSums' b' = s - a.  t, as _term_block returns
-    it, is C-contiguous, so o is a view of it.
-    """
-    import numpy as np
-    rows, w = t.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # rows with inf or nan fall back
-        x = scratch[:t.size].reshape(w, rows)
-        np.copyto(x, t.T)
-        size = np.abs(t, out=t).sum(axis=1) + (0.0 if start else 1.0)
-        o = t.reshape(w, rows)
-        spare = (o, x[w // 2:])  # the first level's input and acc never meet
-        acc, src, level = x[:w // 2], x, 0
-        while w > 1:
-            h = w // 2
-            a, b = src[:h], src[h:2 * h]
-            z, s = spare[level % 2][:h], spare[level % 2][h:w]
-            np.add(a, b, out=s[:h])
-            if w & 1:
-                s[h] = src[2 * h]
-            np.subtract(s[:h], a, out=z)  # b' = s - a
-            b -= z                        # b - b'
-            np.subtract(s[:h], z, out=z)  # a' = s - b'
-            a -= z                        # a - a'
-            a += b                        # e, exactly
-            if level:
-                acc[:h] += a
-            src, w, level = s, w - h, level + 1
-        w = len(acc)
-        while w > 1:
-            h = w // 2
-            acc[:h] += acc[w - h:w]
-            w -= h
-        err = acc[0].tolist() if len(acc) else [0.0] * len(size)
-        return src[0].tolist(), err, size.tolist()
-
-
-def _error_bound(size: float, block: int, stop: int) -> float:
-    """A bound on |err - sum(e)| for a row summed by _tree_sums in blocks
-    of at most `block` terms up to `stop`, whose |terms| sum to size.
-
-    Each e of a TwoSum is at most 2^-53 (|a| + |b|) in size, and each
-    level's |inputs| sum to at most (1 + 2^-53) times the last level's, so
-    the e of a block's `levels` levels total at most about
-    levels 2^-53 size.  Each e reaches err through at most
-    2 levels + stop // block + 1 rounded additions (the tree's, and one per
-    block), so the bound is size depth levels 2^-105: twice the
-    first-order bound, plus the smallest subnormal for an underflowing
-    product.
-    """
-    levels = (block - 1).bit_length()
-    return size * ((2 * levels + stop // block + 1) * levels * 2.0 ** -105) + 5e-324
-
-
-def _certified_sum(parts: list, err: float, size: float, block: int, stop: int):
-    """fsum of a row's terms, from its tree: parts holds 1.0 (t_0) and the
-    s of each of its blocks of at most `block` terms up to `stop`, err the
-    sum of their errs, and size the sum of their sizes.  None where the
-    value cannot be certified, so that the caller falls back to fsum.
-
-    err is within bound = _error_bound(size, block, stop) of the exact
-    sum of e, so r = fsum(parts + [err]) is the correctly rounded exact
-    sum, the double fsum returns, when r is nonzero and the exact residual
-    sum(parts) + err - r, widened by bound each way, lies strictly inside
-    half the gap from r to each neighbour: values strictly inside round
-    to r, and a tie is left to fsum.  Both tests read the sign of an fsum
-    result, which is exact.  A size of at most 2^1020 keeps every partial
-    sum finite, the tree's and fsum's alike.
-    """
-    if not size <= _TREE_MAGNITUDE:  # also a nan or inf among the terms
-        return None
-    bound = _error_bound(size, block, stop)
-    r = math.fsum(parts + [err])
-    if r == 0.0:
-        return None
-    up = (math.nextafter(r, math.inf) - r) / 2.0
-    down = (r - math.nextafter(r, -math.inf)) / 2.0
-    if math.fsum(parts + [err, -r, bound, -up]) < 0.0 < math.fsum(parts + [err, -r, -bound, down]):
-        return r
-    return None
+        return _fsum(itertools.chain.from_iterable(terms))
 
 
 def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:
     """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a list, continued
-    from prev = t_start: _term_block's row for n, built in Python with the
-    same roundings, since each is one IEEE operation in the same order.
+    from prev = t_start: _term_block's terms, built in Python with the same
+    roundings, since each is one IEEE operation in the same order.
     Raises DomainError, before building any, when stop is past _MAX_TERMS.
     """
     if stop > _MAX_TERMS:
@@ -413,28 +216,26 @@ def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -
     return row
 
 
-def _term_block(ns: list, a: float, nu: float, start: int, stop: int, prev: list):
-    """The terms t_{start+1}, ..., t_stop of c_n^a(nu) for each degree n of
-    ns, a row per degree of a 2-D numpy array: the row of n is continued
-    from its prev = t_start by one cumprod of the ratios
+def _term_block(n: int, a: float, nu: float, start: int, stop: int, prev: float):
+    """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a numpy array,
+    continued from prev = t_start by one cumprod of the ratios
     ((n-k)/(k+1)) ((k-nu)/a), k = start .. stop-1.  Overflow gives inf
     silently.  Raises DomainError, before allocating, when stop is past
     _MAX_TERMS.
     """
     if stop > _MAX_TERMS:
-        raise _too_many_terms(max(ns), a, nu)
+        raise _too_many_terms(n, a, nu)
     import numpy as np
-    # k is a row, so that for one degree no operand is broadcast after the
-    # first; the block is built in place, as fresh 2-D temporaries cost
-    # more than the arithmetic
-    k = np.arange(start, stop, dtype=float)[None]
+    # the block is built in place, as fresh temporaries cost more than the
+    # arithmetic
+    k = np.arange(start, stop, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = np.array(ns, dtype=float)[:, None] - k
+        ratios = float(n) - k
         ratios /= k + 1.0
         ratios *= (k - nu) / a
         if start:  # t_0 = 1, so the first block needs no prev
-            ratios[:, 0] *= prev
-        return ratios.cumprod(axis=1, out=ratios)
+            ratios[0] *= prev
+        return ratios.cumprod(out=ratios)
 
 
 def charlier_order_shift(n: int, a: float, nu: float,

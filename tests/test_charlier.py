@@ -3,7 +3,6 @@ import functools
 import io
 import json
 import math
-import re
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +19,6 @@ from charlier_hermite import (
     scaled_y,
 )
 from charlier_hermite import charlier
-from charlier_hermite.charlier import _charlier_values
 
 # mpmath (50 digits) oracle for the float path, frozen to 17 digits
 CHARLIER_ORACLE = [
@@ -223,102 +221,6 @@ def test_truncated_sum_matches_full_sum():
     assert not diffs, diffs[:5]
 
 
-def test_tree_sums_match_full_sum(recorded):
-    # The TwoSum tree path of _charlier_values against fsum over all n + 1
-    # terms, bit for bit: chunks of 32 degrees at block 1024, every fifth nu
-    # an integer, nu up to 9 where rows cancel past certifying and fall
-    # back, and 8 degrees at each block size 1024 .. 1058 at a > 65536.
-    certified = recorded(charlier, "_certified_sum")
-    rng = np.random.default_rng(1058)
-    cases = []
-    for i in range(25):
-        nu = float(rng.integers(-9, 10)) if i % 5 == 0 else float(rng.uniform(-9.0, 9.0))
-        a = float(10.0 ** rng.uniform(3.0, 4.3))
-        top = ScaledPoint(float(rng.uniform(-1.0, 1.0)), a).n
-        cases.append((list(range(top - 31, top + 1)), a, nu))
-    ns = []
-    for block in range(1024, 1059):
-        centre = min(int(((block + 0.5) / 4.0) ** 2), 70000)
-        ns += list(range(centre - 4, centre + 4))
-    assert {charlier._block_size(n, 70000.5) for n in ns} == set(range(1024, 1059))
-    cases += [(ns, 70000.5, 1.5), (ns, 70000.5, -0.4)]
-    for ns, a, nu in cases:
-        got = [v.hex() for v in _charlier_values(ns, a, nu)]
-        assert got == [_full_sum(n, a, nu).hex() for n in ns], (a, nu)
-    # both sides of the certificate ran
-    assert certified.count(None) > 0 and len(certified) - certified.count(None) > 500
-
-
-def _tree_row_sum(terms):
-    """The sum of one row of terms from the TwoSum tree and its certificate,
-    or _fsum's where the certificate fails; and whether it held."""
-    t = np.array([terms], dtype=float)
-    (s,), (err,), (size,) = charlier._tree_sums(t, 1, np.empty(t.size))
-    total = charlier._certified_sum([s], err, size, t.shape[1], t.shape[1])
-    return (charlier._fsum(terms), False) if total is None else (total, True)
-
-
-@pytest.mark.parametrize("terms, fast", [
-    ([1.0, 2.0 ** -53], False),                 # a tie: fsum rounds it to even
-    ([1.0, 2.0 ** -53, 2.0 ** -106], False),    # just past the tie: rounds up
-    ([1.0, -1.0, 0.0, -0.0], False),            # sums to zero
-    ([0.0, -0.0, -0.0], False),
-    ([-0.0, -0.0], False),
-    ([1.0, -2.0 ** -60], True),                 # below a power of two, rounds to it
-    ([1.0, -3.0 * 2.0 ** -55], True),           # rounds to the double below 1
-    ([1.0, -2.0 ** -54, -2.0 ** -108], False),  # just past the tie below 1
-    ([(-0.7) ** k / (k + 1) for k in range(67)], True),
-    ([math.inf, 1.0], False),
-    ([math.inf, -math.inf, 1.0], False),
-    ([1.7e308, 1.7e308, -1.7e308, -1.7e308, 1.0], False),  # fsum overflows on a prefix
-    ([1.7e308, -1.7e308, 1.0], False),          # too large in size to certify
-])
-def test_certified_sum_is_fsum_or_declines(terms, fast):
-    total, took_fast_path = _tree_row_sum(terms)
-    assert total.hex() == charlier._fsum(terms).hex()
-    assert math.copysign(1.0, total) == math.copysign(1.0, charlier._fsum(terms))
-    assert took_fast_path == fast
-
-
-def test_certified_sum_widens_the_residual_by_the_error_bound():
-    # err = 2^-53 - 2^-106 puts sum(parts) + err just below the tie at
-    # 1 + 2^-53, but the exact sum of e may lie anywhere within the bound
-    # (about 2^-97 here) of err, on either side of the tie
-    assert charlier._certified_sum([1.0], 2.0 ** -53 - 2.0 ** -106, 1.0, 1024, 1024) is None
-    assert charlier._certified_sum([1.0], 2.0 ** -54, 1.0, 1024, 1024) == 1.0
-
-
-def test_tree_path_keeps_exact_zeros_and_domain_errors(recorded):
-    # c_n^a(1) = 1 - n/a is exactly 0 at n = a = 1000; its row falls back
-    # to fsum, as does a zero row handed to the helper directly
-    certified = recorded(charlier, "_certified_sum")
-    ns = list(range(985, 1017))
-    assert [v.hex() for v in _charlier_values(ns, 1000.0, 1.0)] == \
-        [charlier_direct(n, 1000.0, 1.0).hex() for n in ns]
-    assert charlier_direct(1000, 1000.0, 1.0) == 0.0 and certified.count(None) == 1
-    t = charlier._term_block([1000], 1000.0, 1.0, 0, 1000, [1.0])
-    assert _tree_row_sum([1.0] + t[0].tolist()) == (0.0, False)
-    # rows that overflow give charlier_direct's DomainError, in a tree chunk
-    _assert_same_as_one_degree_calls([0, 10, 40, 60, 100, 150, 300] + list(range(51, 61)),
-                                     0.5, 300.5)
-
-
-def test_one_degree_sums_do_not_enter_the_tree(monkeypatch):
-    # the tree loses on one row of a few thousand terms, so charlier_direct,
-    # scaled_y and the zero finders keep fsum, whatever the block size
-    from charlier_hermite import zero_convergence_table
-
-    def refuse(*args):
-        raise AssertionError("a one-degree sum entered the TwoSum tree")
-
-    monkeypatch.setattr(charlier, "_tree_sums", refuse)
-    for n, a, nu in [(60, 70.0, 2.3), (1000, 1000.0, 1.5), (10 ** 6, 1e6, -1.2),
-                     (6 * 10 ** 6, 6e6, 0.5), (10 ** 9, 1e9, 1.5)]:
-        charlier_direct(n, a, nu)
-    scaled_y(ScaledPoint(0.5, 1e6), 2.5)
-    assert zero_convergence_table(0.0, 3.0, (100.0, 1600.0, 6400.0))[-1].n == 6400
-
-
 def test_float_work_is_bounded_before_allocation(arange_cap):
     # The full sums would need 8e12, 8e10 and 8e9 bytes per array; the
     # capped np.arange fails past 10^6 elements in one call.
@@ -358,7 +260,7 @@ def test_python_rows_match_term_block_rows():
         cases.append((n, a, nu, start, stop, prev))
     seen = set()
     for n, a, nu, start, stop, prev in cases:
-        want = charlier._term_block([n], a, nu, start, stop, [prev])[0]
+        want = charlier._term_block(n, a, nu, start, stop, prev)
         assert _hexes(charlier._term_row(n, a, nu, start, stop, prev)) == _hexes(want), \
             (n, a, nu, start, stop, prev)
         seen |= {"zero" for v in want if v == 0} | {"inf" for v in want if math.isinf(v)}
@@ -380,10 +282,10 @@ def test_python_rows_then_numpy_rows_give_the_numpy_sum(recorded):
     crossed = 0
     for n, a, nu in cases:
         block = charlier._block_size(n, a)
-        [want] = charlier._chunk_sums([n], a, nu, block, False, 0)
+        want = charlier._chunk_sums(n, a, nu, block, 0)
         for python_terms in (block, 2 * block, 3 * block + 1, charlier._MAX_TERMS):
             del rows[:], blocks[:]
-            [got] = charlier._chunk_sums([n], a, nu, block, False, python_terms)
+            got = charlier._chunk_sums(n, a, nu, block, python_terms)
             assert repr(got) == repr(want), (n, a, nu, python_terms)  # repr is exact
             assert sum(map(len, rows)) <= python_terms
             crossed += bool(rows and blocks)
@@ -477,55 +379,6 @@ def test_scaled_y_rational():
         scaled_y(ScaledPoint(x=0.0, a=3.0), 1, mode="rational")  # sqrt(6) irrational
     with pytest.raises(RationalModeError):
         scaled_y(ScaledPoint(x=0.0, a=2.0), Fraction(1, 2), mode="rational")
-
-
-def _assert_same_as_one_degree_calls(ns, a, nu):
-    """_charlier_values over the degrees ns gives, degree by degree, what
-    charlier_direct gives: the same double, bit for bit, or the same
-    DomainError.  A batch raises at its first failing degree, so each
-    failing degree is checked as the first of the rest of ns, and the
-    degrees that do not fail are checked together."""
-    want = {}
-    for i, n in enumerate(ns):
-        try:
-            want[n] = charlier_direct(n, a, nu).hex()
-        except DomainError as exc:
-            with pytest.raises(DomainError, match=re.escape(str(exc))):
-                _charlier_values(ns[i:], a, nu)
-    ok = [n for n in ns if n in want]
-    assert [v.hex() for v in _charlier_values(ok, a, nu)] == [want[n] for n in ok], (a, nu)
-
-
-@pytest.mark.parametrize("ns, a, nu", [
-    # degree 0, the n <= 48 loop's degrees and numpy's, in one list
-    ([0, 1, 5, 48, 49, 50, 200, 0], 0.7, 2.3),
-    # one block against two: 1024 terms fit in the first block, 1025 do not
-    ([0, 3, 48] + list(range(1015, 1035)), 1000.5, -3.7),
-    (list(range(1035, 1010, -1)), 1000.5, 0.37),
-    (list(range(990, 1060, 3)), 1024.0, 4.5),
-    # more degrees than one chunk holds, in no particular order
-    ([5000 + (37 * i) % 101 - 50 for i in range(101)], 5000.25, -1.2),
-    # block sizes 1024 up to 1058 at a > 65536, so several groups
-    (list(range(65400, 65700, 13)) + list(range(69990, 70011, 4)) + [70500], 70000.5, 1.5),
-    # rows whose terms overflow, and rows refused at the term cap
-    ([0, 10, 40, 60, 100, 150, 300], 0.5, 300.5),
-    ([0, 5, 49, 10 ** 7, 10 ** 15, 3], 1e15, -5.0),
-])
-def test_batched_sums_match_one_degree_calls(ns, a, nu):
-    _assert_same_as_one_degree_calls(ns, a, nu)
-
-
-def test_batched_sums_match_one_degree_calls_property():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
-    @hypothesis.given(st.floats(0.5, 3000.0), st.floats(-9.0, 9.0),
-                      st.lists(st.integers(0, 3200), min_size=1, max_size=12))
-    def check(a, nu, ns):
-        _assert_same_as_one_degree_calls(ns, a, nu)
-
-    check()
 
 
 @functools.lru_cache(maxsize=None)

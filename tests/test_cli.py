@@ -332,7 +332,7 @@ _README_IMPORTS = [
     ("eval scaled --x 0.5 --a 10000 --nu 1.5", _SUM, False),
     ("sweep convergence --nu 1.5 --x 0.7 --a-list 100,1000,10000,100000",
      [*_SUM, "hermite", "ratefit", "special"], False),
-    ("plot fnu --nu -3 --t-max 3 --dt 0.01", _SPLIT, False),
+    ("plot fnu --nu -3 --t-max 3 --dt 0.01", ["asymptotics", "cli", "errors", "hermite", "special"], False),
     ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
      [*_SUM, "hermite", "ratefit", "special", "zeros"], False),
     ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], True),

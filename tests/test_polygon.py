@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -79,7 +80,7 @@ def test_node_count_is_capped_before_any_work(monkeypatch):
         raise AssertionError("work started before the node count was checked")
 
     monkeypatch.setattr(np, "empty", no_work)
-    monkeypatch.setattr(polygon, "_charlier_values", no_work)
+    monkeypatch.setattr(polygon, "charlier_direct", no_work)
     for x_max, dx in ((1.0, 1e-9), (1e308, 1e-300)):
         with pytest.raises(DomainError, match="1000000 nodes"):
             euler_polygon(1.0, (0.0, 2.0), x_max, dx)
@@ -170,91 +171,91 @@ def test_lipschitz_bound_value():
     assert system_matrix_norm_bound(xi, psi) == want
 
 
-def _assert_states_are_per_degree_values(tr, nu, a, direction, nodes=None):
-    # z_k = (r^nu c_m, r^{nu+1} (c_m - c_{m+direction})) with m = ceil(a) -
-    # direction k, each c_m a charlier_direct call, rounded as a node-by-node
-    # evaluation rounds them
-    r = math.sqrt(2.0 * a)
-    scale = r ** nu
-    top = math.ceil(a)
-    for k in range(len(tr.xs)) if nodes is None else nodes:
-        m = top - direction * k
-        c, c_prev = charlier_direct(m, a, nu), charlier_direct(m + direction, a, nu)
-        assert tr.states[k, 0] == scale * c, (k, m)
-        assert tr.states[k, 1] == direction * scale * r * (c - c_prev), (k, m)
+@functools.lru_cache(maxsize=None)
+def _mp_charlier(n, a, nu):
+    """(c_n^a(nu), sum_k (k+1)|t_k|) from the series at the exact values of
+    a and nu, summed by mpmath at 40 digits until the tail is certified
+    below 10^-40 of the second sum, by the bound _chunk_sums uses."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        a_m, nu_m = mp.mpf(a), mp.mpf(nu)
+        term = total = weight = mp.mpf(1)
+        for k in range(1, n + 1):
+            term *= (n - k + 1) * (k - 1 - nu_m) / (k * a_m)
+            total += term
+            weight += (k + 1) * abs(term)
+            if k % 16 == 0 and k > max(nu, 0.0):
+                rho = ((n - k) / a) * max(1.0, (k - nu) / (k + 1))
+                if rho < 1.0 and abs(term) * rho <= 1e-40 * weight * (1.0 - rho):
+                    break
+        return +total, +weight
 
 
-@pytest.mark.parametrize("nu, a, x_max, direction", [
-    (0.7, 0.5, 2.0, -1),        # reaches degree 0
-    (-2.3, 3000.0, 1.0, 1),
-    (-2.3, 3000.0, 1.0, -1),
-    (2.7, 20000.0, 1.0, 1),     # chunks of 32 degrees
-    (2.7, 20000.0, 1.0, -1),
-    (1.5, 70050.5, 0.3, 1),     # block sizes 1057 and 1058
-    (-0.4, 70050.5, 0.3, -1),
-])
-def test_state_trace_is_the_per_degree_formula(nu, a, x_max, direction):
-    tr = charlier_state_trace(nu, a, x_max, direction)
-    x = 0.0
-    for k in range(len(tr.xs)):
-        assert tr.xs[k] == x
-        x += direction * tr.step
-    _assert_states_are_per_degree_values(tr, nu, a, direction)
+def _assert_states_within_oracle_tolerance(tr, nu, a, direction, nodes):
+    # y_k = r^nu c_m and dy_k = direction r^{nu+1} (c_m - c_{m+direction}),
+    # m = ceil(a) - direction k, each within 8 eps (scale * weight) +
+    # 8 eps |value| of the exact series, as for a float sum of that weight
+    mp = pytest.importorskip("mpmath").mp
+    eps = 2.0 ** -52
+    with mp.workdps(40):
+        r = mp.sqrt(2 * mp.mpf(a))
+        scale = r ** mp.mpf(nu)
+        for k in nodes:
+            m = math.ceil(a) - direction * k
+            (c, w), (c_prev, w_prev) = _mp_charlier(m, a, nu), _mp_charlier(m + direction, a, nu)
+            y, dy = scale * c, direction * scale * r * (c - c_prev)
+            assert abs(tr.states[k, 0] - y) <= 8 * eps * (scale * w + abs(y)), (k, m)
+            assert abs(tr.states[k, 1] - dy) <= 8 * eps * (scale * r * (w + w_prev) + abs(dy)), (k, m)
 
 
-def test_state_trace_blocks_stay_within_the_element_budget(monkeypatch):
-    # 45 nodes at a = 1e9 need 46 degrees with blocks of 126,491 terms: in
-    # one block they would hold 5.8e6 elements, so each degree gets its own
-    shapes = []
-    term_block = charlier._term_block
-
-    def recorded(*args):
-        t = term_block(*args)
-        shapes.append(t.shape)
-        return t
-
-    # and the TwoSum tree's input and its scratch: one array of the size of
-    # the chunk's first block, never padded (a block of 1057 terms padded
-    # to 2048 would hold 22 degrees * 2048 = 45,056 elements)
-    trees = []
-    tree_sums = charlier._tree_sums
-
-    def tree_recorded(t, start, scratch):
-        trees.append((t.shape, scratch.shape))
-        return tree_sums(t, start, scratch)
-
-    monkeypatch.setattr(charlier, "_term_block", recorded)
-    monkeypatch.setattr(charlier, "_tree_sums", tree_recorded)
-    tr = charlier_state_trace(0.7, 1e9, 0.001)
-    assert len(tr.xs) == 45 and shapes
-    assert all(r == 1 for r, _ in shapes), set(shapes)
-    assert not trees  # one degree a chunk: fsum sums it
-    _assert_states_are_per_degree_values(tr, 0.7, 1e9, 1, nodes=(0, 22, 44))
-    # at a = 2e4 and a = 70050.5 (blocks of 1057 and 1058 terms) the
-    # degrees share blocks, none above the budget
-    for nu, a, x_max, widths in ((2.7, 20000.0, 1.0, {1024}), (1.5, 70050.5, 0.3, {1057, 1058})):
-        shapes.clear()
-        trees.clear()
-        tr = charlier_state_trace(nu, a, x_max)
-        rows = [s for s in shapes if s[0] > 1]
-        assert rows and max(r * w for r, w in rows) <= charlier._BLOCK_ELEMENTS
-        assert {w for (_, w), _ in trees} == widths
-        assert all(r * w <= s <= charlier._BLOCK_ELEMENTS for (r, w), (s,) in trees), set(trees)
-    assert (22, 1057) in {t for t, _ in trees}
-    _assert_states_are_per_degree_values(tr, 1.5, 70050.5, 1)
+def test_state_trace_is_within_oracle_tolerance():
+    # a seeded grid over nu in [-3, 4], a from 10 to 1e5, x_max in {1, 2.5}
+    # and both directions; every node where the trace has at most 20, else
+    # nodes 0, 1, the last and three more.  The fixed cases: degree 0, an
+    # a where anchors 32 nodes apart would span a turn of about 2 pi
+    # (33 times the tolerance), and the largest trace at a = 1e5.
+    rng = np.random.default_rng(11)
+    cases = [(0.7, 0.5, 2.0, -1), (3.8011888941282166, 97.08298473539806, 2.5, 1),
+             (3.9, 1e5, 2.5, -1)]
+    for i in range(16):
+        cases.append((float(rng.uniform(-3.0, 4.0)), float(10.0 ** rng.uniform(1.0, 5.0)),
+                      (1.0, 2.5)[i % 2], (1, -1)[i // 2 % 2]))
+    for nu, a, x_max, direction in cases:
+        try:
+            tr = charlier_state_trace(nu, a, x_max, direction)
+        except DomainError:
+            assert direction == 1 and math.ceil(a) <= x_max * math.sqrt(2.0 * a)
+            continue
+        steps = len(tr.xs) - 1
+        x = 0.0
+        for k in range(steps + 1):
+            assert tr.xs[k] == x
+            x += direction * tr.step
+        nodes = range(steps + 1) if steps <= 20 else \
+            {0, 1, steps, *(int(k) for k in rng.integers(2, steps, 3))}
+        _assert_states_within_oracle_tolerance(tr, nu, a, direction, nodes)
 
 
-def test_state_trace_range_takes_the_certified_fast_path(recorded):
-    # Over the `trace` benchmark's range (nu in [-2, 3], a from 1e3 to 2e4,
-    # both directions), every row of a chunk summed by the TwoSum tree is
-    # certified: no chunk is left to fsum and no row falls back to it.  A
-    # certificate that always failed would pass every bit-identity test.
-    chunks = recorded(charlier, "_cancels_too_far")
-    rows = recorded(charlier, "_certified_sum")
-    rng = np.random.default_rng(34)
-    for i in range(17):
-        a = 10.0 ** (3.0 + 1.3 * i / 16)
-        for direction in (1, -1):
-            charlier_state_trace(float(rng.uniform(-2.0, 3.0)), a, 1.0, direction)
-    assert chunks and not any(chunks) and None not in rows
-    assert len(rows) > 2500
+def test_state_trace_end_nodes_are_charlier_direct():
+    # node 0 and the last node carry charlier_direct's values, bit for bit,
+    # on any input where the trace returns; every state is finite
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(-8.0, 8.0), st.floats(1e-3, 1e5), st.floats(0.0, 3.0),
+                      st.sampled_from((1, -1)))
+    @hypothesis.example(1.5, 0.5, 0.0, -1)   # steps == 0 at top == 1
+    @hypothesis.example(-7.5, 0.5, 3.0, -1)  # top == 1, degree 0 before node 0
+    def check(nu, a, x_max, direction):
+        try:
+            tr = charlier_state_trace(nu, a, x_max, direction)
+        except DomainError:
+            return
+        assert np.isfinite(tr.states).all()
+        r, top, steps = math.sqrt(2.0 * a), math.ceil(a), len(tr.xs) - 1
+        for k in (0, steps):
+            want = charlier._scaled(r, nu, charlier_direct(top - direction * k, a, nu))
+            assert float(tr.states[k, 0]).hex() == want.hex(), (k, top)
+
+    check()

@@ -37,6 +37,8 @@ def test_closed_forms():
     # n=1 is the linear seed 1 - nu/a
     assert math.isclose(charlier_direct(1, 4.0, 1.3), 1.0 - 1.3 / 4.0, rel_tol=1e-15)
     assert charlier_direct(2, 2.0, 2.0) == -0.5
+    # c_n^a(1) = 1 - n/a cancels to exactly 0 at n = a, past the n <= 48 loop
+    assert charlier_direct(1000, 1000.0, 1.0) == 0.0
 
 
 def test_float_path_against_oracle():

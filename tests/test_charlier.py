@@ -223,6 +223,86 @@ def test_truncated_sum_matches_full_sum():
     assert not diffs, diffs[:5]
 
 
+def _series_sum(n, a, nu, chunk=1 << 16):
+    """_full_sum built in chunks of one cumprod each, stopped once a term is
+    exactly 0 (every later one is too): inf where a term or the sum is
+    outside double range, and None where more than _MAX_TERMS terms are
+    left nonzero."""
+    terms, prev, start = [1.0], 1.0, 0
+    while start < n and prev != 0:
+        if start >= charlier._MAX_TERMS:
+            return None
+        k = np.arange(start, min(start + chunk, n), dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ratios = ((n - k) / (k + 1.0)) * ((k - nu) / a)
+            ratios[0] *= prev
+            t = np.cumprod(ratios)
+        if not np.isfinite(t).all():
+            return math.inf
+        terms += t[t != 0].tolist()
+        prev, start = float(t[-1]), start + len(t)
+    return charlier._fsum(terms)
+
+
+def _assert_is_series_sum(n, a, nu):
+    """charlier_direct(n, a, nu) is _series_sum's double, bit for bit, or
+    the DomainError that stands for its inf or None."""
+    want = _series_sum(n, a, nu)
+    if want is None:
+        with pytest.raises(DomainError, match="needs more than"):
+            charlier_direct(n, a, nu)
+    elif not math.isfinite(want):
+        with pytest.raises(DomainError, match="outside double range"):
+            charlier_direct(n, a, nu)
+    else:
+        assert charlier_direct(n, a, nu).hex() == want.hex(), (n, a, nu)
+
+
+@pytest.mark.parametrize("ns, a, nu", [
+    # degree 0, the n <= 48 loop's degrees and numpy's
+    ([0, 1, 5, 48, 49, 50, 200], 0.7, 2.3),
+    # one block against two: 1024 terms fit in the first block, 1025 do not
+    ([0, 3, 48] + list(range(1015, 1035)), 1000.5, -3.7),
+    (list(range(1035, 1010, -1)), 1000.5, 0.37),
+    (list(range(990, 1060, 3)), 1024.0, 4.5),
+    ([5000 + (37 * i) % 101 - 50 for i in range(0, 101, 5)], 5000.25, -1.2),
+    # block sizes 1024 up to 1058 at a > 65536
+    (list(range(65400, 65700, 37)) + list(range(69990, 70011, 4)) + [70500], 70000.5, 1.5),
+    # degrees whose terms overflow, and one refused at the term cap
+    ([0, 10, 40, 60, 100, 150, 300], 0.5, 300.5),
+    ([0, 5, 49, 10 ** 7, 10 ** 15, 3], 1e15, -5.0),
+])
+def test_one_degree_sums_are_the_series_sum(ns, a, nu):
+    for n in ns:
+        _assert_is_series_sum(n, a, nu)
+
+
+def test_one_degree_sums_are_the_series_sum_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(0.5, 3000.0), st.floats(-9.0, 9.0), st.integers(0, 3200))
+    def check(a, nu, n):
+        _assert_is_series_sum(n, a, nu)
+
+    check()
+
+
+def test_every_block_size_gives_the_series_sum():
+    # at a > 65536 the block size grows with the degree, from 1024 to 1058
+    # terms at a = 70000.5; two degrees at each size, for nu above and
+    # below 0
+    ns = []
+    for block in range(1024, 1059):
+        centre = min(int(((block + 0.5) / 4.0) ** 2), 70000)
+        ns += [centre - 1, centre]
+    assert {charlier._block_size(n, 70000.5) for n in ns} == set(range(1024, 1059))
+    for nu in (1.5, -0.4):
+        for n in ns:
+            _assert_is_series_sum(n, 70000.5, nu)
+
+
 def test_float_work_is_bounded_before_allocation(arange_cap):
     # The full sums would need 8e12, 8e10 and 8e9 bytes per array; the
     # capped np.arange fails past 10^6 elements in one call.

@@ -208,32 +208,65 @@ def _assert_states_within_oracle_tolerance(tr, nu, a, direction, nodes):
             assert abs(tr.states[k, 1] - dy) <= 8 * eps * (scale * r * (w + w_prev) + abs(dy)), (k, m)
 
 
-def test_state_trace_is_within_oracle_tolerance():
+def _oracle_cases():
     # a seeded grid over nu in [-3, 4], a from 10 to 1e5, x_max in {1, 2.5}
-    # and both directions; every node where the trace has at most 20, else
-    # nodes 0, 1, the last and three more.  The fixed cases: degree 0, an
-    # a where anchors 32 nodes apart would span a turn of about 2 pi
-    # (33 times the tolerance), and the largest trace at a = 1e5.
+    # and both directions.  The fixed cases: degree 0, an a where anchors
+    # 32 nodes apart would span a turn of about 2 pi (33 times the
+    # tolerance), the largest trace at a = 1e5, and traces at a = 3000,
+    # 2e4 and 70050.5 in both directions.
     rng = np.random.default_rng(11)
     cases = [(0.7, 0.5, 2.0, -1), (3.8011888941282166, 97.08298473539806, 2.5, 1),
-             (3.9, 1e5, 2.5, -1)]
+             (3.9, 1e5, 2.5, -1), (-2.3, 3000.0, 1.0, 1), (-2.3, 3000.0, 1.0, -1),
+             (2.7, 20000.0, 1.0, 1), (2.7, 20000.0, 1.0, -1),
+             (1.5, 70050.5, 0.3, 1), (-0.4, 70050.5, 0.3, -1)]
     for i in range(16):
         cases.append((float(rng.uniform(-3.0, 4.0)), float(10.0 ** rng.uniform(1.0, 5.0)),
                       (1.0, 2.5)[i % 2], (1, -1)[i // 2 % 2]))
-    for nu, a, x_max, direction in cases:
-        try:
-            tr = charlier_state_trace(nu, a, x_max, direction)
-        except DomainError:
-            assert direction == 1 and math.ceil(a) <= x_max * math.sqrt(2.0 * a)
-            continue
-        steps = len(tr.xs) - 1
-        x = 0.0
-        for k in range(steps + 1):
-            assert tr.xs[k] == x
-            x += direction * tr.step
-        nodes = range(steps + 1) if steps <= 20 else \
-            {0, 1, steps, *(int(k) for k in rng.integers(2, steps, 3))}
-        _assert_states_within_oracle_tolerance(tr, nu, a, direction, nodes)
+    return cases
+
+
+@pytest.mark.parametrize("nu, a, x_max, direction", _oracle_cases())
+def test_state_trace_is_within_oracle_tolerance(nu, a, x_max, direction):
+    # every node where the trace has at most 20, else nodes 0, 1, the last
+    # and three more
+    try:
+        tr = charlier_state_trace(nu, a, x_max, direction)
+    except DomainError:
+        assert direction == 1 and math.ceil(a) <= x_max * math.sqrt(2.0 * a)
+        return
+    steps = len(tr.xs) - 1
+    x = 0.0
+    for k in range(steps + 1):
+        assert tr.xs[k] == x
+        x += direction * tr.step
+    rng = np.random.default_rng(11)
+    nodes = range(steps + 1) if steps <= 20 else \
+        {0, 1, steps, *(int(k) for k in rng.integers(2, steps, 3))}
+    _assert_states_within_oracle_tolerance(tr, nu, a, direction, nodes)
+
+
+@pytest.mark.parametrize("nu, a, x_max, direction", [
+    (2.7, 20000.0, 2.5, 1),
+    (-0.4, 1e9, 0.001, -1),
+    (3.9, 12.0, 1.0, -1),  # turns by up to 0.62 radians a degree: anchors 3 apart
+])
+def test_state_trace_sums_only_its_anchors(monkeypatch, nu, a, x_max, direction):
+    # charlier_direct runs at node 0, at every span-th node and at the last
+    # node, and nowhere else; the recurrence gives the rest
+    degrees = []
+
+    def recorded(n, a, nu):
+        degrees.append(n)
+        return charlier_direct(n, a, nu)
+
+    monkeypatch.setattr(polygon, "charlier_direct", recorded)
+    tr = charlier_state_trace(nu, a, x_max, direction)
+    steps, top = len(tr.xs) - 1, math.ceil(a)
+    theta = math.asin(math.sqrt(min(1.0, max(nu, 0.0) / a)))
+    span = int(2.0 / max(theta, 2.0 / polygon._SPAN))
+    nodes = sorted({*range(0, steps, span), max(steps, 1)})
+    assert degrees == [top - direction * k for k in nodes]
+    assert len(degrees) <= steps // span + 2
 
 
 def test_state_trace_end_nodes_are_charlier_direct():

@@ -164,22 +164,29 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     For nu <= -4 the t_k are positive and unimodal from t_0 = 1; they are
     built block by block until a block ends below the smallest normal
     double, past the peak, so the work is O(sqrt(a)) and not O(A).
+    y0_direct sums the same terms up to the block where charlier_direct's
+    sum ends, and the rows go on at least that far, so it is
+    charlier_direct(A) bit for bit without building them again.
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
-    from .charlier import (_block_size, _python_row, _python_terms, _scaled, _term_block,
-                           charlier_direct)
+    from .charlier import (_block_size, _ends_sum, _fsum, _python_row, _python_terms,
+                           _scaled, _term_block, charlier_direct)
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
-    terms, start = [1.0], 0
+    terms, start, largest, c_A = [1.0], 0, 1.0, None
     block = _block_size(A, a)
-    # the rows take about ten blocks, and charlier_direct(A) after them five
-    python_terms = _python_terms(15 * block)
-    while start < A and sys.float_info.min <= terms[-1] < math.inf:
+    python_terms = _python_terms(10 * block)  # the rows take about ten blocks
+    while start < A and terms[-1] < math.inf and (
+            c_A is None or sys.float_info.min <= terms[-1]):
         stop = min(A, start + block)
         if stop <= python_terms:
-            terms += _python_row(A, a, nu, start, stop, terms[-1])
+            t = _python_row(A, a, nu, start, stop, terms[-1])
         else:
-            terms += _term_block(A, a, nu, start, stop, terms[-1]).tolist()
+            t = _term_block(A, a, nu, start, stop, terms[-1])
+        terms += t if isinstance(t, list) else t.tolist()
+        if c_A is None:
+            largest, ends = _ends_sum(A, a, nu, stop, t, largest)
+            c_A = _fsum(terms) if ends else None
         start = stop
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
@@ -191,7 +198,7 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"head/tail split at a={a!r}, nu={nu!r} is outside double range")
     r_head, r_tail, y0_reconstructed = sums
-    y0_direct = _scaled(2.0 * a, 0.5 * nu, charlier_direct(A, a, nu))
+    y0_direct = _scaled(2.0 * a, 0.5 * nu, c_A)
     y0_ceiling = None
     if math.ceil(a) != A:
         y0_ceiling = _scaled(2.0 * a, 0.5 * nu, charlier_direct(math.ceil(a), a, nu))

@@ -169,15 +169,10 @@ def _chunk_sums(n: int, a: float, nu: float, block: int, python_terms: int | Non
     continued from the last term of the previous block.  Blocks that end
     at or before python_terms are built by _python_row instead, with the
     same roundings; by default that is _python_terms of five blocks, the
-    most a sum at n = a > 65536 was seen to need.  The sum stops at t_n,
-    after the first block whose last term is not finite, or once the rest
-    is certified negligible: for j >= k > max(nu, 0) every later ratio is
-    at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in size, so once rho < 1
-    the terms past k sum to at most |t_k| rho/(1-rho), and the sum stops
-    after the first block where that bound is at most _TAIL_FRACTION of
-    its largest term.  Every term is rounded as one cumprod over all its
-    ratios would round it, wherever the blocks break, and fsum, which sums
-    the blocks kept, is exactly rounded.
+    most a sum at n = a > 65536 was seen to need.  The sum stops after the
+    first block for which _ends_sum holds.  Every term is rounded as one
+    cumprod over all its ratios would round it, wherever the blocks break,
+    and fsum, which sums the blocks kept, is exactly rounded.
     """
     if python_terms is None:
         python_terms = _python_terms(5 * block)
@@ -190,15 +185,29 @@ def _chunk_sums(n: int, a: float, nu: float, block: int, python_terms: int | Non
         t = (_python_row if python else _term_block)(n, a, nu, start, stop, prev)
         terms.append(t if python else memoryview(t))
         prev = float(t[-1])
-        if n > stop and math.isfinite(prev):
-            high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
-            largest = max(largest, abs(high), abs(low))
-            rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
-            if stop <= nu or not (rho < 1.0 and abs(prev) * rho
-                                  <= _TAIL_FRACTION * largest * (1.0 - rho)):
-                start = stop
-                continue
-        return _fsum(itertools.chain.from_iterable(terms))
+        largest, ends = _ends_sum(n, a, nu, stop, t, largest)
+        if ends:
+            return _fsum(itertools.chain.from_iterable(terms))
+        start = stop
+
+
+def _ends_sum(n: int, a: float, nu: float, stop: int, t, largest: float) -> tuple:
+    """(largest, ends) for the block t of the terms of c_n^a(nu) ending at
+    t_stop, a list or a numpy array, where largest is the largest size of a
+    term before it.  The sum ends with the block at t_n, at a last term
+    that is not finite, or where the rest is certified negligible: for
+    j >= k > max(nu, 0) every later ratio is at most
+    rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in size, so once rho < 1 the terms
+    past k sum to at most |t_k| rho/(1-rho), and the sum ends where that is
+    at most _TAIL_FRACTION of the largest term so far.
+    """
+    last = float(t[-1])
+    if stop >= n or not math.isfinite(last):
+        return largest, True
+    high, low = (max(t), min(t)) if isinstance(t, list) else (float(t.max()), float(t.min()))
+    largest = max(largest, abs(high), abs(low))
+    rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
+    return largest, stop > nu and rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
 
 
 def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:

@@ -2,15 +2,23 @@
 
 Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
 simple); Hermite zeros are zeros of nu -> H_nu(x) for fixed x.  Both are
-found by sign-change scanning on a uniform grid followed by bisection.
+found on a uniform grid: a sign change between two nodes brackets a zero,
+which Brent's zeroin refines to a bracket 1e-12 wide (relative), and a
+node where the function is exactly 0 is a zero itself.
 
 zero_convergence_table tracks one Hermite zero target: for each a it
 takes n = floor(a - x sqrt(2a)) and finds the Charlier zero nearest the
 target inside a window reaching halfway to the adjacent Hermite zeros.
+It needs only the zeros nearest the target, so its scans visit the grid
+outward from the target and stop where no farther cell could hold a
+nearer zero: a few nodes and one refinement per a, where a full scan of
+the window costs every node and every refinement.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -32,37 +40,84 @@ class ZeroResult:
     iterations: int
 
 
-def _bisect(f: Callable[[float], float], lo: float, hi: float,
+def _tol(mid: float) -> float:
+    """The bracket width a refinement stops below, around mid."""
+    return _BRACKET_REL_TOL * max(1.0, abs(mid))
+
+
+def _exact(f: Callable[[float], float], x: float, lo: float, hi: float,
+           iterations: int = 0) -> ZeroResult:
+    """x, where f(x) == 0 exactly.  Its bracket is [x - d, x + d], with d a
+    quarter of _tol(x), where f has opposite signs at its ends, and
+    [lo, hi] otherwise."""
+    d = 0.25 * _tol(x)
+    if f(x - d) * f(x + d) < 0:
+        lo, hi = x - d, x + d
+    return ZeroResult(x, lo, hi, 0.0, iterations)
+
+
+def _refine(f: Callable[[float], float], lo: float, hi: float,
             f_lo: float, f_hi: float) -> ZeroResult:
+    """Brent's zeroin (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) on [lo, hi], where f(lo) f(hi) < 0.
+
+    Each step takes the inverse quadratic or secant estimate where it
+    stays well inside the bracket and the steps keep shrinking, and halves
+    the bracket otherwise; no step is shorter than half the tolerance.  It
+    stops once the bracket is narrower than _tol of its midpoint, or
+    cannot be split in floats.  The bracket's ends have opposite signs,
+    and the root returned lies strictly inside it: the secant point
+    through the ends, as the last step is often the shortest one, which
+    would leave the midpoint a quarter of the tolerance off.  A step onto
+    an exact zero returns it through _exact.
+    """
     if not (f_lo * f_hi < 0):
-        raise DomainError(f"bisection bracket [{lo}, {hi}] has no sign change")
-    iterations = 0
-    root = None
-    while (hi - lo) >= _BRACKET_REL_TOL * max(1.0, abs(0.5 * (lo + hi))):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # interval at float resolution
-        f_mid = f(mid)
-        iterations += 1
-        if f_mid == 0.0:
-            # exact hit: report it but keep the enclosing bracket, whose
-            # ends still have opposite signs
-            root = mid
+        raise DomainError(f"refinement bracket [{lo}, {hi}] has no sign change")
+    # b is the best estimate and c the other end of the bracket, so that
+    # f(b) f(c) < 0 and |f(b)| <= |f(c)|; a is the previous b; d is the
+    # last step and e the one before it
+    a, fa, b, fb = lo, f_lo, hi, f_hi
+    c, fc, d = a, fa, b - a
+    e, iterations = d, 0
+    while True:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        m = 0.5 * (c - b)
+        tol = _tol(b + m)
+        if abs(c - b) < tol or b + m in (b, c):
             break
-        if f_lo * f_mid < 0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    if root is None:
-        root = 0.5 * (lo + hi)
-    # the recorded bracket is the refined one: it certifies the root to
-    # the stated tolerance
+        shortest = 0.5 * tol
+        interpolate = abs(e) >= shortest and abs(fa) > abs(fb)
+        if interpolate:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0 else (-p, q)
+            interpolate = 2.0 * p < 3.0 * m * q - abs(shortest * q) and p < abs(0.5 * e * q)
+        e, d = (d, p / q) if interpolate else (m, m)
+        a, fa = b, fb
+        b += d if abs(d) > shortest else math.copysign(shortest, m)
+        fb = f(b)
+        iterations += 1
+        if fb == 0.0:
+            return _exact(f, b, min(a, c), max(a, c), iterations)
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+    lo, hi = (b, c) if b < c else (c, b)
+    root = b - fb * ((c - b) / (fc - fb))
+    root = min(max(root, math.nextafter(lo, hi)), math.nextafter(hi, lo))
     return ZeroResult(root, lo, hi, abs(f(root)), iterations)
 
 
-def _scan(f: Callable[[float], float], lo: float, hi: float,
-          grid: int) -> list:
-    """Sign-change scan: returns refined ZeroResults in ascending order."""
+def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tuple:
+    """The nodes of a scan of [lo, hi] on `grid` nodes, and zero(i): the
+    zero in slot i, on node i or in the cell from node i to node i + 1, or
+    None.  f is evaluated at a node the first time a slot needs it."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise DomainError(f"need a finite interval lo < hi, got [{lo!r}, {hi!r}]")
     if grid < 2:
@@ -70,22 +125,57 @@ def _scan(f: Callable[[float], float], lo: float, hi: float,
     # np.linspace's grid, node for node, built without numpy
     step = (hi - lo) / (grid - 1)
     xs = [i * step + lo for i in range(grid - 1)] + [hi]
-    fs = [f(x) for x in xs]
-    found = []
+    fs = [None] * grid
     spacing = xs[1] - xs[0]
-    for i, x in enumerate(xs):
-        if fs[i] == 0.0:
-            # grid node hit the zero exactly, either end included: bracket
-            # it symmetrically; the intervals beside it show no sign change
+
+    def f_at(i):
+        if fs[i] is None:
+            fs[i] = f(xs[i])
+        return fs[i]
+
+    def zero(i):
+        if f_at(i) == 0.0:
+            # the node is the zero, either end included; the cells beside
+            # it show no sign change
             d = spacing * 1e-6
-            flo, fhi = f(x - d), f(x + d)
-            if flo * fhi < 0:
-                found.append(_bisect(f, x - d, x + d, flo, fhi))
-            else:
-                found.append(ZeroResult(x, x - d, x + d, 0.0, 0))
-        elif i + 1 < len(xs) and fs[i] * fs[i + 1] < 0:
-            found.append(_bisect(f, x, xs[i + 1], fs[i], fs[i + 1]))
-    return found
+            return _exact(f, xs[i], xs[i] - d, xs[i] + d)
+        if i + 1 < grid and fs[i] * f_at(i + 1) < 0:
+            return _refine(f, xs[i], xs[i + 1], fs[i], fs[i + 1])
+        return None
+
+    return xs, zero
+
+
+def _scan(f: Callable[[float], float], lo: float, hi: float,
+          grid: int) -> list:
+    """Sign-change scan: returns refined ZeroResults in ascending order."""
+    xs, zero = _slots(f, lo, hi, grid)
+    return [z for z in map(zero, range(grid)) if z is not None]
+
+
+def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
+             target: float) -> Optional[ZeroResult]:
+    """The zero of _scan(f, lo, hi, grid) nearest target, the lower one of
+    two as near, or None where there is none.
+
+    Slots are visited in order of their distance from target, and the walk
+    stops at the first slot too far to hold a nearer zero (or one as near
+    and lower); a slot's zero lies in its cell, so abs(root - target) is
+    at least the distance of the cell, rounding included.
+    """
+    xs, zero = _slots(f, lo, hi, grid)
+
+    def bound(i):
+        return max(xs[i] - target, target - xs[min(i + 1, grid - 1)], 0.0), i
+
+    best = None
+    for key in sorted(map(bound, range(grid))):
+        if best is not None and key > best[0]:
+            break
+        z = zero(key[1])
+        if z is not None and (best is None or (abs(z.root - target), key[1]) < best[0]):
+            best = (abs(z.root - target), key[1]), z
+    return best and best[1]
 
 
 def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float,
@@ -154,27 +244,37 @@ class ZeroConvergenceRow:
 
 
 def _nearest_hermite_zero(x: float, target_nu: float) -> float:
-    hits = hermite_zeros_in_order(x, target_nu - 0.5, target_nu + 0.5, grid=64)
-    if not hits:
+    z = _nearest(lambda nu: hermite_fn(nu, x), target_nu - 0.5, target_nu + 0.5, 64, target_nu)
+    if z is None:
         raise DomainError(
             f"no Hermite zero of H_.(x={x}) found within 0.5 of nu={target_nu}"
         )
-    return min((z.root for z in hits), key=lambda r: abs(r - target_nu))
+    return z.root
 
 
 def _target_window(x: float, target: float) -> tuple:
     """Half the gap to the adjacent Hermite zeros on each side; a missing
-    side mirrors the other one."""
-    span = 4.0
-    neighbors = [
-        z.root
-        for z in hermite_zeros_in_order(x, target - span, target + span, grid=400)
-        if abs(z.root - target) > 1e-6
-    ]
-    below = [r for r in neighbors if r < target]
-    above = [r for r in neighbors if r > target]
-    gap_lo = target - max(below) if below else None
-    gap_hi = min(above) - target if above else None
+    side mirrors the other one.
+
+    The adjacent zeros are those of a 400-node scan of [target - 4,
+    target + 4] that lie more than 1e-6 from target.  Zeros ascend with
+    their slots, so each is the first one met walking outward from the
+    slot that holds target.
+    """
+    span, grid = 4.0, 400
+    xs, zero = _slots(lambda nu: hermite_fn(nu, x), target - span, target + span, grid)
+    zero = functools.cache(zero)  # slot k is on both walks
+    k = min(max(bisect.bisect_right(xs, target) - 1, 0), grid - 1)
+
+    def adjacent(slots, side):
+        for z in filter(None, map(zero, slots)):
+            if abs(z.root - target) > 1e-6 and (z.root > target) == (side > 0):
+                return z.root
+        return None
+
+    below, above = adjacent(range(k, -1, -1), -1), adjacent(range(k, grid), 1)
+    gap_lo = target - below if below is not None else None
+    gap_hi = above - target if above is not None else None
     if gap_lo is None and gap_hi is None:
         gap_lo = gap_hi = 2.0
     gap_lo = gap_lo if gap_lo is not None else gap_hi
@@ -199,12 +299,12 @@ def zero_convergence_table(x: float, target_nu: float, a_values,
             n = math.floor(a - x * math.sqrt(2.0 * a))
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
-            hits = _scan(lambda v: charlier_direct(n, a, v), win_lo, win_hi, grid)
-            if not hits:
+            z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, grid, target)
+            if z is None:
                 raise DomainError(
                     f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] for a={a}"
                 )
-            root = min((z.root for z in hits), key=lambda r: abs(r - target))
+            root = z.root
             rows.append(ZeroConvergenceRow(float(a), n, root, abs(root - target)))
         except DomainError as exc:
             rows.append(ZeroConvergenceRow(float(a), -1, math.nan, math.nan, str(exc)))

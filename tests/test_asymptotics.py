@@ -16,7 +16,9 @@ from charlier_hermite import (
     trapezoid_gamma_check,
     upper_incomplete_gamma,
 )
+from charlier_hermite import charlier
 from charlier_hermite.asymptotics import _ceil_4th_root
+from charlier_hermite.charlier import _scaled
 
 
 def test_ceil_4th_root_exact():
@@ -210,3 +212,27 @@ def test_head_tail_split_work_is_bounded(arange_cap):
     assert math.isclose(rep.y0_reconstructed, rep.y0_direct, rel_tol=1e-12)
     with pytest.raises(DomainError, match="more than 10000000 terms"):
         head_tail_split(SplitConfig(1e15, -5.0))
+
+
+def test_head_tail_split_takes_y0_direct_from_its_rows(monkeypatch):
+    # y0_direct is (2a)^{nu/2} charlier_direct(A, a, nu), bit for bit, summed
+    # from the rows' own terms: charlier_direct runs only at the ceiling
+    # degree of a non-integer a
+    rng = np.random.default_rng(12)
+    cases = [(1e8, -4.5), (1e9, -4.5), (1e9 + 0.5, -6.25), (1e4, -4.0), (48.5, -5.0),
+             (49.0, -5.0), (2.0, -4.0), (100.0, -200.0), (1e4, -150.0)]
+    cases += [(float(10.0 ** rng.uniform(0.0, 9.0)), float(rng.uniform(-40.0, -4.0)))
+              for _ in range(12)]
+    degrees = []
+
+    def recorded(n, a, nu):
+        degrees.append(n)
+        return charlier_direct(n, a, nu)
+
+    monkeypatch.setattr(charlier, "charlier_direct", recorded)
+    for a, nu in cases:
+        degrees.clear()
+        rep = head_tail_split(SplitConfig(a, nu))
+        assert degrees == ([] if a == math.floor(a) else [math.ceil(a)])
+        want = _scaled(2.0 * a, 0.5 * nu, charlier_direct(math.floor(a), a, nu))
+        assert rep.y0_direct.hex() == want.hex(), (a, nu)

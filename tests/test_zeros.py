@@ -1,18 +1,22 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from charlier_hermite import (
     DomainError,
+    charlier_direct,
     charlier_zeros_in_order,
     count_positive_zeros,
     fit_rate,
+    hermite_fn,
     hermite_zeros_in_order,
     zero_convergence_table,
+    zeros,
 )
-from charlier_hermite.zeros import _scan
+from charlier_hermite.zeros import _nearest, _refine, _scan, _target_window, _tol
 
 # smallest nu-zero of H_nu(1) in (0, 3); mpmath bisection at 50 digits
 HERMITE_NU_ZERO_AT_X1 = 2.5371955308039388
@@ -182,3 +186,171 @@ def test_scan_grid_is_numpys_linspace():
     for lo, hi, grid in cases:
         if hi > lo:
             assert _scan_grid(lo, hi, grid) == np.linspace(lo, hi, grid).tolist(), (lo, hi, grid)
+
+
+def _assert_bracketed(f, z):
+    # the root lies strictly inside its bracket; where f is not exactly 0
+    # there, the bracket's ends have opposite signs and it is narrower than
+    # the tolerance
+    assert z.bracket_lo < z.root < z.bracket_hi, z
+    if f(z.root) != 0.0:
+        assert f(z.bracket_lo) * f(z.bracket_hi) < 0, z
+        assert z.bracket_hi - z.bracket_lo < _tol(0.5 * (z.bracket_lo + z.bracket_hi)), z
+
+
+@pytest.mark.parametrize("f, lo, hi, root", [
+    (math.sin, 3.0, 3.5, math.pi),
+    (lambda v: v ** 3 - 2.0, 0.0, 4.0, 2.0 ** (1.0 / 3.0)),
+    (lambda v: math.expm1(v - 0.3), -50.0, 1.0, 0.3),
+    (lambda v: math.tanh(1e6 * (v - 0.1)), -1.0, 1.0, 0.1),
+    (lambda v: (v - 1.5) ** 9, 0.0, 2.0, 1.5),  # interpolation is poor: steps fall back to halving
+    (lambda v: math.copysign(1.0, v - 0.7), 0.0, 1.0, 0.7),  # a jump, no zero
+])
+def test_refinement_keeps_the_bisection_contract(f, lo, hi, root):
+    z = _refine(f, lo, hi, f(lo), f(hi))
+    _assert_bracketed(f, z)
+    assert lo <= z.bracket_lo and z.bracket_hi <= hi
+    assert abs(z.root - root) <= _tol(root)
+    # bisection from this width takes about 42 halvings; zeroin never needs
+    # many more, and far fewer where interpolation works
+    assert z.iterations <= 3 * math.ceil(math.log2((hi - lo) / _tol(root)))
+
+
+def test_refinement_step_onto_an_exact_zero():
+    # the first secant step of v - 1 on [0, 3] lands on 1.0 exactly: the
+    # root is that node and its bracket still meets the tolerance
+    z = _refine(lambda v: v - 1.0, 0.0, 3.0, -1.0, 2.0)
+    assert (z.root, z.residual, z.iterations) == (1.0, 0.0, 1)
+    assert z.bracket_lo < 1.0 < z.bracket_hi
+    assert z.bracket_hi - z.bracket_lo <= _tol(1.0)
+    with pytest.raises(DomainError):
+        _refine(lambda v: v - 1.0, 2.0, 3.0, 1.0, 2.0)
+
+
+def test_zero_table_sums_at_most_20_per_a(monkeypatch):
+    # the README table: a full scan of the 64-node window with bisection
+    # made 99 Charlier sums per a, and 511 Hermite calls per table
+    sums, hermite_calls = Counter(), []
+
+    def recorded_charlier(n, a, nu):
+        sums[a] += 1
+        return charlier_direct(n, a, nu)
+
+    def recorded_hermite(nu, x):
+        hermite_calls.append(nu)
+        return hermite_fn(nu, x)
+
+    monkeypatch.setattr(zeros, "charlier_direct", recorded_charlier)
+    monkeypatch.setattr(zeros, "hermite_fn", recorded_hermite)
+    a_values = (100.0, 400.0, 1600.0, 6400.0)
+    rows = zero_convergence_table(0.0, 3.0, a_values)
+    assert all(r.error is None for r in rows)
+    assert sorted(sums) == list(a_values)
+    assert max(sums.values()) <= 20, sums
+    # the window's 400-node scan alone took 400
+    assert len(hermite_calls) <= 250
+
+
+def test_zero_table_past_readme_scale_does_not_load_numpy(fresh_cli):
+    # a full scan spent the process's Python term budget at these a and
+    # loaded numpy partway through
+    code, out, err, numpy_loaded = fresh_cli("zeros", "convergence", "--x", "0", "--target-nu", "3",
+                                             "--a-list", "1e4,4e4,1.6e5,6.4e5")
+    assert (code, numpy_loaded) == (0, False)
+    assert len(out.splitlines()) == 5 and err.startswith("fitted slope -0.50")
+
+
+def _polynomial(roots, sign):
+    return lambda v: sign * math.prod(v - r for r in roots)
+
+
+def _assert_nearest_is_min_of_scan(f, lo, hi, grid, target):
+    full = _scan(f, lo, hi, grid)
+    for z in full:
+        _assert_bracketed(f, z)
+    want = min(full, key=lambda z: abs(z.root - target)) if full else None
+    assert _nearest(f, lo, hi, grid, target) == want
+
+
+def test_nearest_zero_is_the_nearest_of_the_full_scan():
+    # On a grid of integer multiples of a power of two the nodes, and the
+    # distances to a target halfway between two nodes, are exact: roots on
+    # nodes give exact hits, and two of them equally far from the target
+    # give a tie, which goes to the lower one.  Other roots fall anywhere,
+    # within a cell or two of the target on either side, twice over (no
+    # sign change) or outside the window, which may then hold no root.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 80), st.integers(-6, 6), st.integers(-50, 50),
+                      st.lists(st.integers(-5, 85), max_size=4),
+                      st.lists(st.floats(-0.2, 1.2), max_size=3),
+                      st.lists(st.floats(-2.5, 2.5), max_size=3),
+                      st.sampled_from([(), (0.37,), (0.37, 0.37)]),
+                      st.integers(-10, 170), st.sampled_from([1.0, -1.0]))
+    @hypothesis.example(9, 0, 0, [2, 6], [], [], (), 8, 1.0)      # a tie: nodes 2 and 6, target 4
+    @hypothesis.example(9, 0, 0, [2, 6], [], [], (), 8, -1.0)
+    @hypothesis.example(64, -3, 5, [], [], [], (), 60, 1.0)     # no root
+    @hypothesis.example(64, -3, 5, [0, 63], [], [], (), 126, 1.0)  # end nodes, target on the last
+    # the nearest root is in a cell whose far end is farther than the other root
+    @hypothesis.example(20, 0, 0, [], [], [-0.9, 1.2], (), 21, 1.0)
+    @hypothesis.example(20, 0, 0, [], [], [0.7, -1.2], (), 21, 1.0)
+    def check(grid, power, offset, node_roots, fractions, near, double, half_target, sign):
+        step = 2.0 ** power
+        lo, hi = offset * step, (offset + grid - 1) * step
+        target = lo + 0.5 * half_target * step
+        roots = [lo + i * step for i in node_roots]
+        roots += [lo + u * (hi - lo) for u in fractions]
+        roots += [target + u * step for u in near]
+        roots += [lo + u * (hi - lo) for u in double]
+        _assert_nearest_is_min_of_scan(_polynomial(roots, sign), lo, hi, grid, target)
+
+    check()
+
+
+def test_nearest_zero_of_the_two_families_is_the_nearest_of_the_full_scan():
+    # seeded windows of c_n^a(nu) and of H_nu(x) in nu, at grids of 64 and 128
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        n, a = int(rng.integers(1, 40)), float(rng.uniform(0.5, 60.0))
+        lo = float(rng.uniform(-2.0, 2.0 * n))
+        hi = lo + float(rng.uniform(0.5, 20.0))
+        target = float(rng.uniform(lo - 1.0, hi + 1.0))
+        _assert_nearest_is_min_of_scan(lambda v: charlier_direct(n, a, v), lo, hi,
+                                       int(rng.choice([64, 128])), target)
+    for _ in range(30):
+        x = float(rng.uniform(-2.0, 2.0))
+        lo = float(rng.uniform(-4.0, 6.0))
+        hi = lo + float(rng.uniform(0.5, 4.0))
+        target = float(rng.uniform(lo - 0.5, hi + 0.5))
+        _assert_nearest_is_min_of_scan(lambda nu: hermite_fn(nu, x), lo, hi,
+                                       int(rng.choice([64, 128])), target)
+
+
+def _full_scan_window(x, target):
+    # the window from every zero of the full 400-node scan
+    neighbors = [z.root for z in _scan(lambda nu: hermite_fn(nu, x), target - 4.0, target + 4.0, 400)
+                 if abs(z.root - target) > 1e-6]
+    below = [r for r in neighbors if r < target]
+    above = [r for r in neighbors if r > target]
+    gap_lo = target - max(below) if below else None
+    gap_hi = min(above) - target if above else None
+    if gap_lo is None and gap_hi is None:
+        gap_lo = gap_hi = 2.0
+    gap_lo = gap_lo if gap_lo is not None else gap_hi
+    gap_hi = gap_hi if gap_hi is not None else gap_lo
+    return target - 0.5 * gap_lo, target + 0.5 * gap_hi
+
+
+@pytest.mark.parametrize("x", [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0])
+def test_target_window_is_the_full_scan_window(x):
+    # at Hermite zeros (as zero_convergence_table calls it), including the
+    # lowest, whose lower side mirrors the upper; next to them, so that the
+    # cell of the target holds the adjacent zero; and between them
+    rng = np.random.default_rng(int(10 * x) + 40)
+    zs = [z.root for z in hermite_zeros_in_order(x, -4.0, 9.0, grid=256)]
+    targets = zs + [z + d for z in zs for d in (-0.004, 0.004)]
+    targets += [float(t) for t in rng.uniform(-4.0, 9.0, 4)]
+    for target in targets:
+        assert _target_window(x, target) == _full_scan_window(x, target), target

@@ -168,8 +168,8 @@ def test_charlier_zero_scan_validation():
 
 
 def _scan_grid(lo, hi, grid):
-    # _scan evaluates f at every node, in order, before any bisection; an f
-    # with no sign change leaves exactly those calls
+    # _scan evaluates f at every node, in order; an f with no sign change
+    # makes no other call
     nodes = []
     _scan(lambda v: nodes.append(v) or 1.0, lo, hi, grid)
     return nodes

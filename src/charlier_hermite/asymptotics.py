@@ -29,13 +29,10 @@ from .special import ln_gamma, upper_incomplete_gamma
 
 
 def _ceil_4th_root(x: int) -> int:
-    # smallest integer r with r**4 >= x, computed without float pow
-    r = round(x ** 0.25)
-    while r ** 4 < x:
-        r += 1
-    while r >= 1 and (r - 1) ** 4 >= x:
-        r -= 1
-    return r
+    # smallest integer r >= 0 with r**4 >= x, exactly: isqrt(isqrt(x)) is
+    # the floor of x^(1/4)
+    r = math.isqrt(math.isqrt(x))
+    return r + (r ** 4 < x)
 
 
 @dataclass(frozen=True)
@@ -170,24 +167,15 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
-    from .charlier import (_block_size, _ends_sum, _fsum, _python_row, _python_terms,
-                           _scaled, _term_block, charlier_direct)
+    from .charlier import _blocks, _fsum, _scaled, charlier_direct
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
-    terms, start, largest, c_A = [1.0], 0, 1.0, None
-    block = _block_size(A, a)
-    python_terms = _python_terms(10 * block)  # the rows take about ten blocks
-    while start < A and terms[-1] < math.inf and (
-            c_A is None or sys.float_info.min <= terms[-1]):
-        stop = min(A, start + block)
-        if stop <= python_terms:
-            t = _python_row(A, a, nu, start, stop, terms[-1])
-        else:
-            t = _term_block(A, a, nu, start, stop, terms[-1])
-        terms += t if isinstance(t, list) else t.tolist()
-        if c_A is None:
-            largest, ends = _ends_sum(A, a, nu, stop, t, largest)
-            c_A = _fsum(terms) if ends else None
-        start = stop
+    terms, c_A = [1.0], None
+    for t, ends in _blocks(A, a, nu, expected=10):  # the rows take about ten blocks
+        terms += t
+        if ends and c_A is None:
+            c_A = _fsum(terms)
+        if ends and not sys.float_info.min <= terms[-1] < math.inf:
+            break
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
         s_head = math.fsum(terms[:M])

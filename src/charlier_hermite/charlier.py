@@ -40,7 +40,7 @@ _MAX_TERMS = 10_000_000
 # (170 ms cold) is worth: on a 2-vCPU VM, cold `eval charlier` at n = a
 # broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
-_python_spent = 0  # the terms _python_row has built so far
+_python_spent = 0  # the terms _blocks has built in Python so far
 
 
 def _check_degree(n: int, name: str = "n") -> int:
@@ -86,7 +86,12 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         raise DomainError(f"unknown mode {mode!r}")
     a_f, nu_f = _float_args(a, nu)
     if n > 48:
-        return _checked(n, a, nu, _chunk_sums(n, a_f, nu_f, _block_size(n, a_f)))
+        blocks = [(1.0,)]
+        for t, ends in _blocks(n, a_f, nu_f):
+            blocks.append(t)
+            if ends:
+                break
+        return _checked(n, a, nu, _fsum(itertools.chain.from_iterable(blocks)))
     # A short sum costs less in Python than in a numpy block, numpy loaded
     # or not.
     return _checked(n, a, nu, _fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
@@ -107,17 +112,9 @@ def _fsum(terms) -> float:
         return math.inf
 
 
-def _too_many_terms(n: int, a, nu) -> DomainError:
-    return DomainError(f"the Charlier sum at n={n}, a={float(a)!r}, nu={float(nu)!r} "
-                       f"needs more than {_MAX_TERMS} terms")
-
-
-def _checked(n: int, a, nu, total):
-    """total, the float sum of c_n^a(nu), or the DomainError
-    charlier_direct raises for it: None stands for a sum refused at
-    _MAX_TERMS, and a sum outside double range is not finite."""
-    if total is None:
-        raise _too_many_terms(n, a, nu)
+def _checked(n: int, a, nu, total: float) -> float:
+    """total, the float sum of c_n^a(nu); DomainError where it is outside
+    double range (not finite)."""
     if not math.isfinite(total):
         raise DomainError(f"c_n^a(nu) at n={n}, a={a!r}, nu={nu!r} is outside double range")
     return total
@@ -133,7 +130,7 @@ def _block_size(n: int, a: float) -> int:
 
 def _python_terms(expected: int) -> int:
     """How many terms of one degree a sum or row expected to need about
-    `expected` terms may build in Python, by _python_row: what is left of
+    `expected` terms may build in Python, by _term_row: what is left of
     the process's _PYTHON_TERMS while numpy is not loaded, but none once
     it is (its blocks are faster) or where the sum would pass what is
     left and load it anyway.  Spending the budget and then importing
@@ -152,72 +149,56 @@ def _load_numpy_before(sums) -> None:
         import numpy  # noqa: F401
 
 
-def _python_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:
-    """_term_row, its terms counted against the process's _PYTHON_TERMS."""
+def _blocks(n: int, a: float, nu: float, expected: int = 5):
+    """Yield (block, ends) for the terms t_1, ..., t_n of c_n^a(nu),
+    t_0 = 1 and t_{k+1} = t_k r_k: each block a list or a memoryview of
+    floats, and ends true from the block at which charlier_direct's sum
+    ends.
+
+    Each block holds _block_size terms, continued from the last term of
+    the one before; one that would end past t_{_MAX_TERMS} raises
+    DomainError before any of it is built.  Blocks that end within
+    _python_terms of `expected` blocks (five by default, the most a sum at
+    n = a > 65536 was seen to need) are built by _term_row and counted in
+    _python_spent, the rest by _term_block.  Both round every term as one
+    cumprod over all its ratios would, wherever the blocks break.
+
+    The sum ends with the block at t_n, at a last term that is not finite,
+    or where the rest is certified negligible: for j >= k > max(nu, 0)
+    every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
+    size, so once rho < 1 the terms past k sum to at most |t_k| rho/(1-rho),
+    and the sum ends where that is at most _TAIL_FRACTION of the largest
+    term so far.
+    """
     global _python_spent
-    row = _term_row(n, a, nu, start, stop, prev)
-    _python_spent += len(row)
-    return row
-
-
-def _chunk_sums(n: int, a: float, nu: float, block: int, python_terms: int | None = None):
-    """The exactly rounded sum of the terms t_0, t_1, ... of c_n^a(nu) with
-    t_{k+1} = t_k r_k; None where the sum would need more than _MAX_TERMS
-    terms.
-
-    The terms are built in blocks of `block` terms by _term_block, each
-    continued from the last term of the previous block.  Blocks that end
-    at or before python_terms are built by _python_row instead, with the
-    same roundings; by default that is _python_terms of five blocks, the
-    most a sum at n = a > 65536 was seen to need.  The sum stops after the
-    first block for which _ends_sum holds.  Every term is rounded as one
-    cumprod over all its ratios would round it, wherever the blocks break,
-    and fsum, which sums the blocks kept, is exactly rounded.
-    """
-    if python_terms is None:
-        python_terms = _python_terms(5 * block)
-    largest, prev, start, terms = 1.0, 1.0, 0, [(1.0,)]
-    while True:
-        if start + block > _MAX_TERMS and n > _MAX_TERMS:  # refuse before allocating
-            return None
+    block = _block_size(n, a)
+    python_terms = _python_terms(expected * block)
+    largest, last, start, ends = 1.0, 1.0, 0, False
+    while start < n:
         stop = min(start + block, n)
+        if stop > _MAX_TERMS:
+            raise DomainError(f"the Charlier sum at n={n}, a={float(a)!r}, nu={float(nu)!r} "
+                              f"needs more than {_MAX_TERMS} terms")
         python = stop <= python_terms
-        t = (_python_row if python else _term_block)(n, a, nu, start, stop, prev)
-        terms.append(t if python else memoryview(t))
-        prev = float(t[-1])
-        largest, ends = _ends_sum(n, a, nu, stop, t, largest)
-        if ends:
-            return _fsum(itertools.chain.from_iterable(terms))
+        t = (_term_row if python else _term_block)(n, a, nu, start, stop, last)
+        if python:
+            _python_spent += len(t)
+        last = float(t[-1])
+        ends = ends or stop >= n or not math.isfinite(last)
+        if not ends:  # taken first, max and min made a one-block sum at a = 100 50% slower
+            high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
+            largest = max(largest, abs(high), abs(low))
+            rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
+            ends = stop > nu and rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
+        yield (t if python else memoryview(t)), ends
         start = stop
-
-
-def _ends_sum(n: int, a: float, nu: float, stop: int, t, largest: float) -> tuple:
-    """(largest, ends) for the block t of the terms of c_n^a(nu) ending at
-    t_stop, a list or a numpy array, where largest is the largest size of a
-    term before it.  The sum ends with the block at t_n, at a last term
-    that is not finite, or where the rest is certified negligible: for
-    j >= k > max(nu, 0) every later ratio is at most
-    rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in size, so once rho < 1 the terms
-    past k sum to at most |t_k| rho/(1-rho), and the sum ends where that is
-    at most _TAIL_FRACTION of the largest term so far.
-    """
-    last = float(t[-1])
-    if stop >= n or not math.isfinite(last):
-        return largest, True
-    high, low = (max(t), min(t)) if isinstance(t, list) else (float(t.max()), float(t.min()))
-    largest = max(largest, abs(high), abs(low))
-    rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
-    return largest, stop > nu and rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
 
 
 def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:
     """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a list, continued
     from prev = t_start: _term_block's terms, built in Python with the same
     roundings, since each is one IEEE operation in the same order.
-    Raises DomainError, before building any, when stop is past _MAX_TERMS.
     """
-    if stop > _MAX_TERMS:
-        raise _too_many_terms(n, a, nu)
     nf, t, row = float(n), prev, []
     for k in itertools.islice(itertools.count(float(start)), stop - start):
         t *= ((nf - k) / (k + 1.0)) * ((k - nu) / a)
@@ -229,11 +210,8 @@ def _term_block(n: int, a: float, nu: float, start: int, stop: int, prev: float)
     """The terms t_{start+1}, ..., t_stop of c_n^a(nu) as a numpy array,
     continued from prev = t_start by one cumprod of the ratios
     ((n-k)/(k+1)) ((k-nu)/a), k = start .. stop-1.  Overflow gives inf
-    silently.  Raises DomainError, before allocating, when stop is past
-    _MAX_TERMS.
+    silently.
     """
-    if stop > _MAX_TERMS:
-        raise _too_many_terms(n, a, nu)
     import numpy as np
     # the block is built in place, as fresh temporaries cost more than the
     # arithmetic
@@ -299,6 +277,8 @@ class ScaledPoint:
                 f"ScaledPoint needs finite x and finite a > 0, got x={self.x!r}, a={self.a!r}"
             )
         s = self.a - self.x * math.sqrt(2.0 * self.a)
+        if not math.isfinite(s):
+            raise DomainError(f"derived degree n = ceil({s}) is not finite; |x| too large for a")
         n = math.ceil(s)
         if n < 0:
             raise DomainError(

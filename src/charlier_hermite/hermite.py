@@ -18,6 +18,14 @@ from .errors import DomainError
 from .special import SQRT_PI, kummer_m, reciprocal_gamma
 
 
+def _two_to(nu: float) -> float:
+    """2^nu; DomainError where it overflows a double."""
+    try:
+        return 2.0 ** nu
+    except OverflowError:
+        raise DomainError(f"2^nu at nu={nu!r} is outside double range") from None
+
+
 def hermite_fn(nu: float, x: float) -> float:
     """H_nu(x) for real order nu and real x."""
     nu = float(nu)
@@ -27,7 +35,7 @@ def hermite_fn(nu: float, x: float) -> float:
     x2 = x * x
     even = reciprocal_gamma((1.0 - nu) / 2.0) * kummer_m(-nu / 2.0, 0.5, x2)
     odd = 2.0 * x * reciprocal_gamma(-nu / 2.0) * kummer_m((1.0 - nu) / 2.0, 1.5, x2)
-    return 2.0 ** nu * SQRT_PI * (even - odd)
+    return _two_to(nu) * SQRT_PI * (even - odd)
 
 
 def hermite_at_zero(nu: float) -> float:
@@ -35,7 +43,7 @@ def hermite_at_zero(nu: float) -> float:
     nu = float(nu)
     if not math.isfinite(nu):
         raise DomainError(f"hermite_at_zero requires finite nu, got {nu!r}")
-    return 2.0 ** nu * SQRT_PI * reciprocal_gamma((1.0 - nu) / 2.0)
+    return _two_to(nu) * SQRT_PI * reciprocal_gamma((1.0 - nu) / 2.0)
 
 
 def hermite_derivative(nu: float, x: float) -> float:

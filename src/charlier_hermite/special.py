@@ -57,9 +57,13 @@ def reciprocal_gamma(x: float) -> float:
     if _is_nonpositive_integer(x):
         return 0.0
     if abs(x) <= 170.0:
-        # one rounding instead of exp(lgamma)'s two; Gamma stays finite
-        # on this range away from the poles
-        return 1.0 / math.gamma(x)
+        # one rounding instead of exp(lgamma)'s two; Gamma stays finite on
+        # this range away from the poles, except below |x| = 2^-1024, where
+        # Gamma(x) ~ 1/x overflows and 1/Gamma(x) = x (1 + 0.577 x) rounds to x
+        try:
+            return 1.0 / math.gamma(x)
+        except OverflowError:
+            return x
     lg, sign = ln_gamma(x)
     # exp underflows to 0.0 for huge positive arguments of Gamma; that is
     # the correct limit for 1/Gamma.

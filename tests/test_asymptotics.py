@@ -29,6 +29,13 @@ def test_ceil_4th_root_exact():
             assert _ceil_4th_root(r ** 4 - 1) == r
 
 
+def test_split_config_at_large_a():
+    # M = ceil(A^(3/4)) exactly, also where A^3 is past double range
+    for a in (1e30, 1e102, 1e103, 1e300):
+        cfg = SplitConfig(a, -5.0)
+        assert cfg.M ** 4 >= cfg.A ** 3 > (cfg.M - 1) ** 4, a
+
+
 def test_split_config_derivations():
     cfg = SplitConfig(a=1e4, nu=-4.0)
     assert (cfg.A, cfg.M) == (10000, 1000)  # 10000^(3/4) is exact

@@ -350,10 +350,12 @@ def test_python_rows_match_term_block_rows():
     assert seen == {"zero", "inf", "nan"}
 
 
-def test_python_rows_then_numpy_rows_give_the_numpy_sum(recorded):
-    # one-degree sums built in Python up to python_terms and in numpy past
-    # it, as once a sum crosses _PYTHON_TERMS: every block boundary is a
-    # crossing point, and each sum is the all-numpy double or None
+def test_python_rows_then_numpy_rows_give_the_numpy_sum(monkeypatch, recorded):
+    # one-degree sums built in Python up to a crossing point set through
+    # _python_terms and in numpy past it, as once a sum crosses
+    # _PYTHON_TERMS: every block boundary is a crossing point, and each sum
+    # is the all-numpy double or the same DomainError
+    python_terms = charlier._python_terms
     rows, blocks = recorded(charlier, "_term_row"), recorded(charlier, "_term_block")
     rng = np.random.default_rng(1211)
     cases = [(400, 1.0, -300.5), (1200, 0.5, 300.0), (10 ** 15, 1e15, -5.0)]
@@ -361,19 +363,27 @@ def test_python_rows_then_numpy_rows_give_the_numpy_sum(recorded):
         a = float(10.0 ** rng.uniform(3.0, 6.5))
         nu = float(rng.integers(-9, 10)) if i % 5 == 0 else float(rng.uniform(-9.0, 9.0))
         cases.append((ScaledPoint(float(rng.uniform(-3.0, 3.0)), a).n, a, nu))
+
+    def outcome(n, a, nu, crossing):
+        monkeypatch.setattr(charlier, "_python_terms", lambda expected: crossing)
+        try:
+            return repr(charlier_direct(n, a, nu))  # repr is exact
+        except DomainError as exc:
+            return str(exc)
+
+    assert outcome(10 ** 15, 1e15, -5.0, 0).endswith("needs more than 10000000 terms")
     crossed = 0
     for n, a, nu in cases:
         block = charlier._block_size(n, a)
-        want = charlier._chunk_sums(n, a, nu, block, 0)
-        for python_terms in (block, 2 * block, 3 * block + 1, charlier._MAX_TERMS):
+        want = outcome(n, a, nu, 0)
+        for crossing in (block, 2 * block, 3 * block + 1, charlier._MAX_TERMS):
             del rows[:], blocks[:]
-            got = charlier._chunk_sums(n, a, nu, block, python_terms)
-            assert repr(got) == repr(want), (n, a, nu, python_terms)  # repr is exact
-            assert sum(map(len, rows)) <= python_terms
+            assert outcome(n, a, nu, crossing) == want, (n, a, nu, crossing)
+            assert sum(map(len, rows)) <= crossing
             crossed += bool(rows and blocks)
     assert crossed > 50
     # with numpy loaded, as here, a sum builds no term in Python by default
-    assert charlier._python_terms(1) == 0
+    assert python_terms(1) == 0
 
 
 # Spends the process's Python-term budget in a fresh interpreter: a short
@@ -436,17 +446,30 @@ def test_sums_known_ahead_past_the_budget_load_numpy_first(fresh_python):
     assert fresh_python(_AHEAD_PROBE.replace("* 35", "* 36")) == [True, 0]
 
 
-def test_python_rows_refuse_the_term_cap_before_building():
-    class NoTerms(float):
-        def __mul__(self, other):
-            raise AssertionError("a term was built")
+def test_blocks_refuse_the_term_cap_before_building(monkeypatch):
+    # blocks of half the cap: the second ends at t_{_MAX_TERMS} and is
+    # built, and the third, which would pass it, is refused before its
+    # builder runs, whether that is _term_row or _term_block; a first
+    # block ending at t_{_MAX_TERMS + 1} is refused with nothing built
+    cap, built = charlier._MAX_TERMS, []
 
-    with pytest.raises(AssertionError, match="a term was built"):
-        charlier._term_row(10 ** 15, 1e15, -5.0, 0, 1, NoTerms(1.0))
-    with pytest.raises(DomainError, match="more than 10000000 terms"):
-        charlier._term_row(10 ** 15, 1e15, -5.0, 0, charlier._MAX_TERMS + 1, NoTerms(1.0))
-    cap = charlier._MAX_TERMS
-    assert len(charlier._term_row(10 ** 15, 1e15, -5.0, cap - 1, cap, 0.5)) == 1
+    def builder(name, kind):
+        def build(n, a, nu, start, stop, prev):
+            built.append((name, start, stop))
+            return kind([0.5])
+        return build
+
+    monkeypatch.setattr(charlier, "_term_row", builder("row", list))
+    monkeypatch.setattr(charlier, "_term_block", builder("block", np.array))
+    for python_terms, name in ((0, "block"), (cap + 1, "row")):
+        monkeypatch.setattr(charlier, "_python_terms", lambda expected, p=python_terms: p)
+        for block, want in ((cap // 2, [(name, 0, cap // 2), (name, cap // 2, cap)]),
+                            (cap + 1, [])):
+            monkeypatch.setattr(charlier, "_block_size", lambda n, a, b=block: b)
+            del built[:]
+            with pytest.raises(DomainError, match="more than 10000000 terms"):
+                charlier_direct(10 ** 15, 1e15, -5.0)
+            assert built == want, (name, block)
 
 
 def test_scaled_y_rational():

@@ -232,6 +232,17 @@ def test_asymptotics_head_tail_reconstruction():
     assert row["y0_direct_ceiling"] == ""  # integer a: no ceiling variant
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("eval hermite --nu 1e17 --x 0", "outside double range"),
+    ("sweep convergence --nu 1e300 --x 0 --a-list 1,2,3", "outside double range"),
+    ("eval scaled --x=-1e300 --a 1e300 --nu 1", "is not finite"),
+] + [(f"asymptotics head-tail --a {a} --nu -5", "needs more than 10000000 terms")
+     for a in ("1e30", "1e102", "1e103", "1e300")])
+def test_arguments_past_double_range_exit_1(argv, message):
+    code, out, err = run_cli(*argv.split())
+    assert (code, out) == (1, "") and err.startswith("error: ") and message in err, err
+
+
 def test_render_csv_escapes_commas():
     table = OutputTable(("k", "msg"), [{"k": 1, "msg": "bad, worse"}])
     assert render_csv(table) == "k,msg\n1,bad; worse\n"

@@ -1,0 +1,67 @@
+"""Over the whole float domain of the public float evaluators, with a up
+to 1e300 and |nu| up to 1e300, each call returns finite doubles or raises
+DomainError or ConvergenceError: no other exception, no inf or nan, and
+no work that grows with a past the term cap."""
+
+import dataclasses
+import math
+
+import pytest
+
+from charlier_hermite import (
+    ConvergenceError,
+    DomainError,
+    ScaledPoint,
+    SplitConfig,
+    charlier_direct,
+    head_tail_split,
+    hermite_at_zero,
+    hermite_fn,
+    scaled_y,
+)
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+# No shrinking: a failure is reported as found, at the first example that
+# shows it, and cannot lead the search into slow inputs.
+_SETTINGS = hypothesis.settings(
+    max_examples=100, deadline=None, derandomize=True,
+    phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+_A = st.floats(0.0, 1e300, exclude_min=True)
+_NU = st.floats(-1e300, 1e300)
+_X = st.floats(-1e300, 1e300)
+
+
+def _assert_finite_or_typed_error(f, *args):
+    try:
+        value = f(*args)
+    except (DomainError, ConvergenceError):
+        return
+    values = dataclasses.astuple(value) if dataclasses.is_dataclass(value) else (value,)
+    assert all(math.isfinite(v) for v in values if v is not None), (f.__name__, args, value)
+
+
+@_SETTINGS
+@hypothesis.given(st.integers(0, 10 ** 18), _A, _NU)
+def test_charlier_direct_is_finite_or_refused(n, a, nu):
+    _assert_finite_or_typed_error(charlier_direct, n, a, nu)
+
+
+@_SETTINGS
+@hypothesis.given(_X, _A, _NU)
+def test_scaled_y_is_finite_or_refused(x, a, nu):
+    _assert_finite_or_typed_error(lambda: scaled_y(ScaledPoint(x, a), nu))
+
+
+@_SETTINGS
+@hypothesis.given(_A, _NU)
+def test_head_tail_split_is_finite_or_refused(a, nu):
+    _assert_finite_or_typed_error(lambda: head_tail_split(SplitConfig(a, nu)))
+
+
+@_SETTINGS
+@hypothesis.given(_NU, _X)
+def test_hermite_fn_is_finite_or_refused(nu, x):
+    _assert_finite_or_typed_error(hermite_fn, nu, x)
+    _assert_finite_or_typed_error(hermite_at_zero, nu)

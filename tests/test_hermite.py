@@ -5,6 +5,7 @@ import pytest
 
 from charlier_hermite import (
     ConvergenceError,
+    DomainError,
     hermite_at_zero,
     hermite_derivative,
     hermite_fn,
@@ -139,3 +140,12 @@ def test_large_argument_raises():
     # the Kummer series cannot converge within its iteration cap here
     with pytest.raises(ConvergenceError):
         hermite_fn(0.5, 150.0)
+
+
+def test_order_past_double_range_raises():
+    # 2^nu overflows; at nu = 1e17 and 1e300 both gamma reciprocals are 0
+    for nu in (1e17, 1e300):
+        with pytest.raises(DomainError, match="outside double range"):
+            hermite_fn(nu, 0.0)
+        with pytest.raises(DomainError, match="outside double range"):
+            hermite_at_zero(nu)

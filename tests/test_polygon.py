@@ -175,7 +175,7 @@ def test_lipschitz_bound_value():
 def _mp_charlier(n, a, nu):
     """(c_n^a(nu), sum_k (k+1)|t_k|) from the series at the exact values of
     a and nu, summed by mpmath at 40 digits until the tail is certified
-    below 10^-40 of the second sum, by the bound _chunk_sums uses."""
+    below 10^-40 of the second sum, by the bound _blocks uses."""
     mp = pytest.importorskip("mpmath").mp
     with mp.workdps(40):
         a_m, nu_m = mp.mpf(a), mp.mpf(nu)

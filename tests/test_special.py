@@ -76,6 +76,9 @@ def test_reciprocal_gamma_at_poles_is_exact_zero():
 
 def test_reciprocal_gamma_values():
     assert reciprocal_gamma(1.0) == 1.0
+    # below 2^-1024 Gamma(x) overflows, and 1/Gamma(x) rounds to x
+    for x in (5e-324, 5.56e-309, -5.56e-309, 2.0 ** -1024):
+        assert reciprocal_gamma(x) == x
     for x, want in RECIPROCAL_GAMMA_ORACLE:
         assert math.isclose(reciprocal_gamma(x), want, rel_tol=1e-14)
 

@@ -7,16 +7,17 @@ DIR is the root of a checkout of the parent commit and of the change.
 For each workload, pair i runs `perfbench/run.py` with seed first-seed + i
 for the change's BENCHMARK.json `run_seconds` once in each checkout, one
 run at a time; odd pairs run the change first, so that a drift of the
-host's speed falls on both sides alike.  The record
-holds, per workload and end-to-end metric, each side's values, median and
-quartiles, the number of pairs the change won (`better` as in
-BENCHMARK.json) and whether the medians differ by more than the parent's
-interquartile range; per run, `correct`, `failed` and `attempted`; with
---layers, the per-layer metrics of one traced run per side; the wall time
-of the Tier-1 test command in each checkout; and each side's git SHA and
-Python and numpy versions, as perfbench reports them.  There is no default
-seed: seeds used while developing a change should not be the ones that
-judge it.
+host's speed falls on both sides alike.  The record holds, per workload
+and end-to-end metric, each side's values, median and quartiles, the
+number of pairs the change won (`better` as in BENCHMARK.json) and
+whether the medians differ by more than the parent's interquartile range;
+per run, `correct`, `failed` and `attempted`, or the exit code of a run
+that failed or timed out, whose pair is then left out of the comparison;
+with --layers, the per-layer metrics (or the exit code) of one traced run
+per side; the wall time of the Tier-1 test command in each checkout; and
+each side's git SHA and Python and numpy versions, as perfbench reports
+them.  There is no default seed: seeds used while developing a change
+should not be the ones that judge it.
 
 Standard library only.  Progress goes to stderr.
 """
@@ -35,12 +36,19 @@ TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"
 
 
 def run_bench(root, workload, seed, seconds, trace=0):
-    """One perfbench run in checkout `root`: (its environment, its result)."""
-    p = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                        "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
-                       cwd=root, capture_output=True, text=True, check=True, timeout=900)
+    """One perfbench run in checkout `root`: (its exit code, its environment,
+    its result).  A run that fails has no environment or result, and one
+    that times out has the exit code "timeout"."""
+    try:
+        p = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+                           cwd=root, capture_output=True, text=True, timeout=900)
+    except subprocess.TimeoutExpired:
+        return "timeout", None, None
+    if p.returncode:
+        return p.returncode, None, None
     lines = [json.loads(line) for line in p.stdout.splitlines() if line.startswith("{")]
-    return lines[0]["environment"], lines[-1]
+    return 0, lines[0]["environment"], lines[-1]
 
 
 def tier1(root):
@@ -96,24 +104,30 @@ def main(argv=None):
         for i in range(int(count)):
             seed = args.first_seed + i
             order = ("change", "parent") if i % 2 else ("parent", "change")
-            res = {}
+            run, res = {"seed": seed, "order": list(order)}, {}
             for side in order:
-                env, res[side] = run_bench(roots[side], workload, seed, seconds)
+                code, env, res[side] = run_bench(roots[side], workload, seed, seconds)
+                if res[side] is None:
+                    run[side] = {"exit": code}
+                    print(f"{workload} seed {seed} {side}: exit {code}", file=sys.stderr, flush=True)
+                    continue
                 record["environment"][side] = env
+                run[side] = {k: res[side][k] for k in ("correct", "failed", "attempted")}
                 print(f"{workload} seed {seed} {side}: correct={res[side]['correct']} "
                       f"failed={res[side]['failed']}/{res[side]['attempted']} wall_s="
                       f"{res[side]['metrics']['wall_s']['value']:.4g}", file=sys.stderr, flush=True)
-            pairs.append((res["parent"], res["change"]))
-            runs.append({"seed": seed, "order": list(order),
-                         **{side: {k: res[side][k] for k in ("correct", "failed", "attempted")}
-                            for side in order}})
-        record["workloads"][workload] = {"runs": runs, "metrics": compare(pairs, better)}
+            runs.append(run)
+            if None not in res.values():  # a pair with a failed run is left out of compare
+                pairs.append((res["parent"], res["change"]))
+        record["workloads"][workload] = {"runs": runs,
+                                         "metrics": compare(pairs, better) if pairs else {}}
     for workload in filter(None, args.layers.split(",")):
         record["layers"][workload] = {}
         for side in ("parent", "change"):
-            _, res = run_bench(roots[side], workload, args.first_seed, seconds, trace=1)
-            record["layers"][workload][side] = {k: m["value"] for k, m in res["metrics"].items()}
-            print(f"{workload} traced {side}", file=sys.stderr, flush=True)
+            code, _, res = run_bench(roots[side], workload, args.first_seed, seconds, trace=1)
+            record["layers"][workload][side] = (
+                {"exit": code} if res is None else {k: m["value"] for k, m in res["metrics"].items()})
+            print(f"{workload} traced {side}: exit {code}", file=sys.stderr, flush=True)
     record["tier1"] = {side: tier1(root) for side, root in roots.items()}
     with open(args.out, "w") as f:
         json.dump(record, f, indent=1)

@@ -163,23 +163,30 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     double, past the peak, so the work is O(sqrt(a)) and not O(A).
     y0_direct sums the same terms up to the block where charlier_direct's
     sum ends, and the rows go on at least that far, so it is
-    charlier_direct(A) bit for bit without building them again.
+    charlier_direct(A) bit for bit without building them again.  All
+    three sums are charlier._sum's, over the blocks as _blocks yields
+    them, cut at M into head and tail slices.
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
-    from .charlier import _blocks, _fsum, _scaled, charlier_direct
+    from .charlier import _blocks, _scaled, _sum, charlier_direct
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
-    terms, c_A = [1.0], None
+    blocks, c_A = [(1.0,)], None
     for t, ends in _blocks(A, a, nu, expected=10):  # the rows take about ten blocks
-        terms += t
+        blocks.append(t)
         if ends and c_A is None:
-            c_A = _fsum(terms)
-        if ends and not sys.float_info.min <= terms[-1] < math.inf:
+            c_A = _sum(blocks)
+        if ends and not sys.float_info.min <= t[-1] < math.inf:
             break
+    head, tail, start = [], [], 0
+    for t in blocks:  # terms[:M] and terms[M:], block by block
+        cut = min(max(M - start, 0), len(t))
+        head.append(t[:cut])
+        tail.append(t[cut:])
+        start += len(t)
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
-        s_head = math.fsum(terms[:M])
-        s_tail = math.fsum(terms[M:])
+        s_head, s_tail = _sum(head), _sum(tail)
         sums = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
     except OverflowError:
         sums = (math.inf,)

@@ -7,6 +7,8 @@ The defining series is
 with (-nu)_k the rising factorial.  Writing the ratio of consecutive
 terms as ((n-k)/(k+1)) * ((k-nu)/a) avoids both binomials and gamma
 quotients, so real nu costs nothing extra and there is no pole to dodge.
+The float sum of the terms is exactly rounded: it is math.fsum's double,
+computed in numpy by error-free extraction once the terms are many.
 
 The scaled value
 
@@ -41,6 +43,15 @@ _MAX_TERMS = 10_000_000
 # broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
 _python_spent = 0  # the terms _blocks has built in Python so far
+# A one-degree sum is expected to need this many blocks, the most a sum at
+# n = a > 65536 was seen to need.
+_EXPECTED_BLOCKS = 5
+# _sum leaves a sum of fewer terms than this to math.fsum.  Timed per
+# charlier_direct call over 400 sums of 50 to 1100 terms, each summed both
+# ways in turn (2-vCPU VM, two seeds), extraction broke even with fsum at
+# 450 to 550 terms; 512 came within 1% of the least total time, where
+# 1024 took 4 to 11% more.
+_EXTRACT_TERMS = 512
 
 
 def _check_degree(n: int, name: str = "n") -> int:
@@ -62,9 +73,9 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     """Evaluate c_n^a(nu) by direct summation of the defining series.
 
     mode="float": terms generated by the overflow-safe ratio recurrence
-    and accumulated with exactly rounded (compensated) summation.  The
-    sum stops once the terms left are certified to total at most 2^-160
-    of the largest term, so the work is O(sqrt(min(a, n))) past the peak
+    and summed exactly rounded, as math.fsum sums them (_sum).  The sum
+    stops once the terms left are certified to total at most 2^-160 of
+    the largest term, so the work is O(sqrt(min(a, n))) past the peak
     term rather than O(n).
     mode="rational": the same recurrence in Fraction arithmetic; exact.
     """
@@ -91,10 +102,14 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
             blocks.append(t)
             if ends:
                 break
-        return _checked(n, a, nu, _fsum(itertools.chain.from_iterable(blocks)))
+        return _checked(n, a, nu, _sum(blocks))
     # A short sum costs less in Python than in a numpy block, numpy loaded
-    # or not.
-    return _checked(n, a, nu, _fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
+    # or not, and is far below _EXTRACT_TERMS: fsum without _sum's tests
+    # took a call at n = 5 from 4.2 to 3.0 us.
+    try:
+        return _checked(n, a, nu, math.fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
+    except (ValueError, OverflowError):  # an inf - inf, or an intermediate overflow
+        return _checked(n, a, nu, math.inf)
 
 
 def _float_args(a, nu) -> tuple:
@@ -105,10 +120,49 @@ def _float_args(a, nu) -> tuple:
     return a_f, nu_f
 
 
-def _fsum(terms) -> float:
+def _sum(blocks) -> float:
+    """math.fsum of the terms of `blocks` (tuples, lists or memoryviews of
+    floats), bit for bit, and inf where fsum raises (an inf - inf, or an
+    intermediate overflow).
+
+    Where numpy is loaded and the blocks hold at least _EXTRACT_TERMS
+    terms, the sum runs on a numpy copy p of all the terms by error-free
+    extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation, Part I", SIAM J. Sci. Comput. 31, 2008).  With m = len(p)
+    and sigma = 2^e >= 2 m max|p|, q = (sigma + p) - sigma and p - q are
+    exact, the q lie on the grid 2^(e-53) and total at most 2^(e-1) +
+    m 2^(e-53) in size, so q.sum() is exact in any order; each residual
+    p - q is at most 2^(e-53).  Each round adds q.sum() to the list taus
+    and keeps the residuals as p.  The exact sum S then lies within
+    delta = m 2^(e-53) of sum(taus), and rounding is monotone, so once
+    fsum(taus + [-delta]) == fsum(taus + [delta]) that double is fsum's
+    rounding of S.  Every round shrinks max|p| by 2^51/m or more.  Terms
+    that are all zero, or not all finite, or a sigma past 2^1023 go to
+    math.fsum, which then decides the sign of a zero and every error.
+    """
+    if "numpy" in sys.modules and sum(map(len, blocks)) >= _EXTRACT_TERMS:
+        import numpy as np
+        p = np.concatenate(blocks)  # a copy: no block is written
+        q, m, taus = np.empty_like(p), len(p), []
+        while True:
+            mu = float(np.abs(p, out=q).max())
+            if mu == 0.0 and taus:  # no residual is left: S = sum(taus)
+                return math.fsum(taus)
+            if not 0.0 < 2.0 * m * mu <= 2.0 ** 1022:
+                break
+            e = math.frexp(2.0 * m * mu)[1]
+            sigma = math.ldexp(1.0, e)
+            np.add(p, sigma, out=q)
+            q -= sigma
+            p -= q
+            taus.append(float(q.sum()))
+            delta = m * math.ldexp(1.0, e - 53)
+            low = math.fsum(taus + [-delta])
+            if low == math.fsum(taus + [delta]):
+                return low
     try:
-        return math.fsum(terms)
-    except (ValueError, OverflowError):  # infinite terms, or an inf - inf
+        return math.fsum(itertools.chain.from_iterable(blocks))
+    except (ValueError, OverflowError):
         return math.inf
 
 
@@ -142,14 +196,16 @@ def _python_terms(expected: int) -> int:
 
 def _load_numpy_before(sums) -> None:
     """Load numpy now where the one-degree sums at the (n, a) pairs of
-    `sums`, each expected to need five blocks, would together pass what
-    is left of the process's _PYTHON_TERMS: a caller that knows its sums
-    ahead then builds no term in Python only to load numpy partway."""
-    if not _python_terms(sum(5 * _block_size(n, a) for n, a in sums if n > 48)):
+    `sums`, each expected to need _EXPECTED_BLOCKS blocks, would together
+    pass what is left of the process's _PYTHON_TERMS: a caller that knows
+    its sums ahead then builds no term in Python only to load numpy
+    partway."""
+    if not _python_terms(sum(_EXPECTED_BLOCKS * _block_size(n, a)
+                             for n, a in sums if n > 48)):
         import numpy  # noqa: F401
 
 
-def _blocks(n: int, a: float, nu: float, expected: int = 5):
+def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     """Yield (block, ends) for the terms t_1, ..., t_n of c_n^a(nu),
     t_0 = 1 and t_{k+1} = t_k r_k: each block a list or a memoryview of
     floats, and ends true from the block at which charlier_direct's sum
@@ -158,17 +214,19 @@ def _blocks(n: int, a: float, nu: float, expected: int = 5):
     Each block holds _block_size terms, continued from the last term of
     the one before; one that would end past t_{_MAX_TERMS} raises
     DomainError before any of it is built.  Blocks that end within
-    _python_terms of `expected` blocks (five by default, the most a sum at
-    n = a > 65536 was seen to need) are built by _term_row and counted in
-    _python_spent, the rest by _term_block.  Both round every term as one
-    cumprod over all its ratios would, wherever the blocks break.
+    _python_terms of `expected` blocks (_EXPECTED_BLOCKS by default) are
+    built by _term_row and counted in _python_spent, the rest by
+    _term_block.  Both round every term as one cumprod over all its ratios
+    would, wherever the blocks break.
 
     The sum ends with the block at t_n, at a last term that is not finite,
-    or where the rest is certified negligible: for j >= k > max(nu, 0)
-    every later ratio is at most rho = ((n-k)/a) max(1, (k-nu)/(k+1)) in
-    size, so once rho < 1 the terms past k sum to at most |t_k| rho/(1-rho),
-    and the sum ends where that is at most _TAIL_FRACTION of the largest
-    term so far.
+    or where the rest is certified negligible: every later ratio r_j,
+    j >= k, is at most rho in size, with rho = ((n-k)/a) max(1,
+    (k-nu)/(k+1)) for k > max(nu, 0), and otherwise rho = ((n-k)/(k+1))
+    max(nu-k, |n-nu|)/a, as (n-j)/(j+1) falls with j and |j-nu| is largest
+    at j = k or j = n.  Once rho < 1 the terms past k sum to at most
+    |t_k| rho/(1-rho), and the sum ends where that is at most
+    _TAIL_FRACTION of the largest term so far.
     """
     global _python_spent
     block = _block_size(n, a)
@@ -188,8 +246,11 @@ def _blocks(n: int, a: float, nu: float, expected: int = 5):
         if not ends:  # taken first, max and min made a one-block sum at a = 100 50% slower
             high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
             largest = max(largest, abs(high), abs(low))
-            rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
-            ends = stop > nu and rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
+            if stop > nu:
+                rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
+            else:
+                rho = ((n - stop) / (stop + 1)) * (max(nu - stop, abs(n - nu)) / a)
+            ends = rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
         yield (t if python else memoryview(t)), ends
         start = stop
 

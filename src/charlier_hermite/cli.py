@@ -17,6 +17,7 @@ fnu grids over the row limit), 2 numerical non-convergence.
 import argparse
 import json
 import math
+import re
 import sys
 from collections import namedtuple
 
@@ -33,7 +34,11 @@ def _fmt_number(v) -> str:
         raise TypeError("bool is not a table value")
     if isinstance(v, float):  # +0.0 normalizes -0.0
         return "nan" if math.isnan(v) else format(v + 0.0, ".17g")
-    return str(v)
+    try:
+        return str(v)
+    except ValueError:  # an exact value past Python's limit on digits
+        raise DomainError(f"the exact value has more than {sys.get_int_max_str_digits()} "
+                          "digits") from None
 
 
 def render_csv(table: OutputTable) -> str:
@@ -59,6 +64,12 @@ def render_json(table: OutputTable) -> str:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads only -1, -1.5 and -.5 as negative numbers, so a
+        # value such as -1e-3 was taken for an option
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # usage problems are domain errors (exit 1), not argparse's exit 2
     def error(self, message):
         raise DomainError(message)

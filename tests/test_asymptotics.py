@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -243,3 +244,27 @@ def test_head_tail_split_takes_y0_direct_from_its_rows(monkeypatch):
         assert degrees == ([] if a == math.floor(a) else [math.ceil(a)])
         want = _scaled(2.0 * a, 0.5 * nu, charlier_direct(math.floor(a), a, nu))
         assert rep.y0_direct.hex() == want.hex(), (a, nu)
+
+
+def test_head_tail_split_sums_are_fsum_of_its_terms():
+    # r_head, r_tail and y0_reconstructed, bit for bit, from math.fsum over
+    # one list of the split's terms cut at M, for head and tail sums on
+    # both sides of charlier._EXTRACT_TERMS
+    rng = np.random.default_rng(13)
+    cases = [(1e6, -4.5), (1e9 + 0.5, -6.25), (1e4, -4.0), (600.0, -5.0), (2.0, -4.0),
+             (100.0, -200.0), (1e4, -150.0)]
+    cases += [(float(10.0 ** rng.uniform(0.0, 9.0)), float(rng.uniform(-40.0, -4.0)))
+              for _ in range(12)]
+    for a, nu in cases:
+        cfg = SplitConfig(a, nu)
+        terms = [1.0]
+        for t, ends in charlier._blocks(cfg.A, a, nu, expected=10):
+            terms += t
+            if ends and not sys.float_info.min <= terms[-1] < math.inf:
+                break
+        s_head, s_tail = math.fsum(terms[:cfg.M]), math.fsum(terms[cfg.M:])
+        c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
+        want = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
+        rep = head_tail_split(cfg)
+        got = (rep.r_head, rep.r_tail, rep.y0_reconstructed)
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, nu)

@@ -241,7 +241,10 @@ def _series_sum(n, a, nu, chunk=1 << 16):
             return math.inf
         terms += t[t != 0].tolist()
         prev, start = float(t[-1]), start + len(t)
-    return charlier._fsum(terms)
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        return math.inf
 
 
 def _assert_is_series_sum(n, a, nu):
@@ -261,8 +264,9 @@ def _assert_is_series_sum(n, a, nu):
 @pytest.mark.parametrize("ns, a, nu", [
     # degree 0, the n <= 48 loop's degrees and numpy's
     ([0, 1, 5, 48, 49, 50, 200], 0.7, 2.3),
-    # one block against two: 1024 terms fit in the first block, 1025 do not
-    ([0, 3, 48] + list(range(1015, 1035)), 1000.5, -3.7),
+    # one block against two: 1024 terms fit in the first block, 1025 do not;
+    # 511 terms are left to fsum, 512 and 513 are extracted
+    ([0, 3, 48, 510, 511, 512] + list(range(1015, 1035)), 1000.5, -3.7),
     (list(range(1035, 1010, -1)), 1000.5, 0.37),
     (list(range(990, 1060, 3)), 1024.0, 4.5),
     ([5000 + (37 * i) % 101 - 50 for i in range(0, 101, 5)], 5000.25, -1.2),
@@ -301,6 +305,15 @@ def test_every_block_size_gives_the_series_sum():
     for nu in (1.5, -0.4):
         for n in ns:
             _assert_is_series_sum(n, 70000.5, nu)
+
+
+def test_zero_terms_end_the_sum_after_one_block(recorded):
+    # every term past t_1 underflows to 0 and nu > the last degree of the
+    # block, where the k > nu bound does not hold; the later-ratio bound
+    # ends the sum after its first block, not at the term cap
+    blocks = recorded(charlier, "_term_block")
+    assert charlier_direct(21588801, 2.4240694582953287e+299, 3820163676922730.0) == 1.0
+    assert len(blocks) == 1
 
 
 def test_float_work_is_bounded_before_allocation(arange_cap):

@@ -14,6 +14,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -241,6 +242,54 @@ def test_asymptotics_head_tail_reconstruction():
 def test_arguments_past_double_range_exit_1(argv, message):
     code, out, err = run_cli(*argv.split())
     assert (code, out) == (1, "") and err.startswith("error: ") and message in err, err
+
+
+@pytest.mark.parametrize("nu, x", [("-1e-3", "0.5"), ("1.5", "-2.5E+1"), ("-5.", "-.5e1"),
+                                   ("-2e0", "-1E-300")])
+def test_negative_numbers_in_exponent_form_are_values(nu, x):
+    # argparse alone took -1e-3 for an option; each gives the table that
+    # --flag=value gives
+    joined = run_cli("eval", "hermite", f"--nu={nu}", f"--x={x}")
+    assert joined[0] == 0
+    assert run_cli("eval", "hermite", "--nu", nu, "--x", x) == joined
+
+
+def test_eval_argv_property():
+    # eval hermite, charlier and scaled with numbers written in fixed,
+    # exponent and signed forms, each read as a value: exit 0 with one row
+    # holding the numbers given, or exit 1 (2 for a Hermite series that
+    # does not converge) with one error line and no traceback
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    forms = ("{:f}", "{:.3f}", "{:e}", "{:.2E}", "{!r}", "{:+g}", "{:+.4e}")
+    number = st.builds(str.format, st.sampled_from(forms), st.floats(-1e300, 1e300))
+
+    @hypothesis.settings(max_examples=150, deadline=None, derandomize=True,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    @hypothesis.given(st.data())
+    def check(data):
+        action = data.draw(st.sampled_from(["hermite", "charlier", "scaled"]))
+        # rational sums take n Fraction steps, so their n stays small
+        mode = data.draw(st.sampled_from(["float", "rational"])) if action == "charlier" else None
+        flags = {"hermite": ("--nu", "--x"), "charlier": ("--n", "--a", "--nu"),
+                 "scaled": ("--x", "--a", "--nu")}[action]
+        n_max = 30 if mode == "rational" else 10 ** 6
+        texts = {flag: data.draw(st.integers(-5, n_max).map(str) if flag == "--n" else number)
+                 for flag in flags}
+        argv = ["eval", action, *(t for flag in flags for t in (flag, texts[flag]))]
+        code, out, err = run_cli(*argv, *(["--mode", mode] if mode else []))
+        if code == 0:
+            _, rows = parse_csv(out)
+            assert len(rows) == 1 and err == "", argv
+            for flag, text in texts.items():
+                read = int if flag == "--n" else Fraction if mode == "rational" else float
+                assert read(rows[0][flag[2:]]) == read(text), (argv, flag)
+        else:
+            assert code == 1 or (code == 2 and action == "hermite"), (argv, code)
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+            assert "Traceback" not in err and "expected one argument" not in err, (argv, err)
+
+    check()
 
 
 def test_render_csv_escapes_commas():

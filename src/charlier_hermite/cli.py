@@ -67,8 +67,9 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # argparse reads only -1, -1.5 and -.5 as negative numbers, so a
-        # value such as -1e-3 was taken for an option
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        # value such as -1e-3 was taken for an option; no option here
+        # starts with - and a digit
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     # usage problems are domain errors (exit 1), not argparse's exit 2
     def error(self, message):

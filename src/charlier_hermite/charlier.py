@@ -8,7 +8,9 @@ with (-nu)_k the rising factorial.  Writing the ratio of consecutive
 terms as ((n-k)/(k+1)) * ((k-nu)/a) avoids both binomials and gamma
 quotients, so real nu costs nothing extra and there is no pole to dodge.
 The float sum of the terms is exactly rounded: it is math.fsum's double,
-computed in numpy by error-free extraction once the terms are many.
+computed in numpy by error-free extraction once the terms are many.  It
+stops at the first term on a fixed 64-term grid past which the rest is
+certified negligible, built in one block sized to that stop.
 
 The scaled value
 
@@ -19,6 +21,7 @@ is the quantity that approaches the Hermite function H_nu(x) as a grows.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -43,9 +46,23 @@ _MAX_TERMS = 10_000_000
 # broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
 _python_spent = 0  # the terms _blocks has built in Python so far
-# A one-degree sum is expected to need this many blocks, the most a sum at
-# n = a > 65536 was seen to need.
-_EXPECTED_BLOCKS = 5
+# A one-degree sum is expected to need this many blocks: the first, past
+# which most sums end, and one quarter span more, 20 sqrt(m) + 64 terms in
+# all (five quarter spans while every block held one).
+_EXPECTED_BLOCKS = 2
+# The float sum ends only at a term t_k with k a multiple of _GRID, or at
+# t_n, so where it ends does not depend on where the blocks break.
+_GRID = 64
+# Rational mode refuses a sum or a scale whose exact value could need more
+# bits than this.  scaled_y at x = 0, nu = -2 took 0.74 s at a = 2000
+# (bound 50,011 bits), and its work grows about as the cube of a.
+_RATIONAL_BITS = 1 << 16
+# _term_block builds a block in pieces of at most this many terms.  A numpy
+# array of 2^14 doubles or more comes from mmap on glibc, and its pages
+# fault in afresh on each call: built in one piece, blocks of 27,776 and
+# 50,660 terms took 20 and 17 ns a term, in pieces 9 ns, as one of 16,064
+# did (2-vCPU VM).
+_PIECE = 16128
 # _sum leaves a sum of fewer terms than this to math.fsum.  Timed per
 # charlier_direct call over 400 sums of 50 to 1100 terms, each summed both
 # ways in turn (2-vCPU VM, two seeds), extraction broke even with fsum at
@@ -74,10 +91,13 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
 
     mode="float": terms generated by the overflow-safe ratio recurrence
     and summed exactly rounded, as math.fsum sums them (_sum).  The sum
-    stops once the terms left are certified to total at most 2^-160 of
-    the largest term, so the work is O(sqrt(min(a, n))) past the peak
-    term rather than O(n).
+    stops at the first term t_k, k a multiple of 64 or k = n, past which
+    the terms left are certified to total at most 2^-160 of the largest
+    term, so the work is O(sqrt(min(a, n))) past the peak term rather
+    than O(n).
     mode="rational": the same recurrence in Fraction arithmetic; exact.
+    DomainError, before any term is built, where the value could need
+    more than 2^16 bits.
     """
     n = _check_degree(n)
     if mode == "rational":
@@ -85,6 +105,13 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         nu_r = _to_fraction(nu, "nu")
         if a_r <= 0:
             raise DomainError(f"a must be positive, got {a!r}")
+        # with a = p/q and nu = r/s, the terms t_1 .. t_K that can be nonzero
+        # share the denominator (s p)^K, and their numerators are at most
+        # C(n, k) (K s + |r|)^K q^K
+        p, q, r, s = a_r.numerator, a_r.denominator, nu_r.numerator, nu_r.denominator
+        K = min(n, r) if s == 1 and r >= 0 else n
+        _check_bits(min(n, K * n.bit_length()) + (K + 1).bit_length() + K * (
+            (K * s + abs(r)).bit_length() + q.bit_length() + s.bit_length() + p.bit_length()))
         total = Fraction(1)
         term = Fraction(1)
         for k in range(n):
@@ -98,10 +125,11 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     a_f, nu_f = _float_args(a, nu)
     if n > 48:
         blocks = [(1.0,)]
-        for t, ends in _blocks(n, a_f, nu_f):
-            blocks.append(t)
-            if ends:
+        for t, end in _blocks(n, a_f, nu_f):
+            if end is not None:
+                blocks.append(t[:end])
                 break
+            blocks.append(t)
         return _checked(n, a, nu, _sum(blocks))
     # A short sum costs less in Python than in a numpy block, numpy loaded
     # or not, and is far below _EXTRACT_TERMS: fsum without _sum's tests
@@ -110,6 +138,14 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         return _checked(n, a, nu, math.fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
     except (ValueError, OverflowError):  # an inf - inf, or an intermediate overflow
         return _checked(n, a, nu, math.inf)
+
+
+def _check_bits(bits: int) -> None:
+    """DomainError, before any of the work, where an exact value could
+    need more than _RATIONAL_BITS bits."""
+    if bits > _RATIONAL_BITS:
+        raise DomainError(f"the exact value could need {bits} bits, "
+                          f"more than rational mode's {_RATIONAL_BITS}")
 
 
 def _float_args(a, nu) -> tuple:
@@ -174,22 +210,35 @@ def _checked(n: int, a, nu, total: float) -> float:
     return total
 
 
-def _block_size(n: int, a: float) -> int:
-    # Past the peak, the terms above _TAIL_FRACTION of the largest span
-    # about 16 sqrt(min(a, n)) indices; a block is a quarter of that, and
-    # at least 1024 (4 sqrt(65536)).
+def _block_size(n: int, a: float) -> tuple:
+    """(first, later): how many terms the first block of c_n^a(nu) holds,
+    and each block after it.
+
+    Past the peak, the terms above _TAIL_FRACTION of the largest span
+    about 16 sqrt(m) indices, m = min(a, n): on 400 seeded sums at
+    n = ceil(a - x sqrt(2a)) (a in [1e2, 1e6], |x| <= 1, |nu| <= 4), the
+    tail test, checked term by term, first held 10.0 to 16.7 sqrt(m) terms
+    in, 13.6 sqrt(m) at the median.  The first block holds that span and
+    one grid step more, so most sums take one block; each later block
+    holds a quarter span, and at least 1024 (4 sqrt(65536)).
+    """
     m = min(a, n)
-    return 1024 if m <= 65536 else int(4.0 * math.sqrt(m))
+    return int(16.0 * math.sqrt(m)) + _GRID, (1024 if m <= 65536 else int(4.0 * math.sqrt(m)))
+
+
+def _expected_terms(first: int, later: int, blocks: int = _EXPECTED_BLOCKS) -> int:
+    """The terms of the first `blocks` blocks of the plan (first, later)."""
+    return first + (blocks - 1) * later
 
 
 def _python_terms(expected: int) -> int:
     """How many terms of one degree a sum or row expected to need about
-    `expected` terms may build in Python, by _term_row: what is left of
-    the process's _PYTHON_TERMS while numpy is not loaded, but none once
-    it is (its blocks are faster) or where the sum would pass what is
-    left and load it anyway.  Spending the budget and then importing
-    numpy costs a process at most twice the cheaper of the two (the
-    ski-rental rule), however many sums it goes on to make."""
+    `expected` terms (_expected_terms) may build in Python, by _term_row:
+    what is left of the process's _PYTHON_TERMS while numpy is not loaded,
+    but none once it is (its blocks are faster) or where the sum would
+    pass what is left and load it anyway.  Spending the budget and then
+    importing numpy costs a process at most twice the cheaper of the two
+    (the ski-rental rule), however many sums it goes on to make."""
     left = _PYTHON_TERMS - _python_spent
     return left if expected <= left and "numpy" not in sys.modules else 0
 
@@ -200,40 +249,35 @@ def _load_numpy_before(sums) -> None:
     pass what is left of the process's _PYTHON_TERMS: a caller that knows
     its sums ahead then builds no term in Python only to load numpy
     partway."""
-    if not _python_terms(sum(_EXPECTED_BLOCKS * _block_size(n, a)
-                             for n, a in sums if n > 48)):
+    if not _python_terms(sum(_expected_terms(*_block_size(n, a)) for n, a in sums if n > 48)):
         import numpy  # noqa: F401
 
 
 def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
-    """Yield (block, ends) for the terms t_1, ..., t_n of c_n^a(nu),
+    """Yield (block, end) for the terms t_1, ..., t_n of c_n^a(nu),
     t_0 = 1 and t_{k+1} = t_k r_k: each block a list or a memoryview of
-    floats, and ends true from the block at which charlier_direct's sum
-    ends.
+    floats.  end is None for each block before the one in which
+    charlier_direct's sum ends; from that block on it is how many of the
+    block's terms the sum takes, and 0 past it.
 
-    Each block holds _block_size terms, continued from the last term of
-    the one before; one that would end past t_{_MAX_TERMS} raises
-    DomainError before any of it is built.  Blocks that end within
-    _python_terms of `expected` blocks (_EXPECTED_BLOCKS by default) are
-    built by _term_row and counted in _python_spent, the rest by
-    _term_block.  Both round every term as one cumprod over all its ratios
-    would, wherever the blocks break.
+    The blocks hold the terms _block_size gives, each continued from the
+    last term of the one before; one that would end past t_{_MAX_TERMS}
+    raises DomainError before any of it is built.  Blocks that end within
+    _python_terms of `expected` blocks are built by _term_row and counted
+    in _python_spent, the rest by _term_block.  Both round every term as
+    one cumprod over all its ratios would, wherever the blocks break.
 
-    The sum ends with the block at t_n, at a last term that is not finite,
-    or where the rest is certified negligible: every later ratio r_j,
-    j >= k, is at most rho in size, with rho = ((n-k)/a) max(1,
-    (k-nu)/(k+1)) for k > max(nu, 0), and otherwise rho = ((n-k)/(k+1))
-    max(nu-k, |n-nu|)/a, as (n-j)/(j+1) falls with j and |j-nu| is largest
-    at j = k or j = n.  Once rho < 1 the terms past k sum to at most
-    |t_k| rho/(1-rho), and the sum ends where that is at most
-    _TAIL_FRACTION of the largest term so far.
+    The sum ends in the block at a last term that is not finite, taking
+    the whole block, and otherwise at _certified_end's term: the first
+    t_k on the grid of multiples of _GRID, or t_n, at which the rest is
+    certified negligible.
     """
     global _python_spent
-    block = _block_size(n, a)
-    python_terms = _python_terms(expected * block)
-    largest, last, start, ends = 1.0, 1.0, 0, False
+    size, later = _block_size(n, a)
+    python_terms = _python_terms(_expected_terms(size, later, expected))
+    largest, last, start, end = 1.0, 1.0, 0, None
     while start < n:
-        stop = min(start + block, n)
+        stop = min(start + size, n)
         if stop > _MAX_TERMS:
             raise DomainError(f"the Charlier sum at n={n}, a={float(a)!r}, nu={float(nu)!r} "
                               f"needs more than {_MAX_TERMS} terms")
@@ -241,18 +285,54 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
         t = (_term_row if python else _term_block)(n, a, nu, start, stop, last)
         if python:
             _python_spent += len(t)
-        last = float(t[-1])
-        ends = ends or stop >= n or not math.isfinite(last)
-        if not ends:  # taken first, max and min made a one-block sum at a = 100 50% slower
+        last, view = float(t[-1]), (t if python else memoryview(t))
+        if end is not None:
+            end = 0
+        elif not math.isfinite(last):
+            end = len(t)
+        else:  # taken first, max and min made a one-block sum at a = 100 50% slower
             high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
             largest = max(largest, abs(high), abs(low))
-            if stop > nu:
-                rho = ((n - stop) / a) * max(1.0, (stop - nu) / (stop + 1))
-            else:
-                rho = ((n - stop) / (stop + 1)) * (max(nu - stop, abs(n - nu)) / a)
-            ends = rho < 1.0 and abs(last) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
-        yield (t if python else memoryview(t)), ends
-        start = stop
+            end = _certified_end(n, a, nu, view, start, largest)
+        yield view, end
+        start, size = stop, later
+
+
+def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
+    """How many terms of the block t = t_{start+1}, ..., t_stop the sum
+    takes: up to the first grid term t_k (k a multiple of _GRID, or k = n)
+    at which the terms past it are certified negligible, or None where the
+    block has no such term.  largest is the largest |t_j|, j <= stop.
+
+    Every later ratio r_j, j >= k, is at most rho in size, with
+    rho = ((n-k)/a) max(1, (k-nu)/(k+1)) for k > nu, and otherwise
+    rho = ((n-k)/(k+1)) max(nu-k, |n-nu|)/a, as (n-j)/(j+1) falls with j
+    and |j-nu| is largest at j = k or j = n.  Once rho < 1 the terms past
+    k sum to at most |t_k| rho/(1-rho), and the test holds at k where that
+    is at most _TAIL_FRACTION of the largest |t_j|, j <= k.  That largest
+    is `largest`, since no term past such a k is larger than |t_k|.
+    On each side of nu, rho does not grow with k, and past a k with
+    rho < 1 neither does |t_k|, so once the test holds at a k it holds at
+    every later k on that side: the first grid term at which it holds is
+    found by bisection on each side, and it lies in this block only if
+    the test holds at the block's last grid term on that side.
+    """
+    bound = _TAIL_FRACTION * largest
+
+    def holds(k):
+        if k > nu:
+            rho = ((n - k) / a) * max(1.0, (k - nu) / (k + 1))
+        else:
+            rho = ((n - k) / (k + 1)) * (max(nu - k, abs(n - nu)) / a)
+        return rho < 1.0 and abs(t[k - start - 1]) * rho <= bound * (1.0 - rho)
+
+    stop = start + len(t)
+    grid = range(start - start % _GRID + _GRID, stop + 1, _GRID)
+    side = bisect.bisect_right(grid, nu)
+    for ks in (grid[:side], grid[side:]):
+        if ks and holds(ks[-1]):
+            return ks[bisect.bisect_left(ks, True, key=holds)] - start
+    return len(t) if stop == n else None  # the test holds at k = n, where rho = 0
 
 
 def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:
@@ -274,16 +354,25 @@ def _term_block(n: int, a: float, nu: float, start: int, stop: int, prev: float)
     silently.
     """
     import numpy as np
-    # the block is built in place, as fresh temporaries cost more than the
-    # arithmetic
-    k = np.arange(start, stop, dtype=float)
+    # The block is built in place, as fresh temporaries cost more than the
+    # arithmetic (k + 1 - 1 is k exactly), and in pieces of at most _PIECE
+    # terms, each continued from the last term of the one before as the
+    # cumprod would.
+    out = np.empty(stop - start)
     with np.errstate(over="ignore", invalid="ignore"):
-        ratios = float(n) - k
-        ratios /= k + 1.0
-        ratios *= (k - nu) / a
-        if start:  # t_0 = 1, so the first block needs no prev
-            ratios[0] *= prev
-        return ratios.cumprod(out=ratios)
+        for low in range(start, stop, _PIECE):
+            k = np.arange(low, min(low + _PIECE, stop), dtype=float)
+            ratios = np.subtract(float(n), k, out=out[low - start:low - start + len(k)])
+            k += 1.0
+            ratios /= k
+            k -= 1.0
+            k -= nu
+            k /= a
+            ratios *= k
+            if low:  # t_0 = 1, so the first piece needs no prev
+                ratios[0] *= prev
+            prev = ratios.cumprod(out=ratios)[-1]
+    return out
 
 
 def charlier_order_shift(n: int, a: float, nu: float,
@@ -385,7 +474,8 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     """y_nu^a(x) = (2a)^{nu/2} c_n^a(nu) at a ScaledPoint.
 
     Rational mode needs (2a)^{nu/2} to be rational: nu an even integer,
-    or nu an odd integer with 2a a perfect square.
+    or nu an odd integer with 2a a perfect square; it raises DomainError
+    first where the scale or the sum could need more than 2^16 bits.
     """
     if mode == "float":
         nu_f = float(nu)
@@ -401,6 +491,7 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
         raise RationalModeError(f"(2a)^(nu/2) is irrational for nu={nu!r}")
     nu_i = nu_r.numerator
     two_a = 2 * _to_fraction(point.a, "a")
+    _check_bits(abs(nu_i) * (two_a.numerator.bit_length() + two_a.denominator.bit_length()) // 2)
     if nu_i % 2 == 0:
         scale = two_a ** (nu_i // 2)
     else:

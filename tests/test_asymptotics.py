@@ -246,22 +246,39 @@ def test_head_tail_split_takes_y0_direct_from_its_rows(monkeypatch):
         assert rep.y0_direct.hex() == want.hex(), (a, nu)
 
 
+def _split_rows(A, a, nu):
+    """t_0, ..., t_K of c_A^a(nu) from one cumprod, built in chunks: K is
+    the first multiple of q = max(1024, int(4 sqrt(A))) at or past the
+    first term below the smallest normal double, or A."""
+    q = max(1024, int(4.0 * math.sqrt(A)))
+    terms, K = [1.0], A
+    while len(terms) <= K:
+        k = np.arange(len(terms) - 1, min(len(terms) - 1 + (1 << 16), A), dtype=float)
+        ratios = ((A - k) / (k + 1.0)) * ((k - nu) / a)
+        ratios[0] *= terms[-1]
+        terms += np.cumprod(ratios).tolist()
+        below = [i for i, v in enumerate(terms) if v < sys.float_info.min]
+        if below and K == A:
+            K = min(A, -(-below[0] // q) * q)
+    return terms[:K + 1]
+
+
 def test_head_tail_split_sums_are_fsum_of_its_terms():
     # r_head, r_tail and y0_reconstructed, bit for bit, from math.fsum over
     # one list of the split's terms cut at M, for head and tail sums on
-    # both sides of charlier._EXTRACT_TERMS
+    # both sides of charlier._EXTRACT_TERMS; the last four have tails near
+    # the subnormal range, whose last bits change with the terms past the
+    # first subnormal one that the tail takes
     rng = np.random.default_rng(13)
     cases = [(1e6, -4.5), (1e9 + 0.5, -6.25), (1e4, -4.0), (600.0, -5.0), (2.0, -4.0),
              (100.0, -200.0), (1e4, -150.0)]
     cases += [(float(10.0 ** rng.uniform(0.0, 9.0)), float(rng.uniform(-40.0, -4.0)))
               for _ in range(12)]
+    cases += [(2616320.3915432454, -26.950793479051363), (1525529.407156183, -8.671899691033104),
+              (2101959.854017238, -4.582088240333221), (1990222.9370852066, -5.698747787477728)]
     for a, nu in cases:
         cfg = SplitConfig(a, nu)
-        terms = [1.0]
-        for t, ends in charlier._blocks(cfg.A, a, nu, expected=10):
-            terms += t
-            if ends and not sys.float_info.min <= terms[-1] < math.inf:
-                break
+        terms = _split_rows(cfg.A, a, nu)
         s_head, s_tail = math.fsum(terms[:cfg.M]), math.fsum(terms[cfg.M:])
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
         want = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))

@@ -293,18 +293,93 @@ def test_one_degree_sums_are_the_series_sum_property():
     check()
 
 
-def test_every_block_size_gives_the_series_sum():
-    # at a > 65536 the block size grows with the degree, from 1024 to 1058
-    # terms at a = 70000.5; two degrees at each size, for nu above and
-    # below 0
-    ns = []
-    for block in range(1024, 1059):
-        centre = min(int(((block + 0.5) / 4.0) ** 2), 70000)
-        ns += [centre - 1, centre]
-    assert {charlier._block_size(n, 70000.5) for n in ns} == set(range(1024, 1059))
-    for nu in (1.5, -0.4):
+def test_every_block_size_gives_the_series_sum(recorded):
+    # at a = 70000.5 the first block grows with the degree, from 4143 to
+    # 4297 terms over n in [65000, 70000], and past n = 65536 each later
+    # block from 1024 to 1058; the first and last degree of each plan, for
+    # nu above and below 0, whose sums end in the first block, and the
+    # first degree of each plan at nu = -60.5, where some go on into the
+    # second
+    plans = {}
+    for n in range(65000, 70001):
+        plans.setdefault(charlier._block_size(n, 70000.5), []).append(n)
+    assert {first for first, _ in plans} == set(range(4143, 4298))
+    assert {later for _, later in plans} == set(range(1024, 1059))
+    blocks = recorded(charlier, "_term_block")
+    for nu, ends in ((1.5, (0, -1)), (-0.4, (0, -1)), (-60.5, (0,))):
+        ns = [degrees[i] for degrees in plans.values() for i in ends]
+        del blocks[:]
         for n in ns:
             _assert_is_series_sum(n, 70000.5, nu)
+        assert len(blocks) - len(ns) > (30 if nu < -1.0 else -1), nu
+
+
+def test_block_plan_does_not_change_values(monkeypatch):
+    # charlier_direct and every SplitReport field, by hex or as the same
+    # error, under the block plan, blocks of 1024 and odd plans: the sum
+    # ends at a grid term and the split's rows at a multiple of their own
+    # quarter span, wherever the blocks break.  The last four splits have
+    # tails near the subnormal range, where the rows' end shows.
+    from charlier_hermite import SplitConfig, head_tail_split
+    rng = np.random.default_rng(1501)
+    sums = []
+    for i in range(60):
+        a = float(10.0 ** rng.uniform(2.0, 6.0))
+        nu = float(rng.integers(-12, 13)) if i % 5 == 0 else float(rng.uniform(-12.0, 12.0))
+        sums.append((ScaledPoint(float(rng.uniform(-3.0, 3.0)), a).n, a, nu))
+    sums += [(200, 10.0, 500.5), (21588801, 2.4240694582953287e+299, 3e15)]
+    splits = [(float(10.0 ** rng.uniform(0.0, 6.5)), float(rng.uniform(-60.0, -4.0)))
+              for _ in range(16)]
+    splits += [(1000.5, -4.5), (2616320.3915432454, -26.950793479051363),
+               (1525529.407156183, -8.671899691033104), (2101959.854017238, -4.582088240333221),
+               (1990222.9370852066, -5.698747787477728)]
+
+    def outcomes():
+        got = []
+        for f, args in [(charlier_direct, s) for s in sums] + [(head_tail_split, (SplitConfig(*c),))
+                                                              for c in splits]:
+            try:
+                value = f(*args)
+                got.append([float(v).hex() if v is not None else None
+                            for v in (vars(value).values() if f is head_tail_split else [value])])
+            except DomainError as exc:
+                got.append(str(exc))
+        return got
+
+    want = outcomes()
+    block_size = charlier._block_size
+    for plan in ((1024, 1024), (37, 1001), (5000, 63), (65537, 4097)):
+        monkeypatch.setattr(charlier, "_block_size", lambda n, a, p=plan: p)
+        assert outcomes() == want, plan
+    assert block_size(10 ** 6, 1e6) == (16064, 4000)
+
+
+def test_sum_ends_within_a_grid_step_of_the_certified_term(monkeypatch):
+    # at a = 1e6 the sum takes the terms up to the first grid term at or
+    # past the first term at which the tail test, checked term by term,
+    # holds: 10,800 to 16,500 terms, in the first block of 16,064 or
+    # (at x = -0.8) the second
+    summed, sum_ = [], charlier._sum
+
+    def counting(blocks):
+        summed.append(sum(map(len, blocks)) - 1)  # the last k of the t_k summed
+        return sum_(blocks)
+
+    monkeypatch.setattr(charlier, "_sum", counting)
+    for x, nu in ((0.3, 1.7), (-0.8, -2.3), (1.0, 3.5), (0.0, -0.5)):
+        n, a = ScaledPoint(x, 1e6).n, 1e6
+        k = np.arange(40000, dtype=float)  # t_1 .. t_40000
+        t = np.cumprod(((n - k) / (k + 1.0)) * ((k - nu) / a))
+        k += 1.0
+        rho = np.where(k > nu, ((n - k) / a) * np.maximum(1.0, (k - nu) / (k + 1.0)),
+                       ((n - k) / (k + 1.0)) * (np.maximum(nu - k, abs(n - nu)) / a))
+        largest = np.maximum.accumulate(np.maximum(np.abs(t), 1.0))
+        holds = (rho < 1.0) & (np.abs(t) * rho <= charlier._TAIL_FRACTION * largest * (1.0 - rho))
+        certified = int(np.argmax(holds)) + 1
+        del summed[:]
+        charlier_direct(n, a, nu)
+        assert 10000 < certified <= summed[0] < certified + charlier._GRID, (x, nu, certified)
+        assert summed[0] % charlier._GRID == 0
 
 
 def test_zero_terms_end_the_sum_after_one_block(recorded):
@@ -340,11 +415,14 @@ def _hexes(row):
 def test_python_rows_match_term_block_rows():
     # _term_row against _term_block's row, bit for bit, on a seeded grid:
     # continued from prev at start > 0, every fourth nu an integer (exact
-    # zero terms), and rows that underflow to 0, overflow to inf and then
-    # meet a zero ratio at k = nu, inf * 0 = nan
+    # zero terms), rows that underflow to 0, overflow to inf and then meet
+    # a zero ratio at k = nu, inf * 0 = nan, and blocks that _term_block
+    # builds in more than one piece
     rng = np.random.default_rng(49)
     cases = [(5000, 1e6, -0.5, 0, 1024, 1.0), (400, 0.5, 300.0, 0, 400, 1.0),
-             (400, 0.5, -300.5, 100, 400, -1e300), (10 ** 15, 1e15, -5.0, 9990, 10000, 0.3)]
+             (400, 0.5, -300.5, 100, 400, -1e300), (10 ** 15, 1e15, -5.0, 9990, 10000, 0.3),
+             (3 * 10 ** 6, 3e6, 1.7, 0, 3 * charlier._PIECE + 5, 1.0),
+             (3 * 10 ** 6, 3e6, -2.2, 77, 77 + 2 * charlier._PIECE, 0.3)]
     for i in range(300):
         n = int(rng.integers(1, 10 ** 6))
         a = float(10.0 ** rng.uniform(-1.0, 6.0))
@@ -366,9 +444,10 @@ def test_python_rows_match_term_block_rows():
 def test_python_rows_then_numpy_rows_give_the_numpy_sum(monkeypatch, recorded):
     # one-degree sums built in Python up to a crossing point set through
     # _python_terms and in numpy past it, as once a sum crosses
-    # _PYTHON_TERMS: every block boundary is a crossing point, and each sum
-    # is the all-numpy double or the same DomainError
-    python_terms = charlier._python_terms
+    # _PYTHON_TERMS: every block boundary is a crossing point, under the
+    # block plan and under quarter-span blocks only, and each sum is the
+    # all-numpy double of the block plan or the same DomainError
+    python_terms, block_size = charlier._python_terms, charlier._block_size
     rows, blocks = recorded(charlier, "_term_row"), recorded(charlier, "_term_block")
     rng = np.random.default_rng(1211)
     cases = [(400, 1.0, -300.5), (1200, 0.5, 300.0), (10 ** 15, 1e15, -5.0)]
@@ -386,14 +465,17 @@ def test_python_rows_then_numpy_rows_give_the_numpy_sum(monkeypatch, recorded):
 
     assert outcome(10 ** 15, 1e15, -5.0, 0).endswith("needs more than 10000000 terms")
     crossed = 0
+    quarters = lambda n, a: (block_size(n, a)[1],) * 2
     for n, a, nu in cases:
-        block = charlier._block_size(n, a)
         want = outcome(n, a, nu, 0)
-        for crossing in (block, 2 * block, 3 * block + 1, charlier._MAX_TERMS):
-            del rows[:], blocks[:]
-            assert outcome(n, a, nu, crossing) == want, (n, a, nu, crossing)
-            assert sum(map(len, rows)) <= crossing
-            crossed += bool(rows and blocks)
+        for plan in (block_size, quarters):
+            monkeypatch.setattr(charlier, "_block_size", plan)
+            first, later = plan(n, a)
+            for crossing in (first, first + later, first + 2 * later + 1, charlier._MAX_TERMS):
+                del rows[:], blocks[:]
+                assert outcome(n, a, nu, crossing) == want, (n, a, nu, crossing)
+                assert sum(map(len, rows)) <= crossing
+                crossed += bool(rows and blocks)
     assert crossed > 50
     # with numpy loaded, as here, a sum builds no term in Python by default
     assert python_terms(1) == 0
@@ -427,13 +509,14 @@ def test_python_terms_are_a_budget_per_process(fresh_python):
     first, steps = fresh_python(_BUDGET_PROBE)
     # the short sum spends nothing; the split, its rows and c_A, does
     assert first[0] == 0 < first[1] <= charlier._PYTHON_TERMS
-    expected = 5 * charlier._block_size(10 ** 6, 1e6)
+    blocks = charlier._block_size(10 ** 6, 1e6)
+    expected = charlier._expected_terms(*blocks)
     *python, last = steps
     assert len(python) > 10
     spent = first[1]
     for nu, left, after, numpy_loaded, value in python:
         assert left >= expected and not numpy_loaded
-        assert spent < after <= charlier._PYTHON_TERMS
+        assert after - spent in (blocks[0], sum(blocks)) and after <= charlier._PYTHON_TERMS
         spent = after
     # once what is left is less than the next sum expects, that sum goes
     # to numpy, spends nothing, and gives the same double
@@ -446,17 +529,18 @@ def test_python_terms_are_a_budget_per_process(fresh_python):
 _AHEAD_PROBE = """
 import json, sys
 from charlier_hermite import charlier
-charlier._load_numpy_before([(10 ** 6, 1e6)] * 35 + [(10, 1e9)])
+charlier._load_numpy_before([(10 ** 6, 1e6)] * 34 + [(10, 1e9)])
 print(json.dumps(["numpy" in sys.modules, charlier._python_spent]))
 """
 
 
 def test_sums_known_ahead_past_the_budget_load_numpy_first(fresh_python):
-    # 35 sums expected to need 5 blocks of 4000 terms fit in the budget,
-    # 36 do not, and a sum at n <= 48 expects none
-    assert charlier._PYTHON_TERMS // (5 * charlier._block_size(10 ** 6, 1e6)) == 35
+    # 34 sums expected to need a first block of 16064 terms and one of 4000
+    # fit in the budget, 35 do not, and a sum at n <= 48 expects none
+    assert charlier._block_size(10 ** 6, 1e6) == (16064, 4000)
+    assert charlier._PYTHON_TERMS // charlier._expected_terms(16064, 4000) == 34
     assert fresh_python(_AHEAD_PROBE) == [False, 0]
-    assert fresh_python(_AHEAD_PROBE.replace("* 35", "* 36")) == [True, 0]
+    assert fresh_python(_AHEAD_PROBE.replace("* 34", "* 35")) == [True, 0]
 
 
 def test_blocks_refuse_the_term_cap_before_building(monkeypatch):
@@ -478,7 +562,7 @@ def test_blocks_refuse_the_term_cap_before_building(monkeypatch):
         monkeypatch.setattr(charlier, "_python_terms", lambda expected, p=python_terms: p)
         for block, want in ((cap // 2, [(name, 0, cap // 2), (name, cap // 2, cap)]),
                             (cap + 1, [])):
-            monkeypatch.setattr(charlier, "_block_size", lambda n, a, b=block: b)
+            monkeypatch.setattr(charlier, "_block_size", lambda n, a, b=block: (b, b))
             del built[:]
             with pytest.raises(DomainError, match="more than 10000000 terms"):
                 charlier_direct(10 ** 15, 1e15, -5.0)
@@ -497,6 +581,30 @@ def test_scaled_y_rational():
         scaled_y(ScaledPoint(x=0.0, a=3.0), 1, mode="rational")  # sqrt(6) irrational
     with pytest.raises(RationalModeError):
         scaled_y(ScaledPoint(x=0.0, a=2.0), Fraction(1, 2), mode="rational")
+
+
+def test_rational_work_is_capped_before_any_term(monkeypatch):
+    # sums whose terms, and a scale (2a)^{nu/2} whose value, could need more
+    # than 2^16 bits are refused before a term is built; an integer nu >= 0
+    # ends the series after nu + 1 terms, so its degree may be large
+    built, fraction = [], charlier.Fraction
+
+    def recording(*args):
+        built.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(charlier, "Fraction", recording)
+    for call in (lambda: scaled_y(ScaledPoint(0.0, 1e6), -2, mode="rational"),
+                 lambda: charlier_direct(3000, 3000, -2, mode="rational"),
+                 lambda: charlier_direct(40, Fraction(3, 10 ** 600), Fraction(1, 3), mode="rational"),
+                 lambda: scaled_y(ScaledPoint(0.0, 2.0), 2 * 10 ** 5, mode="rational")):
+        with pytest.raises(DomainError, match="could need [0-9]+ bits, more than rational mode's 65536"):
+            call()
+    assert not [args for args in built if len(args) == 2]  # no term ratio was built
+    n = 10 ** 6
+    want = 1 - Fraction(3 * n, 5) + Fraction(6 * math.comb(n, 2), 25) - Fraction(6 * math.comb(n, 3), 125)
+    assert charlier_direct(n, 5, 3, mode="rational") == want
+    assert len([args for args in built if len(args) == 2]) == 4
 
 
 @functools.lru_cache(maxsize=None)

@@ -244,6 +244,14 @@ def test_arguments_past_double_range_exit_1(argv, message):
     assert (code, out) == (1, "") and err.startswith("error: ") and message in err, err
 
 
+def test_rational_work_past_the_cap_exits_1():
+    # a = 1e6 would take 10^6 Fraction terms of up to 4e7 bits
+    code, out, err = run_cli("eval", "scaled", "--x", "0", "--a", "1e6", "--nu", "-2",
+                             "--mode", "rational")
+    assert (code, out) == (1, "") and err.startswith("error: ") and err.count("\n") == 1, err
+    assert "more than rational mode's 65536" in err
+
+
 @pytest.mark.parametrize("nu, x", [("-1e-3", "0.5"), ("1.5", "-2.5E+1"), ("-5.", "-.5e1"),
                                    ("-2e0", "-1E-300")])
 def test_negative_numbers_in_exponent_form_are_values(nu, x):
@@ -288,6 +296,51 @@ def test_eval_argv_property():
             assert code == 1 or (code == 2 and action == "hermite"), (argv, code)
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
             assert "Traceback" not in err and "expected one argument" not in err, (argv, err)
+
+    check()
+
+
+def test_sum_commands_argv_property():
+    # sweep convergence and asymptotics head-tail, whose sums read the
+    # Charlier block generator, with numbers in fixed, exponent and signed
+    # forms: a table with one row per a given, exit 0 where at least
+    # min_ok rows (3 for the sweep, 1 for the split) have no error and 1
+    # where fewer do, or exit 1 (2 for a Hermite series that does not
+    # converge) with one error line; never a traceback.  Each number is
+    # drawn from all doubles up to 1e300 in size or from the range where
+    # the sums run.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    forms = ("{:f}", "{:.3f}", "{:e}", "{:.2E}", "{!r}", "{:+g}", "{:+.4e}")
+
+    def number(low, high):
+        return st.builds(str.format, st.sampled_from(forms),
+                         st.one_of(st.floats(-1e300, 1e300), st.floats(low, high)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    @hypothesis.given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            a_list = data.draw(st.lists(number(0.5, 1e7), min_size=1, max_size=4))
+            argv = ["sweep", "convergence", "--nu", data.draw(number(-12.0, 12.0)),
+                    "--x", data.draw(number(-3.0, 3.0)), "--a-list", ",".join(a_list)]
+            min_ok = 3
+        else:
+            a_list = [data.draw(number(0.5, 1e7))]
+            argv = ["asymptotics", "head-tail", "--a", a_list[0],
+                    "--nu", data.draw(number(-60.0, -3.0))]
+            min_ok = 1
+        code, out, err = run_cli(*argv)
+        assert "Traceback" not in err, (argv, err)
+        if out:
+            _, rows = parse_csv(out)
+            assert [float(row["a"]) for row in rows] == [float(a) for a in a_list], argv
+            ok = sum(row.get("error", "") == "" for row in rows)
+            assert code == (0 if ok >= min_ok else 1) and "error: " not in err, (argv, code, err)
+        else:
+            assert code == 1 or (code == 2 and argv[0] == "sweep"), (argv, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
     check()
 

@@ -1,0 +1,88 @@
+"""Check that the float Charlier sums give the same doubles as at another commit.
+
+    python3 tools/bitcheck.py REV [--seed SEED]
+
+Extracts REV's `src/` with `git archive` into a temporary directory and
+runs one seeded grid, with numpy loaded, in a fresh interpreter on that
+source and in one on the `src/` of the checkout this script lives in:
+3,000 `charlier_direct` sums at n = ceil(a - x sqrt(2a)), with a in
+[10, 1e7], |x| <= 3, |nu| <= 12 and every fifth nu an integer, and 300
+`head_tail_split` configs, with a in [1, 1e9] and nu in [-60, -4].  Each
+outcome is the `float.hex` of every value, or the error's type and
+message.  Prints every outcome that differs and exits 1 if any does, 0
+if none does.
+
+Standard library only; the children need numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# Prints the outcome of each case of the grid drawn from seed argv[1], as
+# JSON: [case, values or error].
+GRID = """
+import json, math, random, sys
+import numpy  # noqa: F401, the sums take their numpy path
+from charlier_hermite import ScaledPoint, SplitConfig, charlier_direct, head_tail_split
+rng = random.Random(int(sys.argv[1]))
+cases = []
+for i in range(3000):
+    a = 10.0 ** rng.uniform(1.0, 7.0)
+    nu = float(rng.randint(-12, 12)) if i % 5 == 0 else rng.uniform(-12.0, 12.0)
+    n = math.ceil(a - rng.uniform(-3.0, 3.0) * math.sqrt(2.0 * a))
+    cases.append(("charlier_direct", n, a, nu))
+for _ in range(300):
+    cases.append(("head_tail_split", 10.0 ** rng.uniform(0.0, 9.0), rng.uniform(-60.0, -4.0)))
+out = []
+for case in cases:
+    try:
+        if case[0] == "charlier_direct":
+            values = [charlier_direct(*case[1:])]
+        else:
+            values = list(vars(head_tail_split(SplitConfig(*case[1:]))).values())
+        got = [None if v is None else v.hex() for v in values]
+    except Exception as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    out.append([case, got])
+print(json.dumps(out))
+"""
+
+
+def outcomes(src, seed):
+    done = subprocess.run([sys.executable, "-c", GRID, str(seed)], capture_output=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(src)), text=True)
+    return json.loads(done.stdout)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("rev")
+    ap.add_argument("--seed", type=int, default=2012)
+    args = ap.parse_args(argv)
+    archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp, filter="data")
+        old = outcomes(pathlib.Path(tmp) / "src", args.seed)
+    new = outcomes(ROOT / "src", args.seed)
+    diffs = [(case, a, b) for (case, a), (_, b) in zip(old, new) if a != b]
+    for case, a, b in diffs:
+        print(f"{case}: {args.rev} {a} | this checkout {b}")
+    print(f"{len(diffs)} of {len(new)} outcomes differ from {args.rev}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

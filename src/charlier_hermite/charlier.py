@@ -50,18 +50,18 @@ _python_spent = 0  # the terms _blocks has built in Python so far
 # which most sums end, and one quarter span more, 20 sqrt(m) + 64 terms in
 # all (five quarter spans while every block held one).
 _EXPECTED_BLOCKS = 2
-# The float sum ends only at a term t_k with k a multiple of _GRID, or at
-# t_n, so where it ends does not depend on where the blocks break.
+# The tail test ends the float sum only at a term t_k with k a multiple of
+# _GRID, so where it ends does not depend on where the blocks break.
 _GRID = 64
 # Rational mode refuses a sum or a scale whose exact value could need more
 # bits than this.  scaled_y at x = 0, nu = -2 took 0.74 s at a = 2000
 # (bound 50,011 bits), and its work grows about as the cube of a.
 _RATIONAL_BITS = 1 << 16
 # _term_block builds a block in pieces of at most this many terms.  A numpy
-# array of 2^14 doubles or more comes from mmap on glibc, and its pages
-# fault in afresh on each call: built in one piece, blocks of 27,776 and
-# 50,660 terms took 20 and 17 ns a term, in pieces 9 ns, as one of 16,064
-# did (2-vCPU VM).
+# array of more than 2^14 doubles (128 KiB) comes from mmap on glibc, and
+# its pages fault in afresh on each call: built in one piece, blocks of
+# 27,776 and 50,660 terms took 20 and 17 ns a term, in pieces 9 ns, as one
+# of 16,064 did (2-vCPU VM).  The first block at a = 1e6 is one piece.
 _PIECE = 16128
 # _sum leaves a sum of fewer terms than this to math.fsum.  Timed per
 # charlier_direct call over 400 sums of 50 to 1100 terms, each summed both
@@ -91,10 +91,9 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
 
     mode="float": terms generated by the overflow-safe ratio recurrence
     and summed exactly rounded, as math.fsum sums them (_sum).  The sum
-    stops at the first term t_k, k a multiple of 64 or k = n, past which
-    the terms left are certified to total at most 2^-160 of the largest
-    term, so the work is O(sqrt(min(a, n))) past the peak term rather
-    than O(n).
+    stops at the first term t_k, k a multiple of 64, past which the terms
+    left are certified to total at most 2^-160 of the largest term, so the
+    work is O(sqrt(min(a, n))) past the peak term rather than O(n).
     mode="rational": the same recurrence in Fraction arithmetic; exact.
     DomainError, before any term is built, where the value could need
     more than 2^16 bits.
@@ -267,10 +266,13 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     in _python_spent, the rest by _term_block.  Both round every term as
     one cumprod over all its ratios would, wherever the blocks break.
 
-    The sum ends in the block at a last term that is not finite, taking
-    the whole block, and otherwise at _certified_end's term: the first
-    t_k on the grid of multiples of _GRID, or t_n, at which the rest is
-    certified negligible.
+    The sum takes the whole block that ends at t_n or at a last term that
+    is not finite, and otherwise ends at _certified_end's term: the first
+    t_k, k a multiple of _GRID, at which the rest is certified negligible.
+    That term does not depend on where the blocks break.  The block at t_n
+    is not tested: its test, two reductions and a bisection, took a sum
+    at a = 100 from 23 to 32 us, and a cut in it saves at most a block's
+    terms.
     """
     global _python_spent
     size, later = _block_size(n, a)
@@ -288,7 +290,7 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
         last, view = float(t[-1]), (t if python else memoryview(t))
         if end is not None:
             end = 0
-        elif not math.isfinite(last):
+        elif stop >= n or not math.isfinite(last):
             end = len(t)
         else:  # taken first, max and min made a one-block sum at a = 100 50% slower
             high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
@@ -300,9 +302,9 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
 
 def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
     """How many terms of the block t = t_{start+1}, ..., t_stop the sum
-    takes: up to the first grid term t_k (k a multiple of _GRID, or k = n)
-    at which the terms past it are certified negligible, or None where the
-    block has no such term.  largest is the largest |t_j|, j <= stop.
+    takes: up to the first grid term t_k (k a multiple of _GRID) at which
+    the terms past it are certified negligible, or None where the block
+    has no such term.  largest is the largest |t_j|, j <= stop.
 
     Every later ratio r_j, j >= k, is at most rho in size, with
     rho = ((n-k)/a) max(1, (k-nu)/(k+1)) for k > nu, and otherwise
@@ -326,13 +328,12 @@ def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
             rho = ((n - k) / (k + 1)) * (max(nu - k, abs(n - nu)) / a)
         return rho < 1.0 and abs(t[k - start - 1]) * rho <= bound * (1.0 - rho)
 
-    stop = start + len(t)
-    grid = range(start - start % _GRID + _GRID, stop + 1, _GRID)
+    grid = range(start - start % _GRID + _GRID, start + len(t) + 1, _GRID)
     side = bisect.bisect_right(grid, nu)
     for ks in (grid[:side], grid[side:]):
         if ks and holds(ks[-1]):
             return ks[bisect.bisect_left(ks, True, key=holds)] - start
-    return len(t) if stop == n else None  # the test holds at k = n, where rho = 0
+    return None
 
 
 def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:

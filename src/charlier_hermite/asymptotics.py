@@ -18,7 +18,6 @@ of f_nu(t) = t^{-nu-1} exp(-t^2/2).
 
 from __future__ import annotations
 
-import bisect
 import math
 import sys
 from dataclasses import dataclass, field
@@ -161,9 +160,9 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     sums the Charlier kernel's own terms and y_nu(0) = (2a)^{nu/2} sum t_k.
     For nu <= -4 the t_k are positive and unimodal from t_0 = 1; the rows
     are built block by block to t_K, K the first multiple of
-    q = max(1024, int(4 sqrt(A))) at or past the first term below the
-    smallest normal double, or K = A, so the work is O(sqrt(a)) and not
-    O(A).  Terms past that one are subnormal: they carry fewer bits, fall
+    q = max(1024, int(4 sqrt(A))) with t_K below the smallest normal
+    double, or K = A, so the work is O(sqrt(a)) and not O(A).  The terms
+    past the first one below it are subnormal: they carry fewer bits, fall
     ever more slowly as they round, and which of them the tail takes
     changes its last bits where the tail sum is itself near that range.
     K is where the rows ended while every block held q terms, and it does
@@ -178,23 +177,23 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     from .charlier import _blocks, _scaled, _sum, charlier_direct
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
     q = max(1024, int(4.0 * math.sqrt(A)))
-    blocks, c_A, K, built = [(1.0,)], None, A, 0
+    blocks, c_A, K, start = [(1.0,)], None, A, 0
     # seven blocks hold 40 sqrt(a) + 64 terms, a little more than the rows
     for t, end in _blocks(A, a, nu, expected=7):
         if end is not None and c_A is None:
             c_A = _sum(blocks + [t[:end]])
         blocks.append(t)
-        built += len(t)
-        if end is not None and K == A and not sys.float_info.min <= t[-1] < math.inf:
-            if math.isfinite(t[-1]):  # past the peak, so the terms do not grow
-                k = built - len(t) + 1 + bisect.bisect_left(
-                    t, True, key=lambda v: v < sys.float_info.min)
-                K = min(A, -(-k // q) * q)
-            else:
-                K = built
-        if built >= K:
+        if end is not None and K == A:
+            for k in range(start - start % q + q, start + len(t) + 1, q):
+                if t[k - start - 1] < sys.float_info.min:
+                    K = k
+                    break
+            if not math.isfinite(t[-1]):
+                K = min(K, start + len(t))
+        start += len(t)
+        if start >= K:
             break
-    blocks[-1] = blocks[-1][:len(blocks[-1]) - (built - K)]
+    blocks[-1] = blocks[-1][:len(blocks[-1]) - (start - K)]
     head, tail, start = [], [], 0
     for t in blocks:  # terms[:M] and terms[M:], block by block
         cut = min(max(M - start, 0), len(t))

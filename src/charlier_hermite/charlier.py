@@ -219,10 +219,13 @@ def _block_size(n: int, a: float) -> tuple:
     tail test, checked term by term, first held 10.0 to 16.7 sqrt(m) terms
     in, 13.6 sqrt(m) at the median.  The first block holds that span and
     one grid step more, so most sums take one block; each later block
-    holds a quarter span, and at least 1024 (4 sqrt(65536)).
+    holds a quarter span (_blocks ends it at a multiple of one).  Every
+    block holds at least 1024 terms (4 sqrt(65536)), so a sum at
+    n <= 1024 takes one block and no test.
     """
-    m = min(a, n)
-    return int(16.0 * math.sqrt(m)) + _GRID, (1024 if m <= 65536 else int(4.0 * math.sqrt(m)))
+    root = math.sqrt(min(a, n))
+    first, later = int(16.0 * root) + _GRID, int(4.0 * root)
+    return (first if first > 1024 else 1024), (later if later > 1024 else 1024)
 
 
 def _expected_terms(first: int, later: int, blocks: int = _EXPECTED_BLOCKS) -> int:
@@ -259,9 +262,11 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     charlier_direct's sum ends; from that block on it is how many of the
     block's terms the sum takes, and 0 past it.
 
-    The blocks hold the terms _block_size gives, each continued from the
-    last term of the one before; one that would end past t_{_MAX_TERMS}
-    raises DomainError before any of it is built.  Blocks that end within
+    The first block holds the terms _block_size gives for it, and each
+    later one ends at the next multiple of its later size, where blocks
+    ended when all were that size.  Each block is continued from the last
+    term of the one before; one that would end past t_{_MAX_TERMS} raises
+    DomainError before any of it is built.  Blocks that end within
     _python_terms of `expected` blocks are built by _term_row and counted
     in _python_spent, the rest by _term_block.  Both round every term as
     one cumprod over all its ratios would, wherever the blocks break.
@@ -275,11 +280,11 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     terms.
     """
     global _python_spent
-    size, later = _block_size(n, a)
-    python_terms = _python_terms(_expected_terms(size, later, expected))
+    first, later = _block_size(n, a)
+    python_terms = _python_terms(_expected_terms(first, later, expected))
     largest, last, start, end = 1.0, 1.0, 0, None
     while start < n:
-        stop = min(start + size, n)
+        stop = min(start - start % later + later if start else first, n)
         if stop > _MAX_TERMS:
             raise DomainError(f"the Charlier sum at n={n}, a={float(a)!r}, nu={float(nu)!r} "
                               f"needs more than {_MAX_TERMS} terms")
@@ -297,7 +302,7 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
             largest = max(largest, abs(high), abs(low))
             end = _certified_end(n, a, nu, view, start, largest)
         yield view, end
-        start, size = stop, later
+        start = stop
 
 
 def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
@@ -321,18 +326,20 @@ def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
     """
     bound = _TAIL_FRACTION * largest
 
-    def holds(k):
+    def holds(k):  # max() spelt out: it took a third of the search's time
         if k > nu:
-            rho = ((n - k) / a) * max(1.0, (k - nu) / (k + 1))
+            r = (k - nu) / (k + 1)
+            rho = ((n - k) / a) * (r if r > 1.0 else 1.0)
         else:
-            rho = ((n - k) / (k + 1)) * (max(nu - k, abs(n - nu)) / a)
+            r = nu - k if nu - k > abs(n - nu) else abs(n - nu)
+            rho = ((n - k) / (k + 1)) * (r / a)
         return rho < 1.0 and abs(t[k - start - 1]) * rho <= bound * (1.0 - rho)
 
     grid = range(start - start % _GRID + _GRID, start + len(t) + 1, _GRID)
-    side = bisect.bisect_right(grid, nu)
-    for ks in (grid[:side], grid[side:]):
+    side = bisect.bisect_right(grid, nu) if grid and grid[0] <= nu else 0
+    for ks in (grid[:side], grid[side:]) if side else (grid,):
         if ks and holds(ks[-1]):
-            return ks[bisect.bisect_left(ks, True, key=holds)] - start
+            return ks[bisect.bisect_left(ks, True, 0, len(ks) - 1, key=holds)] - start
     return None
 
 
@@ -355,21 +362,19 @@ def _term_block(n: int, a: float, nu: float, start: int, stop: int, prev: float)
     silently.
     """
     import numpy as np
-    # The block is built in place, as fresh temporaries cost more than the
-    # arithmetic (k + 1 - 1 is k exactly), and in pieces of at most _PIECE
-    # terms, each continued from the last term of the one before as the
-    # cumprod would.
+    # The block is built mostly in place, as fresh temporaries cost more
+    # than the arithmetic, and in pieces of at most _PIECE terms, each
+    # continued from the last term of the one before as the cumprod would.
     out = np.empty(stop - start)
     with np.errstate(over="ignore", invalid="ignore"):
         for low in range(start, stop, _PIECE):
             k = np.arange(low, min(low + _PIECE, stop), dtype=float)
-            ratios = np.subtract(float(n), k, out=out[low - start:low - start + len(k)])
+            ratios = np.subtract(k, nu, out=out[low - start:low - start + len(k)])
+            ratios /= a
+            high = float(n) - k
             k += 1.0
-            ratios /= k
-            k -= 1.0
-            k -= nu
-            k /= a
-            ratios *= k
+            high /= k
+            ratios *= high
             if low:  # t_0 = 1, so the first piece needs no prev
                 ratios[0] *= prev
             prev = ratios.cumprod(out=ratios)[-1]

@@ -248,27 +248,30 @@ def test_head_tail_split_takes_y0_direct_from_its_rows(monkeypatch):
 
 def _split_rows(A, a, nu):
     """t_0, ..., t_K of c_A^a(nu) from one cumprod, built in chunks: K is
-    the first multiple of q = max(1024, int(4 sqrt(A))) at or past the
-    first term below the smallest normal double, or A."""
+    the first multiple of q = max(1024, int(4 sqrt(A))) with t_K below the
+    smallest normal double, or A."""
     q = max(1024, int(4.0 * math.sqrt(A)))
-    terms, K = [1.0], A
-    while len(terms) <= K:
-        k = np.arange(len(terms) - 1, min(len(terms) - 1 + (1 << 16), A), dtype=float)
+    chunks, prev, start = [np.ones(1)], 1.0, 0
+    while start < A:
+        k = np.arange(start, min(start + (1 << 16), A), dtype=float)
         ratios = ((A - k) / (k + 1.0)) * ((k - nu) / a)
-        ratios[0] *= terms[-1]
-        terms += np.cumprod(ratios).tolist()
-        below = [i for i, v in enumerate(terms) if v < sys.float_info.min]
-        if below and K == A:
-            K = min(A, -(-below[0] // q) * q)
-    return terms[:K + 1]
+        ratios[0] *= prev
+        chunks.append(np.cumprod(ratios))
+        prev, start = chunks[-1][-1], start + len(k)
+        terms = np.concatenate(chunks)
+        below = np.flatnonzero(terms[q::q] < sys.float_info.min)
+        if len(below):
+            return terms[:(below[0] + 1) * q + 1].tolist()
+    return terms.tolist()
 
 
-def test_head_tail_split_sums_are_fsum_of_its_terms():
+def test_head_tail_split_sums_are_fsum_of_its_terms(monkeypatch):
     # r_head, r_tail and y0_reconstructed, bit for bit, from math.fsum over
     # one list of the split's terms cut at M, for head and tail sums on
-    # both sides of charlier._EXTRACT_TERMS; the last four have tails near
-    # the subnormal range, whose last bits change with the terms past the
-    # first subnormal one that the tail takes
+    # both sides of charlier._EXTRACT_TERMS, under the block plan and under
+    # one whose blocks end away from the rows' end; the last four have
+    # tails near the subnormal range, whose last bits change with the terms
+    # past the first subnormal one that the tail takes
     rng = np.random.default_rng(13)
     cases = [(1e6, -4.5), (1e9 + 0.5, -6.25), (1e4, -4.0), (600.0, -5.0), (2.0, -4.0),
              (100.0, -200.0), (1e4, -150.0)]
@@ -276,12 +279,24 @@ def test_head_tail_split_sums_are_fsum_of_its_terms():
               for _ in range(12)]
     cases += [(2616320.3915432454, -26.950793479051363), (1525529.407156183, -8.671899691033104),
               (2101959.854017238, -4.582088240333221), (1990222.9370852066, -5.698747787477728)]
-    for a, nu in cases:
-        cfg = SplitConfig(a, nu)
-        terms = _split_rows(cfg.A, a, nu)
-        s_head, s_tail = math.fsum(terms[:cfg.M]), math.fsum(terms[cfg.M:])
-        c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
-        want = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
-        rep = head_tail_split(cfg)
-        got = (rep.r_head, rep.r_tail, rep.y0_reconstructed)
-        assert [v.hex() for v in got] == [v.hex() for v in want], (a, nu)
+    summed, sum_ = [], charlier._sum
+
+    def counting(blocks):
+        summed.append(sum(map(len, blocks)))
+        return sum_(blocks)
+
+    monkeypatch.setattr(charlier, "_sum", counting)
+    block_size = charlier._block_size
+    for plan in (block_size, lambda n, a: (1000, 997)):
+        monkeypatch.setattr(charlier, "_block_size", plan)
+        for a, nu in cases:
+            cfg = SplitConfig(a, nu)
+            terms = _split_rows(cfg.A, a, nu)
+            s_head, s_tail = math.fsum(terms[:cfg.M]), math.fsum(terms[cfg.M:])
+            c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
+            want = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
+            del summed[:]
+            rep = head_tail_split(cfg)
+            got = (rep.r_head, rep.r_tail, rep.y0_reconstructed)
+            assert [v.hex() for v in got] == [v.hex() for v in want], (a, nu)
+            assert summed[1] + summed[2] == len(terms), (a, nu)  # c_A, then head and tail

@@ -296,22 +296,28 @@ def test_one_degree_sums_are_the_series_sum_property():
 def test_every_block_size_gives_the_series_sum(recorded):
     # at a = 70000.5 the first block grows with the degree, from 4143 to
     # 4297 terms over n in [65000, 70000], and past n = 65536 each later
-    # block from 1024 to 1058; the first and last degree of each plan, for
-    # nu above and below 0, whose sums end in the first block, and the
-    # first degree of each plan at nu = -60.5, where some go on into the
-    # second
+    # block from 1024 to 1058: the two degrees at each change of the later
+    # size, for nu above and below 0, whose sums end in the first block,
+    # and the first degree of each plan at nu = -60.5, where some go on
+    # into a later block
     plans = {}
     for n in range(65000, 70001):
         plans.setdefault(charlier._block_size(n, 70000.5), []).append(n)
     assert {first for first, _ in plans} == set(range(4143, 4298))
     assert {later for _, later in plans} == set(range(1024, 1059))
+    laters = {}
+    for (_, later), degrees in plans.items():
+        laters.setdefault(later, []).extend(degrees)
+    ns = [n for later, degrees in laters.items() if later > 1024 for n in (min(degrees) - 1, min(degrees))]
     blocks = recorded(charlier, "_term_block")
-    for nu, ends in ((1.5, (0, -1)), (-0.4, (0, -1)), (-60.5, (0,))):
-        ns = [degrees[i] for degrees in plans.values() for i in ends]
+    for nu, degrees in ((1.5, ns), (-0.4, ns), (-60.5, [d[0] for d in plans.values()])):
         del blocks[:]
-        for n in ns:
+        for n in degrees:
             _assert_is_series_sum(n, 70000.5, nu)
-        assert len(blocks) - len(ns) > (30 if nu < -1.0 else -1), nu
+        assert len(blocks) - len(degrees) > (30 if nu < -1.0 else -1), nu
+    # a later block ends at the next multiple of its size, as when all
+    # blocks were that size
+    assert [len(t) for t, _ in charlier._blocks(70000, 70000.5, -60.5)][:4] == [4297, 993, 1058, 1058]
 
 
 def test_block_plan_does_not_change_values(monkeypatch):

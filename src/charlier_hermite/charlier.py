@@ -92,8 +92,9 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     mode="float": terms generated by the overflow-safe ratio recurrence
     and summed exactly rounded, as math.fsum sums them (_sum).  The sum
     stops at the first term t_k, k a multiple of 64, past which the terms
-    left are certified to total at most 2^-160 of the largest term, so the
-    work is O(sqrt(min(a, n))) past the peak term rather than O(n).
+    left are certified to total at most 2^-160 of the largest term (or at
+    t_n, where its block reaches t_n first), so the work is
+    O(sqrt(min(a, n))) past the peak term rather than O(n).
     mode="rational": the same recurrence in Fraction arithmetic; exact.
     DomainError, before any term is built, where the value could need
     more than 2^16 bits.
@@ -263,21 +264,23 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     block's terms the sum takes, and 0 past it.
 
     The first block holds the terms _block_size gives for it, and each
-    later one ends at the next multiple of its later size, where blocks
-    ended when all were that size.  Each block is continued from the last
-    term of the one before; one that would end past t_{_MAX_TERMS} raises
-    DomainError before any of it is built.  Blocks that end within
-    _python_terms of `expected` blocks are built by _term_row and counted
-    in _python_spent, the rest by _term_block.  Both round every term as
-    one cumprod over all its ratios would, wherever the blocks break.
+    later one ends at the next multiple of its later size, as blocks did
+    when all were that size: head_tail_split's rows end on such a
+    multiple, and the terms past it are subnormal, slow to build.  Each
+    block is continued from the last term of the one before; one that
+    would end past t_{_MAX_TERMS} raises DomainError before any of it is
+    built.  Blocks that end within _python_terms of `expected` blocks are
+    built by _term_row and counted in _python_spent, the rest by
+    _term_block.  Both round every term as one cumprod over all its ratios
+    would, wherever the blocks break.
 
     The sum takes the whole block that ends at t_n or at a last term that
     is not finite, and otherwise ends at _certified_end's term: the first
     t_k, k a multiple of _GRID, at which the rest is certified negligible.
     That term does not depend on where the blocks break.  The block at t_n
-    is not tested: its test, two reductions and a bisection, took a sum
-    at a = 100 from 23 to 32 us, and a cut in it saves at most a block's
-    terms.
+    is not tested: its test, two reductions and a bisection, took a
+    one-block sum at a = 100 from 23 to 32 us, and a cut in it saves at
+    most a block's terms.
     """
     global _python_spent
     first, later = _block_size(n, a)
@@ -326,7 +329,9 @@ def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
     """
     bound = _TAIL_FRACTION * largest
 
-    def holds(k):  # max() spelt out: it took a third of the search's time
+    # max() spelt out, and one side where nu is below the grid: the search
+    # took 6 to 9 us a block where it took 9 to 13 (2-vCPU VM)
+    def holds(k):
         if k > nu:
             r = (k - nu) / (k + 1)
             rho = ((n - k) / a) * (r if r > 1.0 else 1.0)

@@ -515,14 +515,16 @@ def test_python_terms_are_a_budget_per_process(fresh_python):
     first, steps = fresh_python(_BUDGET_PROBE)
     # the short sum spends nothing; the split, its rows and c_A, does
     assert first[0] == 0 < first[1] <= charlier._PYTHON_TERMS
-    blocks = charlier._block_size(10 ** 6, 1e6)
-    expected = charlier._expected_terms(*blocks)
+    size, later = charlier._block_size(10 ** 6, 1e6)
+    expected = charlier._expected_terms(size, later)
     *python, last = steps
     assert len(python) > 10
     spent = first[1]
     for nu, left, after, numpy_loaded, value in python:
         assert left >= expected and not numpy_loaded
-        assert after - spent in (blocks[0], sum(blocks)) and after <= charlier._PYTHON_TERMS
+        # the first block, or that and a second one ending at a multiple of the later size
+        assert after - spent in (size, size - size % later + later), nu
+        assert after <= charlier._PYTHON_TERMS
         spent = after
     # once what is left is less than the next sum expects, that sum goes
     # to numpy, spends nothing, and gives the same double

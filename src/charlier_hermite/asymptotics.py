@@ -105,7 +105,9 @@ def f_nu(t: float, nu: float) -> float:
     """f_nu(t) = t^{-nu-1} exp(-t^2/2) on t >= 0.
 
     At t = 0 the exponent -nu-1 decides: positive -> 0, zero -> 1,
-    negative -> pole (domain error).
+    negative -> pole (domain error).  Where t^{-nu-1} alone leaves double
+    range, the value is exp of its logarithm: 0.0 where that underflows,
+    and DomainError where it overflows.
     """
     if not (math.isfinite(t) and math.isfinite(nu)):
         raise DomainError("f_nu requires finite arguments")
@@ -118,7 +120,17 @@ def f_nu(t: float, nu: float) -> float:
         if e == 0:
             return 1.0
         raise DomainError(f"f_nu has a pole at t = 0 for nu = {nu} (exponent {e} < 0)")
-    return t ** e * math.exp(-0.5 * t * t)
+    try:
+        return t ** e * math.exp(-0.5 * t * t)
+    except OverflowError:  # t ** e alone is outside double range
+        pass
+    # ln f_nu = e ln t - t^2/2, written so that it is never inf - inf, and
+    # capped at 710 so that math.exp raises where it is +inf too
+    ln_t = math.log(t)
+    try:
+        return math.exp(min(ln_t * (e - t * (0.5 * t / ln_t)), 710.0))
+    except OverflowError:
+        raise DomainError(f"f_nu({t!r}) at nu = {nu!r} is outside double range") from None
 
 
 @dataclass(frozen=True)
@@ -134,6 +146,9 @@ def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidChec
 
         integral_{M dt}^{N dt} f_nu = 2^{-nu/2-1} [ Gamma(-nu/2, (M dt)^2/2)
                                                     - Gamma(-nu/2, (N dt)^2/2) ].
+
+    DomainError where a sum, a bound or their difference is outside double
+    range.
     """
     if nu > -3:
         raise DomainError(f"trapezoid_gamma_check requires nu <= -3, got {nu!r}")
@@ -143,13 +158,19 @@ def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidChec
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
     M = int(M)
     N = int(N)
-    riemann = dt * math.fsum(f_nu(k * dt, nu) for k in range(M, N + 1))
     s = -0.5 * nu
-    closed = 2.0 ** (-0.5 * nu - 1.0) * (
-        upper_incomplete_gamma(s, 0.5 * (M * dt) ** 2)
-        - upper_incomplete_gamma(s, 0.5 * (N * dt) ** 2)
-    )
-    return TrapezoidCheck(riemann, closed, abs(riemann - closed))
+    try:
+        riemann = dt * math.fsum(f_nu(k * dt, nu) for k in range(M, N + 1))
+        closed = 2.0 ** (-0.5 * nu - 1.0) * (
+            upper_incomplete_gamma(s, 0.5 * (M * dt) ** 2)
+            - upper_incomplete_gamma(s, 0.5 * (N * dt) ** 2)
+        )
+        values = (riemann, closed, abs(riemann - closed))
+    except OverflowError:  # in fsum, in 2^(-nu/2-1) or in (N dt)^2
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"the trapezoid check at nu={nu!r}, dt={dt!r} is outside double range")
+    return TrapezoidCheck(*values)
 
 
 def head_tail_split(cfg: SplitConfig) -> SplitReport:
@@ -178,8 +199,7 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
     q = max(1024, int(4.0 * math.sqrt(A)))
     blocks, c_A, K, start = [(1.0,)], None, A, 0
-    # seven blocks hold 40 sqrt(a) + 64 terms, a little more than the rows
-    for t, end in _blocks(A, a, nu, expected=7):
+    for t, end in _blocks(A, a, nu):
         if end is not None and c_A is None:
             c_A = _sum(blocks + [t[:end]])
         blocks.append(t)

@@ -40,16 +40,11 @@ _TAIL_FRACTION = 2.0 ** -160
 # No float sum builds more terms than this; every a <= 1e10 measured
 # needs at most 2.3e6.
 _MAX_TERMS = 10_000_000
-# A process builds at most this many terms of its one-degree sums in
-# Python while numpy is not loaded, about as many as numpy's import
-# (170 ms cold) is worth: on a 2-vCPU VM, cold `eval charlier` at n = a
-# broke even at 6e5 to 9e5 terms.
+# A process builds at most this many terms in Python while numpy is not
+# loaded, about as many as numpy's import (170 ms cold) is worth: on a
+# 2-vCPU VM, cold `eval charlier` at n = a broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
 _python_spent = 0  # the terms _blocks has built in Python so far
-# A one-degree sum is expected to need this many blocks: the first, past
-# which most sums end, and one quarter span more, 20 sqrt(m) + 64 terms in
-# all (five quarter spans while every block held one).
-_EXPECTED_BLOCKS = 2
 # The tail test ends the float sum only at a term t_k with k a multiple of
 # _GRID, so where it ends does not depend on where the blocks break.
 _GRID = 64
@@ -229,34 +224,17 @@ def _block_size(n: int, a: float) -> tuple:
     return (first if first > 1024 else 1024), (later if later > 1024 else 1024)
 
 
-def _expected_terms(first: int, later: int, blocks: int = _EXPECTED_BLOCKS) -> int:
-    """The terms of the first `blocks` blocks of the plan (first, later)."""
-    return first + (blocks - 1) * later
+def _python_terms() -> int:
+    """How many more terms _blocks may build in Python, by _term_row: what
+    is left of the process's _PYTHON_TERMS while numpy is not loaded, and
+    none once it is (its blocks are faster).  A block that does not fit
+    loads numpy, and every later block goes to it: spending the budget and
+    then importing numpy costs a process at most twice the cheaper of the
+    two (the ski-rental rule), however many sums it goes on to make."""
+    return 0 if "numpy" in sys.modules else _PYTHON_TERMS - _python_spent
 
 
-def _python_terms(expected: int) -> int:
-    """How many terms of one degree a sum or row expected to need about
-    `expected` terms (_expected_terms) may build in Python, by _term_row:
-    what is left of the process's _PYTHON_TERMS while numpy is not loaded,
-    but none once it is (its blocks are faster) or where the sum would
-    pass what is left and load it anyway.  Spending the budget and then
-    importing numpy costs a process at most twice the cheaper of the two
-    (the ski-rental rule), however many sums it goes on to make."""
-    left = _PYTHON_TERMS - _python_spent
-    return left if expected <= left and "numpy" not in sys.modules else 0
-
-
-def _load_numpy_before(sums) -> None:
-    """Load numpy now where the one-degree sums at the (n, a) pairs of
-    `sums`, each expected to need _EXPECTED_BLOCKS blocks, would together
-    pass what is left of the process's _PYTHON_TERMS: a caller that knows
-    its sums ahead then builds no term in Python only to load numpy
-    partway."""
-    if not _python_terms(sum(_expected_terms(*_block_size(n, a)) for n, a in sums if n > 48)):
-        import numpy  # noqa: F401
-
-
-def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
+def _blocks(n: int, a: float, nu: float):
     """Yield (block, end) for the terms t_1, ..., t_n of c_n^a(nu),
     t_0 = 1 and t_{k+1} = t_k r_k: each block a list or a memoryview of
     floats.  end is None for each block before the one in which
@@ -269,10 +247,11 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     multiple, and the terms past it are subnormal, slow to build.  Each
     block is continued from the last term of the one before; one that
     would end past t_{_MAX_TERMS} raises DomainError before any of it is
-    built.  Blocks that end within _python_terms of `expected` blocks are
-    built by _term_row and counted in _python_spent, the rest by
-    _term_block.  Both round every term as one cumprod over all its ratios
-    would, wherever the blocks break.
+    built.  A block that fits in what _python_terms leaves is built by
+    _term_row and counted in _python_spent, any other by _term_block, which
+    loads numpy, so every later block goes to it too.  Both round every
+    term as one cumprod over all its ratios would, wherever the blocks
+    break.
 
     The sum takes the whole block that ends at t_n or at a last term that
     is not finite, and otherwise ends at _certified_end's term: the first
@@ -284,14 +263,13 @@ def _blocks(n: int, a: float, nu: float, expected: int = _EXPECTED_BLOCKS):
     """
     global _python_spent
     first, later = _block_size(n, a)
-    python_terms = _python_terms(_expected_terms(first, later, expected))
     largest, last, start, end = 1.0, 1.0, 0, None
     while start < n:
         stop = min(start - start % later + later if start else first, n)
         if stop > _MAX_TERMS:
             raise DomainError(f"the Charlier sum at n={n}, a={float(a)!r}, nu={float(nu)!r} "
                               f"needs more than {_MAX_TERMS} terms")
-        python = stop <= python_terms
+        python = stop - start <= _python_terms()
         t = (_term_row if python else _term_block)(n, a, nu, start, stop, last)
         if python:
             _python_spent += len(t)

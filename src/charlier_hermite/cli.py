@@ -149,26 +149,16 @@ def _eval_scaled(x, a, nu, mode):
 
 
 def _sweep_convergence(nu, x, a_list):
-    from .charlier import ScaledPoint, _load_numpy_before, scaled_y
+    from .charlier import ScaledPoint, scaled_y
     from .hermite import hermite_fn
+    h = hermite_fn(nu, x)
     rows = []
     for a in a_list:
         try:
-            rows.append({"a": a, "point": ScaledPoint(x, a)})
+            y = scaled_y(ScaledPoint(x, a), nu)
+            rows.append({"a": a, "y": y, "hermite": h, "abs_err": abs(y - h)})
         except DomainError as exc:
             rows.append({"a": a, "error": str(exc)})
-    # The sums are known ahead.  Loaded partway, numpy came after 4.4e5
-    # terms built in Python for nothing: cold, --a-list 1e8,3e8,1e9 took
-    # 18 to 26% longer than with it loaded first (2-vCPU VM).
-    _load_numpy_before([(r["point"].n, r["a"]) for r in rows if "point" in r])
-    h = hermite_fn(nu, x)
-    for r in rows:
-        if "point" in r:
-            try:
-                y = scaled_y(r.pop("point"), nu)
-                r.update(y=y, hermite=h, abs_err=abs(y - h))
-            except DomainError as exc:
-                r["error"] = str(exc)
     _report_rate(rows)
     return rows
 

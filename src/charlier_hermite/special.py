@@ -109,6 +109,10 @@ def _upper_gamma_series(s: float, z: float) -> float:
 def _upper_gamma_cf(s: float, z: float) -> float:
     # Modified Lentz evaluation of the standard continued fraction for
     # Gamma(s, z), stable for z >= s + 1.
+    # The prefactor z^s e^-z first, its logarithm capped at 710 so that
+    # math.exp raises where it is +inf too: where it overflows, the loop
+    # could divide by z + 1 - s = 0, as z + 1 rounds to s.
+    prefactor = math.exp(min(-z + s * math.log(z), 710.0))
     tiny = 1e-300
     b = z + 1.0 - s
     c = 1.0 / tiny
@@ -127,7 +131,7 @@ def _upper_gamma_cf(s: float, z: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < 1e-16:
-            return math.exp(-z + s * math.log(z)) * h
+            return prefactor * h
     raise ConvergenceError(
         f"incomplete gamma continued fraction did not converge for s={s}, z={z}"
     )
@@ -138,7 +142,8 @@ def upper_incomplete_gamma(s: float, z: float) -> float:
 
     Series branch below z = s + 1, continued fraction at and above it;
     both run to machine tolerance with an iteration cap of 10,000.
-    Gamma(s, 0) = Gamma(s).
+    Gamma(s, 0) = Gamma(s).  DomainError where Gamma(s) or the prefactor
+    z^s e^-z is outside double range.
     """
     if not (math.isfinite(s) and math.isfinite(z)):
         raise DomainError("upper_incomplete_gamma requires finite arguments")
@@ -146,11 +151,14 @@ def upper_incomplete_gamma(s: float, z: float) -> float:
         raise DomainError(f"upper_incomplete_gamma requires s > 0, got s={s}")
     if z < 0:
         raise DomainError(f"upper_incomplete_gamma requires z >= 0, got z={z}")
-    if z == 0.0:
-        return math.gamma(s)
-    if z < s + 1.0:
-        return _upper_gamma_series(s, z)
-    return _upper_gamma_cf(s, z)
+    try:
+        if z == 0.0:
+            return math.gamma(s)
+        if z < s + 1.0:
+            return _upper_gamma_series(s, z)
+        return _upper_gamma_cf(s, z)
+    except OverflowError:  # Gamma(s), or the prefactor z^s e^-z
+        raise DomainError(f"Gamma({s!r}, {z!r}) is outside double range") from None
 
 
 def kummer_m(alpha: float, beta: float, z: float) -> float:

@@ -103,6 +103,28 @@ def test_f_nu_rules():
     assert abs(ts[int(np.argmax(vals))] - math.sqrt(2.0)) < 2e-3
 
 
+def test_f_nu_past_the_power_range():
+    # where t^{-nu-1} alone overflows, f_nu is exp of its logarithm: within
+    # 1e-12 of mpmath where that is a double, 0.0 where it underflows and
+    # DomainError where it overflows; elsewhere the value is unchanged
+    mp = pytest.importorskip("mpmath").mp
+    mp.dps = 40
+    cases = [(35.5, -200.5), (38.0, -200.5), (44.0, -200.5), (4.15, -500.0), (50.0, -500.0),
+             (60.0, -500.0), (70.0, -500.0), (2.035, -1000.0), (90.0, -1000.0), (0.49205, 1000.0)]
+    for t, nu in cases:
+        with pytest.raises(OverflowError):
+            t ** (-nu - 1.0)
+        want = mp.mpf(t) ** (-mp.mpf(nu) - 1) * mp.exp(-mp.mpf(t) ** 2 / 2)
+        assert abs(f_nu(t, nu) / want - 1) <= 1e-12, (t, nu)
+    for t, nu in ((80.0, -500.0), (1e300, -3.0), (1e300, -1e300)):
+        assert f_nu(t, nu) == 0.0
+    for t, nu in ((3.0, -1000.0), (1e-300, 1e300), (0.3, 1000.0), (1e155, -1.7e308)):
+        with pytest.raises(DomainError, match="outside double range"):
+            f_nu(t, nu)
+    for t, nu in ((2.0, -1000.0), (40.0, -3.0), (0.5, 1000.0)):
+        assert f_nu(t, nu) == t ** (-nu - 1.0) * math.exp(-0.5 * t * t)
+
+
 def test_trapezoid_single_node():
     dt = 0.125
     chk = trapezoid_gamma_check(-3.0, 4, 4, dt)
@@ -131,6 +153,9 @@ def test_trapezoid_error_bound_and_halving():
 
 
 def test_trapezoid_validation():
+    for nu, dt in ((-1000.0, 0.1), (-1e300, 5e-324)):
+        with pytest.raises(DomainError, match="outside double range"):
+            trapezoid_gamma_check(nu, 1, 100, dt)
     with pytest.raises(DomainError):
         trapezoid_gamma_check(-2.0, 1, 10, 0.1)
     with pytest.raises(DomainError):

@@ -448,11 +448,15 @@ def test_python_rows_match_term_block_rows():
 
 
 def test_python_rows_then_numpy_rows_give_the_numpy_sum(monkeypatch, recorded):
-    # one-degree sums built in Python up to a crossing point set through
-    # _python_terms and in numpy past it, as once a sum crosses
-    # _PYTHON_TERMS: every block boundary is a crossing point, under the
-    # block plan and under quarter-span blocks only, and each sum is the
-    # all-numpy double of the block plan or the same DomainError
+    # one-degree sums and head/tail splits built in Python up to a crossing
+    # point set through _python_terms and in numpy past it, as once a
+    # process passes _PYTHON_TERMS: the budget is `crossing` terms, and none
+    # once a block has gone to numpy.  Every block boundary is a crossing
+    # point, for sums under the block plan and under quarter-span blocks
+    # only, and for splits partway through their rows; each sum is the
+    # all-numpy double of the block plan or the same DomainError, and each
+    # split gives every SplitReport field of the all-numpy split
+    from charlier_hermite import SplitConfig, head_tail_split
     python_terms, block_size = charlier._python_terms, charlier._block_size
     rows, blocks = recorded(charlier, "_term_row"), recorded(charlier, "_term_block")
     rng = np.random.default_rng(1211)
@@ -461,30 +465,54 @@ def test_python_rows_then_numpy_rows_give_the_numpy_sum(monkeypatch, recorded):
         a = float(10.0 ** rng.uniform(3.0, 6.5))
         nu = float(rng.integers(-9, 10)) if i % 5 == 0 else float(rng.uniform(-9.0, 9.0))
         cases.append((ScaledPoint(float(rng.uniform(-3.0, 3.0)), a).n, a, nu))
+    splits = [SplitConfig(2000.0, -4.0), SplitConfig(12345.5, -4.5), SplitConfig(3e5, -60.0)]
+    splits += [SplitConfig(float(10.0 ** rng.uniform(3.0, 6.0)), float(rng.uniform(-60.0, -4.0)))
+               for _ in range(3)]
 
-    def outcome(n, a, nu, crossing):
-        monkeypatch.setattr(charlier, "_python_terms", lambda expected: crossing)
+    def outcome(run, crossing):
+        del rows[:], blocks[:]
+        monkeypatch.setattr(charlier, "_python_terms",
+                            lambda: 0 if blocks else crossing - sum(map(len, rows)))
         try:
-            return repr(charlier_direct(n, a, nu))  # repr is exact
+            return run()
         except DomainError as exc:
             return str(exc)
 
-    assert outcome(10 ** 15, 1e15, -5.0, 0).endswith("needs more than 10000000 terms")
+    def crossed_at(crossing):
+        # Python built what fit, up to the first block that did not
+        left = crossing - sum(map(len, rows))
+        assert left >= 0 and not (blocks and len(blocks[0]) <= left), crossing
+        return bool(rows and blocks)
+
+    def direct(n, a, nu):
+        return lambda: repr(charlier_direct(n, a, nu))  # repr is exact
+
+    def split(cfg):
+        return lambda: [None if v is None else v.hex() for v in vars(head_tail_split(cfg)).values()]
+
+    assert outcome(direct(10 ** 15, 1e15, -5.0), 0).endswith("needs more than 10000000 terms")
     crossed = 0
     quarters = lambda n, a: (block_size(n, a)[1],) * 2
     for n, a, nu in cases:
-        want = outcome(n, a, nu, 0)
+        want = outcome(direct(n, a, nu), 0)
         for plan in (block_size, quarters):
             monkeypatch.setattr(charlier, "_block_size", plan)
             first, later = plan(n, a)
             for crossing in (first, first + later, first + 2 * later + 1, charlier._MAX_TERMS):
-                del rows[:], blocks[:]
-                assert outcome(n, a, nu, crossing) == want, (n, a, nu, crossing)
-                assert sum(map(len, rows)) <= crossing
-                crossed += bool(rows and blocks)
+                assert outcome(direct(n, a, nu), crossing) == want, (n, a, nu, crossing)
+                crossed += crossed_at(crossing)
     assert crossed > 50
-    # with numpy loaded, as here, a sum builds no term in Python by default
-    assert python_terms(1) == 0
+    monkeypatch.setattr(charlier, "_block_size", block_size)
+    crossed = 0
+    for cfg in splits:
+        want = outcome(split(cfg), 0)
+        first, later = block_size(cfg.A, cfg.a)
+        for crossing in [first + j * later for j in range(6)] + [charlier._MAX_TERMS]:
+            assert outcome(split(cfg), crossing) == want, (cfg, crossing)
+            crossed += crossed_at(crossing)
+    assert crossed > 20
+    # with numpy loaded, as here, a sum builds no term in Python
+    assert python_terms() == 0
 
 
 # Spends the process's Python-term budget in a fresh interpreter: a short
@@ -500,7 +528,6 @@ charlier.charlier_direct(40, 100.0, 0.5)
 first = [charlier._python_spent]
 asymptotics.head_tail_split(asymptotics.SplitConfig(10000.0, -4.5))
 first.append(charlier._python_spent)
-charlier._load_numpy_before([(10 ** 6, 1e6)] * 10)
 steps, nu = [], 0.25
 while "numpy" not in sys.modules and len(steps) < 500:
     left = charlier._PYTHON_TERMS - charlier._python_spent
@@ -515,40 +542,26 @@ def test_python_terms_are_a_budget_per_process(fresh_python):
     first, steps = fresh_python(_BUDGET_PROBE)
     # the short sum spends nothing; the split, its rows and c_A, does
     assert first[0] == 0 < first[1] <= charlier._PYTHON_TERMS
+    # each sum takes the first block, or that and a second one ending at a
+    # multiple of the later size
     size, later = charlier._block_size(10 ** 6, 1e6)
-    expected = charlier._expected_terms(size, later)
+    second = size - size % later + later
     *python, last = steps
     assert len(python) > 10
     spent = first[1]
     for nu, left, after, numpy_loaded, value in python:
-        assert left >= expected and not numpy_loaded
-        # the first block, or that and a second one ending at a multiple of the later size
-        assert after - spent in (size, size - size % later + later), nu
+        assert after - spent in (size, second) and not numpy_loaded, nu
         assert after <= charlier._PYTHON_TERMS
         spent = after
-    # once what is left is less than the next sum expects, that sum goes
-    # to numpy, spends nothing, and gives the same double
+    # the first block that does not fit in what is left goes to numpy and
+    # loads it, after any block before it in the same sum was built in
+    # Python; the value is the same double
     nu, left, after, numpy_loaded, value = last
-    assert left < expected and after == spent and numpy_loaded
+    built = after - spent
+    assert built in (0, size) and numpy_loaded and after <= charlier._PYTHON_TERMS
+    assert left - built < (size if built == 0 else second - size)
     for nu, _, _, _, value in steps:
         assert charlier_direct(10 ** 6, 1e6, nu).hex() == value, nu
-
-
-_AHEAD_PROBE = """
-import json, sys
-from charlier_hermite import charlier
-charlier._load_numpy_before([(10 ** 6, 1e6)] * 34 + [(10, 1e9)])
-print(json.dumps(["numpy" in sys.modules, charlier._python_spent]))
-"""
-
-
-def test_sums_known_ahead_past_the_budget_load_numpy_first(fresh_python):
-    # 34 sums expected to need a first block of 16064 terms and one of 4000
-    # fit in the budget, 35 do not, and a sum at n <= 48 expects none
-    assert charlier._block_size(10 ** 6, 1e6) == (16064, 4000)
-    assert charlier._PYTHON_TERMS // charlier._expected_terms(16064, 4000) == 34
-    assert fresh_python(_AHEAD_PROBE) == [False, 0]
-    assert fresh_python(_AHEAD_PROBE.replace("* 34", "* 35")) == [True, 0]
 
 
 def test_blocks_refuse_the_term_cap_before_building(monkeypatch):
@@ -567,7 +580,7 @@ def test_blocks_refuse_the_term_cap_before_building(monkeypatch):
     monkeypatch.setattr(charlier, "_term_row", builder("row", list))
     monkeypatch.setattr(charlier, "_term_block", builder("block", np.array))
     for python_terms, name in ((0, "block"), (cap + 1, "row")):
-        monkeypatch.setattr(charlier, "_python_terms", lambda expected, p=python_terms: p)
+        monkeypatch.setattr(charlier, "_python_terms", lambda p=python_terms: p)
         for block, want in ((cap // 2, [(name, 0, cap // 2), (name, cap // 2, cap)]),
                             (cap + 1, [])):
             monkeypatch.setattr(charlier, "_block_size", lambda n, a, b=block: (b, b))

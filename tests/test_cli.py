@@ -345,6 +345,50 @@ def test_sum_commands_argv_property():
     check()
 
 
+def test_plot_and_zeros_commands_argv_property():
+    # plot fnu and zeros convergence with numbers in fixed, exponent and
+    # signed forms: a table, exit 0 (for zeros, where at least 3 rows have
+    # no error, and 1 where fewer do), or exit 1 (2 for a zero search that
+    # does not converge) with one error line; never a traceback.  Each
+    # number is drawn from all doubles up to 1e300 in size or from the
+    # range where the commands tabulate; zeros takes at most 4 values of
+    # a, none past 1e4, so that each run stays short.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    forms = ("{:f}", "{:.3f}", "{:e}", "{:.2E}", "{!r}", "{:+g}", "{:+.4e}")
+
+    def number(low, high, wide=1e300):
+        return st.builds(str.format, st.sampled_from(forms),
+                         st.one_of(st.floats(-wide, wide), st.floats(low, high)))
+
+    @hypothesis.settings(max_examples=100, deadline=None, derandomize=True,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    @hypothesis.given(st.data())
+    def check(data):
+        if data.draw(st.booleans()):
+            argv = ["plot", "fnu", "--nu", data.draw(number(-1000.0, -1.0)),
+                    "--t-max", data.draw(number(0.0, 100.0)), "--dt", data.draw(number(0.01, 10.0))]
+            min_ok = 0
+        else:
+            a_list = data.draw(st.lists(number(0.5, 1e4, 1e4), min_size=1, max_size=4))
+            argv = ["zeros", "convergence", "--x", data.draw(number(-3.0, 3.0)),
+                    "--target-nu", data.draw(number(-3.0, 12.0)), "--a-list", ",".join(a_list)]
+            min_ok = 3
+        code, out, err = run_cli(*argv)
+        assert "Traceback" not in err, (argv, err)
+        if out:
+            _, rows = parse_csv(out)
+            ok = sum(row.get("error", "") == "" for row in rows)
+            assert code == (0 if ok >= min_ok else 1) and "error: " not in err, (argv, code, err)
+            if argv[0] == "zeros":
+                assert [float(row["a"]) for row in rows] == [float(a) for a in a_list], argv
+        else:
+            assert code == 1 or (code == 2 and argv[0] == "zeros"), (argv, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    check()
+
+
 def test_render_csv_escapes_commas():
     table = OutputTable(("k", "msg"), [{"k": 1, "msg": "bad, worse"}])
     assert render_csv(table) == "k,msg\n1,bad; worse\n"

@@ -14,10 +14,13 @@ from charlier_hermite import (
     ScaledPoint,
     SplitConfig,
     charlier_direct,
+    f_nu,
     head_tail_split,
     hermite_at_zero,
     hermite_fn,
     scaled_y,
+    trapezoid_gamma_check,
+    upper_incomplete_gamma,
 )
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -65,3 +68,21 @@ def test_head_tail_split_is_finite_or_refused(a, nu):
 def test_hermite_fn_is_finite_or_refused(nu, x):
     _assert_finite_or_typed_error(hermite_fn, nu, x)
     _assert_finite_or_typed_error(hermite_at_zero, nu)
+
+
+@_SETTINGS
+@hypothesis.given(st.floats(0.0, 1e300), _NU)
+def test_f_nu_is_finite_or_refused(t, nu):
+    _assert_finite_or_typed_error(f_nu, t, nu)
+
+
+@_SETTINGS
+@hypothesis.given(_A, st.floats(0.0, 1e300))
+def test_upper_incomplete_gamma_is_finite_or_refused(s, z):
+    _assert_finite_or_typed_error(upper_incomplete_gamma, s, z)
+
+
+@_SETTINGS
+@hypothesis.given(st.floats(-1e300, -3.0), st.integers(0, 10 ** 6), st.integers(0, 1000), _A)
+def test_trapezoid_gamma_check_is_finite_or_refused(nu, M, rows, dt):
+    _assert_finite_or_typed_error(trapezoid_gamma_check, nu, M, M + rows, dt)

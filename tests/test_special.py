@@ -111,6 +111,14 @@ def test_upper_gamma_against_oracle():
         assert math.isclose(upper_incomplete_gamma(s, z), want, rel_tol=1e-12), (s, z)
 
 
+def test_upper_gamma_outside_double_range():
+    # Gamma(172) overflows, as does the prefactor 600^500 e^-600, and from
+    # z of about 2^53 up z + 1 - s can round to 0
+    for s, z in ((172.0, 1.0), (172.0, 0.0), (500.0, 600.0), (2.5e305, 2.5e305)):
+        with pytest.raises(DomainError, match="outside double range"):
+            upper_incomplete_gamma(s, z)
+
+
 def test_upper_gamma_recurrence():
     # Gamma(s+1, z) = s Gamma(s, z) + z^s e^{-z}
     rng = np.random.default_rng(7)

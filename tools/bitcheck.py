@@ -3,14 +3,16 @@
     python3 tools/bitcheck.py REV [--seed SEED]
 
 Extracts REV's `src/` with `git archive` into a temporary directory and
-runs one seeded grid, with numpy loaded, in a fresh interpreter on that
-source and in one on the `src/` of the checkout this script lives in:
-3,000 `charlier_direct` sums at n = ceil(a - x sqrt(2a)), with a in
-[10, 1e7], |x| <= 3, |nu| <= 12 and every fifth nu an integer, and 300
-`head_tail_split` configs, with a in [1, 1e9] and nu in [-60, -4].  Each
-outcome is the `float.hex` of every value, or the error's type and
-message.  Prints every outcome that differs and exits 1 if any does, 0
-if none does.
+runs one seeded grid in fresh interpreters on that source and on the
+`src/` of the checkout this script lives in: 3,000 `charlier_direct`
+sums at n = ceil(a - x sqrt(2a)), with a in [10, 1e7], |x| <= 3,
+|nu| <= 12 and every fifth nu an integer, and 300 `head_tail_split`
+configs, with a in [1, 1e9] and nu in [-60, -4].  The grid runs twice on
+each side: warm, with numpy loaded first, and cold, where the first sums
+build their terms in Python until the process's budget of Python terms
+loads numpy.  Each outcome is the `float.hex` of every value, or the
+error's type and message.  Prints every outcome that differs and exits 1
+if any does, 0 if none does.
 
 Standard library only; the children need numpy.
 """
@@ -30,10 +32,11 @@ import tempfile
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # Prints the outcome of each case of the grid drawn from seed argv[1], as
-# JSON: [case, values or error].
+# JSON: [case, values or error].  argv[2] is "warm" to load numpy first.
 GRID = """
 import json, math, random, sys
-import numpy  # noqa: F401, the sums take their numpy path
+if sys.argv[2] == "warm":
+    import numpy  # noqa: F401, every sum takes its numpy path
 from charlier_hermite import ScaledPoint, SplitConfig, charlier_direct, head_tail_split
 rng = random.Random(int(sys.argv[1]))
 cases = []
@@ -59,8 +62,8 @@ print(json.dumps(out))
 """
 
 
-def outcomes(src, seed):
-    done = subprocess.run([sys.executable, "-c", GRID, str(seed)], capture_output=True,
+def outcomes(src, seed, start):
+    done = subprocess.run([sys.executable, "-c", GRID, str(seed), start], capture_output=True,
                           check=True, env=dict(os.environ, PYTHONPATH=str(src)), text=True)
     return json.loads(done.stdout)
 
@@ -72,16 +75,19 @@ def main(argv=None):
     args = ap.parse_args(argv)
     archive = subprocess.run(["git", "archive", "--format=tar", args.rev, "src"], cwd=ROOT,
                              capture_output=True, check=True).stdout
+    failed = False
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        old = outcomes(pathlib.Path(tmp) / "src", args.seed)
-    new = outcomes(ROOT / "src", args.seed)
-    diffs = [(case, a, b) for (case, a), (_, b) in zip(old, new) if a != b]
-    for case, a, b in diffs:
-        print(f"{case}: {args.rev} {a} | this checkout {b}")
-    print(f"{len(diffs)} of {len(new)} outcomes differ from {args.rev}")
-    return 1 if diffs else 0
+        for start in ("warm", "cold"):
+            old = outcomes(pathlib.Path(tmp) / "src", args.seed, start)
+            new = outcomes(ROOT / "src", args.seed, start)
+            diffs = [(case, a, b) for (case, a), (_, b) in zip(old, new) if a != b]
+            for case, a, b in diffs:
+                print(f"{start} {case}: {args.rev} {a} | this checkout {b}")
+            print(f"{start}: {len(diffs)} of {len(new)} outcomes differ from {args.rev}")
+            failed = failed or bool(diffs)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ with (-nu)_k the rising factorial.  Writing the ratio of consecutive
 terms as ((n-k)/(k+1)) * ((k-nu)/a) avoids both binomials and gamma
 quotients, so real nu costs nothing extra and there is no pole to dodge.
 The float sum of the terms is exactly rounded: it is math.fsum's double,
-computed in numpy by error-free extraction once the terms are many.  It
-stops at the first term on a fixed 64-term grid past which the rest is
-certified negligible, built in one block sized to that stop.
+computed in numpy by error-free extraction once the terms are many.  The
+terms are built in blocks, the first sized to hold the terms that count,
+and the sum ends with the first block whose last term certifies the rest
+negligible.
 
 The scaled value
 
@@ -21,7 +22,6 @@ is the quantity that approaches the Hermite function H_nu(x) as a grows.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import sys
@@ -45,9 +45,6 @@ _MAX_TERMS = 10_000_000
 # 2-vCPU VM, cold `eval charlier` at n = a broke even at 6e5 to 9e5 terms.
 _PYTHON_TERMS = 700_000
 _python_spent = 0  # the terms _blocks has built in Python so far
-# The tail test ends the float sum only at a term t_k with k a multiple of
-# _GRID, so where it ends does not depend on where the blocks break.
-_GRID = 64
 # Rational mode refuses a sum or a scale whose exact value could need more
 # bits than this.  scaled_y at x = 0, nu = -2 took 0.74 s at a = 2000
 # (bound 50,011 bits), and its work grows about as the cube of a.
@@ -86,9 +83,9 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
 
     mode="float": terms generated by the overflow-safe ratio recurrence
     and summed exactly rounded, as math.fsum sums them (_sum).  The sum
-    stops at the first term t_k, k a multiple of 64, past which the terms
-    left are certified to total at most 2^-160 of the largest term (or at
-    t_n, where its block reaches t_n first), so the work is
+    takes whole blocks of terms (_blocks), up to the first block whose
+    last term certifies that the terms left total at most 2^-160 of the
+    largest term (or the block that reaches t_n), so the work is
     O(sqrt(min(a, n))) past the peak term rather than O(n).
     mode="rational": the same recurrence in Fraction arithmetic; exact.
     DomainError, before any term is built, where the value could need
@@ -120,11 +117,10 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     a_f, nu_f = _float_args(a, nu)
     if n > 48:
         blocks = [(1.0,)]
-        for t, end in _blocks(n, a_f, nu_f):
-            if end is not None:
-                blocks.append(t[:end])
-                break
+        for t, ends in _blocks(n, a_f, nu_f):
             blocks.append(t)
+            if ends:
+                break
         return _checked(n, a, nu, _sum(blocks))
     # A short sum costs less in Python than in a numpy block, numpy loaded
     # or not, and is far below _EXTRACT_TERMS: fsum without _sum's tests
@@ -214,13 +210,13 @@ def _block_size(n: int, a: float) -> tuple:
     n = ceil(a - x sqrt(2a)) (a in [1e2, 1e6], |x| <= 1, |nu| <= 4), the
     tail test, checked term by term, first held 10.0 to 16.7 sqrt(m) terms
     in, 13.6 sqrt(m) at the median.  The first block holds that span and
-    one grid step more, so most sums take one block; each later block
-    holds a quarter span (_blocks ends it at a multiple of one).  Every
-    block holds at least 1024 terms (4 sqrt(65536)), so a sum at
-    n <= 1024 takes one block and no test.
+    64 terms more, so most sums take one block; each later block holds a
+    quarter span (_blocks ends it at a multiple of one).  Every block
+    holds at least 1024 terms (4 sqrt(65536)), so a sum at n <= 1024 takes
+    one block and no test.
     """
     root = math.sqrt(min(a, n))
-    first, later = int(16.0 * root) + _GRID, int(4.0 * root)
+    first, later = int(16.0 * root) + 64, int(4.0 * root)
     return (first if first > 1024 else 1024), (later if later > 1024 else 1024)
 
 
@@ -235,11 +231,10 @@ def _python_terms() -> int:
 
 
 def _blocks(n: int, a: float, nu: float):
-    """Yield (block, end) for the terms t_1, ..., t_n of c_n^a(nu),
+    """Yield (block, ends) for the terms t_1, ..., t_n of c_n^a(nu),
     t_0 = 1 and t_{k+1} = t_k r_k: each block a list or a memoryview of
-    floats.  end is None for each block before the one in which
-    charlier_direct's sum ends; from that block on it is how many of the
-    block's terms the sum takes, and 0 past it.
+    floats.  ends is true for the block with which charlier_direct's sum
+    ends, and false for every block before and after it.
 
     The first block holds the terms _block_size gives for it, and each
     later one ends at the next multiple of its later size, as blocks did
@@ -253,17 +248,16 @@ def _blocks(n: int, a: float, nu: float):
     term as one cumprod over all its ratios would, wherever the blocks
     break.
 
-    The sum takes the whole block that ends at t_n or at a last term that
-    is not finite, and otherwise ends at _certified_end's term: the first
-    t_k, k a multiple of _GRID, at which the rest is certified negligible.
-    That term does not depend on where the blocks break.  The block at t_n
-    is not tested: its test, two reductions and a bisection, took a
-    one-block sum at a = 100 from 23 to 32 us, and a cut in it saves at
-    most a block's terms.
+    The sum ends with the block that reaches t_n, that ends on a term that
+    is not finite, or whose last term passes _tail_negligible; it takes
+    each block whole.  Where the blocks break therefore moves only terms
+    below _TAIL_FRACTION of the largest, and on every input tested the
+    double is the same.  The block at t_n is not tested, as no term is
+    left past it.
     """
     global _python_spent
     first, later = _block_size(n, a)
-    largest, last, start, end = 1.0, 1.0, 0, None
+    largest, last, start, summing = 1.0, 1.0, 0, True
     while start < n:
         stop = min(start - start % later + later if start else first, n)
         if stop > _MAX_TERMS:
@@ -273,57 +267,35 @@ def _blocks(n: int, a: float, nu: float):
         t = (_term_row if python else _term_block)(n, a, nu, start, stop, last)
         if python:
             _python_spent += len(t)
-        last, view = float(t[-1]), (t if python else memoryview(t))
-        if end is not None:
-            end = 0
+        last = float(t[-1])
+        if not summing:
+            ends = False
         elif stop >= n or not math.isfinite(last):
-            end = len(t)
+            ends = True
         else:  # taken first, max and min made a one-block sum at a = 100 50% slower
             high, low = (max(t), min(t)) if python else (float(t.max()), float(t.min()))
             largest = max(largest, abs(high), abs(low))
-            end = _certified_end(n, a, nu, view, start, largest)
-        yield view, end
+            ends = _tail_negligible(n, a, nu, stop, last, largest)
+        summing = summing and not ends
+        yield (t if python else memoryview(t)), ends
         start = stop
 
 
-def _certified_end(n: int, a: float, nu: float, t, start: int, largest: float):
-    """How many terms of the block t = t_{start+1}, ..., t_stop the sum
-    takes: up to the first grid term t_k (k a multiple of _GRID) at which
-    the terms past it are certified negligible, or None where the block
-    has no such term.  largest is the largest |t_j|, j <= stop.
+def _tail_negligible(n: int, a: float, nu: float, k: int, t_k: float, largest: float) -> bool:
+    """Whether the terms past t_k are certified to total at most
+    _TAIL_FRACTION of largest, the largest |t_j|, j <= k.
 
     Every later ratio r_j, j >= k, is at most rho in size, with
     rho = ((n-k)/a) max(1, (k-nu)/(k+1)) for k > nu, and otherwise
     rho = ((n-k)/(k+1)) max(nu-k, |n-nu|)/a, as (n-j)/(j+1) falls with j
     and |j-nu| is largest at j = k or j = n.  Once rho < 1 the terms past
-    k sum to at most |t_k| rho/(1-rho), and the test holds at k where that
-    is at most _TAIL_FRACTION of the largest |t_j|, j <= k.  That largest
-    is `largest`, since no term past such a k is larger than |t_k|.
-    On each side of nu, rho does not grow with k, and past a k with
-    rho < 1 neither does |t_k|, so once the test holds at a k it holds at
-    every later k on that side: the first grid term at which it holds is
-    found by bisection on each side, and it lies in this block only if
-    the test holds at the block's last grid term on that side.
+    k sum to at most |t_k| rho/(1-rho).
     """
-    bound = _TAIL_FRACTION * largest
-
-    # max() spelt out, and one side where nu is below the grid: the search
-    # took 6 to 9 us a block where it took 9 to 13 (2-vCPU VM)
-    def holds(k):
-        if k > nu:
-            r = (k - nu) / (k + 1)
-            rho = ((n - k) / a) * (r if r > 1.0 else 1.0)
-        else:
-            r = nu - k if nu - k > abs(n - nu) else abs(n - nu)
-            rho = ((n - k) / (k + 1)) * (r / a)
-        return rho < 1.0 and abs(t[k - start - 1]) * rho <= bound * (1.0 - rho)
-
-    grid = range(start - start % _GRID + _GRID, start + len(t) + 1, _GRID)
-    side = bisect.bisect_right(grid, nu) if grid and grid[0] <= nu else 0
-    for ks in (grid[:side], grid[side:]) if side else (grid,):
-        if ks and holds(ks[-1]):
-            return ks[bisect.bisect_left(ks, True, 0, len(ks) - 1, key=holds)] - start
-    return None
+    if k > nu:
+        rho = ((n - k) / a) * max((k - nu) / (k + 1), 1.0)
+    else:
+        rho = ((n - k) / (k + 1)) * (max(nu - k, abs(n - nu)) / a)
+    return rho < 1.0 and abs(t_k) * rho <= _TAIL_FRACTION * largest * (1.0 - rho)
 
 
 def _term_row(n: int, a: float, nu: float, start: int, stop: int, prev: float) -> list:

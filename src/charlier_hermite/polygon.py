@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .charlier import _scaled, charlier_direct
+from .charlier import _block_size, _scaled, charlier_direct
 from .errors import DomainError
 
 if TYPE_CHECKING:
@@ -45,6 +45,10 @@ _MAX_NODES = 1_000_000  # the row limit of plot fnu, checked before allocating
 # {1, 2.5}, both directions) the worst of about 40 nodes each came to
 # 0.07 of the oracle tolerance 8 eps (scale * weight + |value|).
 _SPAN = 32
+# A state trace refuses to sum anchors whose first blocks hold more terms
+# than this in all: `polygon compare --nu 1 --x-max 1` took 8.2 s at
+# a = 1e9 (7e8 terms) and 78 s at a = 1e10 (7.1e9 terms).
+_MAX_TRACE_TERMS = 10 ** 10
 
 
 @dataclass(frozen=True)
@@ -114,7 +118,9 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
     and at the degree before node 0 (see _node_values).  Node 0 and the
     last node carry charlier_direct's values bit for bit, and every other
     c_m is rounded once from 40 digits.  For direction=1, a must be large
-    enough that every node keeps degree m >= 1.
+    enough that every node keeps degree m >= 1.  DomainError, before any
+    sum, where the anchors' first blocks would hold more than
+    _MAX_TRACE_TERMS terms in all.
     """
     if direction not in (1, -1):
         raise DomainError(f"direction must be +1 or -1, got {direction!r}")
@@ -168,6 +174,10 @@ def _node_values(nu: float, a: float, top: int, direction: int, last: int) -> li
     """
     theta = math.asin(math.sqrt(min(1.0, max(nu, 0.0) / a)))
     span = int(2.0 / max(theta, 2.0 / _SPAN))
+    anchors, first = 1 + -(-last // span), _block_size(top, a)[0]
+    if anchors * first > _MAX_TRACE_TERMS:
+        raise DomainError(f"the state trace at a={a!r} would sum {anchors} anchors of "
+                          f"{first} terms each, more than {_MAX_TRACE_TERMS} terms")
     with decimal.localcontext(decimal.Context(prec=40, traps=[])):
         a_d, nu_d = decimal.Decimal(a), decimal.Decimal(nu)
 

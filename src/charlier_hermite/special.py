@@ -90,7 +90,9 @@ def pochhammer_rising(x: float, k: int):
 def _upper_gamma_series(s: float, z: float) -> float:
     # Gamma(s, z) = Gamma(s) - lower(s, z); the lower series converges
     # fast for z < s + 1, where it carries at most ~70% of Gamma(s), so
-    # the subtraction stays benign.
+    # the subtraction stays benign.  Gamma(s) first, so that where it
+    # overflows the loop does not run to its cap.
+    gamma = math.gamma(s)
     term = 1.0 / s
     total = term
     ap = s
@@ -100,7 +102,7 @@ def _upper_gamma_series(s: float, z: float) -> float:
         total += term
         if abs(term) < abs(total) * 1e-16:
             lower = total * math.exp(-z + s * math.log(z))
-            return math.gamma(s) - lower
+            return gamma - lower
     raise ConvergenceError(
         f"incomplete gamma series did not converge for s={s}, z={z}"
     )

@@ -17,7 +17,7 @@ from charlier_hermite import (
     trapezoid_gamma_check,
     upper_incomplete_gamma,
 )
-from charlier_hermite import charlier
+from charlier_hermite import asymptotics, charlier
 from charlier_hermite.asymptotics import _ceil_4th_root
 from charlier_hermite.charlier import _scaled
 
@@ -162,6 +162,24 @@ def test_trapezoid_validation():
         trapezoid_gamma_check(-3.0, 5, 4, 0.1)
     with pytest.raises(DomainError):
         trapezoid_gamma_check(-3.0, 1, 10, 0.0)
+
+
+def test_trapezoid_node_cap_precedes_any_f_nu_call(monkeypatch):
+    # grids of 10^6 + 1 and about 10^12 nodes are refused before f_nu is
+    # called; one of 10^6 nodes runs
+    calls = []
+
+    def counting(t, nu):
+        calls.append(t)
+        return 0.0
+
+    monkeypatch.setattr(asymptotics, "f_nu", counting)
+    for M, N in ((0, 10 ** 6), (7, 10 ** 12)):
+        with pytest.raises(DomainError, match="more than 1000000"):
+            trapezoid_gamma_check(-3.0, M, N, 1.0)
+    assert calls == []
+    trapezoid_gamma_check(-3.0, 5, 10 ** 6 + 4, 1e-3)
+    assert len(calls) == 10 ** 6
 
 
 def test_head_tail_split_reconstruction():

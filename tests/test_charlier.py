@@ -360,11 +360,11 @@ def test_block_plan_does_not_change_values(monkeypatch):
     assert block_size(10 ** 6, 1e6) == (16064, 4000)
 
 
-def test_sum_ends_within_a_grid_step_of_the_certified_term(monkeypatch):
-    # at a = 1e6 the sum takes the terms up to the first grid term at or
-    # past the first term at which the tail test, checked term by term,
-    # holds: 10,800 to 16,500 terms, in the first block of 16,064 or
-    # (at x = -0.8) the second
+def test_sum_ends_at_the_first_block_end_past_the_certified_term(monkeypatch):
+    # at a = 1e6 the sum takes whole blocks, up to the end of the first
+    # block at or past the first term at which the tail test, checked term
+    # by term, holds: 10,800 to 16,500 terms, in the first block of 16,064
+    # or (at x = -0.8) the second
     summed, sum_ = [], charlier._sum
 
     def counting(blocks):
@@ -382,10 +382,13 @@ def test_sum_ends_within_a_grid_step_of_the_certified_term(monkeypatch):
         largest = np.maximum.accumulate(np.maximum(np.abs(t), 1.0))
         holds = (rho < 1.0) & (np.abs(t) * rho <= charlier._TAIL_FRACTION * largest * (1.0 - rho))
         certified = int(np.argmax(holds)) + 1
+        first, later = charlier._block_size(n, a)
+        ends = [first, first - first % later + later]  # of the first two blocks
         del summed[:]
         charlier_direct(n, a, nu)
-        assert 10000 < certified <= summed[0] < certified + charlier._GRID, (x, nu, certified)
-        assert summed[0] % charlier._GRID == 0
+        assert 10000 < certified <= summed[0], (x, nu, certified)
+        assert summed[0] == min(e for e in ends if e >= certified), (x, nu, certified)
+        assert (summed[0] == ends[1]) == (x == -0.8), (x, nu, certified)
 
 
 def test_zero_terms_end_the_sum_after_one_block(recorded):

@@ -389,6 +389,37 @@ def test_plot_and_zeros_commands_argv_property():
     check()
 
 
+def test_polygon_compare_argv_property():
+    # polygon compare with numbers in fixed, exponent and signed forms: a
+    # table and exit 0, or exit 1 with one error line; never a traceback.
+    # Each number is drawn from all doubles up to 1e300 in size or from the
+    # range where the trace runs (a <= 1e5, x-max <= 3); the trace's term
+    # cap keeps the draws over the full range short.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    forms = ("{:f}", "{:.3f}", "{:e}", "{:.2E}", "{!r}", "{:+g}", "{:+.4e}")
+
+    def number(low, high):
+        return st.builds(str.format, st.sampled_from(forms),
+                         st.one_of(st.floats(-1e300, 1e300), st.floats(low, high)))
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True,
+                         phases=[hypothesis.Phase.explicit, hypothesis.Phase.generate])
+    @hypothesis.given(number(-12.0, 12.0), number(0.0, 3.0), number(0.5, 1e5))
+    def check(nu, x_max, a):
+        argv = ["polygon", "compare", "--nu", nu, "--x-max", x_max, "--a", a]
+        code, out, err = run_cli(*argv)
+        assert "Traceback" not in err, (argv, err)
+        if code == 0:
+            _, rows = parse_csv(out)
+            assert rows and err.startswith("max node deviation ") and err.count("\n") == 1, argv
+        else:
+            assert code == 1 and out == "", (argv, code)
+            assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+    check()
+
+
 def test_render_csv_escapes_commas():
     table = OutputTable(("k", "msg"), [{"k": 1, "msg": "bad, worse"}])
     assert render_csv(table) == "k,msg\n1,bad; worse\n"

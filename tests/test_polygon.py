@@ -92,6 +92,24 @@ def test_node_count_is_capped_before_any_work(monkeypatch):
         polygon._node_count(1_000_000.0, 1.0)
 
 
+def test_state_trace_term_cap_precedes_any_sum(monkeypatch):
+    # at x_max = 1 the anchors' first blocks hold 7.1e10 terms at a = 1e11,
+    # refused before a sum, and 7.1e9 at a = 1e10, which goes on to sum
+    class Summed(Exception):
+        pass
+
+    def first_sum(*args):
+        raise Summed
+
+    monkeypatch.setattr(polygon, "charlier_direct", first_sum)
+    for direction in (1, -1):
+        with pytest.raises(DomainError, match="13977 anchors of 5059708 terms each, more than "
+                                              "10000000000 terms"):
+            charlier_state_trace(1.0, 1e11, 1.0, direction)
+        with pytest.raises(Summed):
+            charlier_state_trace(1.0, 1e10, 1.0, direction)
+
+
 def test_state_trace_nu_zero_is_constant():
     tr = charlier_state_trace(0.0, 50.0, 1.0)
     assert np.all(tr.states[:, 0] == 1.0)

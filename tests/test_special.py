@@ -113,8 +113,11 @@ def test_upper_gamma_against_oracle():
 
 def test_upper_gamma_outside_double_range():
     # Gamma(172) overflows, as does the prefactor 600^500 e^-600, and from
-    # z of about 2^53 up z + 1 - s can round to 0
-    for s, z in ((172.0, 1.0), (172.0, 0.0), (500.0, 600.0), (2.5e305, 2.5e305)):
+    # z of about 2^53 up z + 1 - s can round to 0; Gamma(1e-320) and
+    # Gamma(1e10) overflow on the series branch (z < s + 1), which takes
+    # Gamma(s) before its loop
+    for s, z in ((172.0, 1.0), (172.0, 0.0), (500.0, 600.0), (2.5e305, 2.5e305),
+                 (1e-320, 0.5), (1e10, 1e10 - 1e3)):
         with pytest.raises(DomainError, match="outside double range"):
             upper_incomplete_gamma(s, z)
 

@@ -230,16 +230,16 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     try:
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
         s_head, s_tail = _sum(head), _sum(tail)
-        sums = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
+        sums = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, [s_head + s_tail])[0])
     except OverflowError:
         sums = (math.inf,)
     if not all(map(math.isfinite, sums)):
         raise DomainError(f"head/tail split at a={a!r}, nu={nu!r} is outside double range")
     r_head, r_tail, y0_reconstructed = sums
-    y0_direct = _scaled(2.0 * a, 0.5 * nu, c_A)
+    y0_direct = _scaled(2.0 * a, 0.5 * nu, [c_A])[0]
     y0_ceiling = None
     if math.ceil(a) != A:
-        y0_ceiling = _scaled(2.0 * a, 0.5 * nu, charlier_direct(math.ceil(a), a, nu))
+        y0_ceiling = _scaled(2.0 * a, 0.5 * nu, [charlier_direct(math.ceil(a), a, nu)])[0]
     return SplitReport(
         r_head=r_head,
         r_tail=r_tail,

@@ -409,24 +409,23 @@ def _exact_sqrt(f: Fraction):
     return None
 
 
-def _scaled(base: float, p: float, c, factor: float = 1.0):
-    """factor * base^p * c, for c a float or a numpy array, as
-    (base^p * factor) * c while base^p is a normal double or overflows.
-    Below 2^-1022 a power has lost digits, so base^p is applied as two
-    equal normal factors s = base^(p/2), as ((s * factor) * c) * s.
-    Raises DomainError when s is not normal either, or when a nonzero c
-    still gives a result below the normal range.
+def _scaled(base: float, p: float, c: list, factor: float = 1.0) -> list:
+    """factor * base^p * v for each float v of c, as (base^p * factor) * v
+    while base^p is a normal double or overflows.  Below 2^-1022 a power
+    has lost digits, so base^p is applied as two equal normal factors
+    s = base^(p/2), as ((s * factor) * v) * s.  Raises DomainError when s
+    is not normal either, or a nonzero v gives a result below the normal range.
     """
     try:
         scale = base ** p
     except OverflowError:
         scale = math.inf
     if scale >= sys.float_info.min:
-        return scale * factor * c
+        return [scale * factor * v for v in c]
     s = base ** (p / 2.0)
-    value = s * factor * c * s
-    lost = (c != 0) & (abs(value) < sys.float_info.min)  # a bool, or an array of them
-    if s < sys.float_info.min or getattr(lost, "any", lambda: lost)():
+    value = [s * factor * v * s for v in c]
+    if s < sys.float_info.min or any(v != 0 and abs(w) < sys.float_info.min
+                                     for v, w in zip(c, value)):
         raise DomainError(f"scaling by {base!r}**{p!r} leaves the normal double range")
     return value
 
@@ -440,7 +439,7 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     """
     if mode == "float":
         nu_f = float(nu)
-        value = _scaled(2.0 * point.a, nu_f / 2.0, charlier_direct(point.n, point.a, nu_f))
+        value = _scaled(2.0 * point.a, nu_f / 2.0, [charlier_direct(point.n, point.a, nu_f)])[0]
         if not math.isfinite(value):
             raise DomainError(
                 f"y_nu^a(x) at a={point.a!r}, nu={nu!r} is outside double range")

@@ -183,14 +183,14 @@ def _zeros_convergence(x, target_nu, a_list):
 
 
 def _polygon_compare(nu, x_max, a):
-    from .polygon import charlier_state_trace, euler_polygon, trace_deviation
-    z = charlier_state_trace(nu, a, x_max)
-    u = euler_polygon(nu, z.states[0], x_max, z.step)
-    rows = [{"x": float(xk), "u_y": float(uy), "u_dy": float(udy), "z_y": float(zy),
-             "z_dy": float(zdy), "deviation": math.hypot(zy - uy, zdy - udy)}
-            for xk, (uy, udy), (zy, zdy) in zip(z.xs, u.states, z.states)]
-    print(f"max node deviation {trace_deviation(z, u):.6g} over {len(rows)} nodes",
-          file=sys.stderr)
+    from .polygon import _euler_rows, _max_norm, _trace_rows
+    xs, z_y, z_dy, dx = _trace_rows(nu, a, x_max)
+    _, u_y, u_dy = _euler_rows(nu, (z_y[0], z_dy[0]), x_max, dx)
+    rows = [{"x": xk, "u_y": uy, "u_dy": udy, "z_y": zy, "z_dy": zdy,
+             "deviation": math.hypot(zy - uy, zdy - udy)}
+            for xk, uy, udy, zy, zdy in zip(xs, u_y, u_dy, z_y, z_dy)]
+    dev = _max_norm((r["z_y"] - r["u_y"], r["z_dy"] - r["u_dy"]) for r in rows)
+    print(f"max node deviation {dev:.6g} over {len(rows)} nodes", file=sys.stderr)
     return rows
 
 

@@ -29,6 +29,7 @@ three-term recurrence (Gautschi, SIAM Rev. 9, 1967).
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -82,31 +83,38 @@ def _node_count(x_max: float, dx: float) -> int:
     return int(math.floor(span))
 
 
+def _grid(x_max: float, dx: float, direction: int) -> list:
+    """Nodes 0, h, h + h, ..., h = direction * dx, added up as np.cumsum adds."""
+    if direction not in (1, -1):
+        raise DomainError(f"direction must be +1 or -1, got {direction!r}")
+    steps = _node_count(x_max, dx)
+    return list(itertools.accumulate(itertools.repeat(direction * dx, steps), initial=0.0))
+
+
+def _polygon_trace(xs: list, y: list, dy: list, step: float) -> PolygonTrace:
+    import numpy as np
+    return PolygonTrace(np.array(xs), np.column_stack((y, dy)), step)
+
+
 def euler_polygon(nu: float, init, x_max: float, dx: float,
                   direction: int = 1) -> PolygonTrace:
     """Explicit Euler from state `init` at x = 0, step dx, up to x_max.
 
     direction=-1 runs toward negative x (the signed step is -dx).
     """
-    if direction not in (1, -1):
-        raise DomainError(f"direction must be +1 or -1, got {direction!r}")
-    y, yp = float(init[0]), float(init[1])
-    steps = _node_count(x_max, dx)
-    import numpy as np
-    h = direction * dx
-    xs = np.empty(steps + 1)
-    states = np.empty((steps + 1, 2))
-    # x accumulates by +h so that node values and state updates see the
-    # same grid; with init (0, 2) and nu = 1 this keeps y == 2x exactly
-    x = 0.0
-    for k in range(steps + 1):
-        xs[k] = x
-        states[k, 0] = y
-        states[k, 1] = yp
-        if k < steps:
-            y, yp = y + h * yp, yp + h * (-2.0 * nu * y + 2.0 * x * yp)
-            x += h
-    return PolygonTrace(xs, states, dx)
+    return _polygon_trace(*_euler_rows(nu, init, x_max, dx, direction), dx)
+
+
+def _euler_rows(nu: float, init, x_max: float, dx: float, direction: int = 1) -> tuple:
+    """euler_polygon's nodes, y and y' as lists of floats."""
+    u, up = float(init[0]), float(init[1])
+    xs, h, y, yp = _grid(x_max, dx, direction), direction * dx, [u], [up]
+    # with init (0, 2) and nu = 1 this keeps y == 2x exactly
+    for x in xs[:-1]:
+        u, up = u + h * up, up + h * (-2.0 * nu * u + 2.0 * x * up)
+        y.append(u)
+        yp.append(up)
+    return xs, y, yp
 
 
 def charlier_state_trace(nu: float, a: float, x_max: float,
@@ -122,34 +130,31 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
     sum, where the anchors' first blocks would hold more than
     _MAX_TRACE_TERMS terms in all.
     """
-    if direction not in (1, -1):
-        raise DomainError(f"direction must be +1 or -1, got {direction!r}")
+    return _polygon_trace(*_trace_rows(nu, a, x_max, direction))
+
+
+def _trace_rows(nu: float, a: float, x_max: float, direction: int = 1) -> tuple:
+    """charlier_state_trace's nodes, y and y' as lists of floats, and dx."""
     if not (math.isfinite(a) and a > 0):
         raise DomainError(f"a must be positive, got {a!r}")
     r = math.sqrt(2.0 * a)
     dx = 1.0 / r
-    steps = _node_count(x_max, dx)
-    top = math.ceil(a)
+    xs = _grid(x_max, dx, direction)
+    steps, top = len(xs) - 1, math.ceil(a)
     if direction == 1 and top - steps < 1:
         raise DomainError(
             f"a={a} too small for x_max={x_max}: degree would fall below 1"
         )
-    import numpy as np
     # c_m at the degree before node 0 and at nodes 0 .. steps; the step
     # outward needs node 1 even where steps == 0
-    c = np.array(_node_values(nu, a, top, direction, max(steps, 1))[:steps + 2])
-    # x accumulates by +h from 0, as in euler_polygon
-    xs = np.full(steps + 1, direction * dx)
-    xs[0] = 0.0
-    np.cumsum(xs, out=xs)
-    states = np.empty((steps + 1, 2))
-    states[:, 0] = _scaled(r, nu, c[1:])
+    c = _node_values(nu, a, top, direction, max(steps, 1))[:steps + 2]
+    y = _scaled(r, nu, c[1:])
     # difference quotient toward the previous node, whose degree is
     # m + direction
-    states[:, 1] = _scaled(r, nu, c[1:] - c[:-1], direction * r)
-    if not np.isfinite(states).all():
+    dy = _scaled(r, nu, [m - prev for prev, m in zip(c, c[1:])], direction * r)
+    if not (all(map(math.isfinite, y)) and all(map(math.isfinite, dy))):
         raise DomainError(f"the state trace at a={a!r}, nu={nu!r} is outside double range")
-    return PolygonTrace(xs, states, dx)
+    return xs, y, dy, dx
 
 
 def _node_values(nu: float, a: float, top: int, direction: int, last: int) -> list:
@@ -208,10 +213,15 @@ def trace_deviation(t1: PolygonTrace, t2: PolygonTrace) -> float:
 
     The node grids must be identical.
     """
-    import numpy as np
-    if len(t1.xs) != len(t2.xs) or t1.step != t2.step or not np.array_equal(t1.xs, t2.xs):
+    if t1.step != t2.step or t1.xs.tolist() != t2.xs.tolist():
         raise DomainError("trace_deviation requires identical node grids")
-    return float(np.max(np.linalg.norm(t1.states - t2.states, axis=1)))
+    return _max_norm(zip(*(t1.states - t2.states).T.tolist()))
+
+
+def _max_norm(diffs) -> float:
+    """np.max(np.linalg.norm(diffs, axis=1)) for (d0, d1) pairs, bit for bit."""
+    norms = [math.sqrt(d0 * d0 + d1 * d1) for d0, d1 in diffs]
+    return math.nan if any(map(math.isnan, norms)) else max(norms)
 
 
 def apriori_deviation_bound(x: float, dx: float, u0_norm: float,

@@ -285,7 +285,7 @@ def test_head_tail_split_takes_y0_direct_from_its_rows(monkeypatch):
         degrees.clear()
         rep = head_tail_split(SplitConfig(a, nu))
         assert degrees == ([] if a == math.floor(a) else [math.ceil(a)])
-        want = _scaled(2.0 * a, 0.5 * nu, charlier_direct(math.floor(a), a, nu))
+        want = _scaled(2.0 * a, 0.5 * nu, [charlier_direct(math.floor(a), a, nu)])[0]
         assert rep.y0_direct.hex() == want.hex(), (a, nu)
 
 
@@ -337,7 +337,7 @@ def test_head_tail_split_sums_are_fsum_of_its_terms(monkeypatch):
             terms = _split_rows(cfg.A, a, nu)
             s_head, s_tail = math.fsum(terms[:cfg.M]), math.fsum(terms[cfg.M:])
             c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
-            want = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, s_head + s_tail))
+            want = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, [s_head + s_tail])[0])
             del summed[:]
             rep = head_tail_split(cfg)
             got = (rep.r_head, rep.r_tail, rep.y0_reconstructed)

@@ -323,7 +323,7 @@ def test_every_block_size_gives_the_series_sum(recorded):
 def test_block_plan_does_not_change_values(monkeypatch):
     # charlier_direct and every SplitReport field, by hex or as the same
     # error, under the block plan, blocks of 1024 and odd plans: the sum
-    # ends at a grid term and the split's rows at a multiple of their own
+    # ends at a block end and the split's rows at a multiple of their own
     # quarter span, wherever the blocks break.  The last four splits have
     # tails near the subnormal range, where the rows' end shows.
     from charlier_hermite import SplitConfig, head_tail_split

@@ -420,6 +420,43 @@ def test_polygon_compare_argv_property():
     check()
 
 
+def test_polygon_compare_rows_are_the_public_traces():
+    # polygon compare builds its rows as float lists; every x, u_y, u_dy,
+    # z_y and z_dy it prints is, by float.hex, the value of
+    # charlier_state_trace, euler_polygon and trace_deviation (numpy
+    # arrays), and a trace they refuse is the command's one error line
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    from charlier_hermite import charlier_state_trace, euler_polygon, trace_deviation
+    from charlier_hermite.errors import DomainError
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(-12.0, 12.0), st.floats(0.0, 3.0), st.floats(0.5, 1e5))
+    @hypothesis.example(1.0, 1.0, 10000.0)  # the README command
+    @hypothesis.example(-11.5, 3.0, 99999.5)
+    @hypothesis.example(-7.25, 2.0, 3000.5)
+    @hypothesis.example(5.6, 1.0, 12.0)  # oscillating recurrence, anchors close together
+    def check(nu, x_max, a):
+        code, out, err = run_cli("polygon", "compare", "--nu", repr(nu), "--x-max", repr(x_max),
+                                 "--a", repr(a))
+        try:
+            z = charlier_state_trace(nu, a, x_max)
+        except DomainError as exc:
+            assert (code, out, err) == (1, "", f"error: {exc}\n")
+            return
+        u = euler_polygon(nu, z.states[0], x_max, z.step)
+        want = [[(v + 0.0).hex() for v in row]  # the table prints -0.0 as 0
+                for row in zip(z.xs.tolist(), *u.states.T.tolist(), *z.states.T.tolist())]
+        _, rows = parse_csv(out)
+        got = [[float(row[k]).hex() for k in ("x", "u_y", "u_dy", "z_y", "z_dy")]
+               for row in rows]
+        assert code == 0 and got == want, (nu, x_max, a)
+        assert err == (f"max node deviation {trace_deviation(z, u):.6g} "
+                       f"over {len(want)} nodes\n"), (nu, x_max, a)
+
+    check()
+
+
 def test_render_csv_escapes_commas():
     table = OutputTable(("k", "msg"), [{"k": 1, "msg": "bad, worse"}])
     assert render_csv(table) == "k,msg\n1,bad; worse\n"
@@ -474,8 +511,11 @@ def test_scalar_commands_do_not_import_numpy():
                               "--a-list", "100,1000,10000,100000"],
         "zeros convergence": ["zeros", "convergence", "--x", "0", "--target-nu", "3",
                               "--a-list", "100,400,1600,6400"],
-        # last, so the probe is shown to see an import when there is one
         "polygon compare": ["polygon", "compare", "--nu", "1", "--x-max", "1", "--a", "100"],
+        # last, so the probe is shown to see an import when there is one:
+        # the third sum does not fit in the Python terms left
+        "sweep convergence a=1e9": ["sweep", "convergence", "--nu", "1.5", "--x", "0.7",
+                                    "--a-list", "1e8,3e8,1e9"],
     }
     done = subprocess.run([sys.executable, "-c", _NUMPY_PROBE,
                            json.dumps(list(commands.values()))],
@@ -493,7 +533,8 @@ def test_scalar_commands_do_not_import_numpy():
         "asymptotics head-tail": [0, False],
         "sweep convergence": [0, False],
         "zeros convergence": [0, False],
-        "polygon compare": [0, True],
+        "polygon compare": [0, False],
+        "sweep convergence a=1e9": [0, True],
     }
 
 
@@ -523,7 +564,7 @@ _README_IMPORTS = [
     ("plot fnu --nu -3 --t-max 3 --dt 0.01", ["asymptotics", "cli", "errors", "hermite", "special"], False),
     ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
      [*_SUM, "hermite", "ratefit", "special", "zeros"], False),
-    ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], True),
+    ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], False),
     ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False),
 ]
 

@@ -154,6 +154,23 @@ def test_trace_deviation_rules():
         trace_deviation(z, other)
 
 
+def test_trace_deviation_is_numpy_max_norm():
+    # trace_deviation sums in Python; its value is, by hex, numpy's max of
+    # np.linalg.norm(axis=1) over the state differences: squares that
+    # overflow or underflow included, and NaN where any node's norm is NaN
+    rng = np.random.default_rng(19)
+    xs = np.arange(6.0)
+    for i in range(300):
+        s1, s2 = (rng.standard_normal((6, 2)) * 10.0 ** rng.uniform(-300, 300, (6, 2))
+                  for _ in range(2))
+        if i % 3 == 0:
+            s1[rng.integers(6), rng.integers(2)] = math.nan
+        with np.errstate(over="ignore", under="ignore"):
+            want = float(np.max(np.linalg.norm(s1 - s2, axis=1)))
+        got = trace_deviation(polygon.PolygonTrace(xs, s1, 1.0), polygon.PolygonTrace(xs, s2, 1.0))
+        assert got.hex() == want.hex(), (i, got, want)
+
+
 def test_z_trace_tracks_euler_at_rate_half():
     for nu in (0.5, 2.0):
         pts = []
@@ -306,7 +323,7 @@ def test_state_trace_end_nodes_are_charlier_direct():
         assert np.isfinite(tr.states).all()
         r, top, steps = math.sqrt(2.0 * a), math.ceil(a), len(tr.xs) - 1
         for k in (0, steps):
-            want = charlier._scaled(r, nu, charlier_direct(top - direction * k, a, nu))
+            want = charlier._scaled(r, nu, [charlier_direct(top - direction * k, a, nu)])[0]
             assert float(tr.states[k, 0]).hex() == want.hex(), (k, top)
 
     check()

@@ -1,4 +1,4 @@
-"""Check that the float Charlier sums give the same doubles as at another commit.
+"""Check that the float Charlier sums and traces give the same doubles as at another commit.
 
     python3 tools/bitcheck.py REV [--seed SEED]
 
@@ -6,13 +6,18 @@ Extracts REV's `src/` with `git archive` into a temporary directory and
 runs one seeded grid in fresh interpreters on that source and on the
 `src/` of the checkout this script lives in: 3,000 `charlier_direct`
 sums at n = ceil(a - x sqrt(2a)), with a in [10, 1e7], |x| <= 3,
-|nu| <= 12 and every fifth nu an integer, and 300 `head_tail_split`
-configs, with a in [1, 1e9] and nu in [-60, -4].  The grid runs twice on
-each side: warm, with numpy loaded first, and cold, where the first sums
-build their terms in Python until the process's budget of Python terms
-loads numpy.  Each outcome is the `float.hex` of every value, or the
-error's type and message.  Prints every outcome that differs and exits 1
-if any does, 0 if none does.
+|nu| <= 12 and every fifth nu an integer; 300 `head_tail_split`
+configs, with a in [1, 1e9] and nu in [-60, -4]; 200 state traces, with
+a in [5, 1e6], |nu| <= 12, x_max in [0, 3] and both directions, each
+with its `euler_polygon` and `trace_deviation`; and 300 `scaled_y`
+points, 100 of them at a = 1e4 and nu in [-160, -140], where the scale
+is applied as two factors.  The grid runs twice on each side: warm,
+with numpy loaded first, and cold, where the first sums build their
+terms in Python until the process's budget of Python terms loads numpy.
+Each outcome is the `float.hex` of every value, or the error's type and
+message; a trace's outcome is its node count, the SHA-256 of the hex of
+all its values, and its deviation.  Prints every outcome that differs
+and exits 1 if any does, 0 if none does.
 
 Standard library only; the children need numpy.
 """
@@ -34,10 +39,11 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Prints the outcome of each case of the grid drawn from seed argv[1], as
 # JSON: [case, values or error].  argv[2] is "warm" to load numpy first.
 GRID = """
-import json, math, random, sys
+import hashlib, json, math, random, sys
 if sys.argv[2] == "warm":
     import numpy  # noqa: F401, every sum takes its numpy path
-from charlier_hermite import ScaledPoint, SplitConfig, charlier_direct, head_tail_split
+from charlier_hermite import (ScaledPoint, SplitConfig, charlier_direct, charlier_state_trace,
+                              euler_polygon, head_tail_split, scaled_y, trace_deviation)
 rng = random.Random(int(sys.argv[1]))
 cases = []
 for i in range(3000):
@@ -47,14 +53,30 @@ for i in range(3000):
     cases.append(("charlier_direct", n, a, nu))
 for _ in range(300):
     cases.append(("head_tail_split", 10.0 ** rng.uniform(0.0, 9.0), rng.uniform(-60.0, -4.0)))
+for _ in range(200):
+    nu, a = rng.uniform(-12.0, 12.0), 5.0 * 10.0 ** rng.uniform(0.0, math.log10(2e5))
+    cases.append(("charlier_state_trace", nu, a, rng.uniform(0.0, 3.0), rng.choice((1, -1))))
+for i in range(300):
+    a = 1e4 if i % 3 == 0 else 10.0 ** rng.uniform(1.0, 7.0)
+    nu = rng.uniform(-160.0, -140.0) if i % 3 == 0 else rng.uniform(-12.0, 12.0)
+    cases.append(("scaled_y", rng.uniform(-3.0, 3.0), a, nu))
 out = []
 for case in cases:
     try:
         if case[0] == "charlier_direct":
-            values = [charlier_direct(*case[1:])]
+            got = [charlier_direct(*case[1:]).hex()]
+        elif case[0] == "head_tail_split":
+            values = vars(head_tail_split(SplitConfig(*case[1:]))).values()
+            got = [None if v is None else v.hex() for v in values]
+        elif case[0] == "scaled_y":
+            got = [scaled_y(ScaledPoint(*case[1:3]), case[3]).hex()]
         else:
-            values = list(vars(head_tail_split(SplitConfig(*case[1:]))).values())
-        got = [None if v is None else v.hex() for v in values]
+            nu, a, x_max, direction = case[1:]
+            z = charlier_state_trace(nu, a, x_max, direction)
+            u = euler_polygon(nu, z.states[0], x_max, z.step, direction)
+            values = [*z.xs.tolist(), *z.states.ravel().tolist(), *u.states.ravel().tolist()]
+            digest = hashlib.sha256(" ".join(v.hex() for v in values).encode()).hexdigest()
+            got = [len(z.xs), digest, trace_deviation(z, u).hex()]
     except Exception as exc:
         got = f"{type(exc).__name__}: {exc}"
     out.append([case, got])

@@ -84,25 +84,41 @@ class SplitReport:
 
 
 def factor_p(k: int, A: int) -> float:
-    """p(k) = A! / ((A-k)! A^k), in log space."""
+    """p(k) = A! / ((A-k)! A^k), in log space; DomainError where A or its
+    log-gamma is outside double range."""
     if A < 1 or A != int(A):
         raise DomainError(f"factor_p needs integer A >= 1, got {A!r}")
     if k != int(k) or k < 0 or k > A:
         raise DomainError(f"factor_p needs integer 0 <= k <= A, got k={k!r}")
     k = int(k)
     A = int(A)
-    return math.exp(
-        math.lgamma(A + 1.0) - math.lgamma(A - k + 1.0) - k * math.log(A)
-    )
+    try:
+        return math.exp(
+            math.lgamma(A + 1.0) - math.lgamma(A - k + 1.0) - k * math.log(A)
+        )
+    except OverflowError:  # A + 1.0, or its log-gamma, past double range
+        raise DomainError(f"factor_p's log-gammas at {_int_text('A', A)} are outside "
+                          "double range") from None
 
 
 def factor_q(k: int, nu: float) -> float:
-    """q(k) = Gamma(k - nu) / k!, via log-gamma differences."""
+    """q(k) = Gamma(k - nu) / k!, via log-gamma differences; DomainError
+    where k or q(k) is outside double range."""
     if k != int(k) or k < 1:
         raise DomainError(f"factor_q needs integer k >= 1, got {k!r}")
     k = int(k)
-    lg, sign = ln_gamma(k - nu)
-    return sign * math.exp(lg - math.lgamma(k + 1.0))
+    try:
+        lg, sign = ln_gamma(k - nu)
+        return sign * math.exp(lg - math.lgamma(k + 1.0))
+    except OverflowError:  # k as a float, a log-gamma, or q(k) itself
+        raise DomainError(f"q(k) at {_int_text('k', k)}, nu={nu!r} is outside "
+                          "double range") from None
+
+
+def _int_text(name: str, i: int) -> str:
+    """'name=i', or past 2^64 the size of i: str() refuses an int of more
+    than 4300 digits."""
+    return f"{name}={i}" if i.bit_length() <= 64 else f"{name} of {i.bit_length()} bits"
 
 
 def f_nu(t: float, nu: float) -> float:

@@ -87,9 +87,10 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     last term certifies that the terms left total at most 2^-160 of the
     largest term (or the block that reaches t_n), so the work is
     O(sqrt(min(a, n))) past the peak term rather than O(n).
-    mode="rational": the same recurrence in Fraction arithmetic; exact.
-    DomainError, before any term is built, where the value could need
-    more than 2^16 bits.
+    mode="rational": exact, as one Fraction.  With a = p/q and nu = r/s the
+    term t_k is T_k / (s p)^k, the integers T_k built by _rational_terms,
+    summed by Horner's rule in s p.  DomainError, before any term is
+    built, where the value could need more than 2^16 bits.
     """
     n = _check_degree(n)
     if mode == "rational":
@@ -104,14 +105,11 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         K = min(n, r) if s == 1 and r >= 0 else n
         _check_bits(min(n, K * n.bit_length()) + (K + 1).bit_length() + K * (
             (K * s + abs(r)).bit_length() + q.bit_length() + s.bit_length() + p.bit_length()))
-        total = Fraction(1)
-        term = Fraction(1)
-        for k in range(n):
-            term *= Fraction(n - k, k + 1) * (k - nu_r) / a_r
-            if term == 0:
-                break
-            total += term
-        return total
+        # Horner's rule in s p: total / (s p)^k = sum of T_j / (s p)^j, j <= k
+        sp, total = s * p, 0
+        for k, t in enumerate(_rational_terms(n, q, r, s)):
+            total = total * sp + t
+        return Fraction(total, sp ** k)
     if mode != "float":
         raise DomainError(f"unknown mode {mode!r}")
     a_f, nu_f = _float_args(a, nu)
@@ -129,6 +127,22 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         return _checked(n, a, nu, math.fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
     except (ValueError, OverflowError):  # an inf - inf, or an intermediate overflow
         return _checked(n, a, nu, math.inf)
+
+
+def _rational_terms(n: int, q: int, r: int, s: int):
+    """Yield T_0 = 1, T_1, ..., T_K, the integers with t_k = T_k / (s p)^k
+    for the terms t_k of c_n^a(nu) at a = p/q and nu = r/s, up to the last
+    term that is not 0: T_{k+1} = T_k (n-k) (k s - r) q / (k+1), exact
+    since C(n,k) (n-k) / (k+1) = C(n,k+1).  The series ends where k s = r.
+    """
+    t = 1
+    yield t
+    for k in range(n):
+        f = k * s - r
+        if f == 0:
+            return
+        t = t * (n - k) * f * q // (k + 1)
+        yield t
 
 
 def _check_bits(bits: int) -> None:

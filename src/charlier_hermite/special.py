@@ -16,6 +16,14 @@ from .errors import ConvergenceError, DomainError, PoleError
 SQRT_PI = math.sqrt(math.pi)
 
 _MAX_ITER = 10_000
+# kummer_m's term denominators d_k = (beta + k)(k + 1), k < 1024, for the
+# two betas of hermite_fn, each the double the series would compute.  At
+# |alpha| <= 12 a series that converges takes at most 822 terms (z = 600);
+# from z = 650 on its terms overflow.  Past the table the series computes
+# d_k as it goes.
+_TABLE_TERMS = 1024
+_DENOMINATORS = {beta: tuple([(beta + k) * (k + 1.0) for k in range(_TABLE_TERMS)])
+                 for beta in (0.5, 1.5)}
 
 
 def _is_nonpositive_integer(x: float) -> bool:
@@ -171,7 +179,12 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
     accumulation, truncated once three consecutive terms fall below
     1e-16 relative to the running sum.  Terminates exactly (it is a
     polynomial) when alpha is a non-positive integer.  beta at a
-    non-positive integer is a pole.
+    non-positive integer is a pole.  ConvergenceError after 10,000 terms.
+
+    The index k runs as a float, and for beta = 0.5 and 1.5 (hermite_fn's)
+    the denominators (beta+k)(k+1), k < 1024, come from a table; each is
+    the double the recurrence computes, so the result is too.  alpha and
+    z are meant as floats: an int past 2^53 in size may round differently.
     """
     if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
         raise DomainError("kummer_m requires finite arguments")
@@ -181,20 +194,26 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
     comp = 0.0  # Kahan carry
     term = 1.0
     small = 0
-    for k in range(_MAX_ITER):
-        term *= (alpha + k) * z / ((beta + k) * (k + 1.0))
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        if term == 0.0:
-            return total  # polynomial case: every later term is 0
-        if abs(term) < 1e-16 * abs(total):
-            small += 1
-            if small == 3:
-                return total
-        else:
-            small = 0
+    k = 0.0  # the index as a float: alpha + k rounds as alpha + int(k) does
+    denominators = _DENOMINATORS.get(beta, ())
+    while k < _MAX_ITER:
+        for d in denominators:
+            term *= (alpha + k) * z / d
+            y = term - comp
+            t = total + y
+            comp = (t - total) - y
+            total = t
+            if term == 0.0:
+                return total  # polynomial case: every later term is 0
+            if abs(term) < 1e-16 * abs(total):
+                small += 1
+                if small == 3:
+                    return total
+            else:
+                small = 0
+            k += 1.0
+        # past the table, or for a beta without one
+        denominators = ((beta + j) * (j + 1.0) for j in range(int(k), _MAX_ITER))
     raise ConvergenceError(
         f"kummer_m series did not converge for alpha={alpha}, beta={beta}, z={z}"
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -81,3 +82,43 @@ def fresh_cli(fresh_python):
     """fresh_cli(*argv) runs the command line in a fresh interpreter and
     returns (exit code, stdout, stderr, whether numpy was loaded)."""
     return lambda *argv: tuple(fresh_python(_FRESH_CLI, *argv))
+
+
+def _kummer_reference(alpha, beta, z):
+    """kummer_m as first written, k an int and each denominator computed in
+    the loop, with its checks: (M, terms summed).  The table-driven series
+    must give the same double, error and message."""
+    from charlier_hermite import ConvergenceError, DomainError, PoleError
+    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
+        raise DomainError("kummer_m requires finite arguments")
+    if beta <= 0 and beta == math.floor(beta):
+        raise PoleError(f"kummer_m pole at beta = {beta}")
+    total = 1.0
+    comp = 0.0
+    term = 1.0
+    small = 0
+    for k in range(10_000):
+        term *= (alpha + k) * z / ((beta + k) * (k + 1.0))
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if term == 0.0:
+            return total, k + 1
+        if abs(term) < 1e-16 * abs(total):
+            small += 1
+            if small == 3:
+                return total, k + 1
+        else:
+            small = 0
+    raise ConvergenceError(
+        f"kummer_m series did not converge for alpha={alpha}, beta={beta}, z={z}"
+    )
+
+
+@pytest.fixture
+def kummer_reference():
+    """The frozen kummer_m series: kummer_reference(alpha, beta, z) gives
+    (M, terms summed) or raises as kummer_m first did."""
+    return _kummer_reference
+

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -13,10 +14,13 @@ from charlier_hermite import (
     DomainError,
     RationalModeError,
     ScaledPoint,
+    SharpnessResult,
+    admissible_sharpness_pairs,
     charlier_backward_step,
     charlier_direct,
     charlier_order_shift,
     scaled_y,
+    sharpness_check,
 )
 from charlier_hermite import charlier
 
@@ -611,24 +615,64 @@ def test_rational_work_is_capped_before_any_term(monkeypatch):
     # sums whose terms, and a scale (2a)^{nu/2} whose value, could need more
     # than 2^16 bits are refused before a term is built; an integer nu >= 0
     # ends the series after nu + 1 terms, so its degree may be large
-    built, fraction = [], charlier.Fraction
+    built, terms = [], charlier._rational_terms
 
     def recording(*args):
-        built.append(args)
-        return fraction(*args)
+        for t in terms(*args):
+            built.append(t)
+            yield t
 
-    monkeypatch.setattr(charlier, "Fraction", recording)
+    monkeypatch.setattr(charlier, "_rational_terms", recording)
     for call in (lambda: scaled_y(ScaledPoint(0.0, 1e6), -2, mode="rational"),
                  lambda: charlier_direct(3000, 3000, -2, mode="rational"),
                  lambda: charlier_direct(40, Fraction(3, 10 ** 600), Fraction(1, 3), mode="rational"),
                  lambda: scaled_y(ScaledPoint(0.0, 2.0), 2 * 10 ** 5, mode="rational")):
         with pytest.raises(DomainError, match="could need [0-9]+ bits, more than rational mode's 65536"):
             call()
-    assert not [args for args in built if len(args) == 2]  # no term ratio was built
+    assert not built  # no term was built
     n = 10 ** 6
     want = 1 - Fraction(3 * n, 5) + Fraction(6 * math.comb(n, 2), 25) - Fraction(6 * math.comb(n, 3), 125)
     assert charlier_direct(n, 5, 3, mode="rational") == want
-    assert len([args for args in built if len(args) == 2]) == 4
+    assert len(built) == 4  # t_0 .. t_3
+
+
+def _fraction_series(n, a, nu):
+    """c_n^a(nu) summed term by term in Fractions, as rational mode first
+    did: the reference for its integer loop."""
+    a, nu = Fraction(a), Fraction(nu)
+    total = term = Fraction(1)
+    for k in range(n):
+        term *= Fraction(n - k, k + 1) * (k - nu) / a
+        if term == 0:
+            break
+        total += term
+    return total
+
+
+def test_rational_sums_are_the_fraction_series():
+    rng = random.Random(2022)
+    cases = [(0, Fraction(3, 7), Fraction(-5, 2)), (0, 1, 0), (5, 2, 0), (60, 0.3, -7.25)]
+    for i in range(400):
+        n = rng.randint(0, 60)
+        a = Fraction(rng.randint(1, 60), rng.randint(1, 30))
+        # every fourth nu an integer in [0, n], where the series ends early
+        nu = (Fraction(rng.randint(0, n)) if i % 4 == 0
+              else Fraction(rng.randint(-40, 40), rng.choice((1, 2, 3, 5, 7))))
+        cases.append((n, a, nu))
+    for n, a, nu in cases:
+        got = charlier_direct(n, a, nu, mode="rational")
+        assert type(got) is Fraction and got == _fraction_series(n, a, nu), (n, a, nu)
+    # scaled_y: 2a = m^2, so every integer nu has an exact scale m^nu
+    for _ in range(150):
+        m = rng.randint(1, 10)
+        point, nu = ScaledPoint(rng.uniform(-1.5, 0.5), m * m / 2), rng.randint(-10, 10)
+        want = Fraction(m) ** nu * _fraction_series(point.n, point.a, nu)
+        assert scaled_y(point, nu, mode="rational") == want, (point, nu)
+    for x, a in admissible_sharpness_pairs((2, 4, 6, 8, 10)):
+        r = math.isqrt(int(2 * a))  # 2a = r^2
+        n = int(a - x * r)
+        lhs = 2 * a * _fraction_series(n, a, 2) - (4 * x * x - 2)
+        assert sharpness_check(x, a) == SharpnessResult(n, lhs, 4 * x / r, lhs == 4 * x / r)
 
 
 @functools.lru_cache(maxsize=None)

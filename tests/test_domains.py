@@ -15,6 +15,8 @@ from charlier_hermite import (
     SplitConfig,
     charlier_direct,
     f_nu,
+    factor_p,
+    factor_q,
     head_tail_split,
     hermite_at_zero,
     hermite_fn,
@@ -86,3 +88,22 @@ def test_upper_incomplete_gamma_is_finite_or_refused(s, z):
 @hypothesis.given(st.floats(-1e300, -3.0), st.integers(0, 10 ** 6), st.integers(0, 1000), _A)
 def test_trapezoid_gamma_check_is_finite_or_refused(nu, M, rows, dt):
     _assert_finite_or_typed_error(trapezoid_gamma_check, nu, M, M + rows, dt)
+
+
+@_SETTINGS
+@hypothesis.given(st.integers(1, 10 ** 400), _NU)
+@hypothesis.example(1, -200.0)
+@hypothesis.example(1, -1e300)
+@hypothesis.example(10 ** 400, 0.5)
+@hypothesis.example(10 ** 306, 0.5)
+def test_factor_q_is_finite_or_refused(k, nu):
+    _assert_finite_or_typed_error(factor_q, k, nu)
+
+
+@_SETTINGS
+@hypothesis.given(st.integers(1, 10 ** 400).flatmap(
+    lambda A: st.tuples(st.integers(0, A), st.just(A))))
+@hypothesis.example((1, 10 ** 400))
+@hypothesis.example((1, 10 ** 306))
+def test_factor_p_is_finite_or_refused(k_and_A):
+    _assert_finite_or_typed_error(factor_p, *k_and_A)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from charlier_hermite import (
     hermite_derivative,
     hermite_fn,
 )
+from charlier_hermite.hermite import _two_to
+from charlier_hermite.special import SQRT_PI, reciprocal_gamma
 
 # mpmath (50 digits) oracle, frozen to 17 digits; mpmath's own real-order
 # hermite agrees with these to ~1e-49
@@ -149,3 +152,30 @@ def test_order_past_double_range_raises():
             hermite_fn(nu, 0.0)
         with pytest.raises(DomainError, match="outside double range"):
             hermite_at_zero(nu)
+
+
+def test_hermite_fn_is_the_frozen_series_bit_for_bit(kummer_reference):
+    # hermite_fn's formula over the frozen Kummer series: the denominator
+    # tables must give the same double, error and message everywhere
+    def reference(nu, x):
+        x2 = x * x
+        even = reciprocal_gamma((1.0 - nu) / 2.0) * kummer_reference(-nu / 2.0, 0.5, x2)[0]
+        odd = 2.0 * x * reciprocal_gamma(-nu / 2.0) * kummer_reference((1.0 - nu) / 2.0, 1.5, x2)[0]
+        return _two_to(nu) * SQRT_PI * (even - odd)
+
+    def outcome(f, nu, x):
+        try:
+            return f(nu, x).hex()
+        except Exception as exc:  # noqa: BLE001, an error is an outcome too
+            return f"{type(exc).__name__}: {exc}"
+
+    rng = random.Random(2021)
+    cases = [(float(rng.randint(-12, 12)) if i % 5 == 0 else rng.uniform(-12.0, 12.0),
+              rng.uniform(-10.0, 10.0)) for i in range(1500)]  # every fifth nu an integer
+    cases += [(rng.uniform(-12.0, 12.0), x) for x in (0.0, -0.0, 5e-324, -1e-310, 2.2e-308)
+              for _ in range(4)]
+    cases += [(0.5, 150.0)]
+    want = [outcome(reference, *case) for case in cases]
+    assert [outcome(hermite_fn, *case) for case in cases] == want
+    assert want[-1] == ("ConvergenceError: kummer_m series did not converge for "
+                        "alpha=-0.25, beta=0.5, z=22500.0")

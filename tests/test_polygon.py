@@ -1,5 +1,6 @@
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -75,11 +76,14 @@ def test_euler_validation():
 
 def test_node_count_is_capped_before_any_work(monkeypatch):
     # the capped inputs ask for 10^9, 1.4e6 and infinitely many nodes; the
-    # cap must reject them before an array or a Charlier sum is made
+    # cap must reject them before the nodes are added up, the rows or the
+    # arrays are made, or a Charlier sum is taken
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the node count was checked")
 
-    monkeypatch.setattr(np, "empty", no_work)
+    monkeypatch.setattr(polygon, "itertools",
+                        types.SimpleNamespace(accumulate=no_work, repeat=no_work))
+    monkeypatch.setattr(polygon, "_polygon_trace", no_work)
     monkeypatch.setattr(polygon, "charlier_direct", no_work)
     for x_max, dx in ((1.0, 1e-9), (1e308, 1e-300)):
         with pytest.raises(DomainError, match="1000000 nodes"):

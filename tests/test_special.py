@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from charlier_hermite import (
     reciprocal_gamma,
     upper_incomplete_gamma,
 )
+from charlier_hermite import special
 
 # Oracle values below were computed independently with mpmath at 50 digits
 # and frozen; rounded here to 17 significant digits.
@@ -175,3 +177,53 @@ def test_kummer_iteration_cap_raises():
     # |z| far beyond the iteration cap cannot converge in 10^4 terms
     with pytest.raises(ConvergenceError):
         kummer_m(0.25, 0.5, 22500.0)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args).hex()
+    except Exception as exc:  # noqa: BLE001, an error is an outcome too
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_kummer_is_the_frozen_series_bit_for_bit(kummer_reference):
+    # the float index and the denominator tables of beta = 0.5 and 1.5 must
+    # not move a bit, an error or a message on any kind of input
+    rng = random.Random(2020)
+    cases = [(rng.uniform(-6.5, 6.5), rng.choice((0.5, 1.5)), rng.uniform(0.0, 100.0))
+             for _ in range(300)]
+    cases += [(float(-rng.randint(0, 40)), rng.choice((0.5, 1.5, rng.uniform(0.1, 30.0))),
+               rng.uniform(-50.0, 100.0)) for _ in range(100)]  # polynomials
+    cases += [(rng.uniform(-20.0, 20.0), rng.uniform(-20.0, 20.0), rng.uniform(-60.0, 60.0))
+              for _ in range(200)]  # any beta
+    cases += [(rng.uniform(-2.0, 2.0), float(-rng.randint(0, 4)), 1.0) for _ in range(5)]  # poles
+    cases += [(rng.uniform(-6.0, 6.0), beta, z) for beta in (0.5, 1.5, 2.25)
+              for z in (0.0, -0.0, 5e-324, 1e-310, -2.2e-308)]  # x = 0 and subnormal
+    # past the 1024-entry tables: near z = 770 most of these run to the
+    # iteration cap, some end on a nan sum after about 2700 terms; near
+    # z = 860 at alpha <= -30 many end finite after 1025 to 1090 terms, and
+    # at beta = 1787.77 the sum ends after 2779 terms
+    cases += [(rng.uniform(-12.0, 0.0), rng.choice((0.5, 1.5)), rng.uniform(740.0, 800.0))
+              for _ in range(20)]
+    cases += [(rng.uniform(-40.0, -30.0), rng.choice((0.5, 1.5)), rng.uniform(840.0, 880.0))
+              for _ in range(40)]
+    cases += [(4.747484481549606, 1787.7656267946386, -3792.169475114818),
+              (0.25, 0.5, 22500.0), (0.3, math.inf, 1.0)]
+    want, long_sums = [], 0
+    for case in cases:
+        try:
+            value, terms = kummer_reference(*case)
+        except Exception as exc:  # noqa: BLE001
+            want.append(f"{type(exc).__name__}: {exc}")
+        else:
+            want.append(value.hex())
+            long_sums += terms > 1024 and math.isfinite(value)
+    assert [_outcome(kummer_m, *case) for case in cases] == want
+    assert "ConvergenceError: kummer_m series did not converge for alpha=0.25, beta=0.5, " \
+           "z=22500.0" in want
+    # past the peak a wrong denominator moves no bit of these sums, so the
+    # tables are checked entry by entry too
+    for beta, table in special._DENOMINATORS.items():
+        assert [d.hex() for d in table] == [((beta + k) * (k + 1.0)).hex()
+                                           for k in range(len(table))]
+    assert long_sums >= 10 and sum(w.startswith("ConvergenceError") for w in want) >= 10

@@ -1,4 +1,4 @@
-"""Check that the float Charlier sums and traces give the same doubles as at another commit.
+"""Check that the Charlier sums, traces and Hermite values are the same as at another commit.
 
     python3 tools/bitcheck.py REV [--seed SEED]
 
@@ -11,13 +11,21 @@ configs, with a in [1, 1e9] and nu in [-60, -4]; 200 state traces, with
 a in [5, 1e6], |nu| <= 12, x_max in [0, 3] and both directions, each
 with its `euler_polygon` and `trace_deviation`; and 300 `scaled_y`
 points, 100 of them at a = 1e4 and nu in [-160, -140], where the scale
-is applied as two factors.  The grid runs twice on each side: warm,
+is applied as two factors; 1,004 `hermite_fn` values, with |nu| <= 12
+(every fifth nu an integer) and |x| <= 10, x = 0 and subnormal x, and
+x = 150, where the Kummer series hits its iteration cap; 540
+`kummer_m` values, with alpha at non-positive integers, beta = 0.5,
+1.5 or any, and 40 series that pass the end of its denominator tables;
+300 rational-mode `charlier_direct` sums, with n <= 60, a = p/q and
+nu = r/s, negative or ending the series; and 117 `sharpness_check`
+pairs, 2 of them refused.  The grid runs twice on each side: warm,
 with numpy loaded first, and cold, where the first sums build their
 terms in Python until the process's budget of Python terms loads numpy.
-Each outcome is the `float.hex` of every value, or the error's type and
-message; a trace's outcome is its node count, the SHA-256 of the hex of
-all its values, and its deviation.  Prints every outcome that differs
-and exits 1 if any does, 0 if none does.
+Each outcome is the `float.hex` of every value (an exact value as its
+`str`), or the error's type and message; a trace's outcome is its node
+count, the SHA-256 of the hex of all its values, and its deviation.
+Prints every outcome that differs and exits 1 if any does, 0 if none
+does.
 
 Standard library only; the children need numpy.
 """
@@ -42,8 +50,10 @@ GRID = """
 import hashlib, json, math, random, sys
 if sys.argv[2] == "warm":
     import numpy  # noqa: F401, every sum takes its numpy path
-from charlier_hermite import (ScaledPoint, SplitConfig, charlier_direct, charlier_state_trace,
-                              euler_polygon, head_tail_split, scaled_y, trace_deviation)
+from charlier_hermite import (ScaledPoint, SplitConfig, admissible_sharpness_pairs,
+                              charlier_direct, charlier_state_trace, euler_polygon,
+                              head_tail_split, hermite_fn, kummer_m, scaled_y, sharpness_check,
+                              trace_deviation)
 rng = random.Random(int(sys.argv[1]))
 cases = []
 for i in range(3000):
@@ -60,6 +70,25 @@ for i in range(300):
     a = 1e4 if i % 3 == 0 else 10.0 ** rng.uniform(1.0, 7.0)
     nu = rng.uniform(-160.0, -140.0) if i % 3 == 0 else rng.uniform(-12.0, 12.0)
     cases.append(("scaled_y", rng.uniform(-3.0, 3.0), a, nu))
+for i in range(1000):
+    nu = float(rng.randint(-12, 12)) if i % 5 == 0 else rng.uniform(-12.0, 12.0)
+    cases.append(("hermite_fn", nu, rng.uniform(-10.0, 10.0)))
+cases += [("hermite_fn", rng.uniform(-12.0, 12.0), x) for x in (0.0, 5e-324, -1e-310)]
+cases.append(("hermite_fn", 0.5, 150.0))
+for i in range(500):
+    alpha = float(-rng.randint(0, 30)) if i % 4 == 0 else rng.uniform(-20.0, 20.0)
+    beta = rng.choice((0.5, 1.5, rng.uniform(-20.0, 20.0)))
+    cases.append(("kummer_m", alpha, beta, rng.uniform(-60.0, 100.0)))
+for _ in range(40):  # each passes the end of the 1024-term tables
+    cases.append(("kummer_m", rng.uniform(-40.0, -30.0), rng.choice((0.5, 1.5)),
+                  rng.uniform(840.0, 880.0)))
+for i in range(300):
+    n = rng.randint(0, 60)
+    nu = (f"{rng.randint(0, n)}" if i % 4 == 0
+          else f"{rng.randint(-40, 40)}/{rng.choice((1, 2, 3, 5, 7))}")
+    cases.append(("charlier_rational", n, f"{rng.randint(1, 60)}/{rng.randint(1, 30)}", nu))
+cases += [("sharpness_check", str(x), str(a)) for x, a in admissible_sharpness_pairs((2, 4, 6, 8, 10))]
+cases += [("sharpness_check", "1/3", "3"), ("sharpness_check", "1/7", "2")]
 out = []
 for case in cases:
     try:
@@ -70,6 +99,14 @@ for case in cases:
             got = [None if v is None else v.hex() for v in values]
         elif case[0] == "scaled_y":
             got = [scaled_y(ScaledPoint(*case[1:3]), case[3]).hex()]
+        elif case[0] == "hermite_fn":
+            got = [hermite_fn(*case[1:]).hex()]
+        elif case[0] == "kummer_m":
+            got = [kummer_m(*case[1:]).hex()]
+        elif case[0] == "charlier_rational":
+            got = [str(charlier_direct(*case[1:], mode="rational"))]
+        elif case[0] == "sharpness_check":
+            got = [str(v) for v in vars(sharpness_check(*case[1:])).values()]
         else:
             nu, a, x_max, direction = case[1:]
             z = charlier_state_trace(nu, a, x_max, direction)

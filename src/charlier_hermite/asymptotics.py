@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, _integer, _text
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
 
@@ -86,39 +86,27 @@ class SplitReport:
 def factor_p(k: int, A: int) -> float:
     """p(k) = A! / ((A-k)! A^k), in log space; DomainError where A or its
     log-gamma is outside double range."""
-    if A < 1 or A != int(A):
-        raise DomainError(f"factor_p needs integer A >= 1, got {A!r}")
-    if k != int(k) or k < 0 or k > A:
-        raise DomainError(f"factor_p needs integer 0 <= k <= A, got k={k!r}")
-    k = int(k)
-    A = int(A)
+    A = _integer(A, "A", 1)
+    k = _integer(k, "k", 0, A)
     try:
         return math.exp(
             math.lgamma(A + 1.0) - math.lgamma(A - k + 1.0) - k * math.log(A)
         )
     except OverflowError:  # A + 1.0, or its log-gamma, past double range
-        raise DomainError(f"factor_p's log-gammas at {_int_text('A', A)} are outside "
+        raise DomainError(f"factor_p's log-gammas at A={_text(A)} are outside "
                           "double range") from None
 
 
 def factor_q(k: int, nu: float) -> float:
     """q(k) = Gamma(k - nu) / k!, via log-gamma differences; DomainError
     where k or q(k) is outside double range."""
-    if k != int(k) or k < 1:
-        raise DomainError(f"factor_q needs integer k >= 1, got {k!r}")
-    k = int(k)
+    k = _integer(k, "k", 1)
     try:
         lg, sign = ln_gamma(k - nu)
         return sign * math.exp(lg - math.lgamma(k + 1.0))
     except OverflowError:  # k as a float, a log-gamma, or q(k) itself
-        raise DomainError(f"q(k) at {_int_text('k', k)}, nu={nu!r} is outside "
+        raise DomainError(f"q(k) at k={_text(k)}, nu={nu!r} is outside "
                           "double range") from None
-
-
-def _int_text(name: str, i: int) -> str:
-    """'name=i', or past 2^64 the size of i: str() refuses an int of more
-    than 4300 digits."""
-    return f"{name}={i}" if i.bit_length() <= 64 else f"{name} of {i.bit_length()} bits"
 
 
 def f_nu(t: float, nu: float) -> float:
@@ -173,14 +161,12 @@ def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidChec
     """
     if nu > -3:
         raise DomainError(f"trapezoid_gamma_check requires nu <= -3, got {nu!r}")
-    if M != int(M) or N != int(N) or not 0 <= M <= N:
-        raise DomainError(f"need integers 0 <= M <= N, got M={M!r}, N={N!r}")
+    M = _integer(M, "M")
+    N = _integer(N, "N", M)
     if N - M + 1 > _MAX_NODES:
         raise DomainError(f"the grid M..N has {N - M + 1} nodes, more than {_MAX_NODES}")
     if not (math.isfinite(dt) and dt > 0):
         raise DomainError(f"dt must be positive and finite, got {dt!r}")
-    M = int(M)
-    N = int(N)
     s = -0.5 * nu
     try:
         riemann = dt * math.fsum(f_nu(k * dt, nu) for k in range(M, N + 1))

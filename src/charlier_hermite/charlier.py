@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import DegenerateArgumentError, DomainError, RationalModeError
+from .errors import DegenerateArgumentError, DomainError, RationalModeError, _integer
 
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -63,12 +63,6 @@ _PIECE = 16128
 _EXTRACT_TERMS = 512
 
 
-def _check_degree(n: int, name: str = "n") -> int:
-    if isinstance(n, bool) or n != int(n) or n < 0:
-        raise DomainError(f"{name} must be an integer >= 0, got {n!r}")
-    return int(n)
-
-
 def _to_fraction(v: Number, name: str) -> Fraction:
     # Floats are taken at their exact binary value; decimal strings and
     # Fractions pass through exactly.
@@ -91,8 +85,9 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     term t_k is T_k / (s p)^k, the integers T_k built by _rational_terms,
     summed by Horner's rule in s p.  DomainError, before any term is
     built, where the value could need more than 2^16 bits.
+    In float mode n is at most the largest double.
     """
-    n = _check_degree(n)
+    n = _integer(n, "n", 0, math.inf) if mode == "rational" else _integer(n, "n")
     if mode == "rational":
         a_r = _to_fraction(a, "a")
         nu_r = _to_fraction(nu, "nu")
@@ -153,11 +148,11 @@ def _check_bits(bits: int) -> None:
                           f"more than rational mode's {_RATIONAL_BITS}")
 
 
-def _float_args(a, nu) -> tuple:
+def _float_args(a, nu, name: str = "nu") -> tuple:
     a_f = float(a)
     nu_f = float(nu)
     if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
-        raise DomainError(f"need finite nu and finite a > 0, got a={a!r}, nu={nu!r}")
+        raise DomainError(f"need finite {name} and finite a > 0, got a={a!r}, {name}={nu!r}")
     return a_f, nu_f
 
 
@@ -355,11 +350,12 @@ def charlier_order_shift(n: int, a: float, nu: float,
     """c_n(nu+1) from c_n(nu) and c_n(nu-1):
 
         c_n(nu+1) = ((nu + a - n)/a) c_n(nu) - (nu/a) c_n(nu-1).
+
+    DomainError where an argument or the result is not finite.
     """
-    n = _check_degree(n)
-    if a <= 0:
-        raise DomainError(f"a must be positive, got {a!r}")
-    return ((nu + a - n) / a) * c_at_nu - (nu / a) * c_at_nu_minus_1
+    n = _integer(n, "n")
+    a, nu = _float_args(a, nu)
+    return _checked_step(((nu + a - n) / a) * c_at_nu - (nu / a) * c_at_nu_minus_1)
 
 
 def charlier_backward_step(n: int, a: float, x: float,
@@ -369,18 +365,24 @@ def charlier_backward_step(n: int, a: float, x: float,
         c_{n-1}(x-1) = (a/x) (c_{n-1}(x) - c_n(x)).
 
     Signals rather than divides when |x| < 1e-300; the caller must use
-    direct evaluation there.
+    direct evaluation there.  DomainError where an argument or the result
+    is not finite.
     """
-    n = _check_degree(n)
-    if n < 1:
-        raise DomainError("backward step needs n >= 1")
-    if a <= 0:
-        raise DomainError(f"a must be positive, got {a!r}")
+    n = _integer(n, "n", 1)
+    a, x = _float_args(a, x, "x")
     if abs(x) < 1e-300:
         raise DegenerateArgumentError(
             f"backward step degenerate at x={x!r}; evaluate directly instead"
         )
-    return (a / x) * (c_nm1_at_x - c_n_at_x)
+    return _checked_step((a / x) * (c_nm1_at_x - c_n_at_x))
+
+
+def _checked_step(value: float) -> float:
+    """value, a recurrence step; DomainError where it is not finite, as it
+    is not where a Charlier value it takes is not (0 * inf is nan)."""
+    if not math.isfinite(value):
+        raise DomainError(f"the recurrence step gives {value!r}, outside double range")
+    return value
 
 
 @dataclass(frozen=True)

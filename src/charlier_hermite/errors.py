@@ -1,8 +1,10 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one integer check.
 
 The CLI maps DomainError (and subclasses) to exit code 1 and
 ConvergenceError to exit code 2.
 """
+
+import sys
 
 
 class DomainError(ValueError):
@@ -27,3 +29,28 @@ class DegenerateArgumentError(DomainError):
 
 class ConvergenceError(RuntimeError):
     """An iterative scheme hit its iteration cap before converging."""
+
+
+def _integer(value, name: str, lo: int = 0, hi=sys.float_info.max, step: int = 1) -> int:
+    """value as an int, where it is an int (numpy's too, not a bool) or an integral finite
+    float in [lo, hi], for step 2 of lo's parity; else DomainError naming the bound missed."""
+    if type(value) is int and lo <= value <= hi and step == 1:  # the fast path
+        return value
+    try:
+        i = None if isinstance(value, bool) else value.__index__()
+    except (AttributeError, TypeError):  # a float (not integral at nan, +-inf), or no number
+        i = int(value) if isinstance(value, float) and value.is_integer() else None
+    if i is not None and lo <= i <= hi and (i - lo) % step == 0:
+        return i
+    kind = "an integer" if step == 1 else ("an even", "an odd")[lo % 2] + " integer"
+    bounds = (f"<= {_text(hi)}" if i is not None and i > hi else
+              f">= {_text(lo)}" if hi >= sys.float_info.max or i is not None and i < lo else
+              f"from {_text(lo)} to {_text(hi)}")
+    raise DomainError(f"{name} must be {kind} {bounds}, got {_text(value)}")
+
+
+def _text(value) -> str:
+    """repr(value), or the size of an int past 2^64 (str() refuses 4301 digits)."""
+    if type(value) is int and abs(value).bit_length() > 64:
+        return f"a {'negative ' * (value < 0)}{abs(value).bit_length()}-bit integer"
+    return repr(value)

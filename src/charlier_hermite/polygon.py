@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .charlier import _block_size, _scaled, charlier_direct
-from .errors import DomainError
+from .errors import DomainError, _integer
 
 if TYPE_CHECKING:
     import numpy as np
@@ -85,8 +85,6 @@ def _node_count(x_max: float, dx: float) -> int:
 
 def _grid(x_max: float, dx: float, direction: int) -> list:
     """Nodes 0, h, h + h, ..., h = direction * dx, added up as np.cumsum adds."""
-    if direction not in (1, -1):
-        raise DomainError(f"direction must be +1 or -1, got {direction!r}")
     steps = _node_count(x_max, dx)
     return list(itertools.accumulate(itertools.repeat(direction * dx, steps), initial=0.0))
 
@@ -108,6 +106,7 @@ def euler_polygon(nu: float, init, x_max: float, dx: float,
 def _euler_rows(nu: float, init, x_max: float, dx: float, direction: int = 1) -> tuple:
     """euler_polygon's nodes, y and y' as lists of floats."""
     u, up = float(init[0]), float(init[1])
+    direction = _integer(direction, "direction", -1, 1, 2)
     xs, h, y, yp = _grid(x_max, dx, direction), direction * dx, [u], [up]
     # with init (0, 2) and nu = 1 this keeps y == 2x exactly
     for x in xs[:-1]:
@@ -137,6 +136,7 @@ def _trace_rows(nu: float, a: float, x_max: float, direction: int = 1) -> tuple:
     """charlier_state_trace's nodes, y and y' as lists of floats, and dx."""
     if not (math.isfinite(a) and a > 0):
         raise DomainError(f"a must be positive, got {a!r}")
+    direction = _integer(direction, "direction", -1, 1, 2)
     r = math.sqrt(2.0 * a)
     dx = 1.0 / r
     xs = _grid(x_max, dx, direction)

@@ -20,7 +20,10 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .charlier import _exact_sqrt, _to_fraction, charlier_direct
-from .errors import DomainError, RationalModeError
+from .errors import DomainError, RationalModeError, _integer
+
+# admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
+_MAX_R = 256
 
 
 @dataclass(frozen=True)
@@ -106,11 +109,10 @@ def sharpness_check(x, a) -> SharpnessResult:
 
 def admissible_sharpness_pairs(r_values=(2, 4, 6, 8)) -> list:
     """All (x, a) admissible for sharpness_check: a = r^2/2 for each even
-    r, x = j/r for every integer 0 <= j <= a."""
+    r from 2 to 256, x = j/r for every integer 0 <= j <= a."""
     pairs = []
     for r in r_values:
-        if r % 2 or r <= 0:
-            raise DomainError(f"r values must be positive even integers, got {r!r}")
+        r = _integer(r, "r", 2, _MAX_R, 2)
         a = Fraction(r * r, 2)
         for j in range(int(a) + 1):
             pairs.append((Fraction(j, r), a))

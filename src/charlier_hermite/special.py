@@ -11,11 +11,13 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PoleError
+from .errors import ConvergenceError, DomainError, PoleError, _integer
 
 SQRT_PI = math.sqrt(math.pi)
 
 _MAX_ITER = 10_000
+# pochhammer_rising multiplies at most this many factors
+_MAX_FACTORS = 1_000_000
 # kummer_m's term denominators d_k = (beta + k)(k + 1), k < 1024, for the
 # two betas of hermite_fn, each the double the series would compute.  At
 # |alpha| <= 12 a series that converges takes at most 822 terms (z = 600);
@@ -50,7 +52,10 @@ def ln_gamma(x: float) -> LnGamma:
         sign = 1
     else:
         sign = -1 if math.floor(x) % 2 else 1
-    return LnGamma(math.lgamma(x), sign)
+    try:
+        return LnGamma(math.lgamma(x), sign)
+    except OverflowError:  # from x = 2.56e305 on
+        raise DomainError(f"ln Gamma({x!r}) is outside double range") from None
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -72,6 +77,8 @@ def reciprocal_gamma(x: float) -> float:
             return 1.0 / math.gamma(x)
         except OverflowError:
             return x
+    if x > 1e305:  # ln Gamma(x) overflows from 2.56e305; 1/Gamma(x) is 0.0 from 178.5
+        return 0.0
     lg, sign = ln_gamma(x)
     # exp underflows to 0.0 for huge positive arguments of Gamma; that is
     # the correct limit for 1/Gamma.
@@ -85,13 +92,14 @@ def pochhammer_rising(x: float, k: int):
     """Rising factorial (x)_k = x (x+1) ... (x+k-1), (x)_0 = 1.
 
     Computed as a plain product so it is exact for integer inputs and
-    works unchanged for Fraction arguments.
+    works unchanged for Fraction arguments.  DomainError where k exceeds
+    _MAX_FACTORS or a float product is not finite.
     """
-    if k < 0 or k != int(k):
-        raise DomainError(f"pochhammer_rising requires integer k >= 0, got {k!r}")
     result = x ** 0  # 1 in the arithmetic of x (int, float or Fraction)
-    for j in range(int(k)):
+    for j in range(_integer(k, "k", 0, _MAX_FACTORS)):
         result = result * (x + j)
+    if isinstance(result, float) and not math.isfinite(result):
+        raise DomainError(f"({x!r})_{k} is outside double range")
     return result
 
 
@@ -179,7 +187,8 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
     accumulation, truncated once three consecutive terms fall below
     1e-16 relative to the running sum.  Terminates exactly (it is a
     polynomial) when alpha is a non-positive integer.  beta at a
-    non-positive integer is a pole.  ConvergenceError after 10,000 terms.
+    non-positive integer is a pole.  ConvergenceError after 10,000 terms,
+    DomainError where the sum is not finite.
 
     The index k runs as a float, and for beta = 0.5 and 1.5 (hermite_fn's)
     the denominators (beta+k)(k+1), k < 1024, come from a table; each is
@@ -203,12 +212,12 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
             t = total + y
             comp = (t - total) - y
             total = t
-            if term == 0.0:
-                return total  # polynomial case: every later term is 0
+            if term == 0.0:  # polynomial case: every later term is 0
+                return _finite_sum(total, alpha, beta, z)
             if abs(term) < 1e-16 * abs(total):
                 small += 1
                 if small == 3:
-                    return total
+                    return _finite_sum(total, alpha, beta, z)
             else:
                 small = 0
             k += 1.0
@@ -217,3 +226,10 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
     raise ConvergenceError(
         f"kummer_m series did not converge for alpha={alpha}, beta={beta}, z={z}"
     )
+
+
+def _finite_sum(total: float, alpha: float, beta: float, z: float) -> float:
+    # terms that overflow can still meet the exits, with a sum of inf or nan
+    if not math.isfinite(total):
+        raise DomainError(f"kummer_m at alpha={alpha}, beta={beta}, z={z} is outside double range")
+    return total

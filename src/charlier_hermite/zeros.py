@@ -25,10 +25,15 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .charlier import charlier_direct
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError, _integer
 from .hermite import hermite_fn
 
 _BRACKET_REL_TOL = 1e-12
+# A scan has at most this many nodes; count_positive_zeros doubles its
+# grid up to it.
+_MAX_GRID = 1 << 16
+# zero_convergence_table's scan of its window
+_TABLE_GRID = 64
 
 
 @dataclass(frozen=True)
@@ -120,8 +125,7 @@ def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tupl
     None.  f is evaluated at a node the first time a slot needs it."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise DomainError(f"need a finite interval lo < hi, got [{lo!r}, {hi!r}]")
-    if grid < 2:
-        raise DomainError(f"grid must be >= 2, got {grid!r}")
+    grid = _integer(grid, "grid", 2, _MAX_GRID)
     # np.linspace's grid, node for node, built without numpy
     step = (hi - lo) / (grid - 1)
     xs = [i * step + lo for i in range(grid - 1)] + [hi]
@@ -150,7 +154,7 @@ def _scan(f: Callable[[float], float], lo: float, hi: float,
           grid: int) -> list:
     """Sign-change scan: returns refined ZeroResults in ascending order."""
     xs, zero = _slots(f, lo, hi, grid)
-    return [z for z in map(zero, range(grid)) if z is not None]
+    return [z for z in map(zero, range(len(xs))) if z is not None]
 
 
 def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
@@ -166,10 +170,10 @@ def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
     xs, zero = _slots(f, lo, hi, grid)
 
     def bound(i):
-        return max(xs[i] - target, target - xs[min(i + 1, grid - 1)], 0.0), i
+        return max(xs[i] - target, target - xs[min(i + 1, len(xs) - 1)], 0.0), i
 
     best = None
-    for key in sorted(map(bound, range(grid))):
+    for key in sorted(map(bound, range(len(xs)))):
         if best is not None and key > best[0]:
             break
         z = zero(key[1])
@@ -185,9 +189,7 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float,
     Warns (never fails) when the scan covers the full positive range
     (0, a + 4 n sqrt(a)) but the count of positive zeros differs from n.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"need integer n >= 1, got {n!r}")
-    n = int(n)
+    n = _integer(n, "n", 1)
     results = _scan(lambda v: charlier_direct(n, a, v), lo, hi, grid)
     exhaustive_hi = a + 4.0 * n * math.sqrt(a)
     if lo <= 0.0 and hi >= exhaustive_hi:
@@ -207,21 +209,22 @@ def hermite_zeros_in_order(x: float, lo: float, hi: float,
     return _scan(lambda nu: hermite_fn(nu, x), lo, hi, grid)
 
 
-def count_positive_zeros(n: int, a: float, max_grid: int = 1 << 16) -> int:
+def count_positive_zeros(n: int, a: float) -> int:
     """Exhaustive count of the positive zeros of nu -> c_n^a(nu).
 
-    Scans (0, a + 4 n sqrt(a)] doubling the grid until the count is
-    stable on two consecutive refinements and the spacing is at most a
-    quarter of the smallest observed zero gap.
+    Scans (0, a + 4 n sqrt(a)] doubling the grid from max(16, 4 n) nodes
+    until the count is stable on two consecutive refinements and the
+    spacing is at most a quarter of the smallest observed zero gap.
+    DomainError, before any evaluation, where the first grid has more than
+    _MAX_GRID nodes (n > 16384); ConvergenceError where the count is not
+    confirmed on _MAX_GRID nodes.
     """
-    if n != int(n) or n < 1:
-        raise DomainError(f"need integer n >= 1, got {n!r}")
-    n = int(n)
+    n = _integer(n, "n", 1, _MAX_GRID // 4)
     hi = a + 4.0 * n * math.sqrt(a)
     lo = 1e-12  # open at 0: zeros are strictly positive
     grid = max(16, 4 * n)
     prev = -1
-    while grid <= max_grid:
+    while grid <= _MAX_GRID:
         roots = [z.root for z in _scan(lambda v: charlier_direct(n, a, v),
                                        lo, hi, grid)]
         count = len(roots)
@@ -231,7 +234,8 @@ def count_positive_zeros(n: int, a: float, max_grid: int = 1 << 16) -> int:
             return count
         prev = count
         grid *= 2
-    return prev
+    raise ConvergenceError(f"the count of positive zeros of c_{n}^a at a={a!r} is not "
+                           f"confirmed on {_MAX_GRID} nodes (last count {prev})")
 
 
 @dataclass(frozen=True)
@@ -282,8 +286,7 @@ def _target_window(x: float, target: float) -> tuple:
     return target - 0.5 * gap_lo, target + 0.5 * gap_hi
 
 
-def zero_convergence_table(x: float, target_nu: float, a_values,
-                           grid: int = 64) -> list:
+def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     """Charlier-zero error against one Hermite-zero target, per a.
 
     Rows keep going past per-a failures; a failed row carries its error
@@ -299,7 +302,7 @@ def zero_convergence_table(x: float, target_nu: float, a_values,
             n = math.floor(a - x * math.sqrt(2.0 * a))
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
-            z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, grid, target)
+            z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, _TABLE_GRID, target)
             if z is None:
                 raise DomainError(
                     f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] for a={a}"

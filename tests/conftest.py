@@ -86,8 +86,9 @@ def fresh_cli(fresh_python):
 
 def _kummer_reference(alpha, beta, z):
     """kummer_m as first written, k an int and each denominator computed in
-    the loop, with its checks: (M, terms summed).  The table-driven series
-    must give the same double, error and message."""
+    the loop, with its checks and the refusal of a sum that is not finite:
+    (M, terms summed).  The table-driven series must give the same double,
+    error and message."""
     from charlier_hermite import ConvergenceError, DomainError, PoleError
     if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
         raise DomainError("kummer_m requires finite arguments")
@@ -104,16 +105,23 @@ def _kummer_reference(alpha, beta, z):
         comp = (t - total) - y
         total = t
         if term == 0.0:
-            return total, k + 1
+            return _finite(total, alpha, beta, z), k + 1
         if abs(term) < 1e-16 * abs(total):
             small += 1
             if small == 3:
-                return total, k + 1
+                return _finite(total, alpha, beta, z), k + 1
         else:
             small = 0
     raise ConvergenceError(
         f"kummer_m series did not converge for alpha={alpha}, beta={beta}, z={z}"
     )
+
+
+def _finite(total, alpha, beta, z):
+    from charlier_hermite import DomainError
+    if not math.isfinite(total):
+        raise DomainError(f"kummer_m at alpha={alpha}, beta={beta}, z={z} is outside double range")
+    return total
 
 
 @pytest.fixture

@@ -200,7 +200,8 @@ def test_kummer_is_the_frozen_series_bit_for_bit(kummer_reference):
     cases += [(rng.uniform(-6.0, 6.0), beta, z) for beta in (0.5, 1.5, 2.25)
               for z in (0.0, -0.0, 5e-324, 1e-310, -2.2e-308)]  # x = 0 and subnormal
     # past the 1024-entry tables: near z = 770 most of these run to the
-    # iteration cap, some end on a nan sum after about 2700 terms; near
+    # iteration cap, some end on a nan sum after about 2700 terms, which is
+    # refused; near
     # z = 860 at alpha <= -30 many end finite after 1025 to 1090 terms, and
     # at beta = 1787.77 the sum ends after 2779 terms
     cases += [(rng.uniform(-12.0, 0.0), rng.choice((0.5, 1.5)), rng.uniform(740.0, 800.0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from charlier_hermite import (
+    ConvergenceError,
     DomainError,
     charlier_direct,
     charlier_zeros_in_order,
@@ -62,6 +63,15 @@ def test_zero_count_warning_on_coarse_exhaustive_scan():
 def test_count_positive_zeros_equals_degree():
     for n, a in ((1, 2.0), (2, 2.0), (4, 3.0), (6, 5.0)):
         assert count_positive_zeros(n, a) == n
+
+
+def test_count_positive_zeros_is_confirmed_or_refused():
+    # n = 6 at a = 1e6 is not confirmed on 2^16 nodes (191 zeros were
+    # returned); from n = 16385 the first grid of 4n nodes is over the cap
+    with pytest.raises(ConvergenceError, match="not confirmed on 65536 nodes"):
+        count_positive_zeros(6, 1e6)
+    with pytest.raises(DomainError, match="n must be an integer <= 16384, got 16385"):
+        count_positive_zeros(16385, 2.0)
 
 
 def test_hermite_zeros_at_origin_are_odd_integers():

@@ -23,7 +23,7 @@ import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DomainError, _integer, _text
+from .errors import DomainError, _integer, _real, _text
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
 
@@ -54,10 +54,8 @@ class SplitConfig:
     dt: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.nu)) or self.a < 1:
-            raise DomainError(
-                f"SplitConfig needs finite nu and a >= 1, got a={self.a!r}, nu={self.nu!r}"
-            )
+        _real(self.a, "a", 1)  # only checked: A is the floor of a as given
+        _real(self.nu, "nu")
         A = math.floor(self.a)
         M = _ceil_4th_root(A ** 3)
         object.__setattr__(self, "A", A)
@@ -100,7 +98,7 @@ def factor_p(k: int, A: int) -> float:
 def factor_q(k: int, nu: float) -> float:
     """q(k) = Gamma(k - nu) / k!, via log-gamma differences; DomainError
     where k or q(k) is outside double range."""
-    k = _integer(k, "k", 1)
+    k, nu = _integer(k, "k", 1), _real(nu, "nu")
     try:
         lg, sign = ln_gamma(k - nu)
         return sign * math.exp(lg - math.lgamma(k + 1.0))
@@ -117,10 +115,7 @@ def f_nu(t: float, nu: float) -> float:
     range, the value is exp of its logarithm: 0.0 where that underflows,
     and DomainError where it overflows.
     """
-    if not (math.isfinite(t) and math.isfinite(nu)):
-        raise DomainError("f_nu requires finite arguments")
-    if t < 0:
-        raise DomainError(f"f_nu requires t >= 0, got {t!r}")
+    t, nu = _real(t, "t", 0), _real(nu, "nu")
     e = -nu - 1.0
     if t == 0.0:
         if e > 0:
@@ -159,14 +154,12 @@ def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidChec
     range, and before any f_nu call where the grid has more than
     _MAX_NODES nodes.
     """
-    if nu > -3:
-        raise DomainError(f"trapezoid_gamma_check requires nu <= -3, got {nu!r}")
+    nu = _real(nu, "nu", hi=-3)
     M = _integer(M, "M")
     N = _integer(N, "N", M)
     if N - M + 1 > _MAX_NODES:
         raise DomainError(f"the grid M..N has {N - M + 1} nodes, more than {_MAX_NODES}")
-    if not (math.isfinite(dt) and dt > 0):
-        raise DomainError(f"dt must be positive and finite, got {dt!r}")
+    dt = _real(dt, "dt", 0, strict=True)
     s = -0.5 * nu
     try:
         riemann = dt * math.fsum(f_nu(k * dt, nu) for k in range(M, N + 1))

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import DegenerateArgumentError, DomainError, RationalModeError, _integer
+from .errors import DegenerateArgumentError, DomainError, RationalModeError, _integer, _real
 
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -68,7 +68,7 @@ def _to_fraction(v: Number, name: str) -> Fraction:
     # Fractions pass through exactly.
     try:
         return Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
         raise RationalModeError(f"{name}={v!r} is not an exact rational") from exc
 
 
@@ -107,7 +107,7 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         return Fraction(total, sp ** k)
     if mode != "float":
         raise DomainError(f"unknown mode {mode!r}")
-    a_f, nu_f = _float_args(a, nu)
+    a_f, nu_f = _real(a, "a", 0, strict=True), _real(nu, "nu")
     if n > 48:
         blocks = [(1.0,)]
         for t, ends in _blocks(n, a_f, nu_f):
@@ -146,14 +146,6 @@ def _check_bits(bits: int) -> None:
     if bits > _RATIONAL_BITS:
         raise DomainError(f"the exact value could need {bits} bits, "
                           f"more than rational mode's {_RATIONAL_BITS}")
-
-
-def _float_args(a, nu, name: str = "nu") -> tuple:
-    a_f = float(a)
-    nu_f = float(nu)
-    if not (math.isfinite(a_f) and math.isfinite(nu_f)) or a_f <= 0:
-        raise DomainError(f"need finite {name} and finite a > 0, got a={a!r}, {name}={nu!r}")
-    return a_f, nu_f
 
 
 def _sum(blocks) -> float:
@@ -353,9 +345,9 @@ def charlier_order_shift(n: int, a: float, nu: float,
 
     DomainError where an argument or the result is not finite.
     """
-    n = _integer(n, "n")
-    a, nu = _float_args(a, nu)
-    return _checked_step(((nu + a - n) / a) * c_at_nu - (nu / a) * c_at_nu_minus_1)
+    n, a, nu = _integer(n, "n"), _real(a, "a", 0, strict=True), _real(nu, "nu")
+    c0, c1 = _real(c_at_nu, "c_at_nu"), _real(c_at_nu_minus_1, "c_at_nu_minus_1")
+    return _checked_step(((nu + a - n) / a) * c0 - (nu / a) * c1)
 
 
 def charlier_backward_step(n: int, a: float, x: float,
@@ -368,18 +360,17 @@ def charlier_backward_step(n: int, a: float, x: float,
     direct evaluation there.  DomainError where an argument or the result
     is not finite.
     """
-    n = _integer(n, "n", 1)
-    a, x = _float_args(a, x, "x")
+    n, a, x = _integer(n, "n", 1), _real(a, "a", 0, strict=True), _real(x, "x")
+    c0, c1 = _real(c_nm1_at_x, "c_nm1_at_x"), _real(c_n_at_x, "c_n_at_x")
     if abs(x) < 1e-300:
         raise DegenerateArgumentError(
             f"backward step degenerate at x={x!r}; evaluate directly instead"
         )
-    return _checked_step((a / x) * (c_nm1_at_x - c_n_at_x))
+    return _checked_step((a / x) * (c0 - c1))
 
 
 def _checked_step(value: float) -> float:
-    """value, a recurrence step; DomainError where it is not finite, as it
-    is not where a Charlier value it takes is not (0 * inf is nan)."""
+    """value, a recurrence step; DomainError where it is not finite."""
     if not math.isfinite(value):
         raise DomainError(f"the recurrence step gives {value!r}, outside double range")
     return value
@@ -399,11 +390,8 @@ class ScaledPoint:
     theta: float = field(init=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.a)) or self.a <= 0:
-            raise DomainError(
-                f"ScaledPoint needs finite x and finite a > 0, got x={self.x!r}, a={self.a!r}"
-            )
-        s = self.a - self.x * math.sqrt(2.0 * self.a)
+        a = _real(self.a, "a", 0, strict=True)
+        s = a - _real(self.x, "x") * math.sqrt(2.0 * a)
         if not math.isfinite(s):
             raise DomainError(f"derived degree n = ceil({s}) is not finite; |x| too large for a")
         n = math.ceil(s)
@@ -454,7 +442,7 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     first where the scale or the sum could need more than 2^16 bits.
     """
     if mode == "float":
-        nu_f = float(nu)
+        nu_f = _real(nu, "nu")
         value = _scaled(2.0 * point.a, nu_f / 2.0, [charlier_direct(point.n, point.a, nu_f)])[0]
         if not math.isfinite(value):
             raise DomainError(

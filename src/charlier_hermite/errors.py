@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and its one integer check.
+"""Exception types shared across the package, and its one integer check and
+one float check.
 
 The CLI maps DomainError (and subclasses) to exit code 1 and
 ConvergenceError to exit code 2.
@@ -49,8 +50,33 @@ def _integer(value, name: str, lo: int = 0, hi=sys.float_info.max, step: int = 1
     raise DomainError(f"{name} must be {kind} {bounds}, got {_text(value)}")
 
 
+def _real(value, name: str, lo=-sys.float_info.max, hi=sys.float_info.max,
+          strict: bool = False) -> float:
+    """float(value), where value is an int, float, Fraction or numpy real (not a bool) whose
+    float is finite, at least lo (above it where strict) and at most hi; else DomainError
+    naming the bound missed.  A site gives at most one of lo and hi."""
+    f = value if type(value) is float else None  # the fast path
+    if f is None and not isinstance(value, bool):
+        import numbers  # here, as the command line loads this module and seldom needs it
+        if isinstance(value, numbers.Real):
+            try:
+                f = float(value)
+            except OverflowError:  # an int or a Fraction past the largest double
+                pass
+    # nan fails every comparison, and +-inf lie outside the default bounds
+    if f is not None and (lo < f if strict else lo <= f) and f <= hi:
+        return f
+    bound = (f" {'>' if strict else '>='} {_text(lo)}" if lo > -sys.float_info.max else
+             f" <= {_text(hi)}" if hi < sys.float_info.max else "")
+    raise DomainError(f"{name} must be a finite number{bound}, got {_text(value)}")
+
+
 def _text(value) -> str:
-    """repr(value), or the size of an int past 2^64 (str() refuses 4301 digits)."""
+    """repr(value), or the size of an int past 2^64 (str() refuses 4301 digits) or of a
+    longer Fraction."""
     if type(value) is int and abs(value).bit_length() > 64:
         return f"a {'negative ' * (value < 0)}{abs(value).bit_length()}-bit integer"
-    return repr(value)
+    try:
+        return repr(value)
+    except ValueError:  # a Fraction with more digits than Python's limit
+        return f"a {type(value).__name__} past {sys.get_int_max_str_digits()} digits"

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
-from .special import SQRT_PI, kummer_m, reciprocal_gamma
+from .errors import DomainError, _real
+from .special import SQRT_PI, _kummer, _reciprocal_gamma
 
 
 def _two_to(nu: float) -> float:
@@ -27,25 +27,30 @@ def _two_to(nu: float) -> float:
 
 
 def hermite_fn(nu: float, x: float) -> float:
-    """H_nu(x) for real order nu and real x."""
-    nu = float(nu)
-    x = float(x)
-    if not (math.isfinite(nu) and math.isfinite(x)):
-        raise DomainError(f"hermite_fn requires finite arguments, got nu={nu!r}, x={x!r}")
+    """H_nu(x) for real order nu and real x; DomainError where it is outside
+    double range."""
+    nu, x = _real(nu, "nu"), _real(x, "x")
     x2 = x * x
-    even = reciprocal_gamma((1.0 - nu) / 2.0) * kummer_m(-nu / 2.0, 0.5, x2)
-    odd = 2.0 * x * reciprocal_gamma(-nu / 2.0) * kummer_m((1.0 - nu) / 2.0, 1.5, x2)
-    return _two_to(nu) * SQRT_PI * (even - odd)
+    if x2 == math.inf:  # the series' terms would be inf and nan to the iteration cap
+        raise DomainError(f"x^2 at x={x!r} is outside double range")
+    even = _reciprocal_gamma((1.0 - nu) / 2.0) * _kummer(-nu / 2.0, 0.5, x2)
+    odd = 2.0 * x * _reciprocal_gamma(-nu / 2.0) * _kummer((1.0 - nu) / 2.0, 1.5, x2)
+    value = _two_to(nu) * SQRT_PI * (even - odd)
+    if not math.isfinite(value):  # the product overflows, or even - odd is inf - inf
+        raise DomainError(f"H_nu(x) at nu={nu!r}, x={x!r} is outside double range")
+    return value
 
 
 def hermite_at_zero(nu: float) -> float:
     """H_nu(0) = 2^nu sqrt(pi) / Gamma((1-nu)/2); zero exactly at odd nu."""
-    nu = float(nu)
-    if not math.isfinite(nu):
-        raise DomainError(f"hermite_at_zero requires finite nu, got {nu!r}")
-    return _two_to(nu) * SQRT_PI * reciprocal_gamma((1.0 - nu) / 2.0)
+    nu = _real(nu, "nu")
+    return _two_to(nu) * SQRT_PI * _reciprocal_gamma((1.0 - nu) / 2.0)
 
 
 def hermite_derivative(nu: float, x: float) -> float:
-    """H'_nu(x) = 2 nu H_{nu-1}(x)."""
-    return 2.0 * float(nu) * hermite_fn(float(nu) - 1.0, x)
+    """H'_nu(x) = 2 nu H_{nu-1}(x); DomainError where it is outside double range."""
+    nu = _real(nu, "nu")
+    value = 2.0 * nu * hermite_fn(nu - 1.0, x)
+    if not math.isfinite(value):
+        raise DomainError(f"H'_nu(x) at nu={nu!r}, x={x!r} is outside double range")
+    return value

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .charlier import _block_size, _scaled, charlier_direct
-from .errors import DomainError, _integer
+from .errors import DomainError, _integer, _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -63,21 +63,22 @@ class PolygonTrace:
     def __post_init__(self):
         if len(self.xs) == 0 or self.states.shape != (len(self.xs), 2):
             raise DomainError("PolygonTrace needs matching non-empty xs and states")
-        if not (math.isfinite(self.step) and self.step > 0):
-            raise DomainError(f"step must be positive, got {self.step!r}")
+        _real(self.step, "step", 0, strict=True)
 
 
 def system_matrix_norm_bound(x: float, nu: float) -> float:
-    """sqrt(1 + 4 nu^2 + 4 x^2), an upper bound for ||A(x)||_2."""
-    return math.sqrt(1.0 + 4.0 * nu * nu + 4.0 * x * x)
+    """sqrt(1 + 4 nu^2 + 4 x^2), an upper bound for ||A(x)||_2; DomainError
+    where it is outside double range."""
+    x, nu = _real(x, "x"), _real(nu, "nu")
+    bound = math.sqrt(1.0 + 4.0 * nu * nu + 4.0 * x * x)
+    if bound == math.inf:
+        raise DomainError(f"||A(x)|| at x={x!r}, nu={nu!r} is outside double range")
+    return bound
 
 
 def _node_count(x_max: float, dx: float) -> int:
-    if not (math.isfinite(dx) and dx > 0):
-        raise DomainError(f"dx must be positive, got {dx!r}")
-    if not (math.isfinite(x_max) and x_max >= 0):
-        raise DomainError(f"x_max must be >= 0, got {x_max!r}")
-    span = x_max / dx + 1e-12
+    dx = _real(dx, "dx", 0, strict=True)
+    span = _real(x_max, "x_max", 0) / dx + 1e-12
     if span >= _MAX_NODES:
         raise DomainError(f"x_max/dx = {span:.6g} asks for more than {_MAX_NODES} nodes")
     return int(math.floor(span))
@@ -98,14 +99,15 @@ def euler_polygon(nu: float, init, x_max: float, dx: float,
                   direction: int = 1) -> PolygonTrace:
     """Explicit Euler from state `init` at x = 0, step dx, up to x_max.
 
-    direction=-1 runs toward negative x (the signed step is -dx).
+    direction=-1 runs toward negative x (the signed step is -dx).  DomainError
+    where a state is not finite.
     """
     return _polygon_trace(*_euler_rows(nu, init, x_max, dx, direction), dx)
 
 
 def _euler_rows(nu: float, init, x_max: float, dx: float, direction: int = 1) -> tuple:
     """euler_polygon's nodes, y and y' as lists of floats."""
-    u, up = float(init[0]), float(init[1])
+    nu, u, up = _real(nu, "nu"), _real(init[0], "init[0]"), _real(init[1], "init[1]")
     direction = _integer(direction, "direction", -1, 1, 2)
     xs, h, y, yp = _grid(x_max, dx, direction), direction * dx, [u], [up]
     # with init (0, 2) and nu = 1 this keeps y == 2x exactly
@@ -113,6 +115,9 @@ def _euler_rows(nu: float, init, x_max: float, dx: float, direction: int = 1) ->
         u, up = u + h * up, up + h * (-2.0 * nu * u + 2.0 * x * up)
         y.append(u)
         yp.append(up)
+    # a state that is not finite stays so, as each y adds h y' to the last
+    if not (math.isfinite(u) and math.isfinite(up)):
+        raise DomainError(f"the Euler polygon at nu={nu!r} is outside double range")
     return xs, y, yp
 
 
@@ -134,8 +139,7 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
 
 def _trace_rows(nu: float, a: float, x_max: float, direction: int = 1) -> tuple:
     """charlier_state_trace's nodes, y and y' as lists of floats, and dx."""
-    if not (math.isfinite(a) and a > 0):
-        raise DomainError(f"a must be positive, got {a!r}")
+    nu, a = _real(nu, "nu"), _real(a, "a", 0, strict=True)
     direction = _integer(direction, "direction", -1, 1, 2)
     r = math.sqrt(2.0 * a)
     dx = 1.0 / r
@@ -234,11 +238,19 @@ def apriori_deviation_bound(x: float, dx: float, u0_norm: float,
     u -> A(x) u for |nu| <= psi and |x| <= xi, M = L u0_norm e^{L xi} the
     growth bound for |u'|, and C = 2 u0_norm e^{L xi} bounding the second
     difference.  Tests assert it dominates the observed deviation; the
-    constant convention is not unique, so no equality is claimed.
+    constant convention is not unique, so no equality is claimed.  DomainError
+    where the bound is outside double range.
     """
+    x, dx, u0_norm, init_err, xi, psi = map(_real, (x, dx, u0_norm, init_err, xi, psi),
+                                            ("x", "dx", "u0_norm", "init_err", "xi", "psi"))
     L = system_matrix_norm_bound(xi, psi)
-    m_bound = L * u0_norm * math.exp(L * xi)
-    c_bound = 2.0 * u0_norm * math.exp(L * xi)
-    return init_err * math.exp(L * x) + dx * (c_bound / L + m_bound) * (
-        math.exp(L * x) - 1.0
-    )
+    try:  # math.exp raises where it overflows
+        growth, e_x = math.exp(L * xi), math.exp(L * x)
+    except OverflowError:
+        growth = e_x = math.inf
+    m_bound, c_bound = L * u0_norm * growth, 2.0 * u0_norm * growth
+    bound = init_err * e_x + dx * (c_bound / L + m_bound) * (e_x - 1.0)
+    if not math.isfinite(bound):
+        raise DomainError(f"the a-priori bound at x={x!r}, xi={xi!r}, psi={psi!r} "
+                          "is outside double range")
+    return bound

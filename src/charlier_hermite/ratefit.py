@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .charlier import _exact_sqrt, _to_fraction, charlier_direct
-from .errors import DomainError, RationalModeError, _integer
+from .errors import DomainError, RationalModeError, _integer, _real
 
 # admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
 _MAX_R = 256
@@ -40,19 +40,14 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
     Needs at least 3 points, all finite, all a distinct and positive,
     all err > 0.
     """
-    pts = tuple((float(a), float(e)) for a, e in points)
+    pts = tuple((_real(a, "a", 0, strict=True), _real(e, "err", 0, strict=True))
+                for a, e in points)
     if len(pts) < 3:
         raise DomainError(f"fit_rate needs >= 3 points, got {len(pts)}")
     a_vals = [p[0] for p in pts]
     if len(set(a_vals)) != len(a_vals):
         raise DomainError("fit_rate needs distinct a values")
-    if any(a <= 0 for a in a_vals):
-        raise DomainError("fit_rate needs positive a values")
-    if any(e <= 0 for e in (p[1] for p in pts)):
-        raise DomainError("fit_rate needs strictly positive errors")
     values = [value for point in pts for value in point]
-    if not all(map(math.isfinite, values)):
-        raise DomainError("fit_rate needs finite a and err values")
     # The least-squares line of the float logs, exactly: each log is an
     # integer over k, the largest of their power-of-two denominators, so
     # every sum below is an exact integer, and int / int rounds correctly.

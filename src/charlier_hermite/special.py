@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PoleError, _integer
+from .errors import ConvergenceError, DomainError, PoleError, _integer, _real
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -44,8 +44,7 @@ def ln_gamma(x: float) -> LnGamma:
     x the sign alternates between consecutive integers: Gamma is
     negative on (-1, 0), positive on (-2, -1), and so on.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"ln_gamma requires finite x, got {x!r}")
+    x = _real(x, "x")
     if _is_nonpositive_integer(x):
         raise PoleError(f"gamma pole at x = {x}")
     if x > 0:
@@ -65,8 +64,11 @@ def reciprocal_gamma(x: float) -> float:
     would divide by Gamma at a non-positive integer instead multiply by
     an exact 0 here.
     """
-    if not math.isfinite(x):
-        raise DomainError(f"reciprocal_gamma requires finite x, got {x!r}")
+    return _reciprocal_gamma(_real(x, "x"))
+
+
+def _reciprocal_gamma(x: float) -> float:
+    # reciprocal_gamma at a finite float x
     if _is_nonpositive_integer(x):
         return 0.0
     if abs(x) <= 170.0:
@@ -95,6 +97,7 @@ def pochhammer_rising(x: float, k: int):
     works unchanged for Fraction arguments.  DomainError where k exceeds
     _MAX_FACTORS or a float product is not finite.
     """
+    _real(x, "x")  # only checked: an int or a Fraction x stays exact
     result = x ** 0  # 1 in the arithmetic of x (int, float or Fraction)
     for j in range(_integer(k, "k", 0, _MAX_FACTORS)):
         result = result * (x + j)
@@ -163,12 +166,7 @@ def upper_incomplete_gamma(s: float, z: float) -> float:
     Gamma(s, 0) = Gamma(s).  DomainError where Gamma(s) or the prefactor
     z^s e^-z is outside double range.
     """
-    if not (math.isfinite(s) and math.isfinite(z)):
-        raise DomainError("upper_incomplete_gamma requires finite arguments")
-    if s <= 0:
-        raise DomainError(f"upper_incomplete_gamma requires s > 0, got s={s}")
-    if z < 0:
-        raise DomainError(f"upper_incomplete_gamma requires z >= 0, got z={z}")
+    s, z = _real(s, "s", 0, strict=True), _real(z, "z", 0)
     try:
         if z == 0.0:
             return math.gamma(s)
@@ -192,13 +190,16 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
 
     The index k runs as a float, and for beta = 0.5 and 1.5 (hermite_fn's)
     the denominators (beta+k)(k+1), k < 1024, come from a table; each is
-    the double the recurrence computes, so the result is too.  alpha and
-    z are meant as floats: an int past 2^53 in size may round differently.
+    the double the recurrence computes, so the result is too.
     """
-    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
-        raise DomainError("kummer_m requires finite arguments")
+    alpha, beta, z = _real(alpha, "alpha"), _real(beta, "beta"), _real(z, "z")
     if _is_nonpositive_integer(beta):
         raise PoleError(f"kummer_m pole at beta = {beta}")
+    return _kummer(alpha, beta, z)
+
+
+def _kummer(alpha: float, beta: float, z: float) -> float:
+    # kummer_m at finite floats, beta not a pole
     total = 1.0
     comp = 0.0  # Kahan carry
     term = 1.0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .charlier import charlier_direct
-from .errors import ConvergenceError, DomainError, _integer
+from .errors import ConvergenceError, DomainError, _integer, _real
 from .hermite import hermite_fn
 
 _BRACKET_REL_TOL = 1e-12
@@ -123,8 +123,8 @@ def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tupl
     """The nodes of a scan of [lo, hi] on `grid` nodes, and zero(i): the
     zero in slot i, on node i or in the cell from node i to node i + 1, or
     None.  f is evaluated at a node the first time a slot needs it."""
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
-        raise DomainError(f"need a finite interval lo < hi, got [{lo!r}, {hi!r}]")
+    lo = _real(lo, "lo")
+    hi = _real(hi, "hi", lo, strict=True)
     grid = _integer(grid, "grid", 2, _MAX_GRID)
     # np.linspace's grid, node for node, built without numpy
     step = (hi - lo) / (grid - 1)
@@ -189,7 +189,7 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float,
     Warns (never fails) when the scan covers the full positive range
     (0, a + 4 n sqrt(a)) but the count of positive zeros differs from n.
     """
-    n = _integer(n, "n", 1)
+    n, a = _integer(n, "n", 1), _real(a, "a", 0, strict=True)
     results = _scan(lambda v: charlier_direct(n, a, v), lo, hi, grid)
     exhaustive_hi = a + 4.0 * n * math.sqrt(a)
     if lo <= 0.0 and hi >= exhaustive_hi:
@@ -206,6 +206,7 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float,
 def hermite_zeros_in_order(x: float, lo: float, hi: float,
                            grid: int = 128) -> list:
     """Zeros of nu -> H_nu(x) in [lo, hi], ascending."""
+    x = _real(x, "x")
     return _scan(lambda nu: hermite_fn(nu, x), lo, hi, grid)
 
 
@@ -214,12 +215,14 @@ def count_positive_zeros(n: int, a: float) -> int:
 
     Scans (0, a + 4 n sqrt(a)] doubling the grid from max(16, 4 n) nodes
     until the count is stable on two consecutive refinements and the
-    spacing is at most a quarter of the smallest observed zero gap.
-    DomainError, before any evaluation, where the first grid has more than
-    _MAX_GRID nodes (n > 16384); ConvergenceError where the count is not
-    confirmed on _MAX_GRID nodes.
+    spacing is at most a quarter of the smallest observed zero gap.  c_n
+    has exactly n positive zeros, so only the count n is confirmed: a lower
+    count means that the scan missed some, as two zeros in one cell give no
+    sign change.  DomainError, before any evaluation, where the first grid
+    has more than _MAX_GRID nodes (n > 16384); ConvergenceError where the
+    count is not confirmed on _MAX_GRID nodes.
     """
-    n = _integer(n, "n", 1, _MAX_GRID // 4)
+    n, a = _integer(n, "n", 1, _MAX_GRID // 4), _real(a, "a", 0, strict=True)
     hi = a + 4.0 * n * math.sqrt(a)
     lo = 1e-12  # open at 0: zeros are strictly positive
     grid = max(16, 4 * n)
@@ -230,7 +233,7 @@ def count_positive_zeros(n: int, a: float) -> int:
         count = len(roots)
         spacing = (hi - lo) / (grid - 1)
         min_gap = min(s - r for r, s in zip(roots, roots[1:])) if count >= 2 else hi - lo
-        if count == prev and spacing <= min_gap / 4.0:
+        if count == prev == n and spacing <= min_gap / 4.0:
             return count
         prev = count
         grid *= 2
@@ -292,13 +295,13 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     Rows keep going past per-a failures; a failed row carries its error
     message and NaN for the numeric fields.
     """
-    target = _nearest_hermite_zero(x, target_nu)
+    x = _real(x, "x")
+    target = _nearest_hermite_zero(x, _real(target_nu, "target_nu"))
     win_lo, win_hi = _target_window(x, target)
     rows = []
     for a in a_values:
         try:
-            if not (math.isfinite(a) and a > 0):
-                raise DomainError(f"a must be positive, got {a!r}")
+            a = _real(a, "a", 0, strict=True)
             n = math.floor(a - x * math.sqrt(2.0 * a))
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
@@ -308,7 +311,7 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
                     f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] for a={a}"
                 )
             root = z.root
-            rows.append(ZeroConvergenceRow(float(a), n, root, abs(root - target)))
-        except DomainError as exc:
-            rows.append(ZeroConvergenceRow(float(a), -1, math.nan, math.nan, str(exc)))
+            rows.append(ZeroConvergenceRow(a, n, root, abs(root - target)))
+        except DomainError as exc:  # a is the float, or the value _real refused
+            rows.append(ZeroConvergenceRow(a, -1, math.nan, math.nan, str(exc)))
     return rows

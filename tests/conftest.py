@@ -90,8 +90,9 @@ def _kummer_reference(alpha, beta, z):
     (M, terms summed).  The table-driven series must give the same double,
     error and message."""
     from charlier_hermite import ConvergenceError, DomainError, PoleError
-    if not (math.isfinite(alpha) and math.isfinite(beta) and math.isfinite(z)):
-        raise DomainError("kummer_m requires finite arguments")
+    for name, value in (("alpha", alpha), ("beta", beta), ("z", z)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
     if beta <= 0 and beta == math.floor(beta):
         raise PoleError(f"kummer_m pole at beta = {beta}")
     total = 1.0

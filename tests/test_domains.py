@@ -1,12 +1,14 @@
-"""Over the whole float domain of the public float evaluators, with a up
-to 1e300 and |nu| up to 1e300, and for every integer argument of the
-public functions, each call returns finite values or raises DomainError or
-ConvergenceError: no other exception, no inf or nan, and no work that
-grows with a past the term cap."""
+"""For every real argument of the public functions, drawn over the whole
+float domain (a up to 1e300, |nu| up to 1e300) and from hostile values
+(nan, +-inf, bools, strings, None), and for every integer argument, each
+call returns finite values or raises DomainError or ConvergenceError: no
+other exception, no inf or nan, and no work that grows with a past the
+term cap."""
 
 import dataclasses
 import inspect
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,9 +17,11 @@ import charlier_hermite
 from charlier_hermite import (
     ConvergenceError,
     DomainError,
+    PolygonTrace,
     ScaledPoint,
     SplitConfig,
     admissible_sharpness_pairs,
+    apriori_deviation_bound,
     charlier_backward_step,
     charlier_direct,
     charlier_order_shift,
@@ -28,18 +32,25 @@ from charlier_hermite import (
     f_nu,
     factor_p,
     factor_q,
+    fit_rate,
     head_tail_split,
     hermite_at_zero,
+    hermite_derivative,
     hermite_fn,
     hermite_zeros_in_order,
+    kummer_m,
     ln_gamma,
     pochhammer_rising,
     reciprocal_gamma,
     scaled_y,
+    sharpness_check,
+    system_matrix_norm_bound,
     trapezoid_gamma_check,
     upper_incomplete_gamma,
+    zero_convergence_table,
 )
 
+np = pytest.importorskip("numpy")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
@@ -75,41 +86,6 @@ def _assert_finite_or_typed_error(f, *args):
     assert _finite(value), (f.__name__, args, value)
 
 
-@_SETTINGS
-@hypothesis.given(st.integers(0, 10 ** 18), _A, _NU)
-def test_charlier_direct_is_finite_or_refused(n, a, nu):
-    _assert_finite_or_typed_error(charlier_direct, n, a, nu)
-
-
-@_SETTINGS
-@hypothesis.given(_X, _A, _NU)
-def test_scaled_y_is_finite_or_refused(x, a, nu):
-    _assert_finite_or_typed_error(lambda: scaled_y(ScaledPoint(x, a), nu))
-
-
-@_SETTINGS
-@hypothesis.given(_A, _NU)
-def test_head_tail_split_is_finite_or_refused(a, nu):
-    _assert_finite_or_typed_error(lambda: head_tail_split(SplitConfig(a, nu)))
-
-
-@_SETTINGS
-@hypothesis.given(_NU, _X)
-@hypothesis.example(19.762342385326264, 27.67237623592319)  # a Kummer sum ends as nan
-@hypothesis.example(-1e308, 0.0)  # 1/Gamma at 5e307, past ln Gamma's range
-def test_hermite_fn_is_finite_or_refused(nu, x):
-    _assert_finite_or_typed_error(hermite_fn, nu, x)
-    _assert_finite_or_typed_error(hermite_at_zero, nu)
-
-
-@_SETTINGS
-@hypothesis.given(_X)
-@hypothesis.example(1e308)  # ln Gamma overflows; 1/Gamma is 0.0
-def test_gamma_is_finite_or_refused(x):
-    _assert_finite_or_typed_error(ln_gamma, x)
-    _assert_finite_or_typed_error(reciprocal_gamma, x)
-
-
 def test_gamma_past_double_range():
     with pytest.raises(DomainError, match="outside double range"):
         ln_gamma(1e308)
@@ -117,32 +93,143 @@ def test_gamma_past_double_range():
     assert hermite_at_zero(-1e308) == 0.0
 
 
-@_SETTINGS
-@hypothesis.given(st.floats(0.0, 1e300), _NU)
-def test_f_nu_is_finite_or_refused(t, nu):
-    _assert_finite_or_typed_error(f_nu, t, nu)
+# Values that no float check may take as another number, or must refuse.
+_HOSTILE_REALS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300, -1e300,
+                  True, "1.5", None)
 
 
-@_SETTINGS
-@hypothesis.given(_A, st.floats(0.0, 1e300))
-def test_upper_incomplete_gamma_is_finite_or_refused(s, z):
-    _assert_finite_or_typed_error(upper_incomplete_gamma, s, z)
+class _R:
+    """A real argument: drawn from `valid`, or from _HOSTILE_REALS in its turn."""
+
+    def __init__(self, valid):
+        self.valid = valid
 
 
-@_SETTINGS
-@hypothesis.given(st.floats(-1e300, -3.0), st.integers(0, 10 ** 6), st.integers(0, 1000), _A)
-def test_trapezoid_gamma_check_is_finite_or_refused(nu, M, rows, dt):
-    _assert_finite_or_typed_error(trapezoid_gamma_check, nu, M, M + rows, dt)
+def _calls(f, *args):
+    """(f, a strategy for its argument tuples, the positions of the real arguments):
+    each argument is drawn from its strategy in args, and at most one real argument,
+    one given as _R(strategy), from _HOSTILE_REALS instead."""
+    reals = [i for i, arg in enumerate(args) if isinstance(arg, _R)]
+    valid = st.tuples(*(arg.valid if isinstance(arg, _R) else arg for arg in args))
+    hostile = st.tuples(valid, st.sampled_from(reals), st.sampled_from(_HOSTILE_REALS)).map(
+        lambda d: d[0][:d[1]] + (d[2],) + d[0][d[1] + 1:])
+    return f, st.one_of(valid, hostile), reals
 
 
-@_SETTINGS
-@hypothesis.given(st.integers(1, 10 ** 400), _NU)
-@hypothesis.example(1, -200.0)
-@hypothesis.example(1, -1e300)
-@hypothesis.example(10 ** 400, 0.5)
-@hypothesis.example(10 ** 306, 0.5)
-def test_factor_q_is_finite_or_refused(k, nu):
-    _assert_finite_or_typed_error(factor_q, k, nu)
+def _row(x, target_nu, a):
+    # a failed row carries its message and nan by design: it is a refusal
+    row, = zero_convergence_table(x, target_nu, [a])
+    if row.error is not None:
+        raise DomainError(row.error)
+    return row
+
+
+# Every public name with a real parameter, and sharpness_check, whose exact rationals
+# must refuse nan and +-inf with a typed error too; real arguments are drawn wide
+# where calls are cheap.
+_FLOAT_CALLS = {
+    "ScaledPoint": _calls(ScaledPoint, _R(_X), _R(_A)),
+    "scaled_y": _calls(lambda x, a, nu: scaled_y(ScaledPoint(x, a), nu), _R(_X), _R(_A), _R(_NU)),
+    "charlier_direct": _calls(charlier_direct, st.integers(0, 10 ** 18), _R(_A), _R(_NU)),
+    "charlier_order_shift": _calls(charlier_order_shift, st.integers(0, 100), _R(_A), _R(_NU),
+                                   _R(_X), _R(_X)),
+    "charlier_backward_step": _calls(charlier_backward_step, st.integers(1, 100), _R(_A),
+                                     _R(_X), _R(_X), _R(_X)),
+    "SplitConfig": _calls(lambda a, nu: head_tail_split(SplitConfig(a, nu)), _R(_A), _R(_NU)),
+    "f_nu": _calls(f_nu, _R(st.floats(0.0, 1e300)), _R(_NU)),
+    "factor_q": _calls(factor_q, st.integers(1, 10 ** 400), _R(_NU)),
+    "trapezoid_gamma_check": _calls(
+        lambda nu, M, rows, dt: trapezoid_gamma_check(nu, M, M + rows, dt),
+        _R(st.floats(-1e300, -3.0)), st.integers(0, 10 ** 6), st.integers(0, 1000), _R(_A)),
+    "hermite_fn": _calls(hermite_fn, _R(_NU), _R(_X)),
+    "hermite_at_zero": _calls(hermite_at_zero, _R(_NU)),
+    "hermite_derivative": _calls(hermite_derivative, _R(_NU), _R(_X)),
+    "kummer_m": _calls(kummer_m, _R(_X), _R(_X), _R(_X)),
+    "ln_gamma": _calls(ln_gamma, _R(_X)),
+    "reciprocal_gamma": _calls(reciprocal_gamma, _R(_X)),
+    "pochhammer_rising": _calls(pochhammer_rising, _R(_X), st.integers(0, 20)),
+    "upper_incomplete_gamma": _calls(upper_incomplete_gamma, _R(_A), _R(st.floats(0.0, 1e300))),
+    "PolygonTrace": _calls(lambda step: PolygonTrace(np.zeros(1), np.zeros((1, 2)), step), _R(_A)),
+    "system_matrix_norm_bound": _calls(system_matrix_norm_bound, _R(_X), _R(_NU)),
+    "apriori_deviation_bound": _calls(apriori_deviation_bound, *[_R(_X)] * 6),
+    "euler_polygon": _calls(lambda nu, y, dy, x_max, dx: euler_polygon(nu, (y, dy), x_max, dx),
+                            _R(_NU), _R(_X), _R(_X), _R(st.floats(0.0, 10.0)),
+                            _R(st.floats(1e-3, 1e300))),
+    "charlier_state_trace": _calls(charlier_state_trace, _R(st.floats(-12.0, 12.0)),
+                                   _R(st.floats(5.0, 1e4)), _R(st.floats(0.0, 2.0))),
+    "fit_rate": _calls(lambda a, err: fit_rate([(10.0, 0.1), (a, err), (1e4, 0.01)]),
+                       _R(_A), _R(_A)),
+    "sharpness_check": _calls(sharpness_check, _R(st.just(Fraction(1, 2))), _R(st.just(2))),
+    "charlier_zeros_in_order": _calls(charlier_zeros_in_order, st.integers(1, 4),
+                                      _R(st.floats(0.5, 100.0)), _R(st.floats(-10.0, 0.0)),
+                                      _R(st.floats(0.5, 20.0))),
+    "hermite_zeros_in_order": _calls(hermite_zeros_in_order, _R(st.floats(-8.0, 8.0)),
+                                     _R(st.floats(-8.0, 0.0)), _R(st.floats(0.5, 8.0))),
+    "count_positive_zeros": _calls(count_positive_zeros, st.integers(1, 4),
+                                   _R(st.floats(0.5, 100.0))),
+    "zero_convergence_table": _calls(_row, _R(st.floats(-1.0, 1.0)), _R(st.floats(0.0, 4.0)),
+                                     _R(st.floats(50.0, 2000.0))),
+}
+# The records that functions return: they hold results, and check nothing.
+_RESULTS = {"RateFit", "SplitReport", "TrapezoidCheck", "ZeroConvergenceRow", "ZeroResult"}
+# The inputs named when the float rule came in, and earlier finds, by table entry.
+_FLOAT_EXAMPLES = {
+    # a bool; x^2 = inf; a Kummer sum ends as nan; 1/Gamma at 5e307; H past double range
+    "hermite_fn": [(True, 0.0), (0.5, 1e200), (19.762342385326264, 27.67237623592319),
+                   (-1e308, 0.0), (205.0, 20.0)],
+    "hermite_derivative": [(198.0, 20.0)],  # H_197(20) = -1.4e307 is a double, 396 times it not
+    "hermite_at_zero": [(-1e308,)],
+    "ln_gamma": [(1e308,)],  # ln Gamma overflows
+    "reciprocal_gamma": [(1e308,)],  # 1/Gamma is 0.0
+    "charlier_direct": [(5, "2", "1"), (5, math.inf, 1, "rational"), (5, Fraction(10 ** 400), 1.0)],
+    "f_nu": [("1", 1.0)],
+    "upper_incomplete_gamma": [(True, 1.0)],
+    "factor_q": [(1, -200.0), (1, -1e300), (10 ** 400, 0.5), (10 ** 306, 0.5)],
+    "count_positive_zeros": [(1, -1.0)],
+    "euler_polygon": [(1.0, math.nan, 1.0, 1.0, 0.1), (1e300, 1.0, 1.0, 1.0, 0.1)],
+    "system_matrix_norm_bound": [(math.nan, 1.0), (1e300, 1.0)],
+    "apriori_deviation_bound": [(1.0, 0.1, 1.0, 0.0, 1e3, 1e3)],
+    "sharpness_check": [(0, math.inf)],
+}
+
+
+def _real_parameters(f) -> list:
+    """The parameters of f annotated as real: float, or charlier's Number."""
+    return [p.name for p in inspect.signature(f).parameters.values()
+            if "float" in str(p.annotation) or p.annotation == "Number"]
+
+
+def test_every_real_parameter_is_in_the_table():
+    # a public function or class with a real parameter must be drawn below, each of
+    # its real parameters (at least as many real arguments as it has)
+    for names in charlier_hermite._NAMES.values():
+        for name in names:
+            f = getattr(charlier_hermite, name)
+            if (inspect.isfunction(f) or dataclasses.is_dataclass(f)) and name not in _RESULTS \
+                    and _real_parameters(f):
+                assert name in _FLOAT_CALLS, name
+                assert len(_FLOAT_CALLS[name][2]) >= len(_real_parameters(f)), name
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_CALLS))
+def test_real_arguments_are_taken_or_refused(name):
+    # a bool, a str or None as a real argument is refused, if not by the rule then by
+    # an earlier check; sharpness_check reads exact rationals, and "1.5" and True are those
+    f, args, reals = _FLOAT_CALLS[name]
+
+    @_SETTINGS
+    @hypothesis.given(args)
+    def check(drawn):
+        if name != "sharpness_check" and any(
+                isinstance(drawn[i], (bool, str, type(None))) for i in reals):
+            with pytest.raises(DomainError):
+                f(*drawn)
+        else:
+            _assert_finite_or_typed_error(f, *drawn)
+
+    for example in _FLOAT_EXAMPLES.get(name, ()):
+        check = hypothesis.example(example)(check)
+    check()
 
 
 @_SETTINGS
@@ -281,4 +368,37 @@ def test_integer_rule():
                     (trapezoid_gamma_check, (-3.5, True, 10, 0.05)),
                     (euler_polygon, (1.0, (0.0, 2.0), 1.0, 0.1, True))]:
         with pytest.raises(DomainError, match="must be an"):
+            f(*args)
+
+
+def test_real_rule():
+    # an int, a float, a Fraction or a numpy real is taken as its float; a bool, a str,
+    # None, nan, +-inf, a value past double range and a value out of bounds are refused,
+    # the message naming the bound missed
+    from charlier_hermite.errors import _real
+    values = (3, 3.0, Fraction(3), np.int64(3), np.float32(3.0), np.float64(3.0))
+    assert [_real(v, "x") for v in values] == [3.0] * 6
+    assert all(type(_real(v, "x")) is float for v in values)
+    assert _real(0, "t", 0) == 0.0 and _real(5e-324, "a", 0, strict=True) == 5e-324
+    for value in (True, False, "1.5", None, math.nan, math.inf, -math.inf, np.bool_(True),
+                  1j, 10 ** 400, Fraction(10 ** 400)):
+        with pytest.raises(DomainError, match=r"^x must be a finite number, got "):
+            _real(value, "x")
+    for args, message in [((0.0, "a", 0, sys.float_info.max, True),
+                           "a must be a finite number > 0, got 0.0"),
+                          ((-1.0, "t", 0), "t must be a finite number >= 0, got -1.0"),
+                          ((-2.0, "nu", -sys.float_info.max, -3),
+                           "nu must be a finite number <= -3, got -2.0"),
+                          ((-10 ** 400, "x"), "x must be a finite number, got a negative "
+                                              "1329-bit integer"),
+                          ((Fraction(10 ** 5000), "x"), "x must be a finite number, got a "
+                                                        "Fraction past 4300 digits")]:
+        with pytest.raises(DomainError) as info:
+            _real(*args)
+        assert str(info.value) == message
+    # inputs that public functions took before as numbers
+    for f, args in [(hermite_fn, (True, 0.0)), (charlier_direct, (5, "2", "1")),
+                    (upper_incomplete_gamma, ("2", 1.0)), (kummer_m, (1, True, 1.0)),
+                    (ScaledPoint, (0.0, True)), (fit_rate, [[(10, 1), (True, 1), (100, 1)]])]:
+        with pytest.raises(DomainError, match=" must be a finite number"):
             f(*args)

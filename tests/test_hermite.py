@@ -140,9 +140,12 @@ def test_ode_residual_via_derivative_rule():
 
 
 def test_large_argument_raises():
-    # the Kummer series cannot converge within its iteration cap here
+    # the Kummer series cannot converge within its iteration cap here; where
+    # x^2 is past double range the argument is refused instead (exit 1, not 2)
     with pytest.raises(ConvergenceError):
         hermite_fn(0.5, 150.0)
+    with pytest.raises(DomainError, match="outside double range"):
+        hermite_fn(0.5, 1e200)
 
 
 def test_order_past_double_range_raises():

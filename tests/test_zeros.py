@@ -61,15 +61,20 @@ def test_zero_count_warning_on_coarse_exhaustive_scan():
 
 
 def test_count_positive_zeros_equals_degree():
-    for n, a in ((1, 2.0), (2, 2.0), (4, 3.0), (6, 5.0)):
+    # at (2, 1e5) and (3, 1e4) two zeros share a cell of the first grids, where
+    # counts of 0 and 1 were once confirmed
+    for n, a in ((1, 2.0), (2, 2.0), (4, 3.0), (6, 5.0), (2, 1e5), (3, 1e4)):
         assert count_positive_zeros(n, a) == n
 
 
 def test_count_positive_zeros_is_confirmed_or_refused():
     # n = 6 at a = 1e6 is not confirmed on 2^16 nodes (191 zeros were
-    # returned); from n = 16385 the first grid of 4n nodes is over the cap
-    with pytest.raises(ConvergenceError, match="not confirmed on 65536 nodes"):
-        count_positive_zeros(6, 1e6)
+    # returned); neither is a count below n, as 0 for n = 2 at a = 1e12 and 2
+    # for n = 8 at a = 1e5 were; from n = 16385 the first grid of 4n nodes is
+    # over the cap
+    for n, a in ((6, 1e6), (2, 1e12), (8, 1e5)):
+        with pytest.raises(ConvergenceError, match="not confirmed on 65536 nodes"):
+            count_positive_zeros(n, a)
     with pytest.raises(DomainError, match="n must be an integer <= 16384, got 16385"):
         count_positive_zeros(16385, 2.0)
 

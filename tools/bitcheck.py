@@ -17,8 +17,13 @@ x = 150, where the Kummer series hits its iteration cap; 540
 `kummer_m` values, with alpha at non-positive integers, beta = 0.5,
 1.5 or any, and 40 series that pass the end of its denominator tables;
 300 rational-mode `charlier_direct` sums, with n <= 60, a = p/q and
-nu = r/s, negative or ending the series; and 117 `sharpness_check`
-pairs, 2 of them refused.  The grid runs twice on each side: warm,
+nu = r/s, negative or ending the series; 117 `sharpness_check`
+pairs, 2 of them refused; and 209 calls with one hostile real argument
+(nan, +-inf, +-0.0, 5e-324, +-1e300, True, "1.5" or None, the others
+valid) to `hermite_fn`, `charlier_direct`, `scaled_y`, `kummer_m`,
+`upper_incomplete_gamma`, `f_nu` and `euler_polygon`, each seen by its
+outcome's `repr`, and 10 more inputs that were once accepted, gave nan
+or inf, or raised a bare error.  The grid runs twice on each side: warm,
 with numpy loaded first, and cold, where the first sums build their
 terms in Python until the process's budget of Python terms loads numpy.
 Each outcome is the `float.hex` of every value (an exact value as its
@@ -50,6 +55,7 @@ GRID = """
 import hashlib, json, math, random, sys
 if sys.argv[2] == "warm":
     import numpy  # noqa: F401, every sum takes its numpy path
+import charlier_hermite as api
 from charlier_hermite import (ScaledPoint, SplitConfig, admissible_sharpness_pairs,
                               charlier_direct, charlier_state_trace, euler_polygon,
                               head_tail_split, hermite_fn, kummer_m, scaled_y, sharpness_check,
@@ -89,6 +95,20 @@ for i in range(300):
     cases.append(("charlier_rational", n, f"{rng.randint(1, 60)}/{rng.randint(1, 30)}", nu))
 cases += [("sharpness_check", str(x), str(a)) for x, a in admissible_sharpness_pairs((2, 4, 6, 8, 10))]
 cases += [("sharpness_check", "1/3", "3"), ("sharpness_check", "1/7", "2")]
+valid = {"hermite_fn": (1.5, 0.5), "charlier_direct": (5, 2.5, 1.5), "scaled_y": (0.5, 100.0, 1.5),
+         "kummer_m": (-1.5, 0.5, 2.0), "upper_incomplete_gamma": (1.5, 2.0), "f_nu": (1.0, 1.5),
+         "euler_polygon": (1.0, 0.0, 2.0, 1.0, 0.1)}
+for name, args in valid.items():
+    for i in range(name == "charlier_direct", len(args)):
+        for v in (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300, -1e300, True, "1.5", None):
+            cases.append(("call", name, *args[:i], v, *args[i + 1:]))
+cases += [("call", "hermite_fn", 0.5, 1e200), ("call", "f_nu", "1", 1.0),
+          ("call", "count_positive_zeros", 1, -1.0), ("call", "euler_polygon", 1e300, 1.0, 1.0, 1.0, 0.1),
+          ("call", "system_matrix_norm_bound", math.nan, 1.0),
+          ("call", "system_matrix_norm_bound", 1e300, 1.0),
+          ("call", "apriori_deviation_bound", 1.0, 0.1, 1.0, 0.0, 1e3, 1e3),
+          ("call", "charlier_direct", 5, "2", "1"), ("call", "charlier_direct", 5, math.inf, 1, "rational"),
+          ("call", "sharpness_check", 0, math.inf)]
 out = []
 for case in cases:
     try:
@@ -107,6 +127,12 @@ for case in cases:
             got = [str(charlier_direct(*case[1:], mode="rational"))]
         elif case[0] == "sharpness_check":
             got = [str(v) for v in vars(sharpness_check(*case[1:])).values()]
+        elif case[1] == "scaled_y":
+            got = [repr(scaled_y(ScaledPoint(*case[2:4]), case[4]))]
+        elif case[1] == "euler_polygon":
+            got = [repr(euler_polygon(case[2], case[3:5], *case[5:]).states.tolist())]
+        elif case[0] == "call":
+            got = [repr(getattr(api, case[1])(*case[2:]))]
         else:
             nu, a, x_max, direction = case[1:]
             z = charlier_state_trace(nu, a, x_max, direction)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
-from .errors import DomainError, _integer, _real, _text
+from .errors import DomainError, _finite, _integer, _real, _text
 from .hermite import hermite_at_zero
 from .special import ln_gamma, upper_incomplete_gamma
 
@@ -86,25 +87,22 @@ def factor_p(k: int, A: int) -> float:
     log-gamma is outside double range."""
     A = _integer(A, "A", 1)
     k = _integer(k, "k", 0, A)
-    try:
-        return math.exp(
-            math.lgamma(A + 1.0) - math.lgamma(A - k + 1.0) - k * math.log(A)
-        )
-    except OverflowError:  # A + 1.0, or its log-gamma, past double range
-        raise DomainError(f"factor_p's log-gammas at A={_text(A)} are outside "
-                          "double range") from None
+    # A + 1.0, or its log-gamma, can overflow
+    return _finite(lambda: math.exp(math.lgamma(A + 1.0) - math.lgamma(A - k + 1.0)
+                                    - k * math.log(A)),
+                   "factor_p's log-gamma at A={}", _text(A))
 
 
 def factor_q(k: int, nu: float) -> float:
     """q(k) = Gamma(k - nu) / k!, via log-gamma differences; DomainError
     where k or q(k) is outside double range."""
     k, nu = _integer(k, "k", 1), _real(nu, "nu")
-    try:
+
+    def q():  # k as a float, a log-gamma, or q(k) itself can overflow
         lg, sign = ln_gamma(k - nu)
         return sign * math.exp(lg - math.lgamma(k + 1.0))
-    except OverflowError:  # k as a float, a log-gamma, or q(k) itself
-        raise DomainError(f"q(k) at k={_text(k)}, nu={nu!r} is outside "
-                          "double range") from None
+
+    return _finite(q, "q(k) at k={}, nu={!r}", _text(k), nu)
 
 
 def f_nu(t: float, nu: float) -> float:
@@ -127,13 +125,10 @@ def f_nu(t: float, nu: float) -> float:
         return t ** e * math.exp(-0.5 * t * t)
     except OverflowError:  # t ** e alone is outside double range
         pass
-    # ln f_nu = e ln t - t^2/2, written so that it is never inf - inf, and
-    # capped at 710 so that math.exp raises where it is +inf too
+    # ln f_nu = e ln t - t^2/2, written so that it is never inf - inf
     ln_t = math.log(t)
-    try:
-        return math.exp(min(ln_t * (e - t * (0.5 * t / ln_t)), 710.0))
-    except OverflowError:
-        raise DomainError(f"f_nu({t!r}) at nu = {nu!r} is outside double range") from None
+    return _finite(partial(math.exp, ln_t * (e - t * (0.5 * t / ln_t))),
+                   "f_nu({!r}) at nu = {!r}", t, nu)
 
 
 @dataclass(frozen=True)
@@ -161,18 +156,16 @@ def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidChec
         raise DomainError(f"the grid M..N has {N - M + 1} nodes, more than {_MAX_NODES}")
     dt = _real(dt, "dt", 0, strict=True)
     s = -0.5 * nu
-    try:
+
+    def values():  # fsum, 2^(-nu/2-1) and (N dt)^2 can overflow
         riemann = dt * math.fsum(f_nu(k * dt, nu) for k in range(M, N + 1))
         closed = 2.0 ** (-0.5 * nu - 1.0) * (
             upper_incomplete_gamma(s, 0.5 * (M * dt) ** 2)
             - upper_incomplete_gamma(s, 0.5 * (N * dt) ** 2)
         )
-        values = (riemann, closed, abs(riemann - closed))
-    except OverflowError:  # in fsum, in 2^(-nu/2-1) or in (N dt)^2
-        values = (math.inf,)
-    if not all(map(math.isfinite, values)):
-        raise DomainError(f"the trapezoid check at nu={nu!r}, dt={dt!r} is outside double range")
-    return TrapezoidCheck(*values)
+        return riemann, closed, abs(riemann - closed)
+
+    return TrapezoidCheck(*_finite(values, "the trapezoid check at nu={!r}, dt={!r}", nu, dt))
 
 
 def head_tail_split(cfg: SplitConfig) -> SplitReport:
@@ -222,19 +215,19 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
         head.append(t[:cut])
         tail.append(t[cut:])
         start += len(t)
-    try:
+
+    def sums():  # C = a^{nu/2} Gamma(-nu) can overflow
         c = math.exp(0.5 * nu * math.log(a) + math.lgamma(-nu))
         s_head, s_tail = _sum(head), _sum(tail)
-        sums = (c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, [s_head + s_tail])[0])
-    except OverflowError:
-        sums = (math.inf,)
-    if not all(map(math.isfinite, sums)):
-        raise DomainError(f"head/tail split at a={a!r}, nu={nu!r} is outside double range")
-    r_head, r_tail, y0_reconstructed = sums
-    y0_direct = _scaled(2.0 * a, 0.5 * nu, [c_A])[0]
+        return c * s_head, c * s_tail, _scaled(2.0 * a, 0.5 * nu, [s_head + s_tail])[0]
+
+    what = "head/tail split at a={!r}, nu={!r}"
+    r_head, r_tail, y0_reconstructed = _finite(sums, what, a, nu)
+    y0_direct = _finite(_scaled(2.0 * a, 0.5 * nu, [c_A])[0], what, a, nu)
     y0_ceiling = None
     if math.ceil(a) != A:
-        y0_ceiling = _scaled(2.0 * a, 0.5 * nu, [charlier_direct(math.ceil(a), a, nu)])[0]
+        y0_ceiling = _finite(_scaled(2.0 * a, 0.5 * nu, [charlier_direct(math.ceil(a), a, nu)])[0],
+                             what, a, nu)
     return SplitReport(
         r_head=r_head,
         r_tail=r_tail,

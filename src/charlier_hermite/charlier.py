@@ -29,7 +29,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-from .errors import DegenerateArgumentError, DomainError, RationalModeError, _integer, _real
+from .errors import (DegenerateArgumentError, DomainError, RationalModeError, _finite, _integer,
+                     _rational, _real)
 
 Rational = Union[int, Fraction]
 Number = Union[int, float, Fraction]
@@ -63,15 +64,6 @@ _PIECE = 16128
 _EXTRACT_TERMS = 512
 
 
-def _to_fraction(v: Number, name: str) -> Fraction:
-    # Floats are taken at their exact binary value; decimal strings and
-    # Fractions pass through exactly.
-    try:
-        return Fraction(v)
-    except (ValueError, TypeError, ZeroDivisionError, OverflowError) as exc:
-        raise RationalModeError(f"{name}={v!r} is not an exact rational") from exc
-
-
 def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     """Evaluate c_n^a(nu) by direct summation of the defining series.
 
@@ -89,10 +81,7 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
     """
     n = _integer(n, "n", 0, math.inf) if mode == "rational" else _integer(n, "n")
     if mode == "rational":
-        a_r = _to_fraction(a, "a")
-        nu_r = _to_fraction(nu, "nu")
-        if a_r <= 0:
-            raise DomainError(f"a must be positive, got {a!r}")
+        a_r, nu_r = _rational(a, "a", positive=True), _rational(nu, "nu")
         # with a = p/q and nu = r/s, the terms t_1 .. t_K that can be nonzero
         # share the denominator (s p)^K, and their numerators are at most
         # C(n, k) (K s + |r|)^K q^K
@@ -114,14 +103,16 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
             blocks.append(t)
             if ends:
                 break
-        return _checked(n, a, nu, _sum(blocks))
-    # A short sum costs less in Python than in a numpy block, numpy loaded
-    # or not, and is far below _EXTRACT_TERMS: fsum without _sum's tests
-    # took a call at n = 5 from 4.2 to 3.0 us.
-    try:
-        return _checked(n, a, nu, math.fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)]))
-    except (ValueError, OverflowError):  # an inf - inf, or an intermediate overflow
-        return _checked(n, a, nu, math.inf)
+        total = _sum(blocks)
+    else:
+        # A short sum costs less in Python than in a numpy block, numpy loaded
+        # or not, and is far below _EXTRACT_TERMS: fsum without _sum's tests
+        # took a call at n = 5 from 4.2 to 3.0 us.
+        try:
+            total = math.fsum([1.0, *_term_row(n, a_f, nu_f, 0, n, 1.0)])
+        except (ValueError, OverflowError):  # an inf - inf, or an intermediate overflow
+            total = math.inf
+    return _finite(total, "c_n^a(nu) at n={}, a={!r}, nu={!r}", n, a, nu)
 
 
 def _rational_terms(n: int, q: int, r: int, s: int):
@@ -192,14 +183,6 @@ def _sum(blocks) -> float:
         return math.fsum(itertools.chain.from_iterable(blocks))
     except (ValueError, OverflowError):
         return math.inf
-
-
-def _checked(n: int, a, nu, total: float) -> float:
-    """total, the float sum of c_n^a(nu); DomainError where it is outside
-    double range (not finite)."""
-    if not math.isfinite(total):
-        raise DomainError(f"c_n^a(nu) at n={n}, a={a!r}, nu={nu!r} is outside double range")
-    return total
 
 
 def _block_size(n: int, a: float) -> tuple:
@@ -347,7 +330,8 @@ def charlier_order_shift(n: int, a: float, nu: float,
     """
     n, a, nu = _integer(n, "n"), _real(a, "a", 0, strict=True), _real(nu, "nu")
     c0, c1 = _real(c_at_nu, "c_at_nu"), _real(c_at_nu_minus_1, "c_at_nu_minus_1")
-    return _checked_step(((nu + a - n) / a) * c0 - (nu / a) * c1)
+    return _finite(((nu + a - n) / a) * c0 - (nu / a) * c1,
+                   "the recurrence step at n={}, a={!r}, nu={!r}", n, a, nu)
 
 
 def charlier_backward_step(n: int, a: float, x: float,
@@ -366,14 +350,7 @@ def charlier_backward_step(n: int, a: float, x: float,
         raise DegenerateArgumentError(
             f"backward step degenerate at x={x!r}; evaluate directly instead"
         )
-    return _checked_step((a / x) * (c0 - c1))
-
-
-def _checked_step(value: float) -> float:
-    """value, a recurrence step; DomainError where it is not finite."""
-    if not math.isfinite(value):
-        raise DomainError(f"the recurrence step gives {value!r}, outside double range")
-    return value
+    return _finite((a / x) * (c0 - c1), "the recurrence step at n={}, a={!r}, x={!r}", n, a, x)
 
 
 @dataclass(frozen=True)
@@ -444,17 +421,15 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
     if mode == "float":
         nu_f = _real(nu, "nu")
         value = _scaled(2.0 * point.a, nu_f / 2.0, [charlier_direct(point.n, point.a, nu_f)])[0]
-        if not math.isfinite(value):
-            raise DomainError(
-                f"y_nu^a(x) at a={point.a!r}, nu={nu!r} is outside double range")
-        return value
+        return _finite(value, "y_nu^a(x) at a={!r}, nu={!r}", point.a, nu)
     if mode != "rational":
         raise DomainError(f"unknown mode {mode!r}")
-    nu_r = _to_fraction(nu, "nu")
+    nu_r = _rational(nu, "nu")
     if nu_r.denominator != 1:
         raise RationalModeError(f"(2a)^(nu/2) is irrational for nu={nu!r}")
     nu_i = nu_r.numerator
-    two_a = 2 * _to_fraction(point.a, "a")
+    a_r = _rational(point.a, "a")
+    two_a = 2 * a_r
     _check_bits(abs(nu_i) * (two_a.numerator.bit_length() + two_a.denominator.bit_length()) // 2)
     if nu_i % 2 == 0:
         scale = two_a ** (nu_i // 2)
@@ -465,5 +440,4 @@ def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
                 f"sqrt(2a) is irrational for a={point.a!r}; cannot scale exactly"
             )
         scale = root ** nu_i
-    return scale * charlier_direct(point.n, _to_fraction(point.a, "a"), nu_r,
-                                   mode="rational")
+    return scale * charlier_direct(point.n, a_r, nu_r, mode="rational")

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and its one integer check and
-one float check.
+"""Exception types shared across the package, and its one check each for
+integer, float and exact-rational arguments and for float results.
 
 The CLI maps DomainError (and subclasses) to exit code 1 and
 ConvergenceError to exit code 2.
 """
 
+import math
 import sys
 
 
@@ -69,6 +70,42 @@ def _real(value, name: str, lo=-sys.float_info.max, hi=sys.float_info.max,
     bound = (f" {'>' if strict else '>='} {_text(lo)}" if lo > -sys.float_info.max else
              f" <= {_text(hi)}" if hi < sys.float_info.max else "")
     raise DomainError(f"{name} must be a finite number{bound}, got {_text(value)}")
+
+
+def _rational(value, name: str, positive: bool = False):
+    """Fraction(value), where value is an int, a float (at its binary value), a Fraction or a
+    decimal string, not a bool, and above 0 where positive; else RationalModeError, or
+    DomainError where only the sign is wrong."""
+    import fractions  # here, as the float path seldom needs it
+    try:
+        f = None if isinstance(value, bool) else fractions.Fraction(value)
+    except (ValueError, TypeError, ZeroDivisionError, OverflowError):  # nan, +-inf, "x", ...
+        f = None
+    if f is None:
+        raise RationalModeError(f"{name}={value!r} is not an exact rational")
+    if positive and f <= 0:
+        raise DomainError(f"{name} must be positive, got {value!r}")
+    return f
+
+
+def _finite(value, what: str, *args):
+    """value, where it is a finite float or a tuple or list of them; else DomainError
+    "<what.format(*args)> is outside double range", the message formatted only then.  A
+    callable value is called first, and its OverflowError (math.exp, math.lgamma,
+    math.gamma and ** raise one where the result would be +-inf) counts as a value outside
+    double range."""
+    if type(value) is float and value - value == 0.0:  # the fast path: inf - inf is nan
+        return value
+    if callable(value):
+        try:
+            value = value()
+        except OverflowError:
+            value = math.inf
+    finite = (all(map(math.isfinite, value)) if isinstance(value, (tuple, list))
+              else math.isfinite(value))
+    if finite:
+        return value
+    raise DomainError(f"{what.format(*args)} is outside double range")
 
 
 def _text(value) -> str:

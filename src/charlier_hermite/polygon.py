@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .charlier import _block_size, _scaled, charlier_direct
-from .errors import DomainError, _integer, _real
+from .errors import DomainError, _finite, _integer, _real
 
 if TYPE_CHECKING:
     import numpy as np
@@ -54,7 +54,7 @@ _MAX_TRACE_TERMS = 10 ** 10
 
 @dataclass(frozen=True)
 class PolygonTrace:
-    """Node coordinates x_k = direction * k * step and (y, y') states."""
+    """Node coordinates x_k = direction * k * step and (y, y') states, all finite."""
 
     xs: np.ndarray      # shape (K+1,)
     states: np.ndarray  # shape (K+1, 2)
@@ -63,6 +63,9 @@ class PolygonTrace:
     def __post_init__(self):
         if len(self.xs) == 0 or self.states.shape != (len(self.xs), 2):
             raise DomainError("PolygonTrace needs matching non-empty xs and states")
+        import numpy as np
+        if not (np.isfinite(self.xs).all() and np.isfinite(self.states).all()):
+            raise DomainError("PolygonTrace needs finite xs and states")
         _real(self.step, "step", 0, strict=True)
 
 
@@ -70,10 +73,8 @@ def system_matrix_norm_bound(x: float, nu: float) -> float:
     """sqrt(1 + 4 nu^2 + 4 x^2), an upper bound for ||A(x)||_2; DomainError
     where it is outside double range."""
     x, nu = _real(x, "x"), _real(nu, "nu")
-    bound = math.sqrt(1.0 + 4.0 * nu * nu + 4.0 * x * x)
-    if bound == math.inf:
-        raise DomainError(f"||A(x)|| at x={x!r}, nu={nu!r} is outside double range")
-    return bound
+    return _finite(math.sqrt(1.0 + 4.0 * nu * nu + 4.0 * x * x),
+                   "||A(x)|| at x={!r}, nu={!r}", x, nu)
 
 
 def _node_count(x_max: float, dx: float) -> int:
@@ -116,8 +117,7 @@ def _euler_rows(nu: float, init, x_max: float, dx: float, direction: int = 1) ->
         y.append(u)
         yp.append(up)
     # a state that is not finite stays so, as each y adds h y' to the last
-    if not (math.isfinite(u) and math.isfinite(up)):
-        raise DomainError(f"the Euler polygon at nu={nu!r} is outside double range")
+    _finite((u, up), "the Euler polygon at nu={!r}", nu)
     return xs, y, yp
 
 
@@ -156,8 +156,7 @@ def _trace_rows(nu: float, a: float, x_max: float, direction: int = 1) -> tuple:
     # difference quotient toward the previous node, whose degree is
     # m + direction
     dy = _scaled(r, nu, [m - prev for prev, m in zip(c, c[1:])], direction * r)
-    if not (all(map(math.isfinite, y)) and all(map(math.isfinite, dy))):
-        raise DomainError(f"the state trace at a={a!r}, nu={nu!r} is outside double range")
+    _finite(y + dy, "the state trace at a={!r}, nu={!r}", a, nu)
     return xs, y, dy, dx
 
 
@@ -215,17 +214,21 @@ def _node_values(nu: float, a: float, top: int, direction: int, last: int) -> li
 def trace_deviation(t1: PolygonTrace, t2: PolygonTrace) -> float:
     """Max Euclidean norm of the state difference over shared nodes.
 
-    The node grids must be identical.
+    The node grids must be identical.  DomainError where the norm is outside
+    double range.
     """
     if t1.step != t2.step or t1.xs.tolist() != t2.xs.tolist():
         raise DomainError("trace_deviation requires identical node grids")
-    return _max_norm(zip(*(t1.states - t2.states).T.tolist()))
+    import numpy as np
+    with np.errstate(over="ignore"):  # a difference past double range is refused below
+        diffs = (t1.states - t2.states).T.tolist()
+    return _finite(_max_norm(zip(*diffs)), "the trace deviation")
 
 
 def _max_norm(diffs) -> float:
-    """np.max(np.linalg.norm(diffs, axis=1)) for (d0, d1) pairs, bit for bit."""
-    norms = [math.sqrt(d0 * d0 + d1 * d1) for d0, d1 in diffs]
-    return math.nan if any(map(math.isnan, norms)) else max(norms)
+    """np.max(np.linalg.norm(diffs, axis=1)) for (d0, d1) pairs that are not nan, bit for
+    bit."""
+    return max(math.sqrt(d0 * d0 + d1 * d1) for d0, d1 in diffs)
 
 
 def apriori_deviation_bound(x: float, dx: float, u0_norm: float,
@@ -244,13 +247,10 @@ def apriori_deviation_bound(x: float, dx: float, u0_norm: float,
     x, dx, u0_norm, init_err, xi, psi = map(_real, (x, dx, u0_norm, init_err, xi, psi),
                                             ("x", "dx", "u0_norm", "init_err", "xi", "psi"))
     L = system_matrix_norm_bound(xi, psi)
-    try:  # math.exp raises where it overflows
+
+    def bound():  # math.exp can overflow
         growth, e_x = math.exp(L * xi), math.exp(L * x)
-    except OverflowError:
-        growth = e_x = math.inf
-    m_bound, c_bound = L * u0_norm * growth, 2.0 * u0_norm * growth
-    bound = init_err * e_x + dx * (c_bound / L + m_bound) * (e_x - 1.0)
-    if not math.isfinite(bound):
-        raise DomainError(f"the a-priori bound at x={x!r}, xi={xi!r}, psi={psi!r} "
-                          "is outside double range")
-    return bound
+        m_bound, c_bound = L * u0_norm * growth, 2.0 * u0_norm * growth
+        return init_err * e_x + dx * (c_bound / L + m_bound) * (e_x - 1.0)
+
+    return _finite(bound, "the a-priori bound at x={!r}, xi={!r}, psi={!r}", x, xi, psi)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from .charlier import _exact_sqrt, _to_fraction, charlier_direct
-from .errors import DomainError, RationalModeError, _integer, _real
+from .charlier import _exact_sqrt, charlier_direct
+from .errors import DomainError, RationalModeError, _integer, _rational, _real
 
 # admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
 _MAX_R = 256
@@ -78,14 +78,11 @@ class SharpnessResult:
 def sharpness_check(x, a) -> SharpnessResult:
     """Exact evaluation of the nu = 2 deviation identity.
 
-    Inputs are taken as exact rationals (int, Fraction, or decimal
-    string); pairs where sqrt(2a) is irrational or n = a - x sqrt(2a)
+    Inputs are taken as exact rationals (int, float, Fraction or decimal
+    string, not a bool); pairs where sqrt(2a) is irrational or n = a - x sqrt(2a)
     is not a non-negative integer are rejected.
     """
-    x_r = _to_fraction(x, "x")
-    a_r = _to_fraction(a, "a")
-    if a_r <= 0:
-        raise DomainError(f"a must be positive, got {a!r}")
+    x_r, a_r = _rational(x, "x"), _rational(a, "a", positive=True)
     two_a = 2 * a_r
     r = _exact_sqrt(two_a)
     if r is None:

@@ -9,9 +9,10 @@ function M, and the rising factorial.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import NamedTuple
 
-from .errors import ConvergenceError, DomainError, PoleError, _integer, _real
+from .errors import ConvergenceError, PoleError, _finite, _integer, _real
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -51,10 +52,8 @@ def ln_gamma(x: float) -> LnGamma:
         sign = 1
     else:
         sign = -1 if math.floor(x) % 2 else 1
-    try:
-        return LnGamma(math.lgamma(x), sign)
-    except OverflowError:  # from x = 2.56e305 on
-        raise DomainError(f"ln Gamma({x!r}) is outside double range") from None
+    # math.lgamma overflows from x = 2.56e305 on
+    return LnGamma(_finite(partial(math.lgamma, x), "ln Gamma({!r})", x), sign)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -84,10 +83,7 @@ def _reciprocal_gamma(x: float) -> float:
     lg, sign = ln_gamma(x)
     # exp underflows to 0.0 for huge positive arguments of Gamma; that is
     # the correct limit for 1/Gamma.
-    try:
-        return sign * math.exp(-lg)
-    except OverflowError:
-        raise DomainError(f"1/Gamma({x!r}) is outside double range") from None
+    return sign * _finite(partial(math.exp, -lg), "1/Gamma({!r})", x)
 
 
 def pochhammer_rising(x: float, k: int):
@@ -101,9 +97,7 @@ def pochhammer_rising(x: float, k: int):
     result = x ** 0  # 1 in the arithmetic of x (int, float or Fraction)
     for j in range(_integer(k, "k", 0, _MAX_FACTORS)):
         result = result * (x + j)
-    if isinstance(result, float) and not math.isfinite(result):
-        raise DomainError(f"({x!r})_{k} is outside double range")
-    return result
+    return _finite(result, "({!r})_{}", x, k) if isinstance(result, float) else result
 
 
 def _upper_gamma_series(s: float, z: float) -> float:
@@ -167,14 +161,10 @@ def upper_incomplete_gamma(s: float, z: float) -> float:
     z^s e^-z is outside double range.
     """
     s, z = _real(s, "s", 0, strict=True), _real(z, "z", 0)
-    try:
-        if z == 0.0:
-            return math.gamma(s)
-        if z < s + 1.0:
-            return _upper_gamma_series(s, z)
-        return _upper_gamma_cf(s, z)
-    except OverflowError:  # Gamma(s), or the prefactor z^s e^-z
-        raise DomainError(f"Gamma({s!r}, {z!r}) is outside double range") from None
+    branch = _upper_gamma_series if z < s + 1.0 else _upper_gamma_cf
+    # Gamma(s), or the prefactor z^s e^-z, can overflow
+    return _finite(partial(math.gamma, s) if z == 0.0 else partial(branch, s, z),
+                   "Gamma({!r}, {!r})", s, z)
 
 
 def kummer_m(alpha: float, beta: float, z: float) -> float:
@@ -206,6 +196,8 @@ def _kummer(alpha: float, beta: float, z: float) -> float:
     small = 0
     k = 0.0  # the index as a float: alpha + k rounds as alpha + int(k) does
     denominators = _DENOMINATORS.get(beta, ())
+    # terms that overflow can still meet the exits, with a sum of inf or nan
+    what = "kummer_m at alpha={}, beta={}, z={}"
     while k < _MAX_ITER:
         for d in denominators:
             term *= (alpha + k) * z / d
@@ -214,11 +206,11 @@ def _kummer(alpha: float, beta: float, z: float) -> float:
             comp = (t - total) - y
             total = t
             if term == 0.0:  # polynomial case: every later term is 0
-                return _finite_sum(total, alpha, beta, z)
+                return _finite(total, what, alpha, beta, z)
             if abs(term) < 1e-16 * abs(total):
                 small += 1
                 if small == 3:
-                    return _finite_sum(total, alpha, beta, z)
+                    return _finite(total, what, alpha, beta, z)
             else:
                 small = 0
             k += 1.0
@@ -227,10 +219,3 @@ def _kummer(alpha: float, beta: float, z: float) -> float:
     raise ConvergenceError(
         f"kummer_m series did not converge for alpha={alpha}, beta={beta}, z={z}"
     )
-
-
-def _finite_sum(total: float, alpha: float, beta: float, z: float) -> float:
-    # terms that overflow can still meet the exits, with a sum of inf or nan
-    if not math.isfinite(total):
-        raise DomainError(f"kummer_m at alpha={alpha}, beta={beta}, z={z} is outside double range")
-    return total

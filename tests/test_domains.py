@@ -5,9 +5,11 @@ call returns finite values or raises DomainError or ConvergenceError: no
 other exception, no inf or nan, and no work that grows with a past the
 term cap."""
 
+import ast
 import dataclasses
 import inspect
 import math
+import pathlib
 import sys
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from charlier_hermite import (
     ConvergenceError,
     DomainError,
     PolygonTrace,
+    RationalModeError,
     ScaledPoint,
     SplitConfig,
     admissible_sharpness_pairs,
@@ -125,8 +128,8 @@ def _row(x, target_nu, a):
 
 
 # Every public name with a real parameter, and sharpness_check, whose exact rationals
-# must refuse nan and +-inf with a typed error too; real arguments are drawn wide
-# where calls are cheap.
+# must refuse nan, +-inf, bools and None with a typed error too; real arguments are
+# drawn wide where calls are cheap.
 _FLOAT_CALLS = {
     "ScaledPoint": _calls(ScaledPoint, _R(_X), _R(_A)),
     "scaled_y": _calls(lambda x, a, nu: scaled_y(ScaledPoint(x, a), nu), _R(_X), _R(_A), _R(_NU)),
@@ -142,7 +145,8 @@ _FLOAT_CALLS = {
         lambda nu, M, rows, dt: trapezoid_gamma_check(nu, M, M + rows, dt),
         _R(st.floats(-1e300, -3.0)), st.integers(0, 10 ** 6), st.integers(0, 1000), _R(_A)),
     "hermite_fn": _calls(hermite_fn, _R(_NU), _R(_X)),
-    "hermite_at_zero": _calls(hermite_at_zero, _R(_NU)),
+    # |nu| <= 1e3 reaches the band where H_nu(0) overflows (268.7 to 343.1)
+    "hermite_at_zero": _calls(hermite_at_zero, _R(st.one_of(st.floats(-1e3, 1e3), _NU))),
     "hermite_derivative": _calls(hermite_derivative, _R(_NU), _R(_X)),
     "kummer_m": _calls(kummer_m, _R(_X), _R(_X), _R(_X)),
     "ln_gamma": _calls(ln_gamma, _R(_X)),
@@ -178,7 +182,9 @@ _FLOAT_EXAMPLES = {
     "hermite_fn": [(True, 0.0), (0.5, 1e200), (19.762342385326264, 27.67237623592319),
                    (-1e308, 0.0), (205.0, 20.0)],
     "hermite_derivative": [(198.0, 20.0)],  # H_197(20) = -1.4e307 is a double, 396 times it not
-    "hermite_at_zero": [(-1e308,)],
+    # H_nu(0) past double range, where 1/Gamma((1-nu)/2) is not; 0 at odd nu, where
+    # 1/Gamma(-nu/2) overflows
+    "hermite_at_zero": [(-1e308,), (272.0,), (300.5,), (343.0,)],
     "ln_gamma": [(1e308,)],  # ln Gamma overflows
     "reciprocal_gamma": [(1e308,)],  # 1/Gamma is 0.0
     "charlier_direct": [(5, "2", "1"), (5, math.inf, 1, "rational"), (5, Fraction(10 ** 400), 1.0)],
@@ -214,14 +220,14 @@ def test_every_real_parameter_is_in_the_table():
 @pytest.mark.parametrize("name", sorted(_FLOAT_CALLS))
 def test_real_arguments_are_taken_or_refused(name):
     # a bool, a str or None as a real argument is refused, if not by the rule then by
-    # an earlier check; sharpness_check reads exact rationals, and "1.5" and True are those
+    # an earlier check; sharpness_check reads exact rationals, and "1.5" is one
     f, args, reals = _FLOAT_CALLS[name]
+    refused = (bool, type(None)) if name == "sharpness_check" else (bool, str, type(None))
 
     @_SETTINGS
     @hypothesis.given(args)
     def check(drawn):
-        if name != "sharpness_check" and any(
-                isinstance(drawn[i], (bool, str, type(None))) for i in reals):
+        if any(isinstance(drawn[i], refused) for i in reals):
             with pytest.raises(DomainError):
                 f(*drawn)
         else:
@@ -402,3 +408,72 @@ def test_real_rule():
                     (ScaledPoint, (0.0, True)), (fit_rate, [[(10, 1), (True, 1), (100, 1)]])]:
         with pytest.raises(DomainError, match=" must be a finite number"):
             f(*args)
+
+
+def test_rational_rule():
+    # an int, a float, a Fraction, a numpy integer or a decimal string is taken as its
+    # exact value; a bool, nan, +-inf, None and a string that is no number are refused
+    # with RationalModeError, and a value <= 0 where it must be positive with DomainError
+    from charlier_hermite.errors import _rational
+    values = (3, 3.0, Fraction(3), np.int64(3), "3", "6/2")
+    assert [_rational(v, "a", positive=True) for v in values] == [3] * 6
+    assert _rational(0.1, "x") == Fraction(0.1) != _rational("0.1", "x") == Fraction(1, 10)
+    for value in (True, False, np.bool_(True), math.nan, math.inf, None, "1/0", "x"):
+        with pytest.raises(RationalModeError) as info:
+            _rational(value, "nu")
+        assert str(info.value) == f"nu={value!r} is not an exact rational"
+    for value in (0, -1, "-1/2"):
+        with pytest.raises(DomainError) as info:
+            _rational(value, "a", positive=True)
+        assert type(info.value) is DomainError
+        assert str(info.value) == f"a must be positive, got {value!r}"
+    # bools that rational mode took as the rational 1 before
+    for f, args in [(charlier_direct, (5, True, 1, "rational")),
+                    (charlier_direct, (5, 2, True, "rational")),
+                    (sharpness_check, (True, 2)), (sharpness_check, (0, True)),
+                    (lambda nu: scaled_y(ScaledPoint(0.0, 2.0), nu, "rational"), (True,))]:
+        with pytest.raises(RationalModeError, match="=True is not an exact rational$"):
+            f(*args)
+
+
+def test_result_rule():
+    # a finite float, or a tuple or list of them, is returned as it is; a value that is
+    # not finite, and a callable's OverflowError, are refused with one message form,
+    # formatted only then
+    from charlier_hermite.errors import _finite
+
+    class Unformatted:
+        def __format__(self, spec):
+            raise AssertionError("formatted")
+
+    assert _finite(1.5, "{}", Unformatted()) == 1.5
+    assert _finite((1.0, -0.0), "{}", Unformatted()) == (1.0, -0.0)
+    assert _finite([5e-324], "{}", Unformatted()) == [5e-324]
+    assert _finite(lambda: 2.0 ** 3, "{}", Unformatted()) == 8.0
+    for value in (math.inf, -math.inf, math.nan, (1.0, math.nan), [math.inf],
+                  lambda: 2.0 ** 1e4, lambda: math.exp(1e3), lambda: math.inf - math.inf):
+        with pytest.raises(DomainError) as info:
+            _finite(value, "f({!r}) at n={}", 0.5, 3)
+        assert type(info.value) is DomainError
+        assert str(info.value) == "f(0.5) at n=3 is outside double range"
+    with pytest.raises(ZeroDivisionError):  # only an overflow counts as past double range
+        _finite(lambda: 1.0 / 0.0, "x")
+
+
+def test_only_errors_builds_the_result_message():
+    # no other module builds an "outside double range" message, or turns an
+    # OverflowError into a DomainError: each float result leaves through _finite
+    source = pathlib.Path(charlier_hermite.__file__).parent
+    for path in sorted(source.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        tree = ast.parse(path.read_text())
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.FunctionDef, ast.ClassDef))
+                      and node.body and isinstance(node.body[0], ast.Expr)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and id(node) not in docstrings:
+                assert "outside double range" not in str(node.value), (path.name, node.lineno)
+            if isinstance(node, ast.ExceptHandler) and "OverflowError" in ast.unparse(node.type):
+                assert not any(isinstance(n, ast.Raise) for n in ast.walk(node)), \
+                    (path.name, node.lineno)

@@ -11,7 +11,6 @@ from charlier_hermite import (
     hermite_derivative,
     hermite_fn,
 )
-from charlier_hermite.hermite import _two_to
 from charlier_hermite.special import SQRT_PI, reciprocal_gamma
 
 # mpmath (50 digits) oracle, frozen to 17 digits; mpmath's own real-order
@@ -95,6 +94,29 @@ def test_at_zero():
                             rel_tol=1e-13, abs_tol=1e-15), nu
 
 
+def test_at_zero_is_the_closed_form_or_refused():
+    # H_nu(0) = 2^nu sqrt(pi) / Gamma((1-nu)/2) over nu in [-400, 400) by 0.1:
+    # bit for bit where that is a double, refused as hermite_fn refuses it where
+    # it is not (nu from 268.7 to 343.1), and 0 exactly at odd nu, where the
+    # odd half, +-0.0 at x = 0, has a 1/Gamma past double range (nu >= 343)
+    for i in range(-4000, 4000):
+        nu = i / 10.0
+        try:
+            want = 2.0 ** nu * SQRT_PI * reciprocal_gamma((1.0 - nu) / 2.0)
+        except DomainError:
+            want = math.inf
+        if math.isfinite(want):
+            assert hermite_at_zero(nu).hex() == want.hex(), nu
+        else:
+            with pytest.raises(DomainError, match="outside double range"):
+                hermite_at_zero(nu)
+    for nu in (272.0, 300.5):
+        for f in (hermite_at_zero, lambda nu: hermite_fn(nu, 0.0)):
+            with pytest.raises(DomainError, match=r"^H_nu\(x\) at nu=.*, x=0.0 is outside double "):
+                f(nu)
+    assert hermite_at_zero(343.0) == hermite_fn(343.0, 0.0) == hermite_fn(343.0, -0.0) == 0.0
+
+
 def test_derivative_closed_forms():
     for x in (-0.7, 0.0, 1.3):
         assert hermite_derivative(0.0, x) == 0.0
@@ -164,7 +186,7 @@ def test_hermite_fn_is_the_frozen_series_bit_for_bit(kummer_reference):
         x2 = x * x
         even = reciprocal_gamma((1.0 - nu) / 2.0) * kummer_reference(-nu / 2.0, 0.5, x2)[0]
         odd = 2.0 * x * reciprocal_gamma(-nu / 2.0) * kummer_reference((1.0 - nu) / 2.0, 1.5, x2)[0]
-        return _two_to(nu) * SQRT_PI * (even - odd)
+        return 2.0 ** nu * SQRT_PI * (even - odd)
 
     def outcome(f, nu, x):
         try:

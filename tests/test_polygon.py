@@ -160,19 +160,50 @@ def test_trace_deviation_rules():
 
 def test_trace_deviation_is_numpy_max_norm():
     # trace_deviation sums in Python; its value is, by hex, numpy's max of
-    # np.linalg.norm(axis=1) over the state differences: squares that
-    # overflow or underflow included, and NaN where any node's norm is NaN
+    # np.linalg.norm(axis=1) over the state differences, squares that
+    # underflow included; where that norm overflows it is refused, and a
+    # trace with a NaN state is refused when it is built
     rng = np.random.default_rng(19)
     xs = np.arange(6.0)
+    seen = set()
     for i in range(300):
-        s1, s2 = (rng.standard_normal((6, 2)) * 10.0 ** rng.uniform(-300, 300, (6, 2))
+        # a square overflows from about 1.3e154 on
+        s1, s2 = (rng.standard_normal((6, 2)) * 10.0 ** rng.uniform(-300, 160, (6, 2))
                   for _ in range(2))
         if i % 3 == 0:
             s1[rng.integers(6), rng.integers(2)] = math.nan
+            with pytest.raises(DomainError, match="^PolygonTrace needs finite xs and states$"):
+                polygon.PolygonTrace(xs, s1, 1.0)
+            continue
         with np.errstate(over="ignore", under="ignore"):
             want = float(np.max(np.linalg.norm(s1 - s2, axis=1)))
-        got = trace_deviation(polygon.PolygonTrace(xs, s1, 1.0), polygon.PolygonTrace(xs, s2, 1.0))
-        assert got.hex() == want.hex(), (i, got, want)
+        t1, t2 = polygon.PolygonTrace(xs, s1, 1.0), polygon.PolygonTrace(xs, s2, 1.0)
+        seen.add(want == math.inf)  # both kinds are drawn
+        if want == math.inf:
+            with pytest.raises(DomainError, match="^the trace deviation is outside double range$"):
+                trace_deviation(t1, t2)
+        else:
+            got = trace_deviation(t1, t2)
+            assert got.hex() == want.hex(), (i, got, want)
+    assert seen == {False, True}
+
+
+def test_trace_deviation_of_traces_a_caller_builds():
+    # a trace holds finite nodes and states; the difference of two of them
+    # can still overflow, and is taken without numpy's overflow warning
+    xs = np.array([0.0, 0.5])
+    for bad_xs, bad_states in [(xs, [[0.0, 1.0], [math.nan, 1.0]]),
+                               (xs, [[0.0, 1.0], [1.0, -math.inf]]),
+                               ([0.0, math.inf], [[0.0, 1.0], [1.0, 1.0]])]:
+        with pytest.raises(DomainError, match="^PolygonTrace needs finite xs and states$"):
+            polygon.PolygonTrace(np.array(bad_xs), np.array(bad_states), 0.5)
+    big = polygon.PolygonTrace(xs, np.full((2, 2), 1e308), 0.5)
+    low = polygon.PolygonTrace(xs, np.full((2, 2), -1e308), 0.5)
+    with pytest.raises(DomainError, match="^the trace deviation is outside double range$"):
+        trace_deviation(big, low)
+    assert trace_deviation(big, big) == 0.0
+    tiny = polygon.PolygonTrace(xs, np.array([[0.0, 0.0], [3e-200, 4e-200]]), 0.5)
+    assert trace_deviation(tiny, polygon.PolygonTrace(xs, np.zeros((2, 2)), 0.5)) == 0.0
 
 
 def test_z_trace_tracks_euler_at_rate_half():

@@ -23,7 +23,12 @@ pairs, 2 of them refused; and 209 calls with one hostile real argument
 valid) to `hermite_fn`, `charlier_direct`, `scaled_y`, `kummer_m`,
 `upper_incomplete_gamma`, `f_nu` and `euler_polygon`, each seen by its
 outcome's `repr`, and 10 more inputs that were once accepted, gave nan
-or inf, or raised a bare error.  The grid runs twice on each side: warm,
+or inf, or raised a bare error; 16,002 values of `hermite_at_zero(nu)`
+and `hermite_fn(nu, 0.0)` on the grid nu = -400, -399.9, ..., 400,
+which holds the band where H_nu(0) overflows and the odd nu where
+1/Gamma(-nu/2) does; 5 rational-mode calls with a bool for a rational;
+and 7 `trace_deviation`s of traces built from given states, nan, inf
+and +-1e308 among them.  The grid runs twice on each side: warm,
 with numpy loaded first, and cold, where the first sums build their
 terms in Python until the process's budget of Python terms loads numpy.
 Each outcome is the `float.hex` of every value (an exact value as its
@@ -56,7 +61,7 @@ import hashlib, json, math, random, sys
 if sys.argv[2] == "warm":
     import numpy  # noqa: F401, every sum takes its numpy path
 import charlier_hermite as api
-from charlier_hermite import (ScaledPoint, SplitConfig, admissible_sharpness_pairs,
+from charlier_hermite import (PolygonTrace, ScaledPoint, SplitConfig, admissible_sharpness_pairs,
                               charlier_direct, charlier_state_trace, euler_polygon,
                               head_tail_split, hermite_fn, kummer_m, scaled_y, sharpness_check,
                               trace_deviation)
@@ -109,6 +114,18 @@ cases += [("call", "hermite_fn", 0.5, 1e200), ("call", "f_nu", "1", 1.0),
           ("call", "apriori_deviation_bound", 1.0, 0.1, 1.0, 0.0, 1e3, 1e3),
           ("call", "charlier_direct", 5, "2", "1"), ("call", "charlier_direct", 5, math.inf, 1, "rational"),
           ("call", "sharpness_check", 0, math.inf)]
+for i in range(-4000, 4001):
+    cases += [("call", "hermite_at_zero", i / 10.0), ("hermite_fn", i / 10.0, 0.0)]
+cases += [("call", "charlier_direct", 5, True, 1, "rational"),
+          ("call", "charlier_direct", 5, 2, True, "rational"), ("call", "sharpness_check", True, 2),
+          ("call", "sharpness_check", 0, True), ("call", "scaled_y", 0.0, 2.0, True, "rational")]
+zero = [[0.0, 0.0], [0.0, 0.0]]
+cases += [("trace_deviation", [0.0, 0.5], s1, s2) for s1, s2 in [
+    ([[0.0, 1.0], [math.nan, 1.0]], zero), ([[0.0, 1.0], [1.0, -math.inf]], zero),
+    ([[1e308, 1e308], [1e308, 1e308]], [[-1e308, -1e308], [-1e308, -1e308]]),
+    ([[1e200, 0.0], [0.0, 0.0]], zero), ([[3e-200, 4e-200], [0.0, 0.0]], zero),
+    ([[0.1, -2.5], [1.75, 3.0]], [[0.3, 2.5], [-1.0, 1e-3]])]]
+cases.append(("trace_deviation", [0.0, math.inf], zero, zero))
 out = []
 for case in cases:
     try:
@@ -127,8 +144,12 @@ for case in cases:
             got = [str(charlier_direct(*case[1:], mode="rational"))]
         elif case[0] == "sharpness_check":
             got = [str(v) for v in vars(sharpness_check(*case[1:])).values()]
+        elif case[0] == "trace_deviation":
+            import numpy as np
+            t1, t2 = (PolygonTrace(np.array(case[1]), np.array(s), 0.5) for s in case[2:])
+            got = [trace_deviation(t1, t2).hex()]
         elif case[1] == "scaled_y":
-            got = [repr(scaled_y(ScaledPoint(*case[2:4]), case[4]))]
+            got = [repr(scaled_y(ScaledPoint(*case[2:4]), *case[4:]))]
         elif case[1] == "euler_polygon":
             got = [repr(euler_polygon(case[2], case[3:5], *case[5:]).states.tolist())]
         elif case[0] == "call":

@@ -18,7 +18,7 @@ _NAMES = {
                  "charlier_order_shift", "scaled_y"),
     "errors": ("ConvergenceError", "DegenerateArgumentError", "DomainError", "PoleError",
                "RationalModeError"),
-    "hermite": ("hermite_at_zero", "hermite_derivative", "hermite_fn"),
+    "hermite": ("hermite_derivative", "hermite_fn"),
     "polygon": ("PolygonTrace", "apriori_deviation_bound", "charlier_state_trace",
                 "euler_polygon", "system_matrix_norm_bound", "trace_deviation"),
     "ratefit": ("RateFit", "SharpnessResult", "admissible_sharpness_pairs", "fit_rate",

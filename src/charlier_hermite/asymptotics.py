@@ -25,7 +25,7 @@ from functools import partial
 from typing import Optional
 
 from .errors import DomainError, _finite, _integer, _real, _text
-from .hermite import hermite_at_zero
+from .hermite import hermite_fn
 from .special import ln_gamma, upper_incomplete_gamma
 
 # trapezoid_gamma_check's node limit, the row limit of plot fnu: 10^6
@@ -233,6 +233,6 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
         r_tail=r_tail,
         y0_reconstructed=y0_reconstructed,
         y0_direct=y0_direct,
-        h_nu_0=hermite_at_zero(nu),
+        h_nu_0=hermite_fn(nu, 0.0),
         y0_direct_ceiling=y0_ceiling,
     )

@@ -392,15 +392,16 @@ def _exact_sqrt(f: Fraction):
 
 def _scaled(base: float, p: float, c: list, factor: float = 1.0) -> list:
     """factor * base^p * v for each float v of c, as (base^p * factor) * v
-    while base^p is a normal double or overflows.  Below 2^-1022 a power
-    has lost digits, so base^p is applied as two equal normal factors
+    while base^p is a normal double; where it overflows, a v of +-0 gives
+    factor * v and any other v inf times it.  Below 2^-1022 a power has
+    lost digits, so base^p is applied as two equal normal factors
     s = base^(p/2), as ((s * factor) * v) * s.  Raises DomainError when s
     is not normal either, or a nonzero v gives a result below the normal range.
     """
     try:
         scale = base ** p
     except OverflowError:
-        scale = math.inf
+        return [factor * v if v == 0 else math.inf * factor * v for v in c]
     if scale >= sys.float_info.min:
         return [scale * factor * v for v in c]
     s = base ** (p / 2.0)

@@ -183,13 +183,13 @@ def _zeros_convergence(x, target_nu, a_list):
 
 
 def _polygon_compare(nu, x_max, a):
-    from .polygon import _euler_rows, _max_norm, _trace_rows
+    from .polygon import _euler_rows, _trace_rows
     xs, z_y, z_dy, dx = _trace_rows(nu, a, x_max)
     _, u_y, u_dy = _euler_rows(nu, (z_y[0], z_dy[0]), x_max, dx)
     rows = [{"x": xk, "u_y": uy, "u_dy": udy, "z_y": zy, "z_dy": zdy,
              "deviation": math.hypot(zy - uy, zdy - udy)}
             for xk, uy, udy, zy, zdy in zip(xs, u_y, u_dy, z_y, z_dy)]
-    dev = _max_norm((r["z_y"] - r["u_y"], r["z_dy"] - r["u_dy"]) for r in rows)
+    dev = max(r["deviation"] for r in rows)
     print(f"max node deviation {dev:.6g} over {len(rows)} nodes", file=sys.stderr)
     return rows
 

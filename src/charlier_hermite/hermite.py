@@ -27,17 +27,15 @@ def hermite_fn(nu: float, x: float) -> float:
     value = _reciprocal_gamma((1.0 - nu) / 2.0) * _kummer(-nu / 2.0, 0.5, x2)
     if x:  # the odd half is +-0.0 at x = 0, even where its 1/Gamma overflows
         value -= 2.0 * x * _reciprocal_gamma(-nu / 2.0) * _kummer((1.0 - nu) / 2.0, 1.5, x2)
+    elif not value and nu < 2.0 ** 53:
+        # the even half is 0 at odd nu (a pole) or where it underflows, whatever
+        # 2^nu is; from 2^53 on (1 - nu)/2 is rounded, and H_nu(0) is past double range
+        return value
     # 2.0 ** nu raises OverflowError from nu = 1024 on, where inf stands for it;
     # a callable in its place costs this hot path about 0.3 us a call
     scale = _finite(2.0 ** nu if nu < 1024.0 else math.inf, "2^nu at nu={!r}", nu)
     # the product overflows, or the halves are inf - inf
     return _finite(scale * SQRT_PI * value, "H_nu(x) at nu={!r}, x={!r}", nu, x)
-
-
-def hermite_at_zero(nu: float) -> float:
-    """H_nu(0) = 2^nu sqrt(pi) / Gamma((1-nu)/2); zero exactly at odd nu.
-    DomainError where it is outside double range."""
-    return hermite_fn(nu, 0.0)
 
 
 def hermite_derivative(nu: float, x: float) -> float:

@@ -221,14 +221,8 @@ def trace_deviation(t1: PolygonTrace, t2: PolygonTrace) -> float:
         raise DomainError("trace_deviation requires identical node grids")
     import numpy as np
     with np.errstate(over="ignore"):  # a difference past double range is refused below
-        diffs = (t1.states - t2.states).T.tolist()
-    return _finite(_max_norm(zip(*diffs)), "the trace deviation")
-
-
-def _max_norm(diffs) -> float:
-    """np.max(np.linalg.norm(diffs, axis=1)) for (d0, d1) pairs that are not nan, bit for
-    bit."""
-    return max(math.sqrt(d0 * d0 + d1 * d1) for d0, d1 in diffs)
+        d0, d1 = (t1.states - t2.states).T.tolist()
+    return _finite(max(map(math.hypot, d0, d1)), "the trace deviation")
 
 
 def apriori_deviation_bound(x: float, dx: float, u0_norm: float,

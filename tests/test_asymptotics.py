@@ -13,7 +13,7 @@ from charlier_hermite import (
     factor_p,
     factor_q,
     head_tail_split,
-    hermite_at_zero,
+    hermite_fn,
     trapezoid_gamma_check,
     upper_incomplete_gamma,
 )
@@ -186,7 +186,7 @@ def test_head_tail_split_reconstruction():
     for a, nu in ((1000.0, -4.0), (250.5, -5.5)):
         rep = head_tail_split(SplitConfig(a=a, nu=nu))
         assert math.isclose(rep.y0_reconstructed, rep.y0_direct, rel_tol=1e-9), (a, nu)
-        assert math.isclose(rep.h_nu_0, hermite_at_zero(nu), rel_tol=1e-13)
+        assert math.isclose(rep.h_nu_0, hermite_fn(nu, 0.0), rel_tol=1e-13)
         # floor/ceiling disagree only off the integers
         if a == int(a):
             assert rep.y0_direct_ceiling is None

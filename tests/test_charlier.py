@@ -195,6 +195,22 @@ def test_float_results_outside_double_range_raise():
         scaled_y(ScaledPoint(x=0.0, a=1000.0), 400.0)
 
 
+def test_zero_value_under_an_overflowing_scale_is_zero():
+    # (2a)^(nu/2) = 600^150 overflows, but c_1^300(300) = 1 - nu/a is exactly 0,
+    # as rational mode agrees; a nonzero value under it is still refused
+    a = 300.0
+    point = ScaledPoint((a - 1.0) / math.sqrt(2.0 * a), a)
+    assert point.n == 1 and charlier_direct(1, a, 300.0) == 0.0
+    assert scaled_y(point, 300.0).hex() == (0.0).hex()
+    assert scaled_y(point, 300, mode="rational") == 0
+    with pytest.raises(DomainError, match="outside double range"):
+        scaled_y(point, 299.0)
+    # the zero keeps its sign and the factor's, as under a finite scale
+    assert [v.hex() for v in charlier._scaled(600.0, 150.0, [0.0, -0.0], -2.0)] == [
+        (-0.0).hex(), (0.0).hex()]
+    assert charlier._scaled(600.0, 150.0, [1e-300], -2.0) == [-math.inf]
+
+
 def _full_sum(n, a, nu):
     """c_n^a(nu) from all n + 1 terms of one cumprod, as the float path
     summed before it stopped at a certified tail.  The exact zeros left by

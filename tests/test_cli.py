@@ -457,6 +457,29 @@ def test_polygon_compare_rows_are_the_public_traces():
     check()
 
 
+def test_polygon_compare_summary_is_the_max_of_the_deviation_column():
+    # the summary line gives, to 6 digits, the largest deviation that the
+    # table prints, where the squares of the differences underflow too
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=30, deadline=None, derandomize=True)
+    @hypothesis.given(st.floats(-170.0, 12.0), st.floats(0.0, 1.0), st.floats(100.0, 1e4))
+    @hypothesis.example(-160.0, 0.05, 10000.0)  # deviations near 1e-163
+    @hypothesis.example(1.0, 1.0, 10000.0)  # the README command
+    def check(nu, x_max, a):
+        code, out, err = run_cli("polygon", "compare", "--nu", repr(nu), "--x-max", repr(x_max),
+                                 "--a", repr(a))
+        if code == 0:
+            _, rows = parse_csv(out)
+            dev = max(float(row["deviation"]) for row in rows)
+            assert err == f"max node deviation {dev:.6g} over {len(rows)} nodes\n", (nu, x_max, a)
+
+    check()
+    _, _, err = run_cli("polygon", "compare", "--nu", "-160", "--x-max", "0.05", "--a", "10000")
+    assert err == "max node deviation 8.68869e-164 over 8 nodes\n"
+
+
 def test_render_csv_escapes_commas():
     table = OutputTable(("k", "msg"), [{"k": 1, "msg": "bad, worse"}])
     assert render_csv(table) == "k,msg\n1,bad; worse\n"
@@ -591,7 +614,7 @@ def test_package_import_loads_no_submodule(fresh_python):
     loaded, numpy_loaded, listed, star, names = fresh_python(_PACKAGE_PROBE)
     assert (loaded, numpy_loaded) == ([], False)
     # the lazy names are listed before they load, and a star import loads them
-    assert len(names) == 43 and set(names) <= set(listed)
+    assert len(names) == 42 and set(names) <= set(listed)
     assert star == sorted(names)
 
 
@@ -613,9 +636,9 @@ def test_public_names_are_pinned():
         "admissible_sharpness_pairs", "apriori_deviation_bound", "charlier_backward_step",
         "charlier_direct", "charlier_order_shift", "charlier_state_trace",
         "charlier_zeros_in_order", "count_positive_zeros", "euler_polygon", "f_nu",
-        "factor_p", "factor_q", "fit_rate", "head_tail_split", "hermite_at_zero",
-        "hermite_derivative", "hermite_fn", "hermite_zeros_in_order", "kummer_m",
-        "ln_gamma", "pochhammer_rising", "reciprocal_gamma", "scaled_y", "sharpness_check",
+        "factor_p", "factor_q", "fit_rate", "head_tail_split", "hermite_derivative",
+        "hermite_fn", "hermite_zeros_in_order", "kummer_m", "ln_gamma",
+        "pochhammer_rising", "reciprocal_gamma", "scaled_y", "sharpness_check",
         "system_matrix_norm_bound", "trace_deviation", "trapezoid_gamma_check",
         "upper_incomplete_gamma", "zero_convergence_table",
     ]

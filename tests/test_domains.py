@@ -37,7 +37,6 @@ from charlier_hermite import (
     factor_q,
     fit_rate,
     head_tail_split,
-    hermite_at_zero,
     hermite_derivative,
     hermite_fn,
     hermite_zeros_in_order,
@@ -93,7 +92,7 @@ def test_gamma_past_double_range():
     with pytest.raises(DomainError, match="outside double range"):
         ln_gamma(1e308)
     assert reciprocal_gamma(1e308) == 0.0
-    assert hermite_at_zero(-1e308) == 0.0
+    assert hermite_fn(-1e308, 0.0) == 0.0
 
 
 # Values that no float check may take as another number, or must refuse.
@@ -145,8 +144,9 @@ _FLOAT_CALLS = {
         lambda nu, M, rows, dt: trapezoid_gamma_check(nu, M, M + rows, dt),
         _R(st.floats(-1e300, -3.0)), st.integers(0, 10 ** 6), st.integers(0, 1000), _R(_A)),
     "hermite_fn": _calls(hermite_fn, _R(_NU), _R(_X)),
-    # |nu| <= 1e3 reaches the band where H_nu(0) overflows (268.7 to 343.1)
-    "hermite_at_zero": _calls(hermite_at_zero, _R(st.one_of(st.floats(-1e3, 1e3), _NU))),
+    # H_nu(0): |nu| <= 1e3 reaches the band where it overflows (268.7 to 343.1)
+    "hermite_fn at x=0": _calls(lambda nu: hermite_fn(nu, 0.0),
+                                _R(st.one_of(st.floats(-1e3, 1e3), _NU))),
     "hermite_derivative": _calls(hermite_derivative, _R(_NU), _R(_X)),
     "kummer_m": _calls(kummer_m, _R(_X), _R(_X), _R(_X)),
     "ln_gamma": _calls(ln_gamma, _R(_X)),
@@ -184,7 +184,7 @@ _FLOAT_EXAMPLES = {
     "hermite_derivative": [(198.0, 20.0)],  # H_197(20) = -1.4e307 is a double, 396 times it not
     # H_nu(0) past double range, where 1/Gamma((1-nu)/2) is not; 0 at odd nu, where
     # 1/Gamma(-nu/2) overflows
-    "hermite_at_zero": [(-1e308,), (272.0,), (300.5,), (343.0,)],
+    "hermite_fn at x=0": [(-1e308,), (272.0,), (300.5,), (343.0,)],
     "ln_gamma": [(1e308,)],  # ln Gamma overflows
     "reciprocal_gamma": [(1e308,)],  # 1/Gamma is 0.0
     "charlier_direct": [(5, "2", "1"), (5, math.inf, 1, "rational"), (5, Fraction(10 ** 400), 1.0)],

@@ -7,7 +7,6 @@ import pytest
 from charlier_hermite import (
     ConvergenceError,
     DomainError,
-    hermite_at_zero,
     hermite_derivative,
     hermite_fn,
 )
@@ -84,14 +83,15 @@ def test_against_oracle():
 
 
 def test_at_zero():
-    assert math.isclose(hermite_at_zero(0.0), 1.0, rel_tol=1e-15)
-    assert math.isclose(hermite_at_zero(2.0), -2.0, rel_tol=1e-14)
+    assert math.isclose(hermite_fn(0.0, 0.0), 1.0, rel_tol=1e-15)
+    assert math.isclose(hermite_fn(2.0, 0.0), -2.0, rel_tol=1e-14)
     # odd positive orders sit on Gamma poles
     for nu in (1.0, 3.0, 5.0):
-        assert hermite_at_zero(nu) == 0.0
+        assert hermite_fn(nu, 0.0) == 0.0
+    # H_nu(0) = 2^nu sqrt(pi) / Gamma((1-nu)/2)
     for nu in (-1.5, 0.5, 1.5, 3.7, 2.2):
-        assert math.isclose(hermite_at_zero(nu), hermite_fn(nu, 0.0),
-                            rel_tol=1e-13, abs_tol=1e-15), nu
+        want = 2.0 ** nu * math.sqrt(math.pi) / math.gamma((1.0 - nu) / 2.0)
+        assert math.isclose(hermite_fn(nu, 0.0), want, rel_tol=1e-13), nu
 
 
 def test_at_zero_is_the_closed_form_or_refused():
@@ -106,15 +106,27 @@ def test_at_zero_is_the_closed_form_or_refused():
         except DomainError:
             want = math.inf
         if math.isfinite(want):
-            assert hermite_at_zero(nu).hex() == want.hex(), nu
+            assert hermite_fn(nu, 0.0).hex() == want.hex(), nu
         else:
             with pytest.raises(DomainError, match="outside double range"):
-                hermite_at_zero(nu)
+                hermite_fn(nu, 0.0)
     for nu in (272.0, 300.5):
-        for f in (hermite_at_zero, lambda nu: hermite_fn(nu, 0.0)):
-            with pytest.raises(DomainError, match=r"^H_nu\(x\) at nu=.*, x=0.0 is outside double "):
-                f(nu)
-    assert hermite_at_zero(343.0) == hermite_fn(343.0, 0.0) == hermite_fn(343.0, -0.0) == 0.0
+        with pytest.raises(DomainError, match=r"^H_nu\(x\) at nu=.*, x=0.0 is outside double "):
+            hermite_fn(nu, 0.0)
+    assert hermite_fn(343.0, 0.0) == hermite_fn(343.0, -0.0) == 0.0
+
+
+def test_at_zero_is_zero_at_odd_nu_past_the_overflow_of_2_to_nu():
+    # 2^nu overflows from nu = 1024 on, but at odd nu below 2^53 H_nu(0) is the
+    # even half's signed zero; from 2^53 on (1 - nu)/2 is rounded (onto a pole
+    # from 2^53 + 2 on), every double is even and H_nu(0) is past double range
+    for nu in (1025.0, 1027.0, 2.0 ** 52 + 1, 2.0 ** 53 - 1):
+        pole = reciprocal_gamma((1.0 - nu) / 2.0)
+        for x in (0.0, -0.0):
+            assert hermite_fn(nu, x).hex() == pole.hex() == (0.0).hex(), (nu, x)
+    for nu in (1025.5, 1026.0, 2.0 ** 53, 2.0 ** 53 + 2):
+        with pytest.raises(DomainError, match="outside double range"):
+            hermite_fn(nu, 0.0)
 
 
 def test_derivative_closed_forms():
@@ -175,8 +187,6 @@ def test_order_past_double_range_raises():
     for nu in (1e17, 1e300):
         with pytest.raises(DomainError, match="outside double range"):
             hermite_fn(nu, 0.0)
-        with pytest.raises(DomainError, match="outside double range"):
-            hermite_at_zero(nu)
 
 
 def test_hermite_fn_is_the_frozen_series_bit_for_bit(kummer_reference):

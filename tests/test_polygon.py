@@ -1,5 +1,6 @@
 import functools
 import math
+import sys
 import types
 
 import numpy as np
@@ -11,7 +12,6 @@ from charlier_hermite import (
     charlier_state_trace,
     euler_polygon,
     fit_rate,
-    hermite_at_zero,
     hermite_derivative,
     hermite_fn,
     scaled_y,
@@ -130,7 +130,7 @@ def test_state_trace_first_node_matches_scaled_y():
 def test_state_trace_initial_slope_converges_to_derivative():
     # second component of z_0 vs H'_nu(0) = 2 nu H_{nu-1}(0), rate -1/2
     nu = 1.5
-    want = 2.0 * nu * hermite_at_zero(nu - 1.0)
+    want = 2.0 * nu * hermite_fn(nu - 1.0, 0.0)
     pts = []
     for a in (1e2, 1e3, 1e4, 1e5):
         tr = charlier_state_trace(nu, a, 0.1)
@@ -158,25 +158,31 @@ def test_trace_deviation_rules():
         trace_deviation(z, other)
 
 
-def test_trace_deviation_is_numpy_max_norm():
-    # trace_deviation sums in Python; its value is, by hex, numpy's max of
-    # np.linalg.norm(axis=1) over the state differences, squares that
-    # underflow included; where that norm overflows it is refused, and a
-    # trace with a NaN state is refused when it is built
+def test_trace_deviation_is_max_hypot():
+    # trace_deviation is, by hex, the max of math.hypot over the state
+    # differences numpy takes, and within 1 ulp of their 40-digit norm,
+    # subnormal and huge differences included; where it is past double range
+    # it is refused, and a trace with a NaN state is refused when it is built
+    mp = pytest.importorskip("mpmath").mp
     rng = np.random.default_rng(19)
     xs = np.arange(6.0)
+    zero = polygon.PolygonTrace(xs, np.zeros((6, 2)), 1.0)
     seen = set()
     for i in range(300):
-        # a square overflows from about 1.3e154 on
-        s1, s2 = (rng.standard_normal((6, 2)) * 10.0 ** rng.uniform(-300, 160, (6, 2))
+        low = 307.5 if i % 3 == 2 else -330.0  # a third of the draws near the top
+        s1, s2 = (rng.uniform(-1.0, 1.0, (6, 2)) * 10.0 ** rng.uniform(low, 308.25, (6, 2))
                   for _ in range(2))
         if i % 3 == 0:
             s1[rng.integers(6), rng.integers(2)] = math.nan
             with pytest.raises(DomainError, match="^PolygonTrace needs finite xs and states$"):
                 polygon.PolygonTrace(xs, s1, 1.0)
             continue
-        with np.errstate(over="ignore", under="ignore"):
-            want = float(np.max(np.linalg.norm(s1 - s2, axis=1)))
+        with np.errstate(over="ignore"):
+            d0, d1 = (s1 - s2).T.tolist()
+        want = max(map(math.hypot, d0, d1))
+        with mp.workdps(40):
+            norm = max(mp.sqrt(mp.mpf(u) ** 2 + mp.mpf(v) ** 2) for u, v in zip(d0, d1))
+            assert abs(want - norm) <= math.ulp(want) or norm > sys.float_info.max, i
         t1, t2 = polygon.PolygonTrace(xs, s1, 1.0), polygon.PolygonTrace(xs, s2, 1.0)
         seen.add(want == math.inf)  # both kinds are drawn
         if want == math.inf:
@@ -186,6 +192,10 @@ def test_trace_deviation_is_numpy_max_norm():
             got = trace_deviation(t1, t2)
             assert got.hex() == want.hex(), (i, got, want)
     assert seen == {False, True}
+    # the squares of these differences overflow, or underflow to 0
+    for state, want in (((1e200, 0.0), 1e200), ((3e-200, 4e-200), 5e-200)):
+        far = polygon.PolygonTrace(xs, np.array([state] * 6), 1.0)
+        assert trace_deviation(far, zero) == trace_deviation(zero, far) == want
 
 
 def test_trace_deviation_of_traces_a_caller_builds():
@@ -202,8 +212,11 @@ def test_trace_deviation_of_traces_a_caller_builds():
     with pytest.raises(DomainError, match="^the trace deviation is outside double range$"):
         trace_deviation(big, low)
     assert trace_deviation(big, big) == 0.0
+    zero = polygon.PolygonTrace(xs, np.zeros((2, 2)), 0.5)
+    huge = polygon.PolygonTrace(xs, np.array([[0.0, 0.0], [1e200, 0.0]]), 0.5)
+    assert trace_deviation(huge, zero) == 1e200
     tiny = polygon.PolygonTrace(xs, np.array([[0.0, 0.0], [3e-200, 4e-200]]), 0.5)
-    assert trace_deviation(tiny, polygon.PolygonTrace(xs, np.zeros((2, 2)), 0.5)) == 0.0
+    assert trace_deviation(tiny, zero) == 5e-200
 
 
 def test_z_trace_tracks_euler_at_rate_half():

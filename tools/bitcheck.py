@@ -7,11 +7,13 @@ runs one seeded grid in fresh interpreters on that source and on the
 `src/` of the checkout this script lives in: 3,000 `charlier_direct`
 sums at n = ceil(a - x sqrt(2a)), with a in [10, 1e7], |x| <= 3,
 |nu| <= 12 and every fifth nu an integer; 300 `head_tail_split`
-configs, with a in [1, 1e9] and nu in [-60, -4]; 200 state traces, with
-a in [5, 1e6], |nu| <= 12, x_max in [0, 3] and both directions, each
-with its `euler_polygon` and `trace_deviation`; and 300 `scaled_y`
+configs, with a in [1, 1e9] and nu in [-60, -4]; 203 state traces, 200
+with a in [5, 1e6], |nu| <= 12, x_max in [0, 3] and both directions,
+and 3 at nu = -160, a = 1e4, whose deviations are near 1e-163, each
+with its `euler_polygon` and `trace_deviation`; and 301 `scaled_y`
 points, 100 of them at a = 1e4 and nu in [-160, -140], where the scale
-is applied as two factors; 1,004 `hermite_fn` values, with |nu| <= 12
+is applied as two factors, and one at a = nu = 300, where c_1 = 0 and
+the scale overflows; 1,004 `hermite_fn` values, with |nu| <= 12
 (every fifth nu an integer) and |x| <= 10, x = 0 and subnormal x, and
 x = 150, where the Kummer series hits its iteration cap; 540
 `kummer_m` values, with alpha at non-positive integers, beta = 0.5,
@@ -23,10 +25,11 @@ pairs, 2 of them refused; and 209 calls with one hostile real argument
 valid) to `hermite_fn`, `charlier_direct`, `scaled_y`, `kummer_m`,
 `upper_incomplete_gamma`, `f_nu` and `euler_polygon`, each seen by its
 outcome's `repr`, and 10 more inputs that were once accepted, gave nan
-or inf, or raised a bare error; 16,002 values of `hermite_at_zero(nu)`
-and `hermite_fn(nu, 0.0)` on the grid nu = -400, -399.9, ..., 400,
-which holds the band where H_nu(0) overflows and the odd nu where
-1/Gamma(-nu/2) does; 5 rational-mode calls with a bool for a rational;
+or inf, or raised a bare error; 8,001 values of `hermite_fn(nu, 0.0)`
+on the grid nu = -400, -399.9, ..., 400, which holds the band where
+H_nu(0) overflows and the odd nu where 1/Gamma(-nu/2) does, and 6 more
+where 2^nu overflows: at odd nu = 1025, 1027, 2^52 + 1 and 2^53 - 1, and
+at 2^53 and 2^53 + 2; 5 rational-mode calls with a bool for a rational;
 and 7 `trace_deviation`s of traces built from given states, nan, inf
 and +-1e308 among them.  The grid runs twice on each side: warm,
 with numpy loaded first, and cold, where the first sums build their
@@ -114,8 +117,12 @@ cases += [("call", "hermite_fn", 0.5, 1e200), ("call", "f_nu", "1", 1.0),
           ("call", "apriori_deviation_bound", 1.0, 0.1, 1.0, 0.0, 1e3, 1e3),
           ("call", "charlier_direct", 5, "2", "1"), ("call", "charlier_direct", 5, math.inf, 1, "rational"),
           ("call", "sharpness_check", 0, math.inf)]
-for i in range(-4000, 4001):
-    cases += [("call", "hermite_at_zero", i / 10.0), ("hermite_fn", i / 10.0, 0.0)]
+cases += [("hermite_fn", i / 10.0, 0.0) for i in range(-4000, 4001)]
+cases += [("hermite_fn", nu, 0.0) for nu in (1025.0, 1027.0, 2.0 ** 52 + 1, 2.0 ** 53 - 1,
+                                              2.0 ** 53, 2.0 ** 53 + 2)]
+cases.append(("scaled_y", 299.0 / math.sqrt(600.0), 300.0, 300.0))  # c_1 = 0, scale inf
+cases += [("charlier_state_trace", -160.0, 1e4, x_max, direction)
+          for x_max, direction in ((0.05, 1), (0.05, -1), (1.0, 1))]
 cases += [("call", "charlier_direct", 5, True, 1, "rational"),
           ("call", "charlier_direct", 5, 2, True, "rational"), ("call", "sharpness_check", True, 2),
           ("call", "sharpness_check", 0, True), ("call", "scaled_y", 0.0, 2.0, True, "rational")]

@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DomainError, _finite, _integer, _real, _text
 from .hermite import hermite_fn
@@ -40,33 +39,36 @@ def _ceil_4th_root(x: int) -> int:
     return r + (r ** 4 < x)
 
 
-@dataclass(frozen=True)
-class SplitConfig:
-    """Head/tail split parameters derived from (a, nu).
+class _SplitConfig(NamedTuple):
+    a: float
+    nu: float
+    A: int
+    M: int
+    dt: float
+
+
+class SplitConfig(_SplitConfig):
+    """Head/tail split parameters derived from (a, nu), built as SplitConfig(a, nu).
 
     A = floor(a), M = ceil(A^(3/4)) exactly (integer fourth root of
     A^3), dt = 1/sqrt(A).  Invariant: 1 <= M <= A.
     """
 
-    a: float
-    nu: float
-    A: int = field(init=False)
-    M: int = field(init=False)
-    dt: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _real(self.a, "a", 1)  # only checked: A is the floor of a as given
-        _real(self.nu, "nu")
-        A = math.floor(self.a)
+    def __new__(cls, a: float, nu: float):
+        _real(a, "a", 1)  # only checked: A is the floor of a as given
+        _real(nu, "nu")
+        A = math.floor(a)
         M = _ceil_4th_root(A ** 3)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "M", M)
-        object.__setattr__(self, "dt", 1.0 / math.sqrt(A))
-        assert 1 <= self.M <= self.A
+        assert 1 <= M <= A
+        return super().__new__(cls, a, nu, A, M, 1.0 / math.sqrt(A))
+
+    def __getnewargs__(self):  # copy and pickle rebuild from (a, nu)
+        return self.a, self.nu
 
 
-@dataclass(frozen=True)
-class SplitReport:
+class SplitReport(NamedTuple):
     """Head/tail sums and the values they are checked against.
 
     y0_direct_ceiling is populated only when ceil(a) != floor(a): the
@@ -131,8 +133,7 @@ def f_nu(t: float, nu: float) -> float:
                    "f_nu({!r}) at nu = {!r}", t, nu)
 
 
-@dataclass(frozen=True)
-class TrapezoidCheck:
+class TrapezoidCheck(NamedTuple):
     riemann_sum: float
     closed_form: float
     abs_err: float

@@ -25,15 +25,15 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from .errors import (DegenerateArgumentError, DomainError, RationalModeError, _finite, _integer,
                      _rational, _real)
 
-Rational = Union[int, Fraction]
-Number = Union[int, float, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Number = Union[int, float, "Fraction"]
 
 # The float sum drops a tail certified below 2^-160 of its largest term;
 # at 2^-110 the last bit of a cancelling sum was seen to flip.
@@ -93,7 +93,8 @@ def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
         sp, total = s * p, 0
         for k, t in enumerate(_rational_terms(n, q, r, s)):
             total = total * sp + t
-        return Fraction(total, sp ** k)
+        import fractions  # here, as the float path never needs it
+        return fractions.Fraction(total, sp ** k)
     if mode != "float":
         raise DomainError(f"unknown mode {mode!r}")
     a_f, nu_f = _real(a, "a", 0, strict=True), _real(nu, "nu")
@@ -353,22 +354,25 @@ def charlier_backward_step(n: int, a: float, x: float,
     return _finite((a / x) * (c0 - c1), "the recurrence step at n={}, a={!r}, x={!r}", n, a, x)
 
 
-@dataclass(frozen=True)
-class ScaledPoint:
-    """A point (x, a) of the convergence sweep.
+class _ScaledPoint(NamedTuple):
+    x: float
+    a: float
+    n: int
+    theta: float
+
+
+class ScaledPoint(_ScaledPoint):
+    """A point (x, a) of the convergence sweep, built as ScaledPoint(x, a).
 
     Carries the derived degree n = ceil(a - x*sqrt(2a)) and the ceiling
     offset theta = n - (a - x*sqrt(2a)) in [0, 1).
     """
 
-    x: float
-    a: float
-    n: int = field(init=False)
-    theta: float = field(init=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = _real(self.a, "a", 0, strict=True)
-        s = a - _real(self.x, "x") * math.sqrt(2.0 * a)
+    def __new__(cls, x: float, a: float):
+        a_f = _real(a, "a", 0, strict=True)
+        s = a_f - _real(x, "x") * math.sqrt(2.0 * a_f)
         if not math.isfinite(s):
             raise DomainError(f"derived degree n = ceil({s}) is not finite; |x| too large for a")
         n = math.ceil(s)
@@ -376,8 +380,10 @@ class ScaledPoint:
             raise DomainError(
                 f"derived degree n = ceil({s}) is negative; x too large for a"
             )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "theta", float(n) - s)
+        return super().__new__(cls, x, a, n, float(n) - s)
+
+    def __getnewargs__(self):  # copy and pickle rebuild from (x, a)
+        return self.x, self.a
 
 
 def _exact_sqrt(f: Fraction):
@@ -386,7 +392,8 @@ def _exact_sqrt(f: Fraction):
     pn = math.isqrt(f.numerator)
     pd = math.isqrt(f.denominator)
     if pn * pn == f.numerator and pd * pd == f.denominator:
-        return Fraction(pn, pd)
+        import fractions  # here, as only rational paths take a square root
+        return fractions.Fraction(pn, pd)
     return None
 
 

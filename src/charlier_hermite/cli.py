@@ -15,7 +15,6 @@ fnu grids over the row limit), 2 numerical non-convergence.
 """
 
 import argparse
-import json
 import math
 import re
 import sys
@@ -49,16 +48,18 @@ def render_csv(table: OutputTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_cell(v) -> str:
-    # by hand: json.dumps writes floats with repr, not 17 significant digits
-    if v is None or (isinstance(v, float) and math.isnan(v)):
-        return "null"
-    text = _fmt_number(v)
-    return text if isinstance(v, (int, float)) else json.dumps(text)
-
-
 def render_json(table: OutputTable) -> str:
-    rows = ["  {" + ", ".join(f"{json.dumps(key)}: {_json_cell(row.get(key))}"
+    import json  # here, as a CSV table never needs it
+
+    def cell(v) -> str:
+        # by hand: json.dumps writes floats with repr, not 17 significant
+        # digits; JSON has no nan or inf, so a float that is not finite is null
+        if v is None or (isinstance(v, float) and not math.isfinite(v)):
+            return "null"
+        text = _fmt_number(v)
+        return text if isinstance(v, (int, float)) else json.dumps(text)
+
+    rows = ["  {" + ", ".join(f"{json.dumps(key)}: {cell(row.get(key))}"
                               for key in table.header) + "}" for row in table.rows]
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
@@ -145,7 +146,7 @@ def _eval_hermite(nu, x):
 def _eval_scaled(x, a, nu, mode):
     from .charlier import ScaledPoint, scaled_y
     point = ScaledPoint(x, a)
-    return [{**vars(point), "nu": nu, "value": scaled_y(point, nu, mode)}]
+    return [{**point._asdict(), "nu": nu, "value": scaled_y(point, nu, mode)}]
 
 
 def _sweep_convergence(nu, x, a_list):
@@ -198,7 +199,7 @@ def _asymptotics_head_tail(a, nu):
     from .asymptotics import SplitConfig, head_tail_split
     cfg = SplitConfig(a, nu)
     rep = head_tail_split(cfg)
-    return [{**vars(cfg), **vars(rep),
+    return [{**cfg._asdict(), **rep._asdict(),
              "abs_err_vs_hermite": abs(rep.y0_reconstructed - rep.h_nu_0)}]
 
 

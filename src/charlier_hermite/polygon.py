@@ -31,8 +31,7 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .charlier import _block_size, _scaled, charlier_direct
 from .errors import DomainError, _finite, _integer, _real
@@ -52,21 +51,25 @@ _SPAN = 32
 _MAX_TRACE_TERMS = 10 ** 10
 
 
-@dataclass(frozen=True)
-class PolygonTrace:
-    """Node coordinates x_k = direction * k * step and (y, y') states, all finite."""
-
+class _PolygonTrace(NamedTuple):
     xs: np.ndarray      # shape (K+1,)
     states: np.ndarray  # shape (K+1, 2)
     step: float
 
-    def __post_init__(self):
-        if len(self.xs) == 0 or self.states.shape != (len(self.xs), 2):
+
+class PolygonTrace(_PolygonTrace):
+    """Node coordinates x_k = direction * k * step and (y, y') states, all finite."""
+
+    __slots__ = ()
+
+    def __new__(cls, xs: np.ndarray, states: np.ndarray, step: float):
+        if len(xs) == 0 or states.shape != (len(xs), 2):
             raise DomainError("PolygonTrace needs matching non-empty xs and states")
         import numpy as np
-        if not (np.isfinite(self.xs).all() and np.isfinite(self.states).all()):
+        if not (np.isfinite(xs).all() and np.isfinite(states).all()):
             raise DomainError("PolygonTrace needs finite xs and states")
-        _real(self.step, "step", 0, strict=True)
+        _real(step, "step", 0, strict=True)
+        return super().__new__(cls, xs, states, step)
 
 
 def system_matrix_norm_bound(x: float, nu: float) -> float:

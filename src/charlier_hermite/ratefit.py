@@ -15,19 +15,19 @@ non-negative integer at most a, the deviation is exactly
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
 
 from .charlier import _exact_sqrt, charlier_direct
 from .errors import DomainError, RationalModeError, _integer, _rational, _real
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
 _MAX_R = 256
 
 
-@dataclass(frozen=True)
-class RateFit:
+class RateFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -67,8 +67,7 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
     return RateFit(slope, intercept, r_squared, pts)
 
 
-@dataclass(frozen=True)
-class SharpnessResult:
+class SharpnessResult(NamedTuple):
     n: int
     lhs: Fraction
     rhs: Fraction
@@ -93,7 +92,7 @@ def sharpness_check(x, a) -> SharpnessResult:
             f"n = a - x*sqrt(2a) = {n_exact} is not a non-negative integer"
         )
     n = int(n_exact)
-    c = charlier_direct(n, a_r, Fraction(2), mode="rational")
+    c = charlier_direct(n, a_r, 2, mode="rational")
     lhs = two_a * c - (4 * x_r * x_r - 2)
     rhs = 4 * x_r / r
     return SharpnessResult(n, lhs, rhs, lhs == rhs)
@@ -102,10 +101,11 @@ def sharpness_check(x, a) -> SharpnessResult:
 def admissible_sharpness_pairs(r_values=(2, 4, 6, 8)) -> list:
     """All (x, a) admissible for sharpness_check: a = r^2/2 for each even
     r from 2 to 256, x = j/r for every integer 0 <= j <= a."""
+    import fractions  # here, as only the rational paths need it
     pairs = []
     for r in r_values:
         r = _integer(r, "r", 2, _MAX_R, 2)
-        a = Fraction(r * r, 2)
+        a = fractions.Fraction(r * r, 2)
         for j in range(int(a) + 1):
-            pairs.append((Fraction(j, r), a))
+            pairs.append((fractions.Fraction(j, r), a))
     return pairs

@@ -21,8 +21,7 @@ import bisect
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .charlier import charlier_direct
 from .errors import ConvergenceError, DomainError, _integer, _real
@@ -36,8 +35,7 @@ _MAX_GRID = 1 << 16
 _TABLE_GRID = 64
 
 
-@dataclass(frozen=True)
-class ZeroResult:
+class ZeroResult(NamedTuple):
     root: float
     bracket_lo: float
     bracket_hi: float
@@ -241,8 +239,7 @@ def count_positive_zeros(n: int, a: float) -> int:
                            f"confirmed on {_MAX_GRID} nodes (last count {prev})")
 
 
-@dataclass(frozen=True)
-class ZeroConvergenceRow:
+class ZeroConvergenceRow(NamedTuple):
     a: float
     n: int
     nu_n: float

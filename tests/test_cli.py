@@ -2,8 +2,9 @@
 
 Most tests drive main() in-process and parse the emitted table.  The
 rest run fresh interpreters: to check byte determinism, and which
-package modules, and whether numpy, each command loads.  The last tests
-pin the package's public names and their lazy loading.
+package modules, which costly standard modules, and whether numpy, each
+command loads.  The last tests pin the package's public names and
+their lazy loading.
 """
 
 import contextlib
@@ -145,6 +146,18 @@ def test_sweep_json_nulls_for_failed_rows():
     assert isinstance(rows[0]["error"], str) and rows[0]["error"]
     assert rows[1]["error"] is None
     assert rows[1]["abs_err"] > 0
+
+
+@pytest.mark.parametrize("command", [("sweep", "convergence", "--nu", "1.5", "--x", "0.5"),
+                                     ("zeros", "convergence", "--x", "0", "--target-nu", "3")],
+                         ids=["sweep", "zeros"])
+def test_json_writes_null_for_an_infinite_a(command):
+    # an --a-list entry that parses to +-inf fails its row, and JSON has no inf
+    code, out, _ = run_cli(*command, "--a-list", "100,1000,10000,inf,-inf,1e400", "--out", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert [row["a"] for row in rows] == [100, 1000, 10000, None, None, None]
+    assert all(row["error"] is None for row in rows[:3]) and all(row["error"] for row in rows[3:])
 
 
 def test_csv_json_round_trip_equal_tables():
@@ -480,6 +493,72 @@ def test_polygon_compare_summary_is_the_max_of_the_deviation_column():
     assert err == "max node deviation 8.68869e-164 over 8 nodes\n"
 
 
+# One record of each public record type: how it is built, its repr (the
+# text the frozen dataclasses printed before the records were NamedTuples)
+# and the command whose CSV prints its fields as columns, or None.
+_RECORDS = [
+    ("ScaledPoint", lambda api: api.ScaledPoint(0.5, 100.0),
+     "ScaledPoint(x=0.5, a=100.0, n=93, theta=0.0710678118654755)",
+     "eval scaled --x 0.5 --a 100.0 --nu 1.5"),
+    ("SplitConfig", lambda api: api.SplitConfig(200.5, -4.0),
+     "SplitConfig(a=200.5, nu=-4.0, A=200, M=54, dt=0.07071067811865475)",
+     "asymptotics head-tail --a 200.5 --nu -4"),
+    ("SplitReport", lambda api: api.head_tail_split(api.SplitConfig(200.5, -4.0)),
+     "SplitReport(r_head=2.326457480587612, r_tail=0.005719589727400698, "
+     "y0_reconstructed=0.09717404459645891, y0_direct=0.09717404459645891, "
+     "h_nu_0=0.08333333333333331, y0_direct_ceiling=0.11101293895542452)",
+     "asymptotics head-tail --a 200.5 --nu -4"),
+    ("TrapezoidCheck", lambda api: api.trapezoid_gamma_check(-4.5, 10, 40, 0.1),
+     "TrapezoidCheck(riemann_sum=2.5551749818815748, closed_form=2.5240777404102372, "
+     "abs_err=0.031097241471337522)", None),
+    ("PolygonTrace", lambda api: api.euler_polygon(1.0, (1.0, 0.0), 0.0, 0.1),
+     "PolygonTrace(xs=array([0.]), states=array([[1., 0.]]), step=0.1)", None),
+    ("RateFit", lambda api: api.fit_rate([(100.0, 0.1), (1000.0, 0.03), (10000.0, 0.01)]),
+     "RateFit(slope=-0.4999999999999999, intercept=-0.017560085942971374, "
+     "r_squared=0.9993025707662043, points=((100.0, 0.1), (1000.0, 0.03), (10000.0, 0.01)))",
+     None),
+    ("SharpnessResult", lambda api: api.sharpness_check("1/2", 2),
+     "SharpnessResult(n=1, lhs=Fraction(1, 1), rhs=Fraction(1, 1), equal=True)", None),
+    ("ZeroResult", lambda api: api.hermite_zeros_in_order(0.0, 0.5, 1.5)[0],
+     "ZeroResult(root=1.0, bracket_lo=0.9999999999999999, bracket_hi=1.0000000000004998, "
+     "residual=0.0, iterations=4)", None),
+    ("ZeroConvergenceRow", lambda api: api.zero_convergence_table(0.0, 3.0, [100.0])[0],
+     "ZeroConvergenceRow(a=100.0, n=100, nu_n=3.0841742031091783, abs_err=0.08417420310917834, "
+     "error=None)", "zeros convergence --x 0 --target-nu 3 --a-list 100"),
+]
+
+
+def test_every_public_record_is_in_the_table():
+    import charlier_hermite
+    records = {name for name in charlier_hermite.__all__
+               if hasattr(getattr(charlier_hermite, name), "_fields")}
+    assert records == {case[0] for case in _RECORDS}
+
+
+@pytest.mark.parametrize("name, build, text, command", _RECORDS, ids=[c[0] for c in _RECORDS])
+def test_records_are_immutable_tuples_with_the_dataclass_repr(name, build, text, command):
+    import copy
+    import pickle
+
+    import charlier_hermite
+    from charlier_hermite.cli import _fmt_number
+    record = build(charlier_hermite)
+    assert type(record) is getattr(charlier_hermite, name)
+    assert repr(record) == text
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], None)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    assert not hasattr(record, "__dict__")
+    assert list(record._asdict().items()) == list(zip(record._fields, record))
+    assert repr(copy.copy(record)) == repr(pickle.loads(pickle.dumps(record))) == text
+    if command is not None:  # every field is a column, printed from _asdict()
+        _, out, _ = run_cli(*command.split())
+        _, rows = parse_csv(out)
+        assert {key: rows[0][key] for key in record._fields} == {
+            key: "" if v is None else _fmt_number(v) for key, v in record._asdict().items()}
+
+
 def test_render_csv_escapes_commas():
     table = OutputTable(("k", "msg"), [{"k": 1, "msg": "bad, worse"}])
     assert render_csv(table) == "k,msg\n1,bad; worse\n"
@@ -562,14 +641,17 @@ def test_scalar_commands_do_not_import_numpy():
 
 
 # Runs cli.main(ARGV) in a fresh interpreter and prints its exit code, the
-# package modules loaded and whether numpy is.
+# package modules loaded, whether numpy is, and which of the standard
+# modules below are, all read before the probe imports json to print them.
 _MODULES_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from charlier_hermite import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m.split(".", 1)[1] for m in sys.modules
-                               if m.startswith("charlier_hermite.")), "numpy" in sys.modules]))
+loaded = set(sys.modules)
+import json
+print(json.dumps([code, sorted(m.split(".", 1)[1] for m in loaded if m.startswith("charlier_hermite.")),
+                  "numpy" in loaded, sorted(loaded & {"dataclasses", "fractions", "inspect", "json"})]))
 """
 
 _SCALAR = ["errors", "hermite", "special"]
@@ -577,25 +659,31 @@ _SUM = ["charlier", "cli", "errors"]
 _SPLIT = ["asymptotics", "charlier", "cli", "errors", "hermite", "special"]
 
 
+# Each README command loads neither dataclasses nor inspect; a CSV table
+# loads no json, and a float-mode command no fractions.  The last case
+# shows the probe sees json where it is loaded.
 _README_IMPORTS = [
-    ("eval hermite --nu 2 --x 0.5", ["cli", *_SCALAR], False),
-    ("eval charlier --n 137 --a 250 --nu 0.37", _SUM, False),
-    ("eval charlier --n 1 --a 5/2 --nu 1/2 --mode rational", _SUM, False),
-    ("eval scaled --x 0.5 --a 10000 --nu 1.5", _SUM, False),
+    ("eval hermite --nu 2 --x 0.5", ["cli", *_SCALAR], False, []),
+    ("eval charlier --n 137 --a 250 --nu 0.37", _SUM, False, []),
+    ("eval charlier --n 1 --a 5/2 --nu 1/2 --mode rational", _SUM, False, ["fractions"]),
+    ("eval scaled --x 0.5 --a 10000 --nu 1.5", _SUM, False, []),
     ("sweep convergence --nu 1.5 --x 0.7 --a-list 100,1000,10000,100000",
-     [*_SUM, "hermite", "ratefit", "special"], False),
-    ("plot fnu --nu -3 --t-max 3 --dt 0.01", ["asymptotics", "cli", "errors", "hermite", "special"], False),
+     [*_SUM, "hermite", "ratefit", "special"], False, []),
+    ("plot fnu --nu -3 --t-max 3 --dt 0.01", ["asymptotics", "cli", "errors", "hermite", "special"],
+     False, []),
     ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
-     [*_SUM, "hermite", "ratefit", "special", "zeros"], False),
-    ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], False),
-    ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False),
+     [*_SUM, "hermite", "ratefit", "special", "zeros"], False, []),
+    ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], False, []),
+    ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False, []),
+    ("eval hermite --nu 2 --x 0.5 --out json", ["cli", *_SCALAR], False, ["json"]),
 ]
 
 
-@pytest.mark.parametrize("argv, modules, numpy_loaded", _README_IMPORTS,
+@pytest.mark.parametrize("argv, modules, numpy_loaded, stdlib", _README_IMPORTS,
                          ids=[case[0] for case in _README_IMPORTS])
-def test_readme_commands_import_only_what_they_run(fresh_python, argv, modules, numpy_loaded):
-    assert fresh_python(_MODULES_PROBE, *argv.split()) == [0, modules, numpy_loaded]
+def test_readme_commands_import_only_what_they_run(fresh_python, argv, modules, numpy_loaded,
+                                                   stdlib):
+    assert fresh_python(_MODULES_PROBE, *argv.split()) == [0, modules, numpy_loaded, stdlib]
 
 
 _PACKAGE_PROBE = """

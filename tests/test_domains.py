@@ -6,7 +6,6 @@ other exception, no inf or nan, and no work that grows with a past the
 term cap."""
 
 import ast
-import dataclasses
 import inspect
 import math
 import pathlib
@@ -68,9 +67,7 @@ _X = st.floats(-1e300, 1e300)
 
 def _finite(value) -> bool:
     """Whether every number in value is finite: ints and Fractions are, and
-    dataclasses, lists, tuples and numpy arrays are looked into."""
-    if dataclasses.is_dataclass(value):
-        value = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    records, lists, tuples and numpy arrays are looked into."""
     if isinstance(value, (list, tuple)):
         return all(map(_finite, value))
     if isinstance(value, float):
@@ -206,15 +203,19 @@ def _real_parameters(f) -> list:
 
 
 def test_every_real_parameter_is_in_the_table():
-    # a public function or class with a real parameter must be drawn below, each of
-    # its real parameters (at least as many real arguments as it has)
+    # a public function or record class with a real parameter must be drawn below, each
+    # of its real parameters (at least as many real arguments as it has)
+    scanned = set()
     for names in charlier_hermite._NAMES.values():
         for name in names:
             f = getattr(charlier_hermite, name)
-            if (inspect.isfunction(f) or dataclasses.is_dataclass(f)) and name not in _RESULTS \
+            if (inspect.isfunction(f) or hasattr(f, "_fields")) and name not in _RESULTS \
                     and _real_parameters(f):
+                scanned.add(name)
                 assert name in _FLOAT_CALLS, name
                 assert len(_FLOAT_CALLS[name][2]) >= len(_real_parameters(f)), name
+    # the records built from reals are seen through their constructors
+    assert {"PolygonTrace", "ScaledPoint", "SplitConfig"} <= scanned
 
 
 @pytest.mark.parametrize("name", sorted(_FLOAT_CALLS))

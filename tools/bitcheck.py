@@ -31,7 +31,8 @@ H_nu(0) overflows and the odd nu where 1/Gamma(-nu/2) does, and 6 more
 where 2^nu overflows: at odd nu = 1025, 1027, 2^52 + 1 and 2^53 - 1, and
 at 2^53 and 2^53 + 2; 5 rational-mode calls with a bool for a rational;
 and 7 `trace_deviation`s of traces built from given states, nan, inf
-and +-1e308 among them.  The grid runs twice on each side: warm,
+and +-1e308 among them; and the `repr` of one record of each of the 9
+public record types.  The grid runs twice on each side: warm,
 with numpy loaded first, and cold, where the first sums build their
 terms in Python until the process's budget of Python terms loads numpy.
 Each outcome is the `float.hex` of every value (an exact value as its
@@ -133,13 +134,24 @@ cases += [("trace_deviation", [0.0, 0.5], s1, s2) for s1, s2 in [
     ([[1e200, 0.0], [0.0, 0.0]], zero), ([[3e-200, 4e-200], [0.0, 0.0]], zero),
     ([[0.1, -2.5], [1.75, 3.0]], [[0.3, 2.5], [-1.0, 1e-3]])]]
 cases.append(("trace_deviation", [0.0, math.inf], zero, zero))
+cases += [("repr", call) for call in (
+    "ScaledPoint(0.5, 100.0)", "SplitConfig(200.5, -4.0)", "head_tail_split(SplitConfig(200.5, -4.0))",
+    "trapezoid_gamma_check(-4.5, 10, 40, 0.1)", "euler_polygon(1.0, (1.0, 0.0), 0.3, 0.1)",
+    "fit_rate([(100.0, 0.1), (1000.0, 0.03), (10000.0, 0.01)])", "sharpness_check('1/2', 2)",
+    "hermite_zeros_in_order(0.0, 0.5, 1.5)", "zero_convergence_table(0.0, 3.0, [100.0, 0.0])")]
+
+
+def fields(record):  # a NamedTuple record's values, or an older checkout's dataclass's
+    return (record._asdict() if hasattr(record, "_asdict") else vars(record)).values()
+
+
 out = []
 for case in cases:
     try:
         if case[0] == "charlier_direct":
             got = [charlier_direct(*case[1:]).hex()]
         elif case[0] == "head_tail_split":
-            values = vars(head_tail_split(SplitConfig(*case[1:]))).values()
+            values = fields(head_tail_split(SplitConfig(*case[1:])))
             got = [None if v is None else v.hex() for v in values]
         elif case[0] == "scaled_y":
             got = [scaled_y(ScaledPoint(*case[1:3]), case[3]).hex()]
@@ -150,11 +162,13 @@ for case in cases:
         elif case[0] == "charlier_rational":
             got = [str(charlier_direct(*case[1:], mode="rational"))]
         elif case[0] == "sharpness_check":
-            got = [str(v) for v in vars(sharpness_check(*case[1:])).values()]
+            got = [str(v) for v in fields(sharpness_check(*case[1:]))]
         elif case[0] == "trace_deviation":
             import numpy as np
             t1, t2 = (PolygonTrace(np.array(case[1]), np.array(s), 0.5) for s in case[2:])
             got = [trace_deviation(t1, t2).hex()]
+        elif case[0] == "repr":
+            got = [repr(eval(case[1], {name: getattr(api, name) for name in api.__all__}))]
         elif case[1] == "scaled_y":
             got = [repr(scaled_y(ScaledPoint(*case[2:4]), *case[4:]))]
         elif case[1] == "euler_polygon":

@@ -4,7 +4,9 @@ Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
 simple); Hermite zeros are zeros of nu -> H_nu(x) for fixed x.  Both are
 found on a uniform grid: a sign change between two nodes brackets a zero,
 which Brent's zeroin refines to a bracket 1e-12 wide (relative), and a
-node where the function is exactly 0 is a zero itself.
+node where the function is exactly 0 is a zero itself.  Charlier zeros are
+also counted, from no value of c_n^a, by Sturm counts (_zeros_below): a
+scan warns where it finds another number, and count_positive_zeros is two.
 
 zero_convergence_table tracks one Hermite zero target: for each a it
 takes n = floor(a - x sqrt(2a)) and finds the Charlier zero nearest the
@@ -23,14 +25,19 @@ import math
 import warnings
 from typing import Callable, NamedTuple, Optional
 
-from .charlier import charlier_direct
-from .errors import ConvergenceError, DomainError, _integer, _real
+from .charlier import _zeros_below, charlier_direct
+from .errors import DomainError, _integer, _real
 from .hermite import hermite_fn
 
 _BRACKET_REL_TOL = 1e-12
-# A scan has at most this many nodes; count_positive_zeros doubles its
-# grid up to it.
+# A scan has at most this many nodes.
 _MAX_GRID = 1 << 16
+# count_positive_zeros takes n up to this: two counts there take 3 to 5 ms.
+_MAX_COUNT_N = 1 << 14
+# The pivots counted every zero for a in this range.  Below it, a is below
+# pivmin, so 0 counts as a zero; above it (6000 seeded (n, a), n <= 16384)
+# the first miscount was at a = 2.2e31, n = 16384: hi rounded below a zero.
+_MIN_COUNT_A, _MAX_COUNT_A = 2.0 ** -1022, 1e30
 # zero_convergence_table's scan of its window
 _TABLE_GRID = 64
 
@@ -128,7 +135,6 @@ def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tupl
     step = (hi - lo) / (grid - 1)
     xs = [i * step + lo for i in range(grid - 1)] + [hi]
     fs = [None] * grid
-    spacing = xs[1] - xs[0]
 
     def f_at(i):
         if fs[i] is None:
@@ -139,7 +145,7 @@ def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tupl
         if f_at(i) == 0.0:
             # the node is the zero, either end included; the cells beside
             # it show no sign change
-            d = spacing * 1e-6
+            d = (xs[1] - xs[0]) * 1e-6
             return _exact(f, xs[i], xs[i] - d, xs[i] + d)
         if i + 1 < grid and fs[i] * f_at(i + 1) < 0:
             return _refine(f, xs[i], xs[i + 1], fs[i], fs[i + 1])
@@ -148,8 +154,7 @@ def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tupl
     return xs, zero
 
 
-def _scan(f: Callable[[float], float], lo: float, hi: float,
-          grid: int) -> list:
+def _scan(f: Callable[[float], float], lo: float, hi: float, grid: int) -> list:
     """Sign-change scan: returns refined ZeroResults in ascending order."""
     xs, zero = _slots(f, lo, hi, grid)
     return [z for z in map(zero, range(len(xs))) if z is not None]
@@ -184,20 +189,20 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float,
                             grid: int = 128) -> list:
     """Zeros of nu -> c_n^a(nu) in [lo, hi], ascending.
 
-    Warns (never fails) when the scan covers the full positive range
-    (0, a + 4 n sqrt(a)) but the count of positive zeros differs from n.
+    Warns (never fails) where the scan finds another number of zeros than
+    the Sturm count of [lo, hi] (_zeros_below), as where two zeros share a
+    cell; the count is made where count_positive_zeros takes (n, a), and a
+    zero within _tol(n + a) of lo or hi may count as in or out.
     """
     n, a = _integer(n, "n", 1), _real(a, "a", 0, strict=True)
     results = _scan(lambda v: charlier_direct(n, a, v), lo, hi, grid)
-    exhaustive_hi = a + 4.0 * n * math.sqrt(a)
-    if lo <= 0.0 and hi >= exhaustive_hi:
-        positive = sum(1 for z in results if z.root > 0)
-        if positive != n:
-            warnings.warn(
-                f"found {positive} positive zeros of c_{n}^a, expected {n}; "
-                f"grid={grid} may be too coarse",
-                stacklevel=2,
-            )
+    if n <= _MAX_COUNT_N and _MIN_COUNT_A <= a <= _MAX_COUNT_A:
+        lo, hi, d = float(lo), float(hi), _tol(n + a)  # lo and hi as _scan took them
+        inside, near = (_zeros_below(n, a, hi - e) - _zeros_below(n, a, lo + e) for e in (d, -d))
+        count = min(max(len(results), inside), near)
+        if len(results) != count:
+            warnings.warn(f"found {len(results)} zeros of c_{n}^a in [{lo!r}, {hi!r}], where a "
+                          f"Sturm count gives {count}; grid={grid} may be too coarse", stacklevel=2)
     return results
 
 
@@ -209,34 +214,16 @@ def hermite_zeros_in_order(x: float, lo: float, hi: float,
 
 
 def count_positive_zeros(n: int, a: float) -> int:
-    """Exhaustive count of the positive zeros of nu -> c_n^a(nu).
+    """The number of positive zeros of nu -> c_n^a(nu), which is n.
 
-    Scans (0, a + 4 n sqrt(a)] doubling the grid from max(16, 4 n) nodes
-    until the count is stable on two consecutive refinements and the
-    spacing is at most a quarter of the smallest observed zero gap.  c_n
-    has exactly n positive zeros, so only the count n is confirmed: a lower
-    count means that the scan missed some, as two zeros in one cell give no
-    sign change.  DomainError, before any evaluation, where the first grid
-    has more than _MAX_GRID nodes (n > 16384); ConvergenceError where the
-    count is not confirmed on _MAX_GRID nodes.
+    Two Sturm counts, _zeros_below(n, a, hi) - _zeros_below(n, a, 0), with
+    hi = n + a + 2 sqrt(a n) above every zero (Gershgorin); J is positive
+    definite, so no zero lies below 0.  DomainError, before any count,
+    where n > _MAX_COUNT_N or a is outside [_MIN_COUNT_A, _MAX_COUNT_A].
     """
-    n, a = _integer(n, "n", 1, _MAX_GRID // 4), _real(a, "a", 0, strict=True)
-    hi = a + 4.0 * n * math.sqrt(a)
-    lo = 1e-12  # open at 0: zeros are strictly positive
-    grid = max(16, 4 * n)
-    prev = -1
-    while grid <= _MAX_GRID:
-        roots = [z.root for z in _scan(lambda v: charlier_direct(n, a, v),
-                                       lo, hi, grid)]
-        count = len(roots)
-        spacing = (hi - lo) / (grid - 1)
-        min_gap = min(s - r for r, s in zip(roots, roots[1:])) if count >= 2 else hi - lo
-        if count == prev == n and spacing <= min_gap / 4.0:
-            return count
-        prev = count
-        grid *= 2
-    raise ConvergenceError(f"the count of positive zeros of c_{n}^a at a={a!r} is not "
-                           f"confirmed on {_MAX_GRID} nodes (last count {prev})")
+    n = _integer(n, "n", 1, _MAX_COUNT_N)
+    a = _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
+    return _zeros_below(n, a, n + a + 2.0 * math.sqrt(a * n)) - _zeros_below(n, a, 0.0)
 
 
 class ZeroConvergenceRow(NamedTuple):
@@ -245,15 +232,6 @@ class ZeroConvergenceRow(NamedTuple):
     nu_n: float
     abs_err: float
     error: Optional[str] = None
-
-
-def _nearest_hermite_zero(x: float, target_nu: float) -> float:
-    z = _nearest(lambda nu: hermite_fn(nu, x), target_nu - 0.5, target_nu + 0.5, 64, target_nu)
-    if z is None:
-        raise DomainError(
-            f"no Hermite zero of H_.(x={x}) found within 0.5 of nu={target_nu}"
-        )
-    return z.root
 
 
 def _target_window(x: float, target: float) -> tuple:
@@ -277,13 +255,11 @@ def _target_window(x: float, target: float) -> tuple:
         return None
 
     below, above = adjacent(range(k, -1, -1), -1), adjacent(range(k, grid), 1)
-    gap_lo = target - below if below is not None else None
-    gap_hi = above - target if above is not None else None
-    if gap_lo is None and gap_hi is None:
-        gap_lo = gap_hi = 2.0
-    gap_lo = gap_lo if gap_lo is not None else gap_hi
-    gap_hi = gap_hi if gap_hi is not None else gap_lo
-    return target - 0.5 * gap_lo, target + 0.5 * gap_hi
+    # no gap is 0, as the zeros lie more than 1e-6 from target
+    gap_lo = None if below is None else target - below
+    gap_hi = None if above is None else above - target
+    gap_lo = gap_lo or gap_hi or 2.0
+    return target - 0.5 * gap_lo, target + 0.5 * (gap_hi or gap_lo)
 
 
 def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
@@ -292,8 +268,11 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     Rows keep going past per-a failures; a failed row carries its error
     message and NaN for the numeric fields.
     """
-    x = _real(x, "x")
-    target = _nearest_hermite_zero(x, _real(target_nu, "target_nu"))
+    x, target = _real(x, "x"), _real(target_nu, "target_nu")
+    z = _nearest(lambda nu: hermite_fn(nu, x), target - 0.5, target + 0.5, 64, target)
+    if z is None:
+        raise DomainError(f"no Hermite zero of H_.(x={x}) found within 0.5 of nu={target}")
+    target = z.root
     win_lo, win_hi = _target_window(x, target)
     rows = []
     for a in a_values:
@@ -304,11 +283,9 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
             z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, _TABLE_GRID, target)
             if z is None:
-                raise DomainError(
-                    f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] for a={a}"
-                )
-            root = z.root
-            rows.append(ZeroConvergenceRow(a, n, root, abs(root - target)))
+                raise DomainError(f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] "
+                                  f"for a={a}")
+            rows.append(ZeroConvergenceRow(a, n, z.root, abs(z.root - target)))
         except DomainError as exc:  # a is the float, or the value _real refused
             rows.append(ZeroConvergenceRow(a, -1, math.nan, math.nan, str(exc)))
     return rows

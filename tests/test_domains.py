@@ -115,6 +115,13 @@ def _calls(f, *args):
     return f, st.one_of(valid, hostile), reals
 
 
+def _count(n, a):
+    # c_n^a has n positive zeros: the count is n, or refused
+    count = count_positive_zeros(n, a)
+    assert count == n, (n, a, count)
+    return count
+
+
 def _row(x, target_nu, a):
     # a failed row carries its message and nan by design: it is a refusal
     row, = zero_convergence_table(x, target_nu, [a])
@@ -166,8 +173,7 @@ _FLOAT_CALLS = {
                                       _R(st.floats(0.5, 20.0))),
     "hermite_zeros_in_order": _calls(hermite_zeros_in_order, _R(st.floats(-8.0, 8.0)),
                                      _R(st.floats(-8.0, 0.0)), _R(st.floats(0.5, 8.0))),
-    "count_positive_zeros": _calls(count_positive_zeros, st.integers(1, 4),
-                                   _R(st.floats(0.5, 100.0))),
+    "count_positive_zeros": _calls(_count, st.integers(1, 64), _R(_A)),
     "zero_convergence_table": _calls(_row, _R(st.floats(-1.0, 1.0)), _R(st.floats(0.0, 4.0)),
                                      _R(st.floats(50.0, 2000.0))),
 }
@@ -188,7 +194,9 @@ _FLOAT_EXAMPLES = {
     "f_nu": [("1", 1.0)],
     "upper_incomplete_gamma": [(True, 1.0)],
     "factor_q": [(1, -200.0), (1, -1e300), (10 ** 400, 0.5), (10 ** 306, 0.5)],
-    "count_positive_zeros": [(1, -1.0)],
+    # a subnormal, below the count's range; inside it; past it; the largest double
+    "count_positive_zeros": [(1, -1.0), (1, 5e-324), (4, 1e-300), (4, 1e300),
+                             (4, sys.float_info.max)],
     "euler_polygon": [(1.0, math.nan, 1.0, 1.0, 0.1), (1e300, 1.0, 1.0, 1.0, 0.1)],
     "system_matrix_norm_bound": [(math.nan, 1.0), (1e300, 1.0)],
     "apriori_deviation_bound": [(1.0, 0.1, 1.0, 0.0, 1e3, 1e3)],
@@ -274,7 +282,7 @@ _INTEGER_CALLS = {
         _integers(0, 8), st.just(3.0), st.just(0.0), st.just(8.0), _integers(0, 64))),
     "hermite_zeros_in_order": (hermite_zeros_in_order, st.tuples(
         st.just(0.0), st.just(0.5), st.just(2.0), _integers(0, 256))),
-    "count_positive_zeros": (count_positive_zeros, st.tuples(_integers(0, 6), st.just(2.0))),
+    "count_positive_zeros": (_count, st.tuples(_integers(0, 6), st.just(2.0))),
     "pochhammer_rising": (pochhammer_rising, st.tuples(st.just(0.5), _integers(0, 2000))),
     "factor_p": (factor_p, st.tuples(_integers(0, 50), _integers(0, 10 ** 6))),
     "factor_q": (factor_q, st.tuples(_integers(0, 10 ** 6), st.just(1.5))),
@@ -312,8 +320,8 @@ def test_every_integer_parameter_is_in_the_table():
 @hypothesis.example(("charlier_order_shift", (1, math.nan, 1.0, 1.0, 1.0)))
 @hypothesis.example(("charlier_backward_step", (1, math.inf, 1.0, 1.0, 0.5)))
 @hypothesis.example(("count_positive_zeros", (True, 2.0)))
-@hypothesis.example(("count_positive_zeros", (16385, 2.0)))  # the first grid is over the cap
-@hypothesis.example(("count_positive_zeros", (6, 1e6)))  # not confirmed by the cap
+@hypothesis.example(("count_positive_zeros", (16385, 2.0)))  # over the cap
+@hypothesis.example(("count_positive_zeros", (6, 1e6)))  # the grid scan raised ConvergenceError
 @hypothesis.example(("pochhammer_rising", (2, True)))
 @hypothesis.example(("pochhammer_rising", (1e300, 2)))
 @hypothesis.example(("trapezoid_gamma_check", (-3.5, True, 10, 0.05)))
@@ -323,12 +331,13 @@ def test_integer_arguments_are_taken_or_refused(case):
 
 
 def test_integer_caps_precede_any_work(monkeypatch):
-    # a count or scan over the grid cap, and a rising factorial over the
-    # factor cap, are refused before the first evaluation or product
+    # a count over its cap, a scan over the grid cap, and a rising factorial
+    # over the factor cap, are refused before the first pivot, evaluation or
+    # product
     from charlier_hermite import zeros
     calls = []
-    monkeypatch.setattr(zeros, "charlier_direct", lambda *args: calls.append(args))
-    monkeypatch.setattr(zeros, "hermite_fn", lambda *args: calls.append(args))
+    for name in ("_zeros_below", "charlier_direct", "hermite_fn"):
+        monkeypatch.setattr(zeros, name, lambda *args: calls.append(args))
 
     class Counted(float):
         def __add__(self, other):

@@ -1,12 +1,13 @@
 import math
+import time
 import warnings
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from charlier_hermite import (
-    ConvergenceError,
     DomainError,
     charlier_direct,
     charlier_zeros_in_order,
@@ -17,6 +18,7 @@ from charlier_hermite import (
     zero_convergence_table,
     zeros,
 )
+from charlier_hermite.charlier import _zeros_below
 from charlier_hermite.zeros import _nearest, _refine, _scan, _target_window, _tol
 
 # smallest nu-zero of H_nu(1) in (0, 3); mpmath bisection at 50 digits
@@ -52,31 +54,97 @@ def test_roots_are_positive_and_ordered():
 def test_zero_count_warning_on_coarse_exhaustive_scan():
     # both zeros of c_2^2 fall inside one 7-wide cell, so their sign
     # changes cancel and the exhaustive scan comes up short
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning, match="found 0 zeros .* Sturm count gives 2;"):
         charlier_zeros_in_order(2, 2.0, 0.0, 14.0, grid=3)
-    # a truncated range is allowed to miss zeros silently
+    # a truncated range warns only where the scan finds another number of
+    # zeros than it holds: [0, 2] holds none of c_3^5's, and [1, 1.5] holds
+    # c_5^5's zero at 1, on an end node
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        charlier_zeros_in_order(3, 5.0, 0.0, 2.0, grid=64)
+        assert charlier_zeros_in_order(3, 5.0, 0.0, 2.0, grid=64) == []
+        assert [z.root for z in charlier_zeros_in_order(5, 5.0, 1.0, 1.5, grid=8)] == [1.0]
 
 
-def test_count_positive_zeros_equals_degree():
-    # at (2, 1e5) and (3, 1e4) two zeros share a cell of the first grids, where
-    # counts of 0 and 1 were once confirmed
-    for n, a in ((1, 2.0), (2, 2.0), (4, 3.0), (6, 5.0), (2, 1e5), (3, 1e4)):
-        assert count_positive_zeros(n, a) == n
+@pytest.mark.parametrize("n, a", [(40, 40.0), (60, 30.0)])
+def test_scan_from_above_zero_that_misses_zeros_warns(n, a):
+    # c_n^a is noise at large nu, so the scan misses zeros (22 of 40 and 34
+    # of 60 were found); the warning once needed lo <= 0
+    hi = a + 4.0 * n * math.sqrt(a)
+    with pytest.warns(UserWarning, match=f"Sturm count gives {n};"):
+        assert len(charlier_zeros_in_order(n, a, 1e-12, hi, grid=8 * n)) < n
 
 
-def test_count_positive_zeros_is_confirmed_or_refused():
-    # n = 6 at a = 1e6 is not confirmed on 2^16 nodes (191 zeros were
-    # returned); neither is a count below n, as 0 for n = 2 at a = 1e12 and 2
-    # for n = 8 at a = 1e5 were; from n = 16385 the first grid of 4n nodes is
-    # over the cap
-    for n, a in ((6, 1e6), (2, 1e12), (8, 1e5)):
-        with pytest.raises(ConvergenceError, match="not confirmed on 65536 nodes"):
-            count_positive_zeros(n, a)
-    with pytest.raises(DomainError, match="n must be an integer <= 16384, got 16385"):
-        count_positive_zeros(16385, 2.0)
+# (2, 1e5) and (3, 1e4): two zeros shared a cell of the first grids of the
+# old grid-doubling count, where counts of 0 and 1 were once confirmed.  It
+# raised ConvergenceError at (30, 30), (40, 40), (60, 30) and (6, 1e6) after
+# 1 to 8 s, found counts below n at (2, 1e12) and (8, 1e5), took 29 ms at
+# (25, 12), and refused (16384, 1e4), where c_n^a is outside double range.
+@pytest.mark.parametrize("n, a", [
+    (1, 2.0), (2, 2.0), (4, 3.0), (6, 5.0), (2, 1e5), (3, 1e4), (25, 12.0), (30, 30.0),
+    (40, 40.0), (60, 30.0), (2, 1e12), (8, 1e5), (6, 1e6), (16384, 1e4)])
+def test_count_positive_zeros_equals_degree(n, a):
+    assert count_positive_zeros(n, a) == n
+
+
+def test_count_positive_zeros_is_n_in_under_10_ms():
+    rng = np.random.default_rng(26)
+    cases = [(16384, 1.0), (16384, 1.5), (16384, 1e4), (1, 1.0)]
+    cases += [(int(2.0 ** rng.uniform(0.0, 14.0)), float(10.0 ** rng.uniform(0.0, 4.0)))
+              for _ in range(60)]
+    for n, a in cases:
+        best = math.inf
+        for _ in range(3):  # the least of three, so that a busy host does not fail it
+            t0 = time.perf_counter()
+            count = count_positive_zeros(n, a)
+            best = min(best, time.perf_counter() - t0)
+        assert count == n and best < 0.010, (n, a, count, best)
+
+
+def test_count_positive_zeros_is_confirmed_or_refused(monkeypatch):
+    # n over the cap, and a where the float pivots miscount, are refused
+    # before any pivot
+    with monkeypatch.context() as m:
+        calls = []
+        m.setattr(zeros, "_zeros_below", lambda *args: calls.append(args))
+        with pytest.raises(DomainError, match="n must be an integer <= 16384, got 16385"):
+            count_positive_zeros(16385, 2.0)
+        with pytest.raises(DomainError, match=r"a must be a finite number >= "
+                                              r"2.2250738585072014e-308, got 5e-324"):
+            count_positive_zeros(2, 5e-324)
+        with pytest.raises(DomainError, match=r"a must be a finite number <= 1e\+30, got 1e\+31"):
+            count_positive_zeros(2, 1e31)
+        assert calls == []
+    for a in (2.0 ** -1022, 1e-300, 1e-10, 1e20, 1e30):
+        assert [count_positive_zeros(n, a) for n in (1, 2, 40, 16384)] == [1, 2, 40, 16384], a
+
+
+def _sign_changes(n, a, nu):
+    """The sign changes of c_0(nu), ..., c_n(nu), exactly, by rational mode at
+    the binary values of a and nu; None where one of them is 0."""
+    c = [charlier_direct(k, Fraction(a), Fraction(nu), mode="rational") for k in range(n + 1)]
+    return None if 0 in c else sum((u < 0) != (v < 0) for u, v in zip(c, c[1:]))
+
+
+def test_zeros_below_is_the_exact_count_of_sign_changes():
+    # c_k(nu) / c_{k-1}(nu) is a pivot over a, so the pivots that are negative
+    # are the sign changes.  Points are seeded away from zeros: the exact
+    # counts 2^-30 (n + a) below and above nu agree.  nu = 0 is exact at
+    # every a, also at a < n, where (k + a) - a k / d_{k-1} had lost the sign.
+    rng = np.random.default_rng(2026)
+    checked = 0
+    while checked < 300:
+        n = int(rng.integers(1, 31))
+        a = float(rng.integers(1, 61)) / float(rng.integers(1, 31))
+        hi = n + a + 2.0 * math.sqrt(a * n)
+        nu = float(rng.choice([0.0, float(rng.uniform(-1.0, 1.05 * hi)),
+                               float(rng.integers(0, int(hi) + 1)) + 0.5]))
+        d = (n + a) * 2.0 ** -30
+        want = _sign_changes(n, a, nu)
+        around = {want} if nu == 0.0 else {_sign_changes(n, a, nu + e) for e in (-d, d)}
+        if want is None or around != {want}:
+            continue
+        assert _zeros_below(n, a, nu) == want, (n, a, nu)
+        checked += 1
 
 
 def test_hermite_zeros_at_origin_are_odd_integers():

@@ -31,13 +31,22 @@ H_nu(0) overflows and the odd nu where 1/Gamma(-nu/2) does, and 6 more
 where 2^nu overflows: at odd nu = 1025, 1027, 2^52 + 1 and 2^53 - 1, and
 at 2^53 and 2^53 + 2; 5 rational-mode calls with a bool for a rational;
 and 7 `trace_deviation`s of traces built from given states, nan, inf
-and +-1e308 among them; and the `repr` of one record of each of the 9
-public record types.  The grid runs twice on each side: warm,
-with numpy loaded first, and cold, where the first sums build their
-terms in Python until the process's budget of Python terms loads numpy.
-Each outcome is the `float.hex` of every value (an exact value as its
-`str`), or the error's type and message; a trace's outcome is its node
-count, the SHA-256 of the hex of all its values, and its deviation.
+and +-1e308 among them; the `repr` of one record of each of the 9
+public record types; 200 `charlier_zeros_in_order` scans, with n <= 40,
+a in [0.5, 100] and grids of 16, 64, 128 or 8n nodes, 40 of them over
+the whole positive range, and 3 more at (20, 10), (40, 40) and (60, 30)
+from lo = 1e-12; 100 `hermite_zeros_in_order` scans, with |x| <= 3 and
+lo in [-4, 8]; 12 `zero_convergence_table`s at README scale, with
+|x| <= 1, targets in [0.5, 6] and a from 80 to 8000; and 58
+`count_positive_zeros` outcomes, 40 seeded with n <= 6 and a in
+[0.1, 1e6], and 18 at given (n, a), 10 of which the grid-doubling count
+refused.  The grid runs twice on each side: warm, with numpy loaded
+first, and cold, where the first sums build their terms in Python until
+the process's budget of Python terms loads numpy.  Each outcome is the
+`float.hex` of every value (an exact value as its `str`), or the error's
+type and message; a trace's outcome is its node count, the SHA-256 of
+the hex of all its values, and its deviation; a scan's warnings are not
+outcomes.
 Prints every outcome that differs and exits 1 if any does, 0 if none
 does.
 
@@ -61,7 +70,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Prints the outcome of each case of the grid drawn from seed argv[1], as
 # JSON: [case, values or error].  argv[2] is "warm" to load numpy first.
 GRID = """
-import hashlib, json, math, random, sys
+import hashlib, json, math, random, sys, warnings
+warnings.simplefilter("ignore")  # a scan's warning is not its outcome
 if sys.argv[2] == "warm":
     import numpy  # noqa: F401, every sum takes its numpy path
 import charlier_hermite as api
@@ -134,6 +144,27 @@ cases += [("trace_deviation", [0.0, 0.5], s1, s2) for s1, s2 in [
     ([[1e200, 0.0], [0.0, 0.0]], zero), ([[3e-200, 4e-200], [0.0, 0.0]], zero),
     ([[0.1, -2.5], [1.75, 3.0]], [[0.3, 2.5], [-1.0, 1e-3]])]]
 cases.append(("trace_deviation", [0.0, math.inf], zero, zero))
+for i in range(200):
+    n, a = rng.randint(1, 40), 10.0 ** rng.uniform(math.log10(0.5), 2.0)
+    top = a + 4.0 * n * math.sqrt(a)
+    lo = rng.choice((0.0, 1e-12)) if i % 5 == 0 else rng.uniform(-2.0, top)
+    hi = top if i % 5 == 0 else lo + rng.uniform(0.5, top)
+    cases.append(("charlier_zeros_in_order", n, a, lo, hi, rng.choice((16, 64, 128, 8 * n))))
+cases += [("charlier_zeros_in_order", n, a, 1e-12, a + 4.0 * n * math.sqrt(a), 8 * n)
+          for n, a in ((20, 10.0), (40, 40.0), (60, 30.0))]
+for _ in range(100):
+    lo = rng.uniform(-4.0, 8.0)
+    cases.append(("hermite_zeros_in_order", rng.uniform(-3.0, 3.0), lo, lo + rng.uniform(0.5, 6.0),
+                  rng.choice((16, 64, 128, 256))))
+for _ in range(12):  # a target with no Hermite zero within 0.5 is refused
+    cases.append(("zero_convergence_table", rng.uniform(-1.0, 1.0), rng.uniform(0.5, 6.0),
+                  [a * rng.uniform(0.8, 1.25) for a in (100.0, 400.0, 1600.0, 6400.0)]))
+cases += [("count_positive_zeros", rng.randint(1, 6), 10.0 ** rng.uniform(-1.0, 6.0))
+          for _ in range(40)]
+cases += [("count_positive_zeros", n, a) for n, a in (
+    (1, 2.0), (2, 2.0), (4, 3.0), (6, 5.0), (2, 1e5), (3, 1e4), (25, 12.0), (32, 16.0),
+    (6, 1e6), (2, 1e12), (8, 1e5), (30, 30.0), (16385, 2.0), (True, 2.0), (1, -1.0),
+    (2, 5e-324), (2, 1e31), (2, 1e300))]
 cases += [("repr", call) for call in (
     "ScaledPoint(0.5, 100.0)", "SplitConfig(200.5, -4.0)", "head_tail_split(SplitConfig(200.5, -4.0))",
     "trapezoid_gamma_check(-4.5, 10, 40, 0.1)", "euler_polygon(1.0, (1.0, 0.0), 0.3, 0.1)",
@@ -167,6 +198,12 @@ for case in cases:
             import numpy as np
             t1, t2 = (PolygonTrace(np.array(case[1]), np.array(s), 0.5) for s in case[2:])
             got = [trace_deviation(t1, t2).hex()]
+        elif case[0] in ("charlier_zeros_in_order", "hermite_zeros_in_order",
+                         "zero_convergence_table"):
+            got = [[v.hex() if isinstance(v, float) else v for v in fields(r)]
+                   for r in getattr(api, case[0])(*case[1:])]
+        elif case[0] == "count_positive_zeros":
+            got = [api.count_positive_zeros(*case[1:])]
         elif case[0] == "repr":
             got = [repr(eval(case[1], {name: getattr(api, name) for name in api.__all__}))]
         elif case[1] == "scaled_y":

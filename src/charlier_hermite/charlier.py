@@ -136,7 +136,9 @@ def _check_bits(bits: int) -> None:
     """DomainError, before any of the work, where an exact value could
     need more than _RATIONAL_BITS bits."""
     if bits > _RATIONAL_BITS:
-        raise DomainError(f"the exact value could need {bits} bits, "
+        # str() refuses an int of over 4300 digits, as at n = 10^5000
+        need = bits if bits.bit_length() <= 64 else f"over 2^{bits.bit_length() - 1}"
+        raise DomainError(f"the exact value could need {need} bits, "
                           f"more than rational mode's {_RATIONAL_BITS}")
 
 

@@ -1,20 +1,22 @@
 """Zero location in the order/argument variable, and zero convergence.
 
 Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
-simple); Hermite zeros are zeros of nu -> H_nu(x) for fixed x.  Both are
-found on a uniform grid: a sign change between two nodes brackets a zero,
-which Brent's zeroin refines to a bracket 1e-12 wide (relative), and a
-node where the function is exactly 0 is a zero itself.  Charlier zeros are
-also counted, from no value of c_n^a, by Sturm counts (_zeros_below): a
-scan warns where it finds another number, and count_positive_zeros is two.
+simple); Hermite zeros are zeros of nu -> H_nu(x) for fixed x.
+charlier_zeros_in_order evaluates no c_n^a to find a zero: a Sturm count
+(_zeros_below) gives the number of zeros below a point, and bisection on
+counts narrows a range to cells 1e-12 wide (relative) that hold exactly
+its count of zeros.  Hermite zeros are found on a uniform grid: a sign
+change between two nodes brackets a zero, which Brent's zeroin refines to
+a bracket 1e-12 wide (relative), and a node where the function is exactly
+0 is a zero itself.
 
 zero_convergence_table tracks one Hermite zero target: for each a it
 takes n = floor(a - x sqrt(2a)) and finds the Charlier zero nearest the
-target inside a window reaching halfway to the adjacent Hermite zeros.
-It needs only the zeros nearest the target, so its scans visit the grid
-outward from the target and stop where no farther cell could hold a
-nearer zero: a few nodes and one refinement per a, where a full scan of
-the window costs every node and every refinement.
+target inside a window reaching halfway to the adjacent Hermite zeros,
+on a grid of c_n^a values.  It needs only the zeros nearest the target,
+so its scans visit the grid outward from the target and stop where no
+farther cell could hold a nearer zero: a few nodes and one refinement per
+a, where a full scan of the window costs every node and every refinement.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import warnings
 from typing import Callable, NamedTuple, Optional
 
 from .charlier import _zeros_below, charlier_direct
@@ -30,14 +31,18 @@ from .errors import DomainError, _integer, _real
 from .hermite import hermite_fn
 
 _BRACKET_REL_TOL = 1e-12
-# A scan has at most this many nodes.
+# A scan of values (hermite_zeros_in_order's, and the zero table's) has at
+# most this many nodes.
 _MAX_GRID = 1 << 16
-# count_positive_zeros takes n up to this: two counts there take 3 to 5 ms.
+# The Sturm counts take n up to this: two counts there take 3 to 5 ms.
 _MAX_COUNT_N = 1 << 14
 # The pivots counted every zero for a in this range.  Below it, a is below
 # pivmin, so 0 counts as a zero; above it (6000 seeded (n, a), n <= 16384)
 # the first miscount was at a = 2.2e31, n = 16384: hi rounded below a zero.
 _MIN_COUNT_A, _MAX_COUNT_A = 2.0 ** -1022, 1e30
+# charlier_zeros_in_order finds k zeros at degree n where k n is at most
+# this: about 1 s of counts
+_MAX_ZEROS_WORK = 1 << 18
 # zero_convergence_table's scan of its window
 _TABLE_GRID = 64
 
@@ -185,24 +190,50 @@ def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
     return best and best[1]
 
 
-def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float,
-                            grid: int = 128) -> list:
-    """Zeros of nu -> c_n^a(nu) in [lo, hi], ascending.
+def _count_args(n, a) -> tuple:
+    """(n, a) where the Sturm counts take them; DomainError otherwise."""
+    n = _integer(n, "n", 1, _MAX_COUNT_N)
+    return n, _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
 
-    Warns (never fails) where the scan finds another number of zeros than
-    the Sturm count of [lo, hi] (_zeros_below), as where two zeros share a
-    cell; the count is made where count_positive_zeros takes (n, a), and a
-    zero within _tol(n + a) of lo or hi may count as in or out.
+
+def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
+    """Zeros of nu -> c_n^a(nu) in [lo, hi], ascending, by bisection on
+    Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+
+    The counts at lo - _tol(n + a) and at hi give the range's count of
+    zeros, k, so that a zero on lo is in it.  A cell whose end counts
+    differ is split at its midpoint, whose count is clamped between those
+    of the ends: the cells then hold exactly k zeros, even where float
+    counts are not monotone.  A cell narrower than _tol of its midpoint
+    gives one ZeroResult per zero it holds: the midpoint as root, the cell
+    as bracket, the counts that narrowed it as iterations, and
+    |c_n^a(root)| as residual, inf where charlier_direct refuses.  (n, a)
+    are taken as count_positive_zeros takes them; DomainError also where
+    k n > _MAX_ZEROS_WORK, after the two counts.
     """
-    n, a = _integer(n, "n", 1), _real(a, "a", 0, strict=True)
-    results = _scan(lambda v: charlier_direct(n, a, v), lo, hi, grid)
-    if n <= _MAX_COUNT_N and _MIN_COUNT_A <= a <= _MAX_COUNT_A:
-        lo, hi, d = float(lo), float(hi), _tol(n + a)  # lo and hi as _scan took them
-        inside, near = (_zeros_below(n, a, hi - e) - _zeros_below(n, a, lo + e) for e in (d, -d))
-        count = min(max(len(results), inside), near)
-        if len(results) != count:
-            warnings.warn(f"found {len(results)} zeros of c_{n}^a in [{lo!r}, {hi!r}], where a "
-                          f"Sturm count gives {count}; grid={grid} may be too coarse", stacklevel=2)
+    n, a = _count_args(n, a)
+    lo = _real(lo, "lo")
+    hi = _real(hi, "hi", lo, strict=True)
+    below = lo - _tol(n + a)
+    c_lo, c_hi = _zeros_below(n, a, below), _zeros_below(n, a, hi)
+    if (c_hi - c_lo) * n > _MAX_ZEROS_WORK:
+        raise DomainError(f"[{lo!r}, {hi!r}] holds {c_hi - c_lo} zeros of c_{n}^a; at n={n} "
+                          f"at most {_MAX_ZEROS_WORK // n} are found in one call")
+    results, cells = [], [(below, hi, c_lo, c_hi, 0)]
+    while cells:  # depth first, lower cell first: the zeros come out ascending
+        x0, x1, c0, c1, depth = cells.pop()
+        if c0 == c1:
+            continue
+        mid = 0.5 * x0 + 0.5 * x1  # x0 + x1 may overflow
+        if x1 - x0 < _tol(mid):
+            try:
+                residual = abs(charlier_direct(n, a, mid))
+            except DomainError:
+                residual = math.inf
+            results += [ZeroResult(mid, x0, x1, residual, depth)] * (c1 - c0)
+            continue
+        c = min(max(_zeros_below(n, a, mid), c0), c1)
+        cells += [(mid, x1, c, c1, depth + 1), (x0, mid, c0, c, depth + 1)]
     return results
 
 
@@ -221,8 +252,7 @@ def count_positive_zeros(n: int, a: float) -> int:
     definite, so no zero lies below 0.  DomainError, before any count,
     where n > _MAX_COUNT_N or a is outside [_MIN_COUNT_A, _MAX_COUNT_A].
     """
-    n = _integer(n, "n", 1, _MAX_COUNT_N)
-    a = _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
+    n, a = _count_args(n, a)
     return _zeros_below(n, a, n + a + 2.0 * math.sqrt(a * n)) - _zeros_below(n, a, 0.0)
 
 
@@ -278,7 +308,10 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     for a in a_values:
         try:
             a = _real(a, "a", 0, strict=True)
-            n = math.floor(a - x * math.sqrt(2.0 * a))
+            s = a - x * math.sqrt(2.0 * a)
+            if not math.isfinite(s):  # 2a overflows
+                raise DomainError(f"derived degree n = floor({s}) is not finite at a={a}")
+            n = math.floor(s)
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
             z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, _TABLE_GRID, target)

@@ -583,6 +583,20 @@ def test_subprocess_runs_are_byte_identical():
     assert first.stdout.count(b"\n") == 4  # header + 3 rows
 
 
+def test_zeros_convergence_reports_an_overflowing_degree_as_a_row_failure():
+    # 2a overflows at a = 1e308, where the degree floor(a - x sqrt(2a))
+    # raised OverflowError through the command, with a traceback
+    done = subprocess.run([sys.executable, "-m", "charlier_hermite.cli", "zeros", "convergence",
+                           "--x", "0.5", "--target-nu", "1.66", "--a-list", "100,200,1e308"],
+                          capture_output=True, env=_checkout_env(), text=True)
+    assert "Traceback" not in done.stderr
+    _, rows = parse_csv(done.stdout)
+    assert [row["error"] != "" for row in rows] == [False, False, True]
+    assert "derived degree n = floor(-inf) is not finite" in rows[2]["error"]
+    # two usable rows are too few for the rate fit
+    assert done.returncode == 1 and done.stderr.startswith("rate fit skipped")
+
+
 # Runs each argv in turn in one fresh interpreter and prints, per step,
 # the exit code and whether numpy has been imported so far.
 _NUMPY_PROBE = """

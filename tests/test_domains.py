@@ -197,6 +197,9 @@ _FLOAT_EXAMPLES = {
     # a subnormal, below the count's range; inside it; past it; the largest double
     "count_positive_zeros": [(1, -1.0), (1, 5e-324), (4, 1e-300), (4, 1e300),
                              (4, sys.float_info.max)],
+    # 2a overflows: the derived degree is floor(nan) at x = 0, floor(-inf) elsewhere
+    "zero_convergence_table": [(0.5, 1.66, 1e308), (0.0, 3.0, 1e308),
+                               (0.5, 1.66, sys.float_info.max)],
     "euler_polygon": [(1.0, math.nan, 1.0, 1.0, 0.1), (1e300, 1.0, 1.0, 1.0, 0.1)],
     "system_matrix_norm_bound": [(math.nan, 1.0), (1e300, 1.0)],
     "apriori_deviation_bound": [(1.0, 0.1, 1.0, 0.0, 1e3, 1e3)],
@@ -279,7 +282,7 @@ _INTEGER_CALLS = {
     "charlier_backward_step": (charlier_backward_step, st.tuples(
         _integers(0, 10 ** 308), st.just(2.0), st.just(0.5), st.just(1.0), st.just(0.5))),
     "charlier_zeros_in_order": (charlier_zeros_in_order, st.tuples(
-        _integers(0, 8), st.just(3.0), st.just(0.0), st.just(8.0), _integers(0, 64))),
+        _integers(0, 8), st.just(3.0), st.just(0.0), st.just(8.0))),
     "hermite_zeros_in_order": (hermite_zeros_in_order, st.tuples(
         st.just(0.0), st.just(0.5), st.just(2.0), _integers(0, 256))),
     "count_positive_zeros": (_count, st.tuples(_integers(0, 6), st.just(2.0))),
@@ -312,6 +315,8 @@ def test_every_integer_parameter_is_in_the_table():
     lambda name: st.tuples(st.just(name), _INTEGER_CALLS[name][1])))
 @hypothesis.example(("charlier_direct", (math.inf, 1.0, 1.0)))
 @hypothesis.example(("charlier_direct", (10 ** 400, 1.0, 1.0)))
+# the message of the bits cap printed a 5000-digit count: ValueError
+@hypothesis.example(("charlier_direct", (10 ** 5000, 2, Fraction(1, 2), "rational")))
 @hypothesis.example(("factor_p", (1, math.inf)))
 @hypothesis.example(("factor_p", (0, math.nan)))
 @hypothesis.example(("factor_q", (-10 ** 5000, 1.0)))
@@ -321,6 +326,7 @@ def test_every_integer_parameter_is_in_the_table():
 @hypothesis.example(("charlier_backward_step", (1, math.inf, 1.0, 1.0, 0.5)))
 @hypothesis.example(("count_positive_zeros", (True, 2.0)))
 @hypothesis.example(("count_positive_zeros", (16385, 2.0)))  # over the cap
+@hypothesis.example(("charlier_zeros_in_order", (16385, 3.0, 0.0, 8.0)))  # over the same cap
 @hypothesis.example(("count_positive_zeros", (6, 1e6)))  # the grid scan raised ConvergenceError
 @hypothesis.example(("pochhammer_rising", (2, True)))
 @hypothesis.example(("pochhammer_rising", (1e300, 2)))
@@ -331,9 +337,9 @@ def test_integer_arguments_are_taken_or_refused(case):
 
 
 def test_integer_caps_precede_any_work(monkeypatch):
-    # a count over its cap, a scan over the grid cap, and a rising factorial
-    # over the factor cap, are refused before the first pivot, evaluation or
-    # product
+    # a count or a bisection over the degree cap, a scan over the grid cap,
+    # and a rising factorial over the factor cap, are refused before the
+    # first pivot, evaluation or product
     from charlier_hermite import zeros
     calls = []
     for name in ("_zeros_below", "charlier_direct", "hermite_fn"):
@@ -346,7 +352,7 @@ def test_integer_caps_precede_any_work(monkeypatch):
 
     for f, args in [(count_positive_zeros, (16385, 2.0)),
                     (hermite_zeros_in_order, (0.0, 0.5, 2.0, 65537)),
-                    (charlier_zeros_in_order, (2, 3.0, 0.0, 8.0, 65537)),
+                    (charlier_zeros_in_order, (16385, 3.0, 0.0, 8.0)),
                     (pochhammer_rising, (Counted(0.5), 10 ** 6 + 1))]:
         with pytest.raises(DomainError, match="must be an integer <= "):
             f(*args)

@@ -27,7 +27,7 @@ HERMITE_NU_ZERO_AT_X1 = 2.5371955308039388
 
 def test_single_zero_of_linear_charlier():
     for a in (3.0, 7.0):
-        roots = charlier_zeros_in_order(1, a, 0.0, 3.0 * a, grid=64)
+        roots = charlier_zeros_in_order(1, a, 0.0, 3.0 * a)
         assert len(roots) == 1
         assert math.isclose(roots[0].root, a, rel_tol=1e-11)
         assert roots[0].bracket_lo <= roots[0].root <= roots[0].bracket_hi
@@ -35,7 +35,7 @@ def test_single_zero_of_linear_charlier():
 
 def test_quadratic_charlier_zeros():
     # c_2^2 vanishes at ((2a+1) +- sqrt(4a+1))/2 = {1, 4}
-    roots = charlier_zeros_in_order(2, 2.0, 0.0, 10.0, grid=128)
+    roots = charlier_zeros_in_order(2, 2.0, 0.0, 10.0)
     assert len(roots) == 2
     assert math.isclose(roots[0].root, 1.0, abs_tol=1e-10)
     assert math.isclose(roots[1].root, 4.0, abs_tol=1e-10)
@@ -45,33 +45,33 @@ def test_quadratic_charlier_zeros():
 def test_roots_are_positive_and_ordered():
     for n, a in ((3, 2.0), (5, 4.0), (4, 10.0)):
         hi = a + 4.0 * n * math.sqrt(a)
-        roots = charlier_zeros_in_order(n, a, 0.0, hi, grid=512)
+        roots = charlier_zeros_in_order(n, a, 0.0, hi)
         values = [r.root for r in roots]
         assert values == sorted(values)
         assert all(v > 0 for v in values)
 
 
-def test_zero_count_warning_on_coarse_exhaustive_scan():
-    # both zeros of c_2^2 fall inside one 7-wide cell, so their sign
-    # changes cancel and the exhaustive scan comes up short
-    with pytest.warns(UserWarning, match="found 0 zeros .* Sturm count gives 2;"):
-        charlier_zeros_in_order(2, 2.0, 0.0, 14.0, grid=3)
-    # a truncated range warns only where the scan finds another number of
-    # zeros than it holds: [0, 2] holds none of c_3^5's, and [1, 1.5] holds
-    # c_5^5's zero at 1, on an end node
+def test_zeros_that_share_a_wide_cell_are_all_found():
+    # c_2^2 has the same sign at 0, 7 and 14, the nodes of a 3-node scan,
+    # and its zeros 1 and 4 between them; [0, 2] holds none of c_3^5's
+    # zeros, and [1, 1.5] holds c_5^5's zero at 1, on its lower end
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert charlier_zeros_in_order(3, 5.0, 0.0, 2.0, grid=64) == []
-        assert [z.root for z in charlier_zeros_in_order(5, 5.0, 1.0, 1.5, grid=8)] == [1.0]
+        roots = [z.root for z in charlier_zeros_in_order(2, 2.0, 0.0, 14.0)]
+        assert len(roots) == 2 and all(abs(r - v) <= _tol(v) for r, v in zip(roots, (1.0, 4.0)))
+        assert charlier_zeros_in_order(3, 5.0, 0.0, 2.0) == []
+        z, = charlier_zeros_in_order(5, 5.0, 1.0, 1.5)
+        assert z.bracket_lo <= 1.0 <= z.bracket_hi and abs(z.root - 1.0) <= _tol(1.0)
 
 
 @pytest.mark.parametrize("n, a", [(40, 40.0), (60, 30.0)])
-def test_scan_from_above_zero_that_misses_zeros_warns(n, a):
-    # c_n^a is noise at large nu, so the scan misses zeros (22 of 40 and 34
-    # of 60 were found); the warning once needed lo <= 0
+def test_all_zeros_are_found_from_above_zero(n, a):
+    # c_n^a is noise at large nu, so a scan of its values on 8n nodes found
+    # 22 of 40 and 34 of 60 zeros; the counts need no value of c_n^a
     hi = a + 4.0 * n * math.sqrt(a)
-    with pytest.warns(UserWarning, match=f"Sturm count gives {n};"):
-        assert len(charlier_zeros_in_order(n, a, 1e-12, hi, grid=8 * n)) < n
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(charlier_zeros_in_order(n, a, 1e-12, hi)) == n
 
 
 # (2, 1e5) and (3, 1e4): two zeros shared a cell of the first grids of the
@@ -165,9 +165,10 @@ def test_hermite_scan_finds_a_zero_on_an_end_node(lo, hi):
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, 1.5), (0.5, 1.0)])
-def test_charlier_scan_finds_a_zero_on_an_end_node(lo, hi):
+def test_charlier_zero_on_an_end_of_the_range(lo, hi):
     # c_5^5(1) = 1 + 5 (-1)/5 = 0: the only terms are k = 0 and k = 1
-    assert [z.root for z in charlier_zeros_in_order(5, 5.0, lo, hi, grid=8)] == [1.0]
+    z, = charlier_zeros_in_order(5, 5.0, lo, hi)
+    assert z.bracket_lo <= 1.0 <= z.bracket_hi and abs(z.root - 1.0) <= _tol(1.0)
 
 
 def test_zeros_on_both_end_nodes_are_counted_once():
@@ -176,11 +177,14 @@ def test_zeros_on_both_end_nodes_are_counted_once():
 
 
 def test_zero_results_are_python_floats():
-    # exact hits on interior and end nodes, and bracketed sign changes
+    # exact hits on interior nodes of a scan, a count's zero at an end of
+    # its range, and zeros inside their ranges
     results = (hermite_zeros_in_order(0.0, 0.0, 4.0, grid=5)
-               + charlier_zeros_in_order(5, 5.0, 0.5, 1.0, grid=8)
-               + charlier_zeros_in_order(2, 2.0, 0.0, 10.0, grid=128))
+               + charlier_zeros_in_order(5, 5.0, 0.5, 1.0)
+               + charlier_zeros_in_order(2, 2.0, 0.0, 10.0))
     assert len(results) == 5
+    z = results[2]
+    assert z.bracket_lo <= 1.0 <= z.bracket_hi and abs(z.root - 1.0) <= _tol(1.0)
     for z in results:
         assert type(z.root) is float
         assert type(z.bracket_lo) is float and type(z.bracket_hi) is float
@@ -193,7 +197,7 @@ def test_hermite_zero_at_x1_against_oracle():
 
 
 def test_residual_and_iteration_reporting():
-    roots = charlier_zeros_in_order(2, 2.0, 0.0, 10.0, grid=128)
+    roots = charlier_zeros_in_order(2, 2.0, 0.0, 10.0)
     for r in roots:
         assert abs(r.residual) < 1e-8
         assert r.iterations >= 0
@@ -229,9 +233,7 @@ def test_zero_convergence_window_isolates_one_zero():
     row = rows[0]
     assert row.error is None and math.isfinite(row.abs_err)
     lo, hi = 2.0, 4.0  # half-distance to the neighboring odd-integer zeros
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the window holds 1 of n zeros
-        found = charlier_zeros_in_order(row.n, row.a, lo, hi, grid=512)
+    found = charlier_zeros_in_order(row.n, row.a, lo, hi)
     assert len(found) == 1
     assert math.isclose(found[0].root, row.nu_n, rel_tol=1e-10)
 
@@ -243,11 +245,88 @@ def test_zero_convergence_carries_per_row_failures():
     assert rows[1].error is None
 
 
-def test_charlier_zero_scan_validation():
-    with pytest.raises(DomainError):
-        charlier_zeros_in_order(2, 2.0, 5.0, 1.0, grid=64)
-    with pytest.raises(DomainError):
-        charlier_zeros_in_order(2, 2.0, 0.0, 10.0, grid=1)
+def test_charlier_zero_range_validation():
+    with pytest.raises(DomainError, match="hi must be a finite number > 5.0, got 1.0"):
+        charlier_zeros_in_order(2, 2.0, 5.0, 1.0)
+    with pytest.raises(DomainError, match="hi must be a finite number > 1.0, got 1.0"):
+        charlier_zeros_in_order(2, 2.0, 1.0, 1.0)
+
+
+def _assert_zeros_of_range(n, a, lo, hi):
+    """charlier_zeros_in_order(n, a, lo, hi) against exact sign changes of
+    c_0, ..., c_n; False, unchecked, where a zero lies within _tol(n + a)
+    below lo, where the range takes it, or within _tol(n + a) of hi."""
+    t = _tol(n + a)
+    ends = [_sign_changes(n, a, v) for v in (lo - t, lo, hi - t, hi, hi + t)]
+    if None in ends or ends[0] != ends[1] or len(set(ends[2:])) > 1:
+        return False
+    zs = charlier_zeros_in_order(n, a, lo, hi)
+    assert len(zs) == ends[3] - ends[1], (n, a, lo, hi)
+    assert all(u.bracket_hi <= v.bracket_lo for u, v in zip(zs, zs[1:])), (n, a, lo, hi)
+    for z in zs:
+        assert z.bracket_lo < z.root < z.bracket_hi, (n, a, z)
+        assert z.bracket_hi - z.bracket_lo < _tol(z.root), (n, a, z)
+        signs = [charlier_direct(n, Fraction(a), Fraction(v), mode="rational")
+                 for v in (z.bracket_lo, z.bracket_hi)]
+        assert signs[0] * signs[1] <= 0, (n, a, z)
+    return True
+
+
+def test_zeros_by_bisection_are_the_exact_sign_changes():
+    # seeded (n, a = p/q) on (0, a + 4 n sqrt(a)], and on sub-ranges of the
+    # span of the zeros, (0, n + a + 2 sqrt(a n)), which may hold none; and
+    # (200, 100), where a scan of 8n nodes was refused and the least zero is
+    # within _tol(n + a) above 0
+    rng = np.random.default_rng(27)
+    checked = 0
+    while checked < 60:
+        n = int(rng.integers(1, 61))
+        a = float(rng.integers(1, 121)) / float(rng.integers(1, 31))
+        top = n + a + 2.0 * math.sqrt(a * n)
+        lo, hi = ((0.0, a + 4.0 * n * math.sqrt(a)) if checked % 3 == 0
+                  else sorted(rng.uniform(-1.0, top, 2)))
+        checked += _assert_zeros_of_range(n, a, float(lo), float(hi))
+    assert _assert_zeros_of_range(200, 100.0, 0.0, 100.0 + 800.0 * 10.0)
+
+
+def test_charlier_zeros_are_refused_before_the_counts_that_cost(monkeypatch):
+    # (n, a) outside the counts' rule, before any count; k n > 2^18, after
+    # the two counts of the range's ends
+    calls = []
+    counted = zeros._zeros_below
+    monkeypatch.setattr(zeros, "_zeros_below", lambda *args: calls.append(args) or counted(*args))
+    for args, message in [((16385, 2.0), "n must be an integer <= 16384, got 16385"),
+                          ((2, 5e-324), r"a must be a finite number >= 2.2250738585072014e-308, "
+                                        r"got 5e-324"),
+                          ((2, 1e31), r"a must be a finite number <= 1e\+30, got 1e\+31")]:
+        with pytest.raises(DomainError, match=message):
+            charlier_zeros_in_order(*args, 0.0, 10.0)
+    assert calls == []
+    # 1024 zeros at n = 1024, and 513 at n = 513, one more than 2^18 / n
+    for n in (1024, 513):
+        with pytest.raises(DomainError, match=f"holds {n} zeros of c_{n}\\^a; at n={n} at most "
+                                              f"{(1 << 18) // n} are found"):
+            charlier_zeros_in_order(n, 1.0, 0.0, 4.0 * n)
+        assert len(calls) == 2
+        calls.clear()
+
+
+@pytest.mark.parametrize("miscount", [1, -1])
+def test_a_miscounted_midpoint_keeps_the_range_count(monkeypatch, miscount):
+    # the midpoint's count is clamped between those of its cell's ends, so
+    # the cells still hold exactly the range's count, if one of them at the
+    # wrong place
+    counted = zeros._zeros_below
+    for wrong in (3, 4, 10, 40, 200):
+        calls = []
+
+        def count(n, a, nu):
+            calls.append(nu)
+            return counted(n, a, nu) + miscount * (len(calls) == wrong)
+
+        monkeypatch.setattr(zeros, "_zeros_below", count)
+        roots = [z.root for z in charlier_zeros_in_order(20, 10.0, 0.0, 10.0 + 80.0 * math.sqrt(10.0))]
+        assert len(roots) == 20 and roots == sorted(roots) and len(calls) > wrong, wrong
 
 
 def _scan_grid(lo, hi, grid):

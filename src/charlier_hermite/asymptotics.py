@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple, Optional
 
 from .errors import DomainError, _finite, _integer, _real, _text
 from .hermite import hermite_fn
@@ -39,15 +39,7 @@ def _ceil_4th_root(x: int) -> int:
     return r + (r ** 4 < x)
 
 
-class _SplitConfig(NamedTuple):
-    a: float
-    nu: float
-    A: int
-    M: int
-    dt: float
-
-
-class SplitConfig(_SplitConfig):
+class SplitConfig(namedtuple("SplitConfig", "a nu A M dt")):
     """Head/tail split parameters derived from (a, nu), built as SplitConfig(a, nu).
 
     A = floor(a), M = ceil(A^(3/4)) exactly (integer fourth root of
@@ -68,20 +60,12 @@ class SplitConfig(_SplitConfig):
         return self.a, self.nu
 
 
-class SplitReport(NamedTuple):
-    """Head/tail sums and the values they are checked against.
-
-    y0_direct_ceiling is populated only when ceil(a) != floor(a): the
-    module convention is A = floor(a), the sweep convention elsewhere is
-    the ceiling, and both are reported when they disagree.
-    """
-
-    r_head: float
-    r_tail: float
-    y0_reconstructed: float
-    y0_direct: float
-    h_nu_0: float
-    y0_direct_ceiling: Optional[float] = None
+# Head/tail sums and the values they are checked against.  y0_direct_ceiling
+# is set only when ceil(a) != floor(a): the module convention is A = floor(a),
+# the sweep convention elsewhere is the ceiling, and both are reported when
+# they disagree.
+SplitReport = namedtuple("SplitReport", "r_head r_tail y0_reconstructed y0_direct h_nu_0 "
+                         "y0_direct_ceiling", defaults=(None,))
 
 
 def factor_p(k: int, A: int) -> float:
@@ -133,10 +117,7 @@ def f_nu(t: float, nu: float) -> float:
                    "f_nu({!r}) at nu = {!r}", t, nu)
 
 
-class TrapezoidCheck(NamedTuple):
-    riemann_sum: float
-    closed_form: float
-    abs_err: float
+TrapezoidCheck = namedtuple("TrapezoidCheck", "riemann_sum closed_form abs_err")
 
 
 def trapezoid_gamma_check(nu: float, M: int, N: int, dt: float) -> TrapezoidCheck:
@@ -177,11 +158,12 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     sums the Charlier kernel's own terms and y_nu(0) = (2a)^{nu/2} sum t_k.
     For nu <= -4 the t_k are positive and unimodal from t_0 = 1; the rows
     are built block by block to t_K, K the first multiple of
-    q = max(1024, int(4 sqrt(A))) with t_K below the smallest normal
-    double, or K = A, so the work is O(sqrt(a)) and not O(A).  The terms
-    past the first one below it are subnormal: they carry fewer bits, fall
-    ever more slowly as they round, and which of them the tail takes
-    changes its last bits where the tail sum is itself near that range.
+    q = max(1024, int(4 sqrt(A))) (charlier._quarter_span) with t_K below
+    the smallest normal double, or K = A, so the work is O(sqrt(a)) and
+    not O(A).  The terms past the first one below it are subnormal: they
+    carry fewer bits, fall ever more slowly as they round, and which of
+    them the tail takes changes its last bits where the tail sum is itself
+    near that range.
     K is where the rows ended while every block held q terms, and it does
     not depend on where the blocks break.  y0_direct sums the rows through
     the block with which charlier_direct's sum ends, and the rows go on at
@@ -191,9 +173,9 @@ def head_tail_split(cfg: SplitConfig) -> SplitReport:
     """
     if cfg.nu > -4:
         raise DomainError(f"head_tail_split requires nu <= -4, got {cfg.nu!r}")
-    from .charlier import _blocks, _scaled, _sum, charlier_direct
+    from .charlier import _blocks, _quarter_span, _scaled, _sum, charlier_direct
     A, M, a, nu = cfg.A, cfg.M, cfg.a, cfg.nu
-    q = max(1024, int(4.0 * math.sqrt(A)))
+    q = _quarter_span(A)
     blocks, c_A, K, start = [(1.0,)], None, A, 0
     for t, ends in _blocks(A, a, nu):
         blocks.append(t)

@@ -25,15 +25,14 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from typing import TYPE_CHECKING, NamedTuple, Union
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .errors import (DegenerateArgumentError, DomainError, RationalModeError, _finite, _integer,
                      _rational, _real)
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-Number = Union[int, float, "Fraction"]
 
 # The float sum drops a tail certified below 2^-160 of its largest term;
 # at 2^-110 the last bit of a cancelling sum was seen to flip.
@@ -64,7 +63,8 @@ _PIECE = 16128
 _EXTRACT_TERMS = 512
 
 
-def charlier_direct(n: int, a: Number, nu: Number, mode: str = "float"):
+def charlier_direct(n: int, a: int | float | Fraction, nu: int | float | Fraction,
+                    mode: str = "float"):
     """Evaluate c_n^a(nu) by direct summation of the defining series.
 
     mode="float": terms generated by the overflow-safe ratio recurrence
@@ -202,9 +202,16 @@ def _block_size(n: int, a: float) -> tuple:
     holds at least 1024 terms (4 sqrt(65536)), so a sum at n <= 1024 takes
     one block and no test.
     """
-    root = math.sqrt(min(a, n))
-    first, later = int(16.0 * root) + 64, int(4.0 * root)
-    return (first if first > 1024 else 1024), (later if later > 1024 else 1024)
+    m = min(a, n)
+    first = int(16.0 * math.sqrt(m)) + 64
+    return (first if first > 1024 else 1024), _quarter_span(m)
+
+
+def _quarter_span(m: float) -> int:
+    """max(1024, int(4 sqrt(m))): the size of each block after the first,
+    at m = min(a, n), and the step of head_tail_split's row ends."""
+    later = int(4.0 * math.sqrt(m))
+    return later if later > 1024 else 1024
 
 
 def _python_terms() -> int:
@@ -378,14 +385,7 @@ def _zeros_below(n: int, a: float, nu: float) -> int:
     return count + (d < pivmin)
 
 
-class _ScaledPoint(NamedTuple):
-    x: float
-    a: float
-    n: int
-    theta: float
-
-
-class ScaledPoint(_ScaledPoint):
+class ScaledPoint(namedtuple("ScaledPoint", "x a n theta")):
     """A point (x, a) of the convergence sweep, built as ScaledPoint(x, a).
 
     Carries the derived degree n = ceil(a - x*sqrt(2a)) and the ceiling
@@ -443,7 +443,7 @@ def _scaled(base: float, p: float, c: list, factor: float = 1.0) -> list:
     return value
 
 
-def scaled_y(point: ScaledPoint, nu: Number, mode: str = "float"):
+def scaled_y(point: ScaledPoint, nu: int | float | Fraction, mode: str = "float"):
     """y_nu^a(x) = (2a)^{nu/2} c_n^a(nu) at a ScaledPoint.
 
     Rational mode needs (2a)^{nu/2} to be rational: nu an even integer,

@@ -31,7 +31,8 @@ from __future__ import annotations
 import decimal
 import itertools
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .charlier import _block_size, _scaled, charlier_direct
 from .errors import DomainError, _finite, _integer, _real
@@ -51,14 +52,9 @@ _SPAN = 32
 _MAX_TRACE_TERMS = 10 ** 10
 
 
-class _PolygonTrace(NamedTuple):
-    xs: np.ndarray      # shape (K+1,)
-    states: np.ndarray  # shape (K+1, 2)
-    step: float
-
-
-class PolygonTrace(_PolygonTrace):
-    """Node coordinates x_k = direction * k * step and (y, y') states, all finite."""
+class PolygonTrace(namedtuple("PolygonTrace", "xs states step")):
+    """Node coordinates x_k = direction * k * step, shape (K+1,), and (y, y')
+    states, shape (K+1, 2), all finite."""
 
     __slots__ = ()
 

@@ -15,26 +15,20 @@ non-negative integer at most a, the deviation is exactly
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, NamedTuple, Sequence, Tuple
+from collections import namedtuple
+from collections.abc import Sequence
 
 from .charlier import _exact_sqrt, charlier_direct
 from .errors import DomainError, RationalModeError, _integer, _rational, _real
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
 _MAX_R = 256
 
 
-class RateFit(NamedTuple):
-    slope: float
-    intercept: float
-    r_squared: float
-    points: Tuple[Tuple[float, float], ...]
+RateFit = namedtuple("RateFit", "slope intercept r_squared points")  # points: ((a, err), ...)
 
 
-def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
+def fit_rate(points: Sequence[tuple[float, float]]) -> RateFit:
     """Least-squares line through (ln a, ln err).
 
     Needs at least 3 points, all finite, all a distinct and positive,
@@ -67,11 +61,7 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> RateFit:
     return RateFit(slope, intercept, r_squared, pts)
 
 
-class SharpnessResult(NamedTuple):
-    n: int
-    lhs: Fraction
-    rhs: Fraction
-    equal: bool
+SharpnessResult = namedtuple("SharpnessResult", "n lhs rhs equal")  # lhs, rhs: Fractions
 
 
 def sharpness_check(x, a) -> SharpnessResult:

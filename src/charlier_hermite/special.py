@@ -9,8 +9,8 @@ function M, and the rising factorial.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from functools import partial
-from typing import NamedTuple
 
 from .errors import ConvergenceError, PoleError, _finite, _integer, _real
 
@@ -33,9 +33,7 @@ def _is_nonpositive_integer(x: float) -> bool:
     return x <= 0 and x == math.floor(x)
 
 
-class LnGamma(NamedTuple):
-    log: float  # ln|Gamma(x)|
-    sign: int  # sign of Gamma(x), +1 or -1
+LnGamma = namedtuple("LnGamma", "log sign")  # ln|Gamma(x)|, and the sign of Gamma(x), +1 or -1
 
 
 def ln_gamma(x: float) -> LnGamma:

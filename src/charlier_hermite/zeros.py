@@ -24,7 +24,8 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from typing import Callable, NamedTuple, Optional
+from collections import namedtuple
+from collections.abc import Callable
 
 from .charlier import _zeros_below, charlier_direct
 from .errors import DomainError, _integer, _real
@@ -47,12 +48,7 @@ _MAX_ZEROS_WORK = 1 << 18
 _TABLE_GRID = 64
 
 
-class ZeroResult(NamedTuple):
-    root: float
-    bracket_lo: float
-    bracket_hi: float
-    residual: float
-    iterations: int
+ZeroResult = namedtuple("ZeroResult", "root bracket_lo bracket_hi residual iterations")
 
 
 def _tol(mid: float) -> float:
@@ -138,6 +134,8 @@ def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tupl
     grid = _integer(grid, "grid", 2, _MAX_GRID)
     # np.linspace's grid, node for node, built without numpy
     step = (hi - lo) / (grid - 1)
+    if not math.isfinite(step):  # hi - lo overflows
+        raise DomainError(f"[{lo!r}, {hi!r}] is too wide to scan: hi - lo is not finite")
     xs = [i * step + lo for i in range(grid - 1)] + [hi]
     fs = [None] * grid
 
@@ -166,7 +164,7 @@ def _scan(f: Callable[[float], float], lo: float, hi: float, grid: int) -> list:
 
 
 def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
-             target: float) -> Optional[ZeroResult]:
+             target: float) -> ZeroResult | None:
     """The zero of _scan(f, lo, hi, grid) nearest target, the lower one of
     two as near, or None where there is none.
 
@@ -201,14 +199,17 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 
     The counts at lo - _tol(n + a) and at hi give the range's count of
-    zeros, k, so that a zero on lo is in it.  A cell whose end counts
-    differ is split at its midpoint, whose count is clamped between those
-    of the ends: the cells then hold exactly k zeros, even where float
-    counts are not monotone.  A cell narrower than _tol of its midpoint
-    gives one ZeroResult per zero it holds: the midpoint as root, the cell
-    as bracket, the counts that narrowed it as iterations, and
-    |c_n^a(root)| as residual, inf where charlier_direct refuses.  (n, a)
-    are taken as count_positive_zeros takes them; DomainError also where
+    zeros, k, so that a zero on lo is in it.  Bisection starts from that
+    range cut to [-_tol(n + a), n + a + 2 sqrt(a n)], whose ends have the
+    same counts, as every zero lies in (0, n + a + 2 sqrt(a n)]
+    (count_positive_zeros).  A cell whose end counts differ is split at
+    its midpoint, whose count is clamped between those of the ends: the
+    cells then hold exactly k zeros, even where float counts are not
+    monotone.  A cell narrower than _tol of its midpoint gives one
+    ZeroResult per zero it holds: the midpoint as root, the cell as
+    bracket, the counts that narrowed it as iterations, and |c_n^a(root)|
+    as residual, inf where charlier_direct refuses.  (n, a) are taken as
+    count_positive_zeros takes them; DomainError also where
     k n > _MAX_ZEROS_WORK, after the two counts.
     """
     n, a = _count_args(n, a)
@@ -219,12 +220,13 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     if (c_hi - c_lo) * n > _MAX_ZEROS_WORK:
         raise DomainError(f"[{lo!r}, {hi!r}] holds {c_hi - c_lo} zeros of c_{n}^a; at n={n} "
                           f"at most {_MAX_ZEROS_WORK // n} are found in one call")
-    results, cells = [], [(below, hi, c_lo, c_hi, 0)]
+    top = n + a + 2.0 * math.sqrt(a * n)
+    results, cells = [], [(max(below, -_tol(n + a)), min(hi, top), c_lo, c_hi, 0)]
     while cells:  # depth first, lower cell first: the zeros come out ascending
         x0, x1, c0, c1, depth = cells.pop()
         if c0 == c1:
             continue
-        mid = 0.5 * x0 + 0.5 * x1  # x0 + x1 may overflow
+        mid = 0.5 * x0 + 0.5 * x1
         if x1 - x0 < _tol(mid):
             try:
                 residual = abs(charlier_direct(n, a, mid))
@@ -256,12 +258,7 @@ def count_positive_zeros(n: int, a: float) -> int:
     return _zeros_below(n, a, n + a + 2.0 * math.sqrt(a * n)) - _zeros_below(n, a, 0.0)
 
 
-class ZeroConvergenceRow(NamedTuple):
-    a: float
-    n: int
-    nu_n: float
-    abs_err: float
-    error: Optional[str] = None
+ZeroConvergenceRow = namedtuple("ZeroConvergenceRow", "a n nu_n abs_err error", defaults=(None,))
 
 
 def _target_window(x: float, target: float) -> tuple:

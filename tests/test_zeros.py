@@ -311,6 +311,44 @@ def test_charlier_zeros_are_refused_before_the_counts_that_cost(monkeypatch):
         calls.clear()
 
 
+def test_bisection_starts_from_the_span_of_the_zeros(monkeypatch):
+    # the range is cut to [-_tol(n + a), n + a + 2 sqrt(a n)] before the
+    # first split: from -1e308 the cells took about 1060 counts to come
+    # down to the one zero
+    calls = []
+    counted = zeros._zeros_below
+    monkeypatch.setattr(zeros, "_zeros_below", lambda *args: calls.append(args) or counted(*args))
+    zs = charlier_zeros_in_order(16384, 1.0, -1e308, 0.05)
+    assert len(zs) == 1 and zs[0].bracket_lo < zs[0].root < zs[0].bracket_hi
+    assert len(calls) <= 64
+
+
+def test_zeros_of_a_huge_range_are_the_exact_sign_changes():
+    zs = charlier_zeros_in_order(40, 40.0, -1e300, 1e300)
+    assert len(zs) == 40
+    assert all(u.bracket_hi <= v.bracket_lo for u, v in zip(zs, zs[1:]))
+    for z in zs:
+        assert z.bracket_lo < z.root < z.bracket_hi
+        assert z.bracket_hi - z.bracket_lo < _tol(z.root), z
+        signs = [charlier_direct(40, 40, Fraction(v), mode="rational")
+                 for v in (z.bracket_lo, z.bracket_hi)]
+        assert signs[0] * signs[1] <= 0, z
+
+
+def test_a_range_too_wide_to_scan_is_refused_before_any_value():
+    # hi - lo overflowed to an inf step, whose node 0 * inf + lo was a nan
+    # refused as if the caller had passed it
+    with pytest.raises(DomainError, match=r"\[-1e\+308, 1e\+308\] is too wide to scan: "
+                                          r"hi - lo is not finite"):
+        hermite_zeros_in_order(0.0, -1e308, 1e308)
+    nodes = []
+    with pytest.raises(DomainError, match="too wide to scan"):
+        _scan(nodes.append, -1e308, 1e308, 2)
+    assert nodes == []
+    # the widest range whose step is finite scans as before
+    assert _scan_grid(-1e308, 7e307, 3) == np.linspace(-1e308, 7e307, 3).tolist()
+
+
 @pytest.mark.parametrize("miscount", [1, -1])
 def test_a_miscounted_midpoint_keeps_the_range_count(monkeypatch, miscount):
     # the midpoint's count is clamped between those of its cell's ends, so

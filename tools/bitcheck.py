@@ -35,8 +35,11 @@ and +-1e308 among them; the `repr` of one record of each of the 9
 public record types; 200 `charlier_zeros_in_order` calls, with n <= 40
 and a in [0.5, 100], 40 of them over the whole positive range, and 3
 more at (20, 10), (40, 40) and (60, 30) from lo = 1e-12 (a checkout
-that still takes a grid scans on its default of 128 nodes); 100
-`hermite_zeros_in_order` scans, with |x| <= 3 and lo in [-4, 8]; 12
+that still takes a grid scans on its default of 128 nodes), and 2 over
+huge ranges, (16384, 1) on [-1e308, 0.05] and (40, 40) on [-1e300,
+1e300]; 101 `hermite_zeros_in_order` scans, 100 with |x| <= 3 and lo
+in [-4, 8], and one at x = 0 on [-1e308, 1e308], where hi - lo
+overflows; 12
 `zero_convergence_table`s at README scale, with |x| <= 1, targets in
 [0.5, 6] and a from 80 to 8000, and 3 with an a from 9e307 up, where 2a
 overflows; and 58
@@ -154,10 +157,13 @@ for i in range(200):
     cases.append(("charlier_zeros_in_order", n, a, lo, hi))
 cases += [("charlier_zeros_in_order", n, a, 1e-12, a + 4.0 * n * math.sqrt(a))
           for n, a in ((20, 10.0), (40, 40.0), (60, 30.0))]
+cases += [("charlier_zeros_in_order", 16384, 1.0, -1e308, 0.05),
+          ("charlier_zeros_in_order", 40, 40.0, -1e300, 1e300)]
 for _ in range(100):
     lo = rng.uniform(-4.0, 8.0)
     cases.append(("hermite_zeros_in_order", rng.uniform(-3.0, 3.0), lo, lo + rng.uniform(0.5, 6.0),
                   rng.choice((16, 64, 128, 256))))
+cases.append(("hermite_zeros_in_order", 0.0, -1e308, 1e308))
 for _ in range(12):  # a target with no Hermite zero within 0.5 is refused
     cases.append(("zero_convergence_table", rng.uniform(-1.0, 1.0), rng.uniform(0.5, 6.0),
                   [a * rng.uniform(0.8, 1.25) for a in (100.0, 400.0, 1600.0, 6400.0)]))
@@ -177,7 +183,7 @@ cases += [("repr", call) for call in (
     "hermite_zeros_in_order(0.0, 0.5, 1.5)", "zero_convergence_table(0.0, 3.0, [100.0, 0.0])")]
 
 
-def fields(record):  # a NamedTuple record's values, or an older checkout's dataclass's
+def fields(record):  # a namedtuple record's values, or an older checkout's dataclass's
     return (record._asdict() if hasattr(record, "_asdict") else vars(record)).values()
 
 

@@ -23,13 +23,9 @@ import sys
 from collections import namedtuple
 from functools import partial
 
-from .errors import DomainError, _finite, _integer, _real, _text
+from .errors import _MAX_NODES, DomainError, _finite, _integer, _real, _text
 from .hermite import hermite_fn
 from .special import ln_gamma, upper_incomplete_gamma
-
-# trapezoid_gamma_check's node limit, the row limit of plot fnu: 10^6
-# f_nu calls took 0.37 s
-_MAX_NODES = 1_000_000
 
 
 def _ceil_4th_root(x: int) -> int:

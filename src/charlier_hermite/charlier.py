@@ -28,8 +28,7 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import (DegenerateArgumentError, DomainError, RationalModeError, _finite, _integer,
-                     _rational, _real)
+from .errors import DomainError, RationalModeError, _finite, _integer, _rational, _real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -350,16 +349,13 @@ def charlier_backward_step(n: int, a: float, x: float,
 
         c_{n-1}(x-1) = (a/x) (c_{n-1}(x) - c_n(x)).
 
-    Signals rather than divides when |x| < 1e-300; the caller must use
-    direct evaluation there.  DomainError where an argument or the result
-    is not finite.
+    DomainError at x = 0, where the caller must evaluate directly, and
+    where an argument or the result is not finite.
     """
     n, a, x = _integer(n, "n", 1), _real(a, "a", 0, strict=True), _real(x, "x")
     c0, c1 = _real(c_nm1_at_x, "c_nm1_at_x"), _real(c_n_at_x, "c_n_at_x")
-    if abs(x) < 1e-300:
-        raise DegenerateArgumentError(
-            f"backward step degenerate at x={x!r}; evaluate directly instead"
-        )
+    if x == 0.0:
+        raise DomainError(f"backward step degenerate at x={x!r}; evaluate directly instead")
     return _finite((a / x) * (c0 - c1), "the recurrence step at n={}, a={!r}, x={!r}", n, a, x)
 
 

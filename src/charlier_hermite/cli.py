@@ -20,9 +20,7 @@ import re
 import sys
 from collections import namedtuple
 
-from .errors import ConvergenceError, DomainError
-
-_MAX_ROWS = 1_000_000  # plot fnu limit, checked before any row is built
+from .errors import _MAX_NODES, ConvergenceError, DomainError
 
 
 OutputTable = namedtuple("OutputTable", "header rows")  # rows: dicts keyed by header names
@@ -168,8 +166,8 @@ def _plot_fnu(nu, t_max, dt):
     if dt <= 0 or t_max < 0:
         raise DomainError(f"need dt > 0 and t-max >= 0, got dt={dt}, t-max={t_max}")
     span = t_max / dt + 1e-12
-    if span >= _MAX_ROWS:
-        raise DomainError(f"t-max/dt = {span:.6g} asks for more than {_MAX_ROWS} rows")
+    if span >= _MAX_NODES:
+        raise DomainError(f"t-max/dt = {span:.6g} asks for more than {_MAX_NODES} rows")
     from .asymptotics import f_nu
     return [{"t": i * dt, "f": f_nu(i * dt, nu)} for i in range(int(span) + 1)]
 

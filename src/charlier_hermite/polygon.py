@@ -35,12 +35,11 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .charlier import _block_size, _scaled, charlier_direct
-from .errors import DomainError, _finite, _integer, _real
+from .errors import _MAX_NODES, DomainError, _finite, _integer, _real
 
 if TYPE_CHECKING:
     import numpy as np
 
-_MAX_NODES = 1_000_000  # the row limit of plot fnu, checked before allocating
 # At most this many nodes between two anchors of the state trace.  On 112
 # traces (a in {100, 1000.5, 1e4, 1e5}, nu in [-2.7, 3.9], x_max in
 # {1, 2.5}, both directions) the worst of about 40 nodes each came to

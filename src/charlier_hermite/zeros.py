@@ -189,9 +189,11 @@ def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
 
 
 def _count_args(n, a) -> tuple:
-    """(n, a) where the Sturm counts take them; DomainError otherwise."""
+    """(n, a, top) where the Sturm counts take (n, a), with top = n + a +
+    2 sqrt(a n) above every zero of c_n^a (Gershgorin); DomainError otherwise."""
     n = _integer(n, "n", 1, _MAX_COUNT_N)
-    return n, _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
+    a = _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
+    return n, a, n + a + 2.0 * math.sqrt(a * n)
 
 
 def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
@@ -200,19 +202,18 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
 
     The counts at lo - _tol(n + a) and at hi give the range's count of
     zeros, k, so that a zero on lo is in it.  Bisection starts from that
-    range cut to [-_tol(n + a), n + a + 2 sqrt(a n)], whose ends have the
-    same counts, as every zero lies in (0, n + a + 2 sqrt(a n)]
-    (count_positive_zeros).  A cell whose end counts differ is split at
-    its midpoint, whose count is clamped between those of the ends: the
-    cells then hold exactly k zeros, even where float counts are not
-    monotone.  A cell narrower than _tol of its midpoint gives one
+    range cut to [-_tol(n + a), top], whose ends have the same counts, as
+    every zero lies in (0, top] (_count_args).  A cell whose end counts
+    differ is split at its midpoint, whose count is clamped between those
+    of the ends: the cells then hold exactly k zeros, even where float
+    counts are not monotone.  A cell narrower than _tol of its midpoint gives one
     ZeroResult per zero it holds: the midpoint as root, the cell as
     bracket, the counts that narrowed it as iterations, and |c_n^a(root)|
     as residual, inf where charlier_direct refuses.  (n, a) are taken as
     count_positive_zeros takes them; DomainError also where
     k n > _MAX_ZEROS_WORK, after the two counts.
     """
-    n, a = _count_args(n, a)
+    n, a, top = _count_args(n, a)
     lo = _real(lo, "lo")
     hi = _real(hi, "hi", lo, strict=True)
     below = lo - _tol(n + a)
@@ -220,7 +221,6 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     if (c_hi - c_lo) * n > _MAX_ZEROS_WORK:
         raise DomainError(f"[{lo!r}, {hi!r}] holds {c_hi - c_lo} zeros of c_{n}^a; at n={n} "
                           f"at most {_MAX_ZEROS_WORK // n} are found in one call")
-    top = n + a + 2.0 * math.sqrt(a * n)
     results, cells = [], [(max(below, -_tol(n + a)), min(hi, top), c_lo, c_hi, 0)]
     while cells:  # depth first, lower cell first: the zeros come out ascending
         x0, x1, c0, c1, depth = cells.pop()
@@ -249,13 +249,13 @@ def hermite_zeros_in_order(x: float, lo: float, hi: float,
 def count_positive_zeros(n: int, a: float) -> int:
     """The number of positive zeros of nu -> c_n^a(nu), which is n.
 
-    Two Sturm counts, _zeros_below(n, a, hi) - _zeros_below(n, a, 0), with
-    hi = n + a + 2 sqrt(a n) above every zero (Gershgorin); J is positive
-    definite, so no zero lies below 0.  DomainError, before any count,
-    where n > _MAX_COUNT_N or a is outside [_MIN_COUNT_A, _MAX_COUNT_A].
+    Two Sturm counts, _zeros_below(n, a, top) - _zeros_below(n, a, 0), with
+    top above every zero (_count_args); J is positive definite, so no zero
+    lies below 0.  DomainError, before any count, where n > _MAX_COUNT_N
+    or a is outside [_MIN_COUNT_A, _MAX_COUNT_A].
     """
-    n, a = _count_args(n, a)
-    return _zeros_below(n, a, n + a + 2.0 * math.sqrt(a * n)) - _zeros_below(n, a, 0.0)
+    n, a, top = _count_args(n, a)
+    return _zeros_below(n, a, top) - _zeros_below(n, a, 0.0)
 
 
 ZeroConvergenceRow = namedtuple("ZeroConvergenceRow", "a n nu_n abs_err error", defaults=(None,))

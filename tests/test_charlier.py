@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from charlier_hermite import (
-    DegenerateArgumentError,
     DomainError,
     RationalModeError,
     ScaledPoint,
@@ -69,6 +68,14 @@ def test_rational_mode_input_handling():
         charlier_direct(2, "not-a-number", 1, mode="rational")
     with pytest.raises(DomainError):
         charlier_direct(2, Fraction(-1, 2), 1, mode="rational")
+
+
+def test_unknown_mode_is_refused():
+    # a mode is "float" or "rational", and no other name falls through to either path
+    with pytest.raises(DomainError, match="^unknown mode 'exact'$"):
+        charlier_direct(5, 2.0, 1.5, mode="exact")
+    with pytest.raises(DomainError, match="^unknown mode 'exact'$"):
+        scaled_y(ScaledPoint(0.5, 100.0), 1.5, mode="exact")
 
 
 def test_float_vs_rational_cross_validation():
@@ -150,10 +157,16 @@ def test_backward_step_matches_direct():
 
 
 def test_backward_step_degenerate_x():
-    with pytest.raises(DegenerateArgumentError):
-        charlier_backward_step(2, 2.0, 0.0, 1.0, 1.0)
-    with pytest.raises(DegenerateArgumentError):
+    # only x = 0 divides by zero; a tiny x is a step like any other, refused only where
+    # its result leaves double range
+    for x in (0.0, -0.0):
+        with pytest.raises(DomainError, match=rf"^backward step degenerate at x={x!r}; "
+                                              "evaluate directly instead$"):
+            charlier_backward_step(2, 2.0, x, 1.0, 1.0)
+    with pytest.raises(DomainError, match="is outside double range"):
         charlier_backward_step(2, 2.0, 1e-320, 1.0, 1.0)
+    got = charlier_backward_step(2, 2.0, 1e-301, 1.0, 1.0 - 2.0 ** -30)
+    assert got == (2.0 / 1e-301) * 2.0 ** -30
 
 
 def test_scaled_point_ceiling_and_theta():

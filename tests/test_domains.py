@@ -208,9 +208,9 @@ _FLOAT_EXAMPLES = {
 
 
 def _real_parameters(f) -> list:
-    """The parameters of f annotated as real: float, or charlier's Number."""
+    """The parameters of f annotated as real: float."""
     return [p.name for p in inspect.signature(f).parameters.values()
-            if "float" in str(p.annotation) or p.annotation == "Number"]
+            if "float" in str(p.annotation)]
 
 
 def test_every_real_parameter_is_in_the_table():

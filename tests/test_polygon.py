@@ -219,6 +219,14 @@ def test_trace_deviation_of_traces_a_caller_builds():
     assert trace_deviation(tiny, zero) == 5e-200
 
 
+def test_a_trace_needs_one_state_per_node():
+    # one (y, y') state per node, and at least one node
+    for xs, states in ((np.zeros(3), np.zeros((2, 2))), (np.zeros(0), np.zeros((0, 2)))):
+        with pytest.raises(DomainError,
+                           match="^PolygonTrace needs matching non-empty xs and states$"):
+            polygon.PolygonTrace(xs, states, 0.1)
+
+
 def test_z_trace_tracks_euler_at_rate_half():
     for nu in (0.5, 2.0):
         pts = []

@@ -34,26 +34,22 @@ and 7 `trace_deviation`s of traces built from given states, nan, inf
 and +-1e308 among them; the `repr` of one record of each of the 9
 public record types; 200 `charlier_zeros_in_order` calls, with n <= 40
 and a in [0.5, 100], 40 of them over the whole positive range, and 3
-more at (20, 10), (40, 40) and (60, 30) from lo = 1e-12 (a checkout
-that still takes a grid scans on its default of 128 nodes), and 2 over
+more at (20, 10), (40, 40) and (60, 30) from lo = 1e-12, and 2 over
 huge ranges, (16384, 1) on [-1e308, 0.05] and (40, 40) on [-1e300,
 1e300]; 101 `hermite_zeros_in_order` scans, 100 with |x| <= 3 and lo
 in [-4, 8], and one at x = 0 on [-1e308, 1e308], where hi - lo
-overflows; 12
-`zero_convergence_table`s at README scale, with |x| <= 1, targets in
-[0.5, 6] and a from 80 to 8000, and 3 with an a from 9e307 up, where 2a
-overflows; and 58
-`count_positive_zeros` outcomes, 40 seeded with n <= 6 and a in
-[0.1, 1e6], and 18 at given (n, a), 10 of which the grid-doubling count
-refused.  The grid runs twice on each side: warm, with numpy loaded
-first, and cold, where the first sums build their terms in Python until
-the process's budget of Python terms loads numpy.  Each outcome is the
-`float.hex` of every value (an exact value as its `str`), or the error's
-type and message; a trace's outcome is its node count, the SHA-256 of
-the hex of all its values, and its deviation; the warnings of a
-checkout whose Charlier zeros come from a scan are not outcomes.
-Prints every outcome that differs and exits 1 if any does, 0 if none
-does.
+overflows; 12 `zero_convergence_table`s at README scale, with |x| <= 1,
+targets in [0.5, 6] and a from 80 to 8000, and 3 with an a from 9e307
+up, where 2a overflows; and 58 `count_positive_zeros` outcomes, 40
+seeded with n <= 6 and a in [0.1, 1e6], and 18 at given (n, a), 10 of
+which the grid-doubling count refused.  The grid runs twice on each
+side: warm, with numpy loaded first, and cold, where the first sums
+build their terms in Python until the process's budget of Python terms
+loads numpy.  Each outcome is the `float.hex` of every value (an exact
+value as its `str`), or the error's type and message; a trace's outcome
+is its node count, the SHA-256 of the hex of all its values, and its
+deviation.  Prints every outcome that differs and exits 1 if any does,
+0 if none does.
 
 Standard library only; the children need numpy.
 """
@@ -75,8 +71,7 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 # Prints the outcome of each case of the grid drawn from seed argv[1], as
 # JSON: [case, values or error].  argv[2] is "warm" to load numpy first.
 GRID = """
-import hashlib, json, math, random, sys, warnings
-warnings.simplefilter("ignore")  # an older Charlier scan's warning is not its outcome
+import hashlib, json, math, random, sys
 if sys.argv[2] == "warm":
     import numpy  # noqa: F401, every sum takes its numpy path
 import charlier_hermite as api
@@ -183,18 +178,13 @@ cases += [("repr", call) for call in (
     "hermite_zeros_in_order(0.0, 0.5, 1.5)", "zero_convergence_table(0.0, 3.0, [100.0, 0.0])")]
 
 
-def fields(record):  # a namedtuple record's values, or an older checkout's dataclass's
-    return (record._asdict() if hasattr(record, "_asdict") else vars(record)).values()
-
-
 out = []
 for case in cases:
     try:
         if case[0] == "charlier_direct":
             got = [charlier_direct(*case[1:]).hex()]
         elif case[0] == "head_tail_split":
-            values = fields(head_tail_split(SplitConfig(*case[1:])))
-            got = [None if v is None else v.hex() for v in values]
+            got = [None if v is None else v.hex() for v in head_tail_split(SplitConfig(*case[1:]))]
         elif case[0] == "scaled_y":
             got = [scaled_y(ScaledPoint(*case[1:3]), case[3]).hex()]
         elif case[0] == "hermite_fn":
@@ -204,14 +194,14 @@ for case in cases:
         elif case[0] == "charlier_rational":
             got = [str(charlier_direct(*case[1:], mode="rational"))]
         elif case[0] == "sharpness_check":
-            got = [str(v) for v in fields(sharpness_check(*case[1:]))]
+            got = [str(v) for v in sharpness_check(*case[1:])]
         elif case[0] == "trace_deviation":
             import numpy as np
             t1, t2 = (PolygonTrace(np.array(case[1]), np.array(s), 0.5) for s in case[2:])
             got = [trace_deviation(t1, t2).hex()]
         elif case[0] in ("charlier_zeros_in_order", "hermite_zeros_in_order",
                          "zero_convergence_table"):
-            got = [[v.hex() if isinstance(v, float) else v for v in fields(r)]
+            got = [[v.hex() if isinstance(v, float) else v for v in r]
                    for r in getattr(api, case[0])(*case[1:])]
         elif case[0] == "count_positive_zeros":
             got = [api.count_positive_zeros(*case[1:])]

@@ -16,7 +16,7 @@ _NAMES = {
                     "factor_q", "head_tail_split", "trapezoid_gamma_check"),
     "charlier": ("ScaledPoint", "charlier_backward_step", "charlier_direct",
                  "charlier_order_shift", "scaled_y"),
-    "errors": ("ConvergenceError", "DomainError", "PoleError", "RationalModeError"),
+    "errors": ("ConvergenceError", "DomainError"),
     "hermite": ("hermite_derivative", "hermite_fn"),
     "polygon": ("PolygonTrace", "apriori_deviation_bound", "charlier_state_trace",
                 "euler_polygon", "system_matrix_norm_bound", "trace_deviation"),

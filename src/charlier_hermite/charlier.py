@@ -28,7 +28,7 @@ import sys
 from collections import namedtuple
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, RationalModeError, _finite, _integer, _rational, _real
+from .errors import DomainError, _finite, _integer, _rational, _real
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -454,7 +454,7 @@ def scaled_y(point: ScaledPoint, nu: int | float | Fraction, mode: str = "float"
         raise DomainError(f"unknown mode {mode!r}")
     nu_r = _rational(nu, "nu")
     if nu_r.denominator != 1:
-        raise RationalModeError(f"(2a)^(nu/2) is irrational for nu={nu!r}")
+        raise DomainError(f"(2a)^(nu/2) is irrational for nu={nu!r}")
     nu_i = nu_r.numerator
     a_r = _rational(point.a, "a")
     two_a = 2 * a_r
@@ -464,8 +464,6 @@ def scaled_y(point: ScaledPoint, nu: int | float | Fraction, mode: str = "float"
     else:
         root = _exact_sqrt(two_a)
         if root is None:
-            raise RationalModeError(
-                f"sqrt(2a) is irrational for a={point.a!r}; cannot scale exactly"
-            )
+            raise DomainError(f"sqrt(2a) is irrational for a={point.a!r}; cannot scale exactly")
         scale = root ** nu_i
     return scale * charlier_direct(point.n, a_r, nu_r, mode="rational")

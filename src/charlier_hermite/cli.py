@@ -110,8 +110,9 @@ def _parse_a_list(s: str, name: str) -> list:
 
 
 def _report_rate(rows) -> None:
-    """Fit err ~ a^slope over the rows with abs_err > 0, write the fit to
-    stderr and fill every row's slope and r_squared (empty without a fit)."""
+    """Fit err ~ a^slope over the rows with abs_err > 0, write the fit, or why
+    there is none, to stderr and fill every row's slope and r_squared (empty
+    without a fit)."""
     from .ratefit import fit_rate
     usable = [(r["a"], r["abs_err"]) for r in rows if r.get("abs_err", 0) > 0]
     fit = None
@@ -121,7 +122,11 @@ def _report_rate(rows) -> None:
         print("rate fit skipped: repeated a values among the rows with err > 0",
               file=sys.stderr)
     else:
-        fit = fit_rate(usable)
+        try:  # fit_rate refuses distinct a whose float ln a coincide, and an err of inf
+            fit = fit_rate(usable)
+        except DomainError as e:
+            print(f"rate fit skipped: {e}", file=sys.stderr)
+    if fit is not None:
         if len(rows) > len(usable):
             print(f"rate fit excluded {len(rows) - len(usable)} row(s) with err <= 0 "
                   "or failures", file=sys.stderr)

@@ -2,8 +2,7 @@
 integer, float and exact-rational arguments and for float results, and
 its one node cap.
 
-The CLI maps DomainError (and subclasses) to exit code 1 and
-ConvergenceError to exit code 2.
+The CLI maps DomainError to exit code 1 and ConvergenceError to exit code 2.
 """
 
 import math
@@ -16,14 +15,6 @@ _MAX_NODES = 1_000_000
 
 class DomainError(ValueError):
     """An input violates a documented precondition."""
-
-
-class PoleError(DomainError):
-    """Evaluation requested exactly at a pole of the gamma function."""
-
-
-class RationalModeError(DomainError):
-    """Exact-rational evaluation requested for inputs it cannot represent."""
 
 
 class ConvergenceError(RuntimeError):
@@ -71,15 +62,14 @@ def _real(value, name: str, lo=-sys.float_info.max, hi=sys.float_info.max,
 
 def _rational(value, name: str, positive: bool = False):
     """Fraction(value), where value is an int, a float (at its binary value), a Fraction or a
-    decimal string, not a bool, and above 0 where positive; else RationalModeError, or
-    DomainError where only the sign is wrong."""
+    decimal string, not a bool, and above 0 where positive; else DomainError."""
     import fractions  # here, as the float path seldom needs it
     try:
         f = None if isinstance(value, bool) else fractions.Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError, OverflowError):  # nan, +-inf, "x", ...
         f = None
     if f is None:
-        raise RationalModeError(f"{name}={value!r} is not an exact rational")
+        raise DomainError(f"{name}={value!r} is not an exact rational")
     if positive and f <= 0:
         raise DomainError(f"{name} must be positive, got {value!r}")
     return f

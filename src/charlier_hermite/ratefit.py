@@ -19,7 +19,7 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .charlier import _exact_sqrt, charlier_direct
-from .errors import DomainError, RationalModeError, _integer, _rational, _real
+from .errors import DomainError, _integer, _rational, _real
 
 # admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
 _MAX_R = 256
@@ -75,7 +75,7 @@ def sharpness_check(x, a) -> SharpnessResult:
     two_a = 2 * a_r
     r = _exact_sqrt(two_a)
     if r is None:
-        raise RationalModeError(f"sqrt(2a) is irrational for a={a!r}")
+        raise DomainError(f"sqrt(2a) is irrational for a={a!r}")
     n_exact = a_r - x_r * r
     if n_exact.denominator != 1 or n_exact < 0:
         raise DomainError(

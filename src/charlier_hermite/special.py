@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from functools import partial
 
-from .errors import ConvergenceError, PoleError, _finite, _integer, _real
+from .errors import ConvergenceError, DomainError, _finite, _integer, _real
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -39,13 +39,13 @@ LnGamma = namedtuple("LnGamma", "log sign")  # ln|Gamma(x)|, and the sign of Gam
 def ln_gamma(x: float) -> LnGamma:
     """ln|Gamma(x)| with the sign of Gamma(x) carried separately.
 
-    Raises PoleError at non-positive integers.  For negative non-integer
+    Raises DomainError at non-positive integers.  For negative non-integer
     x the sign alternates between consecutive integers: Gamma is
     negative on (-1, 0), positive on (-2, -1), and so on.
     """
     x = _real(x, "x")
     if _is_nonpositive_integer(x):
-        raise PoleError(f"gamma pole at x = {x}")
+        raise DomainError(f"gamma pole at x = {x}")
     if x > 0:
         sign = 1
     else:
@@ -182,7 +182,7 @@ def kummer_m(alpha: float, beta: float, z: float) -> float:
     """
     alpha, beta, z = _real(alpha, "alpha"), _real(beta, "beta"), _real(z, "z")
     if _is_nonpositive_integer(beta):
-        raise PoleError(f"kummer_m pole at beta = {beta}")
+        raise DomainError(f"kummer_m pole at beta = {beta}")
     return _kummer(alpha, beta, z)
 
 

@@ -89,12 +89,12 @@ def _kummer_reference(alpha, beta, z):
     the loop, with its checks and the refusal of a sum that is not finite:
     (M, terms summed).  The table-driven series must give the same double,
     error and message."""
-    from charlier_hermite import ConvergenceError, DomainError, PoleError
+    from charlier_hermite import ConvergenceError, DomainError
     for name, value in (("alpha", alpha), ("beta", beta), ("z", z)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be a finite number, got {value!r}")
     if beta <= 0 and beta == math.floor(beta):
-        raise PoleError(f"kummer_m pole at beta = {beta}")
+        raise DomainError(f"kummer_m pole at beta = {beta}")
     total = 1.0
     comp = 0.0
     term = 1.0

@@ -11,7 +11,6 @@ import pytest
 
 from charlier_hermite import (
     DomainError,
-    RationalModeError,
     ScaledPoint,
     SharpnessResult,
     admissible_sharpness_pairs,
@@ -64,7 +63,7 @@ def test_rational_mode_input_handling():
     assert charlier_direct(1, 2.5, 0.5, mode="rational") == 1 - Fraction(1, 5)
     # decimal and p/q strings go through Fraction unchanged
     assert charlier_direct(1, "5/2", "0.5", mode="rational") == Fraction(4, 5)
-    with pytest.raises(RationalModeError):
+    with pytest.raises(DomainError, match="^a='not-a-number' is not an exact rational$"):
         charlier_direct(2, "not-a-number", 1, mode="rational")
     with pytest.raises(DomainError):
         charlier_direct(2, Fraction(-1, 2), 1, mode="rational")
@@ -634,9 +633,11 @@ def test_scaled_y_rational():
     # 2a = 4: negative odd order divides by the exact root
     got = scaled_y(ScaledPoint(x=0.0, a=2.0), -1, mode="rational")
     assert got == Fraction(charlier_direct(2, 2, -1, mode="rational"), 2)
-    with pytest.raises(RationalModeError):
+    with pytest.raises(DomainError, match=r"^sqrt\(2a\) is irrational for a=3\.0; cannot scale "
+                       "exactly$"):
         scaled_y(ScaledPoint(x=0.0, a=3.0), 1, mode="rational")  # sqrt(6) irrational
-    with pytest.raises(RationalModeError):
+    with pytest.raises(DomainError, match=r"^\(2a\)\^\(nu/2\) is irrational for "
+                       r"nu=Fraction\(1, 2\)$"):
         scaled_y(ScaledPoint(x=0.0, a=2.0), Fraction(1, 2), mode="rational")
 
 

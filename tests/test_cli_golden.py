@@ -133,3 +133,13 @@ def test_repeated_a_names_the_reason_the_fit_is_skipped():
     assert err == "rate fit skipped: repeated a values among the rows with err > 0\n"
     assert len(out.splitlines()) == 5
     assert all(line.endswith(",,,") for line in out.splitlines()[1:])
+
+
+def test_coinciding_ln_a_names_the_reason_the_fit_is_skipped():
+    # four distinct a whose float ln a are equal: fit_rate's own refusal is a skip note
+    code, out, err = run_cli("sweep", "convergence", "--nu", "1.5", "--x", "0.7", "--a-list",
+                             "100000,100000.00000000001,100000.00000000003,100000.00000000004")
+    assert code == 0
+    assert err == "rate fit skipped: fit_rate needs distinct ln a values\n"
+    assert len(out.splitlines()) == 5
+    assert all(line.endswith(",,,") for line in out.splitlines()[1:])

@@ -19,7 +19,6 @@ from charlier_hermite import (
     ConvergenceError,
     DomainError,
     PolygonTrace,
-    RationalModeError,
     ScaledPoint,
     SplitConfig,
     admissible_sharpness_pairs,
@@ -429,13 +428,14 @@ def test_real_rule():
 def test_rational_rule():
     # an int, a float, a Fraction, a numpy integer or a decimal string is taken as its
     # exact value; a bool, nan, +-inf, None and a string that is no number are refused
-    # with RationalModeError, and a value <= 0 where it must be positive with DomainError
+    # with "... is not an exact rational", and a value <= 0 where it must be positive
+    # with "... must be positive", both DomainError
     from charlier_hermite.errors import _rational
     values = (3, 3.0, Fraction(3), np.int64(3), "3", "6/2")
     assert [_rational(v, "a", positive=True) for v in values] == [3] * 6
     assert _rational(0.1, "x") == Fraction(0.1) != _rational("0.1", "x") == Fraction(1, 10)
     for value in (True, False, np.bool_(True), math.nan, math.inf, None, "1/0", "x"):
-        with pytest.raises(RationalModeError) as info:
+        with pytest.raises(DomainError) as info:
             _rational(value, "nu")
         assert str(info.value) == f"nu={value!r} is not an exact rational"
     for value in (0, -1, "-1/2"):
@@ -448,7 +448,7 @@ def test_rational_rule():
                     (charlier_direct, (5, 2, True, "rational")),
                     (sharpness_check, (True, 2)), (sharpness_check, (0, True)),
                     (lambda nu: scaled_y(ScaledPoint(0.0, 2.0), nu, "rational"), (True,))]:
-        with pytest.raises(RationalModeError, match="=True is not an exact rational$"):
+        with pytest.raises(DomainError, match="=True is not an exact rational$"):
             f(*args)
 
 

@@ -8,7 +8,6 @@ import pytest
 
 from charlier_hermite import (
     DomainError,
-    RationalModeError,
     admissible_sharpness_pairs,
     fit_rate,
     hermite_fn,
@@ -145,7 +144,7 @@ def test_sharpness_identity_all_admissible_pairs():
 
 
 def test_sharpness_rejects_inadmissible_inputs():
-    with pytest.raises(RationalModeError):
+    with pytest.raises(DomainError, match=r"^sqrt\(2a\) is irrational for a=3$"):
         sharpness_check(0, 3)  # sqrt(6) irrational
     with pytest.raises(DomainError):
         sharpness_check(Fraction(1, 3), 2)  # n = 2 - 2/3 not an integer

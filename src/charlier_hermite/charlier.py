@@ -18,6 +18,8 @@ The scaled value
     y_nu^a(x) = (2a)^{nu/2} c_n^a(nu),   n = ceil(a - x*sqrt(2a))
 
 is the quantity that approaches the Hermite function H_nu(x) as a grows.
+The zeros of nu -> c_n^a(nu) are found in zeros.py, by Sturm counts that
+evaluate no c_n^a.
 """
 
 from __future__ import annotations
@@ -357,28 +359,6 @@ def charlier_backward_step(n: int, a: float, x: float,
     if x == 0.0:
         raise DomainError(f"backward step degenerate at x={x!r}; evaluate directly instead")
     return _finite((a / x) * (c0 - c1), "the recurrence step at n={}, a={!r}, x={!r}", n, a, x)
-
-
-def _zeros_below(n: int, a: float, nu: float) -> int:
-    """How many zeros of c_n^a lie below nu, or at it: the negative pivots
-    d_k = a c_{k+1}(nu) / c_k(nu) of J - nu I, J the Jacobi matrix of the
-    degree recurrence, whose eigenvalues are the zeros (Golub & Welsch,
-    Math. Comp. 23, 1969; Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
-    d_0 = a - nu, and d_k is computed as (a - nu) + k (d_{k-1} - a) / d_{k-1},
-    which is a at nu = 0 in floats too; as (k + a - nu) - a k / d_{k-1} it
-    loses up to k eps, which made pivots at nu = 0 negative at a < n.  A
-    pivot below pivmin in size is taken as -pivmin, as in LAPACK's dstebz,
-    with pivmin the least normal double times max(1, a n): no step overflows.
-    """
-    pivmin, count = sys.float_info.min * max(1.0, a * n), 0
-    s = d = a - nu
-    for k in range(1, n):
-        if d < pivmin:
-            count += 1
-            if d > -pivmin:
-                d = -pivmin
-        d = s + (d - a) / d * k
-    return count + (d < pivmin)
 
 
 class ScaledPoint(namedtuple("ScaledPoint", "x a n theta")):

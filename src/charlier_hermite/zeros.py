@@ -3,17 +3,20 @@
 Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
 simple); Hermite zeros are zeros of nu -> H_nu(x) for fixed x.
 charlier_zeros_in_order evaluates no c_n^a to find a zero: a Sturm count
-(_zeros_below) gives the number of zeros below a point, and bisection on
-counts narrows a range to cells 1e-12 wide (relative) that hold exactly
-its count of zeros.  Hermite zeros are found on a uniform grid: a sign
-change between two nodes brackets a zero, which Brent's zeroin refines to
-a bracket 1e-12 wide (relative), and a node where the function is exactly
-0 is a zero itself.
+(_zeros_below, in dstqds form) gives the number of zeros below a point,
+relatively accurate at every size of nu, and bisection on counts narrows
+a range to cells 1e-12 wide (relative) that hold exactly its count of
+zeros, however small the zero.  Hermite zeros are found on a uniform
+grid: a sign change between two nodes brackets a zero, which Brent's
+zeroin refines to a bracket 1e-12 wide (relative), and a node where the
+function is exactly 0 is a zero itself.  Every bracket stops at the one
+relative tolerance _tol.
 
 zero_convergence_table tracks one Hermite zero target: for each a it
 takes n = floor(a - x sqrt(2a)) and finds the Charlier zero nearest the
 target inside a window reaching halfway to the adjacent Hermite zeros,
-on a grid of c_n^a values.  It needs only the zeros nearest the target,
+on a grid of c_n^a values, or takes the target itself where c_n^a is
+exactly 0 there.  It needs only the zeros nearest the target,
 so its scans visit the grid outward from the target and stop where no
 farther cell could hold a nearer zero: a few nodes and one refinement per
 a, where a full scan of the window costs every node and every refinement.
@@ -24,10 +27,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from collections import namedtuple
 from collections.abc import Callable
 
-from .charlier import _zeros_below, charlier_direct
+from .charlier import charlier_direct
 from .errors import DomainError, _integer, _real
 from .hermite import hermite_fn
 
@@ -52,8 +56,8 @@ ZeroResult = namedtuple("ZeroResult", "root bracket_lo bracket_hi residual itera
 
 
 def _tol(mid: float) -> float:
-    """The bracket width a refinement stops below, around mid."""
-    return _BRACKET_REL_TOL * max(1.0, abs(mid))
+    """The bracket width a refinement stops below, around mid: 1e-12 |mid|."""
+    return _BRACKET_REL_TOL * abs(mid)
 
 
 def _exact(f: Callable[[float], float], x: float, lo: float, hi: float,
@@ -188,6 +192,33 @@ def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
     return best and best[1]
 
 
+def _zeros_below(n: int, a: float, nu: float) -> int:
+    """How many zeros of c_n^a lie below nu, or at it: the negative pivots
+    d_k = a c_{k+1}(nu) / c_k(nu) of J - nu I, J the Jacobi matrix of the
+    degree recurrence, whose eigenvalues are the zeros (Golub & Welsch,
+    Math. Comp. 23, 1969; Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+
+    The pivots are carried in the stationary qd form (dstqds; Dhillon &
+    Parlett, Linear Algebra Appl. 387, 2004) of J = L (a I) L^T, with L
+    unit lower bidiagonal: as s_k = d_k - a, where s_0 = -nu and
+    s_k = k s_{k-1} / d_{k-1} - nu.  No step rounds nu or s_k to ulp(a),
+    so the count resolves nu relative to its own size; at nu = 0 every
+    pivot is exactly a and the count is 0.
+    A pivot below pivmin in size is taken as -pivmin, as in LAPACK's
+    dstebz, with pivmin the least normal double times max(1, a n): no step
+    overflows.
+    """
+    pivmin, count, s = sys.float_info.min * max(1.0, a * n), 0, -nu
+    for k in range(1, n):
+        d = a + s
+        if d < pivmin:
+            count += 1
+            if d > -pivmin:
+                d = -pivmin
+        s = s / d * k - nu
+    return count + (a + s < pivmin)
+
+
 def _count_args(n, a) -> tuple:
     """(n, a, top) where the Sturm counts take (n, a), with top = n + a +
     2 sqrt(a n) above every zero of c_n^a (Gershgorin); DomainError otherwise."""
@@ -200,39 +231,48 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     """Zeros of nu -> c_n^a(nu) in [lo, hi], ascending, by bisection on
     Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
 
-    The counts at lo - _tol(n + a) and at hi give the range's count of
+    The counts at lo - _tol(lo) and at hi give the range's count of
     zeros, k, so that a zero on lo is in it.  Bisection starts from that
-    range cut to [-_tol(n + a), top], whose ends have the same counts, as
-    every zero lies in (0, top] (_count_args).  A cell whose end counts
-    differ is split at its midpoint, whose count is clamped between those
-    of the ends: the cells then hold exactly k zeros, even where float
-    counts are not monotone.  A cell narrower than _tol of its midpoint gives one
-    ZeroResult per zero it holds: the midpoint as root, the cell as
-    bracket, the counts that narrowed it as iterations, and |c_n^a(root)|
-    as residual, inf where charlier_direct refuses.  (n, a) are taken as
-    count_positive_zeros takes them; DomainError also where
-    k n > _MAX_ZEROS_WORK, after the two counts.
+    range cut to [0, top], whose ends have the same counts, as every zero
+    lies in (0, top] (_count_args) and the count at 0 is exactly 0.  A
+    cell whose end counts differ is split at its geometric mean where it
+    spans more than a factor 4 (0 taken as the least positive double),
+    and at its midpoint otherwise, so that a zero of any size costs about
+    50 counts.  The split's count is clamped between those of the ends:
+    the cells then hold exactly k zeros, even where float counts are not
+    monotone.  A cell narrower than _tol of its split point, or one that
+    cannot be split in floats, gives one ZeroResult per zero it holds:
+    the split point as root (the upper end where it cannot be split, as
+    the zero lies in (x0, x1]), the cell as bracket, the counts that
+    narrowed it as iterations, and |c_n^a(root)| as residual, inf where
+    charlier_direct refuses.  (n, a) are taken as count_positive_zeros
+    takes them; DomainError also where k n > _MAX_ZEROS_WORK, after the
+    two counts.
     """
     n, a, top = _count_args(n, a)
     lo = _real(lo, "lo")
     hi = _real(hi, "hi", lo, strict=True)
-    below = lo - _tol(n + a)
+    below = lo - _tol(lo)
     c_lo, c_hi = _zeros_below(n, a, below), _zeros_below(n, a, hi)
     if (c_hi - c_lo) * n > _MAX_ZEROS_WORK:
         raise DomainError(f"[{lo!r}, {hi!r}] holds {c_hi - c_lo} zeros of c_{n}^a; at n={n} "
                           f"at most {_MAX_ZEROS_WORK // n} are found in one call")
-    results, cells = [], [(max(below, -_tol(n + a)), min(hi, top), c_lo, c_hi, 0)]
+    results, cells = [], [(max(below, 0.0), min(hi, top), c_lo, c_hi, 0)]
     while cells:  # depth first, lower cell first: the zeros come out ascending
         x0, x1, c0, c1, depth = cells.pop()
         if c0 == c1:
             continue
-        mid = 0.5 * x0 + 0.5 * x1
-        if x1 - x0 < _tol(mid):
+        if x1 > 4.0 * x0:
+            mid = math.sqrt(max(x0, math.ulp(0.0))) * math.sqrt(x1)
+        else:
+            mid = 0.5 * x0 + 0.5 * x1
+        if not x0 < mid < x1 or x1 - x0 < _tol(mid):
+            root = mid if x0 < mid < x1 else x1
             try:
-                residual = abs(charlier_direct(n, a, mid))
+                residual = abs(charlier_direct(n, a, root))
             except DomainError:
                 residual = math.inf
-            results += [ZeroResult(mid, x0, x1, residual, depth)] * (c1 - c0)
+            results += [ZeroResult(root, x0, x1, residual, depth)] * (c1 - c0)
             continue
         c = min(max(_zeros_below(n, a, mid), c0), c1)
         cells += [(mid, x1, c, c1, depth + 1), (x0, mid, c0, c, depth + 1)]
@@ -249,13 +289,13 @@ def hermite_zeros_in_order(x: float, lo: float, hi: float,
 def count_positive_zeros(n: int, a: float) -> int:
     """The number of positive zeros of nu -> c_n^a(nu), which is n.
 
-    Two Sturm counts, _zeros_below(n, a, top) - _zeros_below(n, a, 0), with
-    top above every zero (_count_args); J is positive definite, so no zero
-    lies below 0.  DomainError, before any count, where n > _MAX_COUNT_N
-    or a is outside [_MIN_COUNT_A, _MAX_COUNT_A].
+    One Sturm count, _zeros_below(n, a, top), with top above every zero
+    (_count_args); J is positive definite, so no zero lies below 0, and
+    the count at 0 is exactly 0.  DomainError, before any count, where
+    n > _MAX_COUNT_N or a is outside [_MIN_COUNT_A, _MAX_COUNT_A].
     """
     n, a, top = _count_args(n, a)
-    return _zeros_below(n, a, top) - _zeros_below(n, a, 0.0)
+    return _zeros_below(n, a, top)
 
 
 ZeroConvergenceRow = namedtuple("ZeroConvergenceRow", "a n nu_n abs_err error", defaults=(None,))
@@ -292,6 +332,9 @@ def _target_window(x: float, target: float) -> tuple:
 def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     """Charlier-zero error against one Hermite-zero target, per a.
 
+    Where c_n^a is exactly 0 at the target, as at target 1 for x = 0 and
+    integer a (c_a^a(1) = c_1^a(a) = 0), the target is the row's zero;
+    elsewhere the zero is the one of the window's scan nearest the target.
     Rows keep going past per-a failures; a failed row carries its error
     message and NaN for the numeric fields.
     """
@@ -311,11 +354,16 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
             n = math.floor(s)
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
-            z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, _TABLE_GRID, target)
-            if z is None:
-                raise DomainError(f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] "
-                                  f"for a={a}")
-            rows.append(ZeroConvergenceRow(a, n, z.root, abs(z.root - target)))
+            if charlier_direct(n, a, target) == 0.0:  # the target is a Charlier zero itself
+                root = target
+            else:
+                z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, _TABLE_GRID,
+                             target)
+                if z is None:
+                    raise DomainError(f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] "
+                                      f"for a={a}")
+                root = z.root
+            rows.append(ZeroConvergenceRow(a, n, root, abs(root - target)))
         except DomainError as exc:  # a is the float, or the value _real refused
             rows.append(ZeroConvergenceRow(a, -1, math.nan, math.nan, str(exc)))
     return rows

@@ -304,12 +304,15 @@ def _oracle_cases():
     # and both directions.  The fixed cases: degree 0, an a where anchors
     # 32 nodes apart would span a turn of about 2 pi (33 times the
     # tolerance), the largest trace at a = 1e5, and traces at a = 3000,
-    # 2e4 and 70050.5 in both directions.
+    # 2e4 and 70050.5 in both directions; the README's `polygon compare`,
+    # where c at node 0 is exactly 0; and a long trace at nu near 0, where
+    # the tolerance is about 16 eps relative.
     rng = np.random.default_rng(11)
     cases = [(0.7, 0.5, 2.0, -1), (3.8011888941282166, 97.08298473539806, 2.5, 1),
              (3.9, 1e5, 2.5, -1), (-2.3, 3000.0, 1.0, 1), (-2.3, 3000.0, 1.0, -1),
              (2.7, 20000.0, 1.0, 1), (2.7, 20000.0, 1.0, -1),
-             (1.5, 70050.5, 0.3, 1), (-0.4, 70050.5, 0.3, -1)]
+             (1.5, 70050.5, 0.3, 1), (-0.4, 70050.5, 0.3, -1),
+             (1.0, 10000.0, 1.0, 1), (-1e-6, 98937.0, 2.5, 1)]
     for i in range(16):
         cases.append((float(rng.uniform(-3.0, 4.0)), float(10.0 ** rng.uniform(1.0, 5.0)),
                       (1.0, 2.5)[i % 2], (1, -1)[i // 2 % 2]))

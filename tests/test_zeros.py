@@ -18,8 +18,7 @@ from charlier_hermite import (
     zero_convergence_table,
     zeros,
 )
-from charlier_hermite.charlier import _zeros_below
-from charlier_hermite.zeros import _nearest, _refine, _scan, _target_window, _tol
+from charlier_hermite.zeros import _nearest, _refine, _scan, _target_window, _tol, _zeros_below
 
 # smallest nu-zero of H_nu(1) in (0, 3); mpmath bisection at 50 digits
 HERMITE_NU_ZERO_AT_X1 = 2.5371955308039388
@@ -216,14 +215,13 @@ def test_zero_convergence_target_three():
 def test_zero_convergence_target_one_is_exact_by_duality():
     # c_a^a(1) = c_1^a(a) = 1 - a/a = 0: the Charlier zero coincides
     # with the Hermite zero for every integer a.  The identity survives
-    # the float path exactly; the located roots match to solver width.
-    from charlier_hermite import charlier_direct
-
+    # the float path exactly, so the table reports the target itself: a
+    # scan of values put the zero at 1.0000000000000018 at a = 1600
     for a in (100, 400, 1600, 6400):
         assert charlier_direct(a, float(a), 1.0) == 0.0
     rows = zero_convergence_table(0.0, 1.0, (100.0, 400.0, 1600.0, 6400.0))
     assert all(r.error is None for r in rows)
-    assert all(r.abs_err <= 1e-12 for r in rows)
+    assert all(r.abs_err == 0 for r in rows)
 
 
 def test_zero_convergence_window_isolates_one_zero():
@@ -254,10 +252,9 @@ def test_charlier_zero_range_validation():
 
 def _assert_zeros_of_range(n, a, lo, hi):
     """charlier_zeros_in_order(n, a, lo, hi) against exact sign changes of
-    c_0, ..., c_n; False, unchecked, where a zero lies within _tol(n + a)
-    below lo, where the range takes it, or within _tol(n + a) of hi."""
-    t = _tol(n + a)
-    ends = [_sign_changes(n, a, v) for v in (lo - t, lo, hi - t, hi, hi + t)]
+    c_0, ..., c_n; False, unchecked, where a zero lies within _tol(lo)
+    below lo, where the range takes it, or within _tol(hi) of hi."""
+    ends = [_sign_changes(n, a, v) for v in (lo - _tol(lo), lo, hi - _tol(hi), hi, hi + _tol(hi))]
     if None in ends or ends[0] != ends[1] or len(set(ends[2:])) > 1:
         return False
     zs = charlier_zeros_in_order(n, a, lo, hi)
@@ -276,7 +273,8 @@ def test_zeros_by_bisection_are_the_exact_sign_changes():
     # seeded (n, a = p/q) on (0, a + 4 n sqrt(a)], and on sub-ranges of the
     # span of the zeros, (0, n + a + 2 sqrt(a n)), which may hold none; and
     # (200, 100), where a scan of 8n nodes was refused and the least zero is
-    # within _tol(n + a) above 0
+    # 4.7e-17, which counts that resolved nu only to 1e-12 (n + a) put in a
+    # cell reaching below 0
     rng = np.random.default_rng(27)
     checked = 0
     while checked < 60:
@@ -287,6 +285,28 @@ def test_zeros_by_bisection_are_the_exact_sign_changes():
                   else sorted(rng.uniform(-1.0, top, 2)))
         checked += _assert_zeros_of_range(n, a, float(lo), float(hi))
     assert _assert_zeros_of_range(200, 100.0, 0.0, 100.0 + 800.0 * 10.0)
+
+
+@pytest.mark.parametrize("n, a, dps", [(20, 10.0, 60), (60, 30.0, 60), (200, 100.0, 60),
+                                       (30, 2.0, 60), (40, 0.5, 120)])
+def test_least_zero_is_found_to_full_relative_accuracy(n, a, dps):
+    # The least zeros are 1.7e-2, 1.4e-5, 4.7e-17, 1.5e-23 and 2.7e-59.
+    # Counts that formed a - nu and d - a resolved nu only to about
+    # eps (n + a), and returned negative roots for the last three.  The
+    # reference is the least eigenvalue of J in 60 or 120 digits, by the
+    # implicit QL stage of mpmath.eigsy: J is tridiagonal already, and
+    # eigsy's reduction to that form takes 11 s at n = 200.
+    mpmath = pytest.importorskip("mpmath")
+    from mpmath.matrices.eigen_symmetric import tridiag_eigen
+
+    zs = charlier_zeros_in_order(n, a, 0.0, 1.0)
+    assert zs and all(0.0 < z.root <= 1.0 for z in zs), zs
+    with mpmath.workdps(dps):
+        d = [k + mpmath.mpf(a) for k in range(n)]
+        e = [mpmath.sqrt(mpmath.mpf(a) * (k + 1)) for k in range(n - 1)] + [0]
+        tridiag_eigen(mpmath.mp, d, e)
+        want = min(d)
+        assert abs(zs[0].root - want) <= 1e-12 * want, (zs[0], want)
 
 
 def test_charlier_zeros_are_refused_before_the_counts_that_cost(monkeypatch):
@@ -312,14 +332,16 @@ def test_charlier_zeros_are_refused_before_the_counts_that_cost(monkeypatch):
 
 
 def test_bisection_starts_from_the_span_of_the_zeros(monkeypatch):
-    # the range is cut to [-_tol(n + a), n + a + 2 sqrt(a n)] before the
-    # first split: from -1e308 the cells took about 1060 counts to come
-    # down to the one zero
+    # the range is cut to [0, n + a + 2 sqrt(a n)] before the first split:
+    # from -1e308 the cells took about 1060 counts to come down to the one
+    # zero.  That zero lies below the least positive double, so its cell
+    # ends at [0, 5e-324], which no double splits, and the root is its
+    # upper end
     calls = []
     counted = zeros._zeros_below
     monkeypatch.setattr(zeros, "_zeros_below", lambda *args: calls.append(args) or counted(*args))
-    zs = charlier_zeros_in_order(16384, 1.0, -1e308, 0.05)
-    assert len(zs) == 1 and zs[0].bracket_lo < zs[0].root < zs[0].bracket_hi
+    z, = charlier_zeros_in_order(16384, 1.0, -1e308, 0.05)
+    assert (z.bracket_lo, z.root, z.bracket_hi) == (0.0, 5e-324, 5e-324)
     assert len(calls) <= 64
 
 

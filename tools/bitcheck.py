@@ -33,14 +33,16 @@ at 2^53 and 2^53 + 2; 5 rational-mode calls with a bool for a rational;
 and 7 `trace_deviation`s of traces built from given states, nan, inf
 and +-1e308 among them; the `repr` of one record of each of the 9
 public record types; 200 `charlier_zeros_in_order` calls, with n <= 40
-and a in [0.5, 100], 40 of them over the whole positive range, and 3
-more at (20, 10), (40, 40) and (60, 30) from lo = 1e-12, and 2 over
-huge ranges, (16384, 1) on [-1e308, 0.05] and (40, 40) on [-1e300,
-1e300]; 101 `hermite_zeros_in_order` scans, 100 with |x| <= 3 and lo
-in [-4, 8], and one at x = 0 on [-1e308, 1e308], where hi - lo
-overflows; 12 `zero_convergence_table`s at README scale, with |x| <= 1,
-targets in [0.5, 6] and a from 80 to 8000, and 3 with an a from 9e307
-up, where 2a overflows; and 58 `count_positive_zeros` outcomes, 40
+and a in [0.5, 100], 40 of them over the whole positive range, 3 more
+at (20, 10), (40, 40) and (60, 30) from lo = 1e-12, 3 on [0, 1] at
+(200, 100), (30, 2) and (40, 0.5), whose least zeros are 4.7e-17,
+1.5e-23 and 2.7e-59, so that a change to the count kernel's rounding
+shows, and 2 over huge ranges, (16384, 1) on [-1e308, 0.05] and
+(40, 40) on [-1e300, 1e300]; 101 `hermite_zeros_in_order` scans, 100
+with |x| <= 3 and lo in [-4, 8], and one at x = 0 on [-1e308, 1e308],
+where hi - lo overflows; 12 `zero_convergence_table`s at README scale,
+with |x| <= 1, targets in [0.5, 6] and a from 80 to 8000, and 3 with an
+a from 9e307 up, where 2a overflows; and 58 `count_positive_zeros` outcomes, 40
 seeded with n <= 6 and a in [0.1, 1e6], and 18 at given (n, a), 10 of
 which the grid-doubling count refused.  The grid runs twice on each
 side: warm, with numpy loaded first, and cold, where the first sums
@@ -152,6 +154,7 @@ for i in range(200):
     cases.append(("charlier_zeros_in_order", n, a, lo, hi))
 cases += [("charlier_zeros_in_order", n, a, 1e-12, a + 4.0 * n * math.sqrt(a))
           for n, a in ((20, 10.0), (40, 40.0), (60, 30.0))]
+cases += [("charlier_zeros_in_order", n, a, 0.0, 1.0) for n, a in ((200, 100.0), (30, 2.0), (40, 0.5))]
 cases += [("charlier_zeros_in_order", 16384, 1.0, -1e308, 0.05),
           ("charlier_zeros_in_order", 40, 40.0, -1e300, 1e300)]
 for _ in range(100):

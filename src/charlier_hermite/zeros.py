@@ -235,19 +235,19 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     zeros, k, so that a zero on lo is in it.  Bisection starts from that
     range cut to [0, top], whose ends have the same counts, as every zero
     lies in (0, top] (_count_args) and the count at 0 is exactly 0.  A
-    cell whose end counts differ is split at its geometric mean where it
-    spans more than a factor 4 (0 taken as the least positive double),
-    and at its midpoint otherwise, so that a zero of any size costs about
-    50 counts.  The split's count is clamped between those of the ends:
-    the cells then hold exactly k zeros, even where float counts are not
-    monotone.  A cell narrower than _tol of its split point, or one that
-    cannot be split in floats, gives one ZeroResult per zero it holds:
-    the split point as root (the upper end where it cannot be split, as
-    the zero lies in (x0, x1]), the cell as bracket, the counts that
-    narrowed it as iterations, and |c_n^a(root)| as residual, inf where
-    charlier_direct refuses.  (n, a) are taken as count_positive_zeros
-    takes them; DomainError also where k n > _MAX_ZEROS_WORK, after the
-    two counts.
+    cell whose end counts differ is split at its geometric mean (0 taken
+    as the least positive double): that halves the cell in log scale, and
+    all but in width once the cell is narrow, so that a zero of any size
+    costs about 50 counts.  The split's count is clamped between those of
+    the ends: the cells then hold exactly k zeros, even where float counts
+    are not monotone.  A cell narrower than _tol of its split point, or
+    one that cannot be split in floats, gives one ZeroResult per zero it
+    holds: the split point as root (the upper end where it cannot be
+    split, as the zero lies in (x0, x1]), the cell as bracket, the counts
+    that narrowed it as iterations, and |c_n^a(root)| as residual, inf
+    where charlier_direct refuses.  (n, a) are taken as
+    count_positive_zeros takes them; DomainError also where
+    k n > _MAX_ZEROS_WORK, after the two counts.
     """
     n, a, top = _count_args(n, a)
     lo = _real(lo, "lo")
@@ -262,10 +262,7 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
         x0, x1, c0, c1, depth = cells.pop()
         if c0 == c1:
             continue
-        if x1 > 4.0 * x0:
-            mid = math.sqrt(max(x0, math.ulp(0.0))) * math.sqrt(x1)
-        else:
-            mid = 0.5 * x0 + 0.5 * x1
+        mid = math.sqrt(max(x0, math.ulp(0.0))) * math.sqrt(x1)
         if not x0 < mid < x1 or x1 - x0 < _tol(mid):
             root = mid if x0 < mid < x1 else x1
             try:

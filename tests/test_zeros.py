@@ -253,16 +253,19 @@ def test_charlier_zero_range_validation():
 def _assert_zeros_of_range(n, a, lo, hi):
     """charlier_zeros_in_order(n, a, lo, hi) against exact sign changes of
     c_0, ..., c_n; False, unchecked, where a zero lies within _tol(lo)
-    below lo, where the range takes it, or within _tol(hi) of hi."""
-    ends = [_sign_changes(n, a, v) for v in (lo - _tol(lo), lo, hi - _tol(hi), hi, hi + _tol(hi))]
+    below lo, where the range takes it, or within the lesser of _tol(hi)
+    and _tol(n + a) of hi."""
+    t = min(_tol(hi), _tol(n + a))
+    ends = [_sign_changes(n, a, v) for v in (lo - _tol(lo), lo, hi - t, hi, hi + t)]
     if None in ends or ends[0] != ends[1] or len(set(ends[2:])) > 1:
         return False
     zs = charlier_zeros_in_order(n, a, lo, hi)
     assert len(zs) == ends[3] - ends[1], (n, a, lo, hi)
     assert all(u.bracket_hi <= v.bracket_lo for u, v in zip(zs, zs[1:])), (n, a, lo, hi)
     for z in zs:
+        assert 0.0 < z.root and lo - _tol(lo) <= z.root <= hi, (n, a, lo, hi, z)
         assert z.bracket_lo < z.root < z.bracket_hi, (n, a, z)
-        assert z.bracket_hi - z.bracket_lo < _tol(z.root), (n, a, z)
+        assert z.bracket_hi - z.bracket_lo < 1e-12 * z.root, (n, a, z)
         signs = [charlier_direct(n, Fraction(a), Fraction(v), mode="rational")
                  for v in (z.bracket_lo, z.bracket_hi)]
         assert signs[0] * signs[1] <= 0, (n, a, z)
@@ -287,26 +290,31 @@ def test_zeros_by_bisection_are_the_exact_sign_changes():
     assert _assert_zeros_of_range(200, 100.0, 0.0, 100.0 + 800.0 * 10.0)
 
 
-@pytest.mark.parametrize("n, a, dps", [(20, 10.0, 60), (60, 30.0, 60), (200, 100.0, 60),
-                                       (30, 2.0, 60), (40, 0.5, 120)])
-def test_least_zero_is_found_to_full_relative_accuracy(n, a, dps):
-    # The least zeros are 1.7e-2, 1.4e-5, 4.7e-17, 1.5e-23 and 2.7e-59.
+@pytest.mark.parametrize("n, a", [(20, 10.0), (60, 30.0), (200, 100.0), (30, 2.0), (40, 0.5)])
+def test_least_zeros_are_the_exact_sign_changes(n, a):
+    # [0, 0.25] holds only the least zero: 1.7e-2, 1.4e-5, 4.7e-17,
+    # 1.5e-23 and 2.7e-59, each bracketed to 1e-12 relative.  (At 1 and at
+    # 0.5, some c_k^a is exactly 0, and the sign changes are not defined.)
     # Counts that formed a - nu and d - a resolved nu only to about
-    # eps (n + a), and returned negative roots for the last three.  The
-    # reference is the least eigenvalue of J in 60 or 120 digits, by the
-    # implicit QL stage of mpmath.eigsy: J is tridiagonal already, and
-    # eigsy's reduction to that form takes 11 s at n = 200.
+    # eps (n + a), and returned negative roots for the last three.
+    assert _assert_zeros_of_range(n, a, 0.0, 0.25)
+
+
+def test_least_zero_is_the_least_eigenvalue():
+    # An independent reference for the least zero of c_40^0.5, 2.7e-59:
+    # the least eigenvalue of J in 120 digits, by the implicit QL stage of
+    # mpmath.eigsy (J is tridiagonal already)
     mpmath = pytest.importorskip("mpmath")
     from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-    zs = charlier_zeros_in_order(n, a, 0.0, 1.0)
-    assert zs and all(0.0 < z.root <= 1.0 for z in zs), zs
-    with mpmath.workdps(dps):
+    n, a = 40, 0.5
+    z = charlier_zeros_in_order(n, a, 0.0, 1.0)[0]
+    with mpmath.workdps(120):
         d = [k + mpmath.mpf(a) for k in range(n)]
         e = [mpmath.sqrt(mpmath.mpf(a) * (k + 1)) for k in range(n - 1)] + [0]
         tridiag_eigen(mpmath.mp, d, e)
         want = min(d)
-        assert abs(zs[0].root - want) <= 1e-12 * want, (zs[0], want)
+        assert abs(z.root - want) <= 1e-12 * want, (z, want)
 
 
 def test_charlier_zeros_are_refused_before_the_counts_that_cost(monkeypatch):

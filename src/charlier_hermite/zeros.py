@@ -1,31 +1,20 @@
 """Zero location in the order/argument variable, and zero convergence.
 
 Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
-simple); Hermite zeros are zeros of nu -> H_nu(x) for fixed x.
-charlier_zeros_in_order evaluates no c_n^a to find a zero: a Sturm count
-(_zeros_below, in dstqds form) gives the number of zeros below a point,
-relatively accurate at every size of nu, and bisection on counts narrows
-a range to cells 1e-12 wide (relative) that hold exactly its count of
-zeros, however small the zero.  Hermite zeros are found on a uniform
-grid: a sign change between two nodes brackets a zero, which Brent's
-zeroin refines to a bracket 1e-12 wide (relative), and a node where the
-function is exactly 0 is a zero itself.  Every bracket stops at the one
-relative tolerance _tol.
+simple), found by Sturm counts (_zeros_below, in dstqds form): the number
+of zeros below a point, relatively accurate at every size of nu, in
+O(sqrt a) rows at large a.  Hermite zeros, of nu -> H_nu(x) for fixed x,
+come from a sign-change scan refined by Brent's zeroin.  Every bracket
+stops at the one relative tolerance _tol, 1e-12.
 
 zero_convergence_table tracks one Hermite zero target: for each a it
-takes n = floor(a - x sqrt(2a)) and finds the Charlier zero nearest the
-target inside a window reaching halfway to the adjacent Hermite zeros,
-on a grid of c_n^a values, or takes the target itself where c_n^a is
-exactly 0 there.  It needs only the zeros nearest the target,
-so its scans visit the grid outward from the target and stop where no
-farther cell could hold a nearer zero: a few nodes and one refinement per
-a, where a full scan of the window costs every node and every refinement.
+takes n = floor(a - x sqrt(2a)), isolates the Charlier zero nearest the
+target by counts and refines it by Brent's zeroin on the product of the
+counts' pivots, c_n^a up to a positive factor.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 import sys
 from collections import namedtuple
@@ -36,8 +25,7 @@ from .errors import DomainError, _integer, _real
 from .hermite import hermite_fn
 
 _BRACKET_REL_TOL = 1e-12
-# A scan of values (hermite_zeros_in_order's, and the zero table's) has at
-# most this many nodes.
+# A Hermite zero scan has at most this many nodes.
 _MAX_GRID = 1 << 16
 # The Sturm counts take n up to this: two counts there take 3 to 5 ms.
 _MAX_COUNT_N = 1 << 14
@@ -48,8 +36,9 @@ _MIN_COUNT_A, _MAX_COUNT_A = 2.0 ** -1022, 1e30
 # charlier_zeros_in_order finds k zeros at degree n where k n is at most
 # this: about 1 s of counts
 _MAX_ZEROS_WORK = 1 << 18
-# zero_convergence_table's scan of its window
-_TABLE_GRID = 64
+# A run of the pivots takes at most this many rows, about 0.6 s: a zero
+# table row of target 3 at x = 0 takes 1.2e6 of them at a = 1e10.
+_MAX_ROWS = 1 << 22
 
 
 ZeroResult = namedtuple("ZeroResult", "root bracket_lo bracket_hi residual iterations")
@@ -129,67 +118,46 @@ def _refine(f: Callable[[float], float], lo: float, hi: float,
     return ZeroResult(root, lo, hi, abs(f(root)), iterations)
 
 
-def _slots(f: Callable[[float], float], lo: float, hi: float, grid: int) -> tuple:
-    """The nodes of a scan of [lo, hi] on `grid` nodes, and zero(i): the
-    zero in slot i, on node i or in the cell from node i to node i + 1, or
-    None.  f is evaluated at a node the first time a slot needs it."""
-    lo = _real(lo, "lo")
-    hi = _real(hi, "hi", lo, strict=True)
-    grid = _integer(grid, "grid", 2, _MAX_GRID)
-    # np.linspace's grid, node for node, built without numpy
-    step = (hi - lo) / (grid - 1)
-    if not math.isfinite(step):  # hi - lo overflows
-        raise DomainError(f"[{lo!r}, {hi!r}] is too wide to scan: hi - lo is not finite")
-    xs = [i * step + lo for i in range(grid - 1)] + [hi]
-    fs = [None] * grid
-
-    def f_at(i):
-        if fs[i] is None:
-            fs[i] = f(xs[i])
-        return fs[i]
-
-    def zero(i):
-        if f_at(i) == 0.0:
-            # the node is the zero, either end included; the cells beside
-            # it show no sign change
-            d = (xs[1] - xs[0]) * 1e-6
-            return _exact(f, xs[i], xs[i] - d, xs[i] + d)
-        if i + 1 < grid and fs[i] * f_at(i + 1) < 0:
-            return _refine(f, xs[i], xs[i + 1], fs[i], fs[i + 1])
-        return None
-
-    return xs, zero
+def _pivots(n: int, a: float, nu: float, k0: int = 0, low: bool = False,
+            product: bool = False) -> tuple:
+    """(count, m, e) for the pivots d_k = a + s_k, k0 <= k < n, run from
+    s_{k0} = -nu, or from sigma_{k0} where low and k0 > 0: how many are
+    negative, and where product, prod d_k / a = m 2^e (1 otherwise), which
+    is c_n^a(nu) / c_{k0}^a(nu) from the true s_{k0}.  sigma_k, the larger
+    root of s^2 + (a - k + nu) s + nu a, is the attracting fixed point of
+    s -> k s / (a + s) - nu: for nu > 0 and k <= (sqrt a - sqrt nu)^2 the
+    true s_k is in [sigma_k, -nu], by induction, as the map is increasing
+    and sigma_k falls with k."""
+    b = a - k0 + nu
+    s = -2.0 * nu * a / (b + math.sqrt(b * b - 4.0 * nu * a)) if low and k0 else -nu
+    pivmin, count, m, e = sys.float_info.min * max(1.0, a * n), 0, 1.0, 0
+    for k in range(k0 + 1, n + 1):
+        d = a + s
+        if d < pivmin:
+            count += 1
+            if d > -pivmin:
+                d = -pivmin
+        if product:  # only where asked: a run costs about 50% more with it
+            m *= d / a
+            if not k % 64:  # m back to [0.5, 1) every 64 rows
+                m, x = math.frexp(m)
+                e += x
+        s = s / d * k - nu
+    return count, m, e
 
 
-def _scan(f: Callable[[float], float], lo: float, hi: float, grid: int) -> list:
-    """Sign-change scan: returns refined ZeroResults in ascending order."""
-    xs, zero = _slots(f, lo, hi, grid)
-    return [z for z in map(zero, range(len(xs))) if z is not None]
-
-
-def _nearest(f: Callable[[float], float], lo: float, hi: float, grid: int,
-             target: float) -> ZeroResult | None:
-    """The zero of _scan(f, lo, hi, grid) nearest target, the lower one of
-    two as near, or None where there is none.
-
-    Slots are visited in order of their distance from target, and the walk
-    stops at the first slot too far to hold a nearer zero (or one as near
-    and lower); a slot's zero lies in its cell, so abs(root - target) is
-    at least the distance of the cell, rounding included.
-    """
-    xs, zero = _slots(f, lo, hi, grid)
-
-    def bound(i):
-        return max(xs[i] - target, target - xs[min(i + 1, len(xs) - 1)], 0.0), i
-
-    best = None
-    for key in sorted(map(bound, range(len(xs)))):
-        if best is not None and key > best[0]:
-            break
-        z = zero(key[1])
-        if z is not None and (best is None or (abs(z.root - target), key[1]) < best[0]):
-            best = (abs(z.root - target), key[1]), z
-    return best and best[1]
+def _window(n: int, a: float, nu: float, c: float) -> int:
+    """k0 = floor((sqrt a - sqrt nu)^2 - c sqrt a), at most n - 1: where a
+    run of the pivots starts.  0, the full run, where nu <= 0 or nu >= a,
+    or k0 <= n / 2, as two runs from k0 would cost more than one full run.
+    DomainError, before any pivot, for a run of over _MAX_ROWS rows."""
+    root = math.sqrt(a)
+    k0 = min(math.floor((root - math.sqrt(nu)) ** 2 - c * root), n - 1) if 0 < nu < a else 0
+    k0 = k0 if 2 * k0 > n else 0
+    if n - k0 > _MAX_ROWS:
+        raise DomainError(f"a Sturm count of c_{n}^a at a={a!r}, nu={nu!r} takes {n - k0} rows, "
+                          f"more than {_MAX_ROWS}")
+    return k0
 
 
 def _zeros_below(n: int, a: float, nu: float) -> int:
@@ -207,22 +175,25 @@ def _zeros_below(n: int, a: float, nu: float) -> int:
     A pivot below pivmin in size is taken as -pivmin, as in LAPACK's
     dstebz, with pivmin the least normal double times max(1, a n): no step
     overflows.
+    The pivots below k0 = _window(n, a, nu, c), from c = 2, are positive.
+    A start at k0 sets the corner of the trailing Schur complement, and a
+    larger one lowers the count by at most one (Weyl), so the counts from
+    -nu and sigma_{k0} (_pivots) bracket the true count: where they agree
+    it is exact, and where not, c doubles.
     """
-    pivmin, count, s = sys.float_info.min * max(1.0, a * n), 0, -nu
-    for k in range(1, n):
-        d = a + s
-        if d < pivmin:
-            count += 1
-            if d > -pivmin:
-                d = -pivmin
-        s = s / d * k - nu
-    return count + (a + s < pivmin)
+    c = 2.0
+    while True:
+        k0 = _window(n, a, nu, c)
+        count = _pivots(n, a, nu, k0)[0]
+        if k0 == 0 or count == _pivots(n, a, nu, k0, low=True)[0]:
+            return count
+        c *= 2.0
 
 
-def _count_args(n, a) -> tuple:
+def _count_args(n, a, max_n=_MAX_COUNT_N) -> tuple:
     """(n, a, top) where the Sturm counts take (n, a), with top = n + a +
     2 sqrt(a n) above every zero of c_n^a (Gershgorin); DomainError otherwise."""
-    n = _integer(n, "n", 1, _MAX_COUNT_N)
+    n = _integer(n, "n", 1, max_n)
     a = _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
     return n, a, n + a + 2.0 * math.sqrt(a * n)
 
@@ -276,11 +247,27 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     return results
 
 
-def hermite_zeros_in_order(x: float, lo: float, hi: float,
-                           grid: int = 128) -> list:
-    """Zeros of nu -> H_nu(x) in [lo, hi], ascending."""
-    x = _real(x, "x")
-    return _scan(lambda nu: hermite_fn(nu, x), lo, hi, grid)
+def hermite_zeros_in_order(x: float, lo: float, hi: float, grid: int = 128) -> list:
+    """Zeros of nu -> H_nu(x) in [lo, hi], ascending, by a sign-change scan
+    on `grid` nodes, np.linspace's node for node, built without numpy: the
+    refined ZeroResult of each cell whose ends have opposite signs, and
+    each node where H_nu(x) is exactly 0, either end included."""
+    x, lo = _real(x, "x"), _real(lo, "lo")
+    hi = _real(hi, "hi", lo, strict=True)
+    grid = _integer(grid, "grid", 2, _MAX_GRID)
+    step = (hi - lo) / (grid - 1)
+    if not math.isfinite(step):  # hi - lo overflows
+        raise DomainError(f"[{lo!r}, {hi!r}] is too wide to scan: hi - lo is not finite")
+
+    def f(nu):
+        return hermite_fn(nu, x)
+    xs = [i * step + lo for i in range(grid - 1)] + [hi]
+    fs = [f(v) for v in xs]
+    d = (xs[1] - xs[0]) * 1e-6  # a node's bracket: the cells beside it show no sign change
+    # each node with the next one, the last with no sign change after it
+    return [_exact(f, v, v - d, v + d) if fv == 0.0 else _refine(f, v, w, fv, fw)
+            for v, w, fv, fw in zip(xs, xs[1:] + [hi], fs, fs[1:] + [0.0])
+            if fv == 0.0 or fv * fw < 0]
 
 
 def count_positive_zeros(n: int, a: float) -> int:
@@ -298,49 +285,65 @@ def count_positive_zeros(n: int, a: float) -> int:
 ZeroConvergenceRow = namedtuple("ZeroConvergenceRow", "a n nu_n abs_err error", defaults=(None,))
 
 
-def _target_window(x: float, target: float) -> tuple:
-    """Half the gap to the adjacent Hermite zeros on each side; a missing
-    side mirrors the other one.
+def _isolate(n: int, a: float, target: float) -> tuple:
+    """(lo, hi, j): a cell (lo, hi] that holds zero j of c_n^a (j-th from
+    below) alone, the zero nearest target, the lower of two as near.  The
+    ball (target - r, target + r) holds N(top) - N(target - r) zeros, top
+    the double below target + r; r doubles from 0.5 while it holds none,
+    and is bisected while it holds two or more, until it holds one, or a
+    radius that holds none and one that holds two tie within _tol."""
+    k, r, none, two = _zeros_below(n, a, target), 0.5, 0.0, math.inf
+    while two - none >= _tol(target):
+        lower = _zeros_below(n, a, target - r) if target > r else 0  # none below 0
+        top = math.nextafter(target + r, 0.0)  # the ball is open at both ends
+        held = _zeros_below(n, a, top) - lower
+        if held == 1:
+            return (target, top, k + 1) if lower == k else (max(target - r, 0.0), target, k)
+        none, two = (r, two) if held == 0 else (none, r)
+        r = 2.0 * r if two == math.inf else 0.5 * (none + two)
+    return max(target - two, 0.0), target, k
 
-    The adjacent zeros are those of a 400-node scan of [target - 4,
-    target + 4] that lie more than 1e-6 from target.  Zeros ascend with
-    their slots, so each is the first one met walking outward from the
-    slot that holds target.
-    """
-    span, grid = 4.0, 400
-    xs, zero = _slots(lambda nu: hermite_fn(nu, x), target - span, target + span, grid)
-    zero = functools.cache(zero)  # slot k is on both walks
-    k = min(max(bisect.bisect_right(xs, target) - 1, 0), grid - 1)
 
-    def adjacent(slots, side):
-        for z in filter(None, map(zero, slots)):
-            if abs(z.root - target) > 1e-6 and (z.root > target) == (side > 0):
-                return z.root
-        return None
+def _refined(n: int, a: float, lo: float, hi: float, j: int) -> float:
+    """Zero j of c_n^a, the one zero in (lo, hi]: Brent's zeroin on the
+    pivot product of one window, k0 = _window(n, a, hi, c) from c = 8,
+    run from sigma_{k0}, its exponent taken relative to that at lo.  The
+    root is certified where the count from sigma_{k0} at root - _tol(root)
+    is j - 1 and the count from -nu at root + _tol(root) is j, as the two
+    bound the true count from above and below; where not, c doubles."""
+    c = 8.0
+    while True:
+        k0 = _window(n, a, hi, c)
+        _, f_lo, e_lo = _pivots(n, a, lo, k0, low=True, product=True)
 
-    below, above = adjacent(range(k, -1, -1), -1), adjacent(range(k, grid), 1)
-    # no gap is 0, as the zeros lie more than 1e-6 from target
-    gap_lo = None if below is None else target - below
-    gap_hi = None if above is None else above - target
-    gap_lo = gap_lo or gap_hi or 2.0
-    return target - 0.5 * gap_lo, target + 0.5 * (gap_hi or gap_lo)
+        def f(v):
+            _, m, e = _pivots(n, a, v, k0, low=True, product=True)
+            return math.ldexp(m, e - e_lo)
+        f_hi = f(hi)
+        if f_lo * f_hi < 0 or k0 == 0:  # _refine refuses a bracket with no sign change
+            root = _refine(f, lo, hi, f_lo, f_hi).root
+            t = _tol(root)
+            if k0 == 0 or (_pivots(n, a, root - t, k0, low=True)[0] == j - 1
+                           and _pivots(n, a, root + t, k0)[0] == j):
+                return root
+        c *= 2.0
 
 
 def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     """Charlier-zero error against one Hermite-zero target, per a.
 
-    Where c_n^a is exactly 0 at the target, as at target 1 for x = 0 and
-    integer a (c_a^a(1) = c_1^a(a) = 0), the target is the row's zero;
-    elsewhere the zero is the one of the window's scan nearest the target.
-    Rows keep going past per-a failures; a failed row carries its error
-    message and NaN for the numeric fields.
+    The target is the zero of a 64-node scan of H_nu(x) on target_nu +-
+    0.5 nearest target_nu, the lower one on a tie.  The row's zero is the
+    target where that is an integer at which c_n^a is exactly 0 (in
+    rational mode), as at target 1 for x = 0 and integer a, and elsewhere
+    the nearest Charlier zero (_isolate, _refined).  Rows keep going past
+    per-a failures; a failed row carries its error message and NaN.
     """
     x, target = _real(x, "x"), _real(target_nu, "target_nu")
-    z = _nearest(lambda nu: hermite_fn(nu, x), target - 0.5, target + 0.5, 64, target)
-    if z is None:
+    near = hermite_zeros_in_order(x, target - 0.5, target + 0.5, 64)
+    if not near:
         raise DomainError(f"no Hermite zero of H_.(x={x}) found within 0.5 of nu={target}")
-    target = z.root
-    win_lo, win_hi = _target_window(x, target)
+    target = min(near, key=lambda z: abs(z.root - target)).root
     rows = []
     for a in a_values:
         try:
@@ -351,15 +354,11 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
             n = math.floor(s)
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
-            if charlier_direct(n, a, target) == 0.0:  # the target is a Charlier zero itself
-                root = target
+            n, a, _ = _count_args(n, a, math.inf)
+            if target.is_integer() and charlier_direct(n, a, target, "rational") == 0:
+                root = target  # the target is a Charlier zero itself
             else:
-                z = _nearest(lambda v: charlier_direct(n, a, v), win_lo, win_hi, _TABLE_GRID,
-                             target)
-                if z is None:
-                    raise DomainError(f"no Charlier zero in window [{win_lo:.6g}, {win_hi:.6g}] "
-                                      f"for a={a}")
-                root = z.root
+                root = _refined(n, a, *_isolate(n, a, target))
             rows.append(ZeroConvergenceRow(a, n, root, abs(root - target)))
         except DomainError as exc:  # a is the float, or the value _real refused
             rows.append(ZeroConvergenceRow(a, -1, math.nan, math.nan, str(exc)))

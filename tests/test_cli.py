@@ -523,7 +523,7 @@ _RECORDS = [
      "ZeroResult(root=1.0, bracket_lo=0.9999999999999999, bracket_hi=1.0000000000004998, "
      "residual=0.0, iterations=4)", None),
     ("ZeroConvergenceRow", lambda api: api.zero_convergence_table(0.0, 3.0, [100.0])[0],
-     "ZeroConvergenceRow(a=100.0, n=100, nu_n=3.0841742031091783, abs_err=0.08417420310917834, "
+     "ZeroConvergenceRow(a=100.0, n=100, nu_n=3.084174203109283, abs_err=0.08417420310928314, "
      "error=None)", "zeros convergence --x 0 --target-nu 3 --a-list 100"),
 ]
 
@@ -674,8 +674,9 @@ _SPLIT = ["asymptotics", "charlier", "cli", "errors", "hermite", "special"]
 
 
 # Each README command loads neither dataclasses nor inspect; a CSV table
-# loads no json, and a float-mode command no fractions.  The last case
-# shows the probe sees json where it is loaded.
+# loads no json, and a float-mode command no fractions (zeros convergence
+# tests an integer target for an exact zero in rational mode).  The last
+# case shows the probe sees json where it is loaded.
 _README_IMPORTS = [
     ("eval hermite --nu 2 --x 0.5", ["cli", *_SCALAR], False, []),
     ("eval charlier --n 137 --a 250 --nu 0.37", _SUM, False, []),
@@ -686,7 +687,7 @@ _README_IMPORTS = [
     ("plot fnu --nu -3 --t-max 3 --dt 0.01", ["asymptotics", "cli", "errors", "hermite", "special"],
      False, []),
     ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
-     [*_SUM, "hermite", "ratefit", "special", "zeros"], False, []),
+     [*_SUM, "hermite", "ratefit", "special", "zeros"], False, ["fractions"]),
     ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], False, []),
     ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False, []),
     ("eval hermite --nu 2 --x 0.5 --out json", ["cli", *_SCALAR], False, ["json"]),

@@ -71,7 +71,7 @@ def test_zeros_reports_excluded_rows():
     assert code == 0
     assert err.splitlines()[0] == "rate fit excluded 1 row(s) with err <= 0 or failures"
     assert err.splitlines()[1].startswith("fitted slope -0.514536 ")
-    assert out.splitlines()[1] == "100,100,1,0,-0.51453582474026449,"
+    assert out.splitlines()[1] == "100,100,1,0,-0.51453582474023229,"
 
 
 @pytest.mark.parametrize("argv", [

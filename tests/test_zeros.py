@@ -1,7 +1,9 @@
+import contextlib
 import math
+import re
+import sys
 import time
 import warnings
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +20,7 @@ from charlier_hermite import (
     zero_convergence_table,
     zeros,
 )
-from charlier_hermite.zeros import _nearest, _refine, _scan, _target_window, _tol, _zeros_below
+from charlier_hermite.zeros import _isolate, _pivots, _refine, _tol, _window, _zeros_below
 
 # smallest nu-zero of H_nu(1) in (0, 3); mpmath bisection at 50 digits
 HERMITE_NU_ZERO_AT_X1 = 2.5371955308039388
@@ -224,16 +226,99 @@ def test_zero_convergence_target_one_is_exact_by_duality():
     assert all(r.abs_err == 0 for r in rows)
 
 
-def test_zero_convergence_window_isolates_one_zero():
-    # at a = 100 the pairing window around target 3 brackets exactly one
-    # Charlier zero (scan oracle on the same window)
+def test_zero_convergence_row_is_the_zero_that_bisection_finds():
+    # at a = 100 the table's zero near target 3 is the one zero of [2, 4],
+    # halfway to the neighbouring Hermite zeros, found by bisection on counts
     rows = zero_convergence_table(0.0, 3.0, (100.0,))
     row = rows[0]
     assert row.error is None and math.isfinite(row.abs_err)
-    lo, hi = 2.0, 4.0  # half-distance to the neighboring odd-integer zeros
-    found = charlier_zeros_in_order(row.n, row.a, lo, hi)
+    found = charlier_zeros_in_order(row.n, row.a, 2.0, 4.0)
     assert len(found) == 1
     assert math.isclose(found[0].root, row.nu_n, rel_tol=1e-10)
+
+
+def _charlier_sum(mpmath, n, a, nu):
+    """c_n^a(nu) as the exact series in mpmath."""
+    t = total = mpmath.mpf(1)
+    for k in range(n):
+        t *= mpmath.mpf(n - k) / (k + 1) * (k - nu) / a
+        total += t
+    return total
+
+
+@pytest.mark.parametrize("x, target", [(0.0, 3.0), (0.5, 1.66), (-0.5, 2.25)])
+def test_zero_table_against_50_digit_roots(x, target):
+    # each row's zero within 1e-12 relative of mpmath.findroot on the exact
+    # Charlier sum; the 64-node value scan had moved the README table's
+    # zeros by up to 1.6e-11 relative (a = 6400)
+    mpmath = pytest.importorskip("mpmath")
+    rows = zero_convergence_table(x, target, (100.0, 400.0, 1600.0, 6400.0))
+    with mpmath.workdps(50):
+        for r in rows:
+            assert r.error is None, r
+            want = mpmath.findroot(lambda v: _charlier_sum(mpmath, r.n, mpmath.mpf(r.a), v),
+                                   mpmath.mpf(r.nu_n))
+            assert abs(r.nu_n - want) <= 1e-12 * want, (r, want)
+
+
+def test_zero_table_past_the_exact_zero_shortcut():
+    # charlier_direct(10**8, 1e8, 3.0) cancels to 0.0, where c_3^a(a) =
+    # -2/a^2: the table took 3 as the zero at a = 1e8.  The exact test is in
+    # rational mode.  sqrt(a) (nu_n - 3) from counts bisected to 1e-14
+    assert charlier_direct(10 ** 8, 1e8, 3.0) == 0.0
+    rows = zero_convergence_table(0.0, 3.0, (1e6, 1e7, 1e8))
+    assert [r.n for r in rows] == [10 ** 6, 10 ** 7, 10 ** 8] and all(r.error is None for r in rows)
+    for r, want in zip(rows, (0.7982924, 0.7980135, 0.7979253)):
+        assert math.isclose(math.sqrt(r.a) * (r.nu_n - 3.0), want, rel_tol=1e-6), r
+    assert -0.65 <= fit_rate([(r.a, r.abs_err) for r in rows]).slope <= -0.35
+
+
+def test_windowed_count_is_the_full_count():
+    # seeded (n, a, nu) with a up to 1e6: _zeros_below against the full run
+    # from s_0 = -nu.  At (400, 400, 3.0411) the two starts of the first
+    # window (c = 2) count 1 and 2 zeros, so the window doubles.  So do
+    # they at (100, 100, 3.0842), from k0 = 47; but there two runs from
+    # k0 would take more rows than the full run, which is taken instead
+    for (n, a, nu), k0 in [((400, 400.0, 3.0411), 293), ((100, 100.0, 3.0842), 47)]:
+        assert (_pivots(n, a, nu, k0)[0], _pivots(n, a, nu, k0, low=True)[0]) == (1, 2)
+        assert _window(n, a, nu, 2.0) == (k0 if 2 * k0 > n else 0)
+        assert _zeros_below(n, a, nu) == _pivots(n, a, nu)[0] == 2
+    rng = np.random.default_rng(20)
+    for _ in range(60):
+        a = float(10.0 ** rng.uniform(1.0, 6.0))
+        n = math.floor(a - float(rng.uniform(-2.0, 2.0)) * math.sqrt(2.0 * a))
+        nu = float(rng.uniform(0.0, 14.0))
+        assert _zeros_below(n, a, nu) == _pivots(n, a, nu)[0], (n, a, nu)
+    # and within 1e-2 to 1e-9 relative of the zero next to 3 at x = 0, where
+    # the first windows do not decide
+    for _ in range(20):
+        row, = zero_convergence_table(0.0, 3.0, [float(10.0 ** rng.uniform(2.0, 6.0))])
+        nu = row.nu_n * (1.0 + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -2.0)))
+        assert _zeros_below(row.n, row.a, nu) == _pivots(row.n, row.a, nu)[0], (row, nu)
+
+
+def test_nearest_zero_is_isolated_by_counts(monkeypatch):
+    # counts of given zeros: the nearest zero's side of the ball, and the
+    # lower zero where two are as near
+    for zs, target, want in [([2.1, 3.5], 3.0, (3.0, 3.75, 2)),
+                             ([2.5, 3.5], 3.0, (2.5, 3.0, 1)),
+                             ([1.0, 2.0, 4.0, 5.0], 3.0, (2.0, 3.0, 2)),
+                             ([0.1], 3.0, (0.0, 3.0, 1)),
+                             ([5.0], 0.2, (0.2, 8.2, 1))]:
+        monkeypatch.setattr(zeros, "_zeros_below", lambda n, a, nu: sum(z <= nu for z in zs))
+        lo, hi, j = _isolate(1, 1.0, target)
+        assert j == want[2] and lo < zs[j - 1] <= hi, (zs, target, lo, hi, j)
+        assert math.isclose(lo, want[0], abs_tol=1e-9) and math.isclose(hi, want[1]), (zs, lo, hi)
+
+
+@pytest.mark.parametrize("x, target_nu", [(0.0, 2.9), (0.5, 1.7), (-0.5, 2.2), (1.0, 2.5)])
+def test_zero_table_target_is_the_nearest_zero_of_its_scan(x, target_nu):
+    # the target is the zero of the 64-node scan on target_nu +- 0.5
+    # nearest target_nu, and each row's error is measured from it
+    scan = hermite_zeros_in_order(x, target_nu - 0.5, target_nu + 0.5, grid=64)
+    target = min((z.root for z in scan), key=lambda v: abs(v - target_nu))
+    for r in zero_convergence_table(x, target_nu, (100.0, 1000.0)):
+        assert r.error is None and r.abs_err == abs(r.nu_n - target), (r, target)
 
 
 def test_zero_convergence_carries_per_row_failures():
@@ -365,18 +450,15 @@ def test_zeros_of_a_huge_range_are_the_exact_sign_changes():
         assert signs[0] * signs[1] <= 0, z
 
 
-def test_a_range_too_wide_to_scan_is_refused_before_any_value():
+def test_a_range_too_wide_to_scan_is_refused_before_any_value(monkeypatch):
     # hi - lo overflowed to an inf step, whose node 0 * inf + lo was a nan
     # refused as if the caller had passed it
     with pytest.raises(DomainError, match=r"\[-1e\+308, 1e\+308\] is too wide to scan: "
                                           r"hi - lo is not finite"):
         hermite_zeros_in_order(0.0, -1e308, 1e308)
-    nodes = []
-    with pytest.raises(DomainError, match="too wide to scan"):
-        _scan(nodes.append, -1e308, 1e308, 2)
-    assert nodes == []
+    assert _scan_grid(monkeypatch, -1e308, 1e308, 2) == []
     # the widest range whose step is finite scans as before
-    assert _scan_grid(-1e308, 7e307, 3) == np.linspace(-1e308, 7e307, 3).tolist()
+    assert _scan_grid(monkeypatch, -1e308, 7e307, 3) == np.linspace(-1e308, 7e307, 3).tolist()
 
 
 @pytest.mark.parametrize("miscount", [1, -1])
@@ -397,15 +479,17 @@ def test_a_miscounted_midpoint_keeps_the_range_count(monkeypatch, miscount):
         assert len(roots) == 20 and roots == sorted(roots) and len(calls) > wrong, wrong
 
 
-def _scan_grid(lo, hi, grid):
-    # _scan evaluates f at every node, in order; an f with no sign change
-    # makes no other call
+def _scan_grid(monkeypatch, lo, hi, grid):
+    # the scan evaluates H at every node, in order; an H with no sign
+    # change makes no other call.  [] where the scan is refused
     nodes = []
-    _scan(lambda v: nodes.append(v) or 1.0, lo, hi, grid)
+    monkeypatch.setattr(zeros, "hermite_fn", lambda nu, x: nodes.append(nu) or 1.0)
+    with contextlib.suppress(DomainError):
+        hermite_zeros_in_order(0.0, lo, hi, grid)
     return nodes
 
 
-def test_scan_grid_is_numpys_linspace():
+def test_scan_grid_is_numpys_linspace(monkeypatch):
     rng = np.random.default_rng(64)
     cases = [(0.0, 1.0, 2), (1e-12, 5.0, 1 << 16), (-3.5, 7.25, 1 << 16), (2.5, 3.5, 64),
              (-1e-300, 1e-300, 400), (1e6, 1e6 + 1e-6, 3)]
@@ -415,7 +499,8 @@ def test_scan_grid_is_numpys_linspace():
         cases.append((lo, hi, int(rng.choice([2, 3, 64, 128, 400, rng.integers(2, 5000)]))))
     for lo, hi, grid in cases:
         if hi > lo:
-            assert _scan_grid(lo, hi, grid) == np.linspace(lo, hi, grid).tolist(), (lo, hi, grid)
+            assert _scan_grid(monkeypatch, lo, hi, grid) == np.linspace(lo, hi, grid).tolist(), \
+                (lo, hi, grid)
 
 
 def _assert_bracketed(f, z):
@@ -457,14 +542,16 @@ def test_refinement_step_onto_an_exact_zero():
         _refine(lambda v: v - 1.0, 2.0, 3.0, 1.0, 2.0)
 
 
-def test_zero_table_sums_at_most_20_per_a(monkeypatch):
-    # the README table: a full scan of the 64-node window with bisection
-    # made 99 Charlier sums per a, and 511 Hermite calls per table
-    sums, hermite_calls = Counter(), []
+def test_zero_table_sums_no_float_series(monkeypatch):
+    # the table takes its Charlier zeros from counts and pivot products: its
+    # only Charlier sums are the exact tests at integer targets, and its only
+    # Hermite values are those of the target's own 64-node scan.  A scan of
+    # a window made 11 to 15 float sums per a, and 511 Hermite calls a table
+    modes, hermite_calls = [], []
 
-    def recorded_charlier(n, a, nu):
-        sums[a] += 1
-        return charlier_direct(n, a, nu)
+    def recorded_charlier(n, a, nu, mode="float"):
+        modes.append(mode)
+        return charlier_direct(n, a, nu, mode)
 
     def recorded_hermite(nu, x):
         hermite_calls.append(nu)
@@ -472,13 +559,30 @@ def test_zero_table_sums_at_most_20_per_a(monkeypatch):
 
     monkeypatch.setattr(zeros, "charlier_direct", recorded_charlier)
     monkeypatch.setattr(zeros, "hermite_fn", recorded_hermite)
+    hermite_zeros_in_order(0.0, 2.5, 3.5, 64)
+    scan, hermite_calls[:] = hermite_calls[:], []
     a_values = (100.0, 400.0, 1600.0, 6400.0)
-    rows = zero_convergence_table(0.0, 3.0, a_values)
-    assert all(r.error is None for r in rows)
-    assert sorted(sums) == list(a_values)
-    assert max(sums.values()) <= 20, sums
-    # the window's 400-node scan alone took 400
-    assert len(hermite_calls) <= 250
+    assert all(r.error is None for r in zero_convergence_table(0.0, 3.0, a_values))
+    assert modes == ["rational"] * 4 and hermite_calls == scan
+    modes.clear()
+    assert all(r.error is None for r in zero_convergence_table(0.5, 1.66, a_values))
+    assert modes == []
+
+
+def test_zero_table_rows_are_capped_before_any_count(monkeypatch):
+    # 2a overflows at 9e307 and at the largest double; at 1e20 a count would
+    # take 5.5e10 rows, and 1e31 is past the counts' range of a.  Each row
+    # fails before the first run of the pivots
+    runs = []
+    kernel = zeros._pivots
+    monkeypatch.setattr(zeros, "_pivots",
+                        lambda *args, **kw: runs.append(args) or kernel(*args, **kw))
+    rows = zero_convergence_table(0.0, 3.0, [9e307, sys.float_info.max, 1e20, 1e31])
+    assert runs == [] and [r.n for r in rows] == [-1] * 4
+    assert [r.error.split(" ")[:2] for r in rows[:2]] == [["derived", "degree"]] * 2
+    assert re.search(r"nu=3.0 takes 5464\d{7} rows, more than 4194304$", rows[2].error), rows[2]
+    assert rows[3].error == "a must be a finite number <= 1e+30, got 1e+31"
+    assert zero_convergence_table(0.0, 3.0, [1e4])[0].error is None and runs
 
 
 def test_zero_table_past_readme_scale_does_not_load_numpy(fresh_cli):
@@ -488,99 +592,3 @@ def test_zero_table_past_readme_scale_does_not_load_numpy(fresh_cli):
                                              "--a-list", "1e4,4e4,1.6e5,6.4e5")
     assert (code, numpy_loaded) == (0, False)
     assert len(out.splitlines()) == 5 and err.startswith("fitted slope -0.50")
-
-
-def _polynomial(roots, sign):
-    return lambda v: sign * math.prod(v - r for r in roots)
-
-
-def _assert_nearest_is_min_of_scan(f, lo, hi, grid, target):
-    full = _scan(f, lo, hi, grid)
-    for z in full:
-        _assert_bracketed(f, z)
-    want = min(full, key=lambda z: abs(z.root - target)) if full else None
-    assert _nearest(f, lo, hi, grid, target) == want
-
-
-def test_nearest_zero_is_the_nearest_of_the_full_scan():
-    # On a grid of integer multiples of a power of two the nodes, and the
-    # distances to a target halfway between two nodes, are exact: roots on
-    # nodes give exact hits, and two of them equally far from the target
-    # give a tie, which goes to the lower one.  Other roots fall anywhere,
-    # within a cell or two of the target on either side, twice over (no
-    # sign change) or outside the window, which may then hold no root.
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
-    @hypothesis.given(st.integers(2, 80), st.integers(-6, 6), st.integers(-50, 50),
-                      st.lists(st.integers(-5, 85), max_size=4),
-                      st.lists(st.floats(-0.2, 1.2), max_size=3),
-                      st.lists(st.floats(-2.5, 2.5), max_size=3),
-                      st.sampled_from([(), (0.37,), (0.37, 0.37)]),
-                      st.integers(-10, 170), st.sampled_from([1.0, -1.0]))
-    @hypothesis.example(9, 0, 0, [2, 6], [], [], (), 8, 1.0)      # a tie: nodes 2 and 6, target 4
-    @hypothesis.example(9, 0, 0, [2, 6], [], [], (), 8, -1.0)
-    @hypothesis.example(64, -3, 5, [], [], [], (), 60, 1.0)     # no root
-    @hypothesis.example(64, -3, 5, [0, 63], [], [], (), 126, 1.0)  # end nodes, target on the last
-    # the nearest root is in a cell whose far end is farther than the other root
-    @hypothesis.example(20, 0, 0, [], [], [-0.9, 1.2], (), 21, 1.0)
-    @hypothesis.example(20, 0, 0, [], [], [0.7, -1.2], (), 21, 1.0)
-    def check(grid, power, offset, node_roots, fractions, near, double, half_target, sign):
-        step = 2.0 ** power
-        lo, hi = offset * step, (offset + grid - 1) * step
-        target = lo + 0.5 * half_target * step
-        roots = [lo + i * step for i in node_roots]
-        roots += [lo + u * (hi - lo) for u in fractions]
-        roots += [target + u * step for u in near]
-        roots += [lo + u * (hi - lo) for u in double]
-        _assert_nearest_is_min_of_scan(_polynomial(roots, sign), lo, hi, grid, target)
-
-    check()
-
-
-def test_nearest_zero_of_the_two_families_is_the_nearest_of_the_full_scan():
-    # seeded windows of c_n^a(nu) and of H_nu(x) in nu, at grids of 64 and 128
-    rng = np.random.default_rng(12)
-    for _ in range(30):
-        n, a = int(rng.integers(1, 40)), float(rng.uniform(0.5, 60.0))
-        lo = float(rng.uniform(-2.0, 2.0 * n))
-        hi = lo + float(rng.uniform(0.5, 20.0))
-        target = float(rng.uniform(lo - 1.0, hi + 1.0))
-        _assert_nearest_is_min_of_scan(lambda v: charlier_direct(n, a, v), lo, hi,
-                                       int(rng.choice([64, 128])), target)
-    for _ in range(30):
-        x = float(rng.uniform(-2.0, 2.0))
-        lo = float(rng.uniform(-4.0, 6.0))
-        hi = lo + float(rng.uniform(0.5, 4.0))
-        target = float(rng.uniform(lo - 0.5, hi + 0.5))
-        _assert_nearest_is_min_of_scan(lambda nu: hermite_fn(nu, x), lo, hi,
-                                       int(rng.choice([64, 128])), target)
-
-
-def _full_scan_window(x, target):
-    # the window from every zero of the full 400-node scan
-    neighbors = [z.root for z in _scan(lambda nu: hermite_fn(nu, x), target - 4.0, target + 4.0, 400)
-                 if abs(z.root - target) > 1e-6]
-    below = [r for r in neighbors if r < target]
-    above = [r for r in neighbors if r > target]
-    gap_lo = target - max(below) if below else None
-    gap_hi = min(above) - target if above else None
-    if gap_lo is None and gap_hi is None:
-        gap_lo = gap_hi = 2.0
-    gap_lo = gap_lo if gap_lo is not None else gap_hi
-    gap_hi = gap_hi if gap_hi is not None else gap_lo
-    return target - 0.5 * gap_lo, target + 0.5 * gap_hi
-
-
-@pytest.mark.parametrize("x", [-1.5, -0.5, 0.0, 0.5, 1.0, 2.0])
-def test_target_window_is_the_full_scan_window(x):
-    # at Hermite zeros (as zero_convergence_table calls it), including the
-    # lowest, whose lower side mirrors the upper; next to them, so that the
-    # cell of the target holds the adjacent zero; and between them
-    rng = np.random.default_rng(int(10 * x) + 40)
-    zs = [z.root for z in hermite_zeros_in_order(x, -4.0, 9.0, grid=256)]
-    targets = zs + [z + d for z in zs for d in (-0.004, 0.004)]
-    targets += [float(t) for t in rng.uniform(-4.0, 9.0, 4)]
-    for target in targets:
-        assert _target_window(x, target) == _full_scan_window(x, target), target

@@ -41,10 +41,12 @@ shows, and 2 over huge ranges, (16384, 1) on [-1e308, 0.05] and
 (40, 40) on [-1e300, 1e300]; 101 `hermite_zeros_in_order` scans, 100
 with |x| <= 3 and lo in [-4, 8], and one at x = 0 on [-1e308, 1e308],
 where hi - lo overflows; 12 `zero_convergence_table`s at README scale,
-with |x| <= 1, targets in [0.5, 6] and a from 80 to 8000, and 3 with an
-a from 9e307 up, where 2a overflows; and 58 `count_positive_zeros` outcomes, 40
-seeded with n <= 6 and a in [0.1, 1e6], and 18 at given (n, a), 10 of
-which the grid-doubling count refused.  The grid runs twice on each
+with |x| <= 1, targets in [0.5, 6] and a from 80 to 8000, one at x = 0,
+target 3 and a = 1e6, 1e7 and 1e8, where the float sum at the target
+cancels to 0, and 3 with an a from 9e307 up, where 2a overflows; and
+58 `count_positive_zeros` outcomes, 40 seeded with n <= 6 and a in
+[0.1, 1e6], and 18 at given (n, a), 10 of which the grid-doubling count
+refused.  The grid runs twice on each
 side: warm, with numpy loaded first, and cold, where the first sums
 build their terms in Python until the process's budget of Python terms
 loads numpy.  Each outcome is the `float.hex` of every value (an exact
@@ -166,6 +168,7 @@ for _ in range(12):  # a target with no Hermite zero within 0.5 is refused
     cases.append(("zero_convergence_table", rng.uniform(-1.0, 1.0), rng.uniform(0.5, 6.0),
                   [a * rng.uniform(0.8, 1.25) for a in (100.0, 400.0, 1600.0, 6400.0)]))
 cases += [("zero_convergence_table", 0.5, 1.66, [100.0, 1e308]),
+          ("zero_convergence_table", 0.0, 3.0, [1e6, 1e7, 1e8]),
           ("zero_convergence_table", 0.0, 3.0, [9e307]),
           ("zero_convergence_table", -0.5, 2.25, [sys.float_info.max])]
 cases += [("count_positive_zeros", rng.randint(1, 6), 10.0 ** rng.uniform(-1.0, 6.0))

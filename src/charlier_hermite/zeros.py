@@ -3,14 +3,11 @@
 Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
 simple), found by Sturm counts (_zeros_below, in dstqds form): the number
 of zeros below a point, relatively accurate at every size of nu, in
-O(sqrt a) rows at large a.  Hermite zeros, of nu -> H_nu(x) for fixed x,
-come from a sign-change scan refined by Brent's zeroin.  Every bracket
-stops at the one relative tolerance _tol, 1e-12.
-
-zero_convergence_table tracks one Hermite zero target: for each a it
-takes n = floor(a - x sqrt(2a)), isolates the Charlier zero nearest the
-target by counts and refines it by Brent's zeroin on the product of the
-counts' pivots, c_n^a up to a positive factor.
+O(sqrt a) rows at large a.  zero_convergence_table refines a zero by
+Brent's zeroin on the product of the counts' pivots, c_n^a up to a
+positive factor.  Hermite zeros, of nu -> H_nu(x) for fixed x, come from
+a sign-change scan refined by Brent's zeroin.  Every bracket stops at the
+one relative tolerance _tol, 1e-12.
 """
 
 from __future__ import annotations
@@ -39,6 +36,7 @@ _MAX_ZEROS_WORK = 1 << 18
 # A run of the pivots takes at most this many rows, about 0.6 s: a zero
 # table row of target 3 at x = 0 takes 1.2e6 of them at a = 1e10.
 _MAX_ROWS = 1 << 22
+_WINDOW_C = 8.0  # _window's first C: from C = 2, 477 of 1075 counts near zeros doubled it
 
 
 ZeroResult = namedtuple("ZeroResult", "root bracket_lo bracket_hi residual iterations")
@@ -127,7 +125,10 @@ def _pivots(n: int, a: float, nu: float, k0: int = 0, low: bool = False,
     root of s^2 + (a - k + nu) s + nu a, is the attracting fixed point of
     s -> k s / (a + s) - nu: for nu > 0 and k <= (sqrt a - sqrt nu)^2 the
     true s_k is in [sigma_k, -nu], by induction, as the map is increasing
-    and sigma_k falls with k."""
+    and sigma_k falls with k.  DomainError, before any pivot, past _MAX_ROWS."""
+    if n - k0 > _MAX_ROWS:
+        raise DomainError(f"a Sturm count of c_{n}^a at a={a!r}, nu={nu!r} takes {n - k0} rows, "
+                          f"more than {_MAX_ROWS}")
     b = a - k0 + nu
     s = -2.0 * nu * a / (b + math.sqrt(b * b - 4.0 * nu * a)) if low and k0 else -nu
     pivmin, count, m, e = sys.float_info.min * max(1.0, a * n), 0, 1.0, 0
@@ -149,15 +150,10 @@ def _pivots(n: int, a: float, nu: float, k0: int = 0, low: bool = False,
 def _window(n: int, a: float, nu: float, c: float) -> int:
     """k0 = floor((sqrt a - sqrt nu)^2 - c sqrt a), at most n - 1: where a
     run of the pivots starts.  0, the full run, where nu <= 0 or nu >= a,
-    or k0 <= n / 2, as two runs from k0 would cost more than one full run.
-    DomainError, before any pivot, for a run of over _MAX_ROWS rows."""
+    or k0 <= n / 2, as two runs from k0 would cost more than one full run."""
     root = math.sqrt(a)
     k0 = min(math.floor((root - math.sqrt(nu)) ** 2 - c * root), n - 1) if 0 < nu < a else 0
-    k0 = k0 if 2 * k0 > n else 0
-    if n - k0 > _MAX_ROWS:
-        raise DomainError(f"a Sturm count of c_{n}^a at a={a!r}, nu={nu!r} takes {n - k0} rows, "
-                          f"more than {_MAX_ROWS}")
-    return k0
+    return k0 if 2 * k0 > n else 0
 
 
 def _zeros_below(n: int, a: float, nu: float) -> int:
@@ -175,13 +171,16 @@ def _zeros_below(n: int, a: float, nu: float) -> int:
     A pivot below pivmin in size is taken as -pivmin, as in LAPACK's
     dstebz, with pivmin the least normal double times max(1, a n): no step
     overflows.
-    The pivots below k0 = _window(n, a, nu, c), from c = 2, are positive.
-    A start at k0 sets the corner of the trailing Schur complement, and a
-    larger one lowers the count by at most one (Weyl), so the counts from
-    -nu and sigma_{k0} (_pivots) bracket the true count: where they agree
-    it is exact, and where not, c doubles.
+    The pivots below k0 = _window(n, a, nu, c), from c = _WINDOW_C, are
+    positive.  A start at k0 sets the corner of the trailing Schur
+    complement, and a larger one lowers the count by at most one (Weyl),
+    so the counts from -nu and sigma_{k0} (_pivots) bracket the true
+    count: where they agree it is exact, and where not, c doubles.  Where
+    nu <= 0, nu >= a or n >= 2a (k0 < a) the full run is taken at once.
     """
-    c = 2.0
+    if not (0 < nu < a and n < 2.0 * a):
+        return _pivots(n, a, nu)[0]
+    c = _WINDOW_C
     while True:
         k0 = _window(n, a, nu, c)
         count = _pivots(n, a, nu, k0)[0]
@@ -190,10 +189,10 @@ def _zeros_below(n: int, a: float, nu: float) -> int:
         c *= 2.0
 
 
-def _count_args(n, a, max_n=_MAX_COUNT_N) -> tuple:
+def _count_args(n, a) -> tuple:
     """(n, a, top) where the Sturm counts take (n, a), with top = n + a +
     2 sqrt(a n) above every zero of c_n^a (Gershgorin); DomainError otherwise."""
-    n = _integer(n, "n", 1, max_n)
+    n = _integer(n, "n", 1, _MAX_COUNT_N)
     a = _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)
     return n, a, n + a + 2.0 * math.sqrt(a * n)
 
@@ -306,12 +305,12 @@ def _isolate(n: int, a: float, target: float) -> tuple:
 
 def _refined(n: int, a: float, lo: float, hi: float, j: int) -> float:
     """Zero j of c_n^a, the one zero in (lo, hi]: Brent's zeroin on the
-    pivot product of one window, k0 = _window(n, a, hi, c) from c = 8,
-    run from sigma_{k0}, its exponent taken relative to that at lo.  The
-    root is certified where the count from sigma_{k0} at root - _tol(root)
-    is j - 1 and the count from -nu at root + _tol(root) is j, as the two
-    bound the true count from above and below; where not, c doubles."""
-    c = 8.0
+    pivot product of one window, k0 = _window(n, a, hi, c) from c =
+    _WINDOW_C, run from sigma_{k0}, its exponent relative to that at lo.
+    The root is certified where the count from sigma_{k0} at root -
+    _tol(root) is j - 1 and the count from -nu at root + _tol(root) is j,
+    as the two bound the true count; where not, c doubles."""
+    c = _WINDOW_C
     while True:
         k0 = _window(n, a, hi, c)
         _, f_lo, e_lo = _pivots(n, a, lo, k0, low=True, product=True)
@@ -322,22 +321,23 @@ def _refined(n: int, a: float, lo: float, hi: float, j: int) -> float:
         f_hi = f(hi)
         if f_lo * f_hi < 0 or k0 == 0:  # _refine refuses a bracket with no sign change
             root = _refine(f, lo, hi, f_lo, f_hi).root
-            t = _tol(root)
-            if k0 == 0 or (_pivots(n, a, root - t, k0, low=True)[0] == j - 1
-                           and _pivots(n, a, root + t, k0)[0] == j):
+            if k0 == 0 or (_pivots(n, a, root - _tol(root), k0, low=True)[0] == j - 1
+                           and _pivots(n, a, root + _tol(root), k0)[0] == j):
                 return root
         c *= 2.0
 
 
 def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
-    """Charlier-zero error against one Hermite-zero target, per a.
+    """Charlier-zero error against one Hermite-zero target, per a, at
+    degree n = floor(a - x sqrt(2a)).
 
     The target is the zero of a 64-node scan of H_nu(x) on target_nu +-
     0.5 nearest target_nu, the lower one on a tie.  The row's zero is the
     target where that is an integer at which c_n^a is exactly 0 (in
     rational mode), as at target 1 for x = 0 and integer a, and elsewhere
-    the nearest Charlier zero (_isolate, _refined).  Rows keep going past
-    per-a failures; a failed row carries its error message and NaN.
+    the nearest Charlier zero (_isolate, _refined), however far: at small
+    a it may be nearer another Hermite zero (x = 0, a = 3: 3.697 for
+    target 5).  Rows go on past a failed one, which carries its error and NaN.
     """
     x, target = _real(x, "x"), _real(target_nu, "target_nu")
     near = hermite_zeros_in_order(x, target - 0.5, target + 0.5, 64)
@@ -354,7 +354,7 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
             n = math.floor(s)
             if n < 1:
                 raise DomainError(f"derived degree n={n} < 1 for a={a}, x={x}")
-            n, a, _ = _count_args(n, a, math.inf)
+            _real(_real(a, "a", _MIN_COUNT_A), "a", hi=_MAX_COUNT_A)  # the counts' range
             if target.is_integer() and charlier_direct(n, a, target, "rational") == 0:
                 root = target  # the target is a Charlier zero itself
             else:

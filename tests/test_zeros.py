@@ -250,15 +250,18 @@ def _charlier_sum(mpmath, n, a, nu):
 def test_zero_table_against_50_digit_roots(x, target):
     # each row's zero within 1e-12 relative of mpmath.findroot on the exact
     # Charlier sum; the 64-node value scan had moved the README table's
-    # zeros by up to 1.6e-11 relative (a = 6400)
+    # zeros by up to 1.6e-11 relative (a = 6400).  Each row's error is
+    # measured from the Hermite zero, mpmath.hermite's root in nu
     mpmath = pytest.importorskip("mpmath")
     rows = zero_convergence_table(x, target, (100.0, 400.0, 1600.0, 6400.0))
     with mpmath.workdps(50):
+        hermite_zero = mpmath.findroot(lambda v: mpmath.hermite(v, x), mpmath.mpf(target))
         for r in rows:
             assert r.error is None, r
             want = mpmath.findroot(lambda v: _charlier_sum(mpmath, r.n, mpmath.mpf(r.a), v),
                                    mpmath.mpf(r.nu_n))
             assert abs(r.nu_n - want) <= 1e-12 * want, (r, want)
+            assert abs(r.abs_err - abs(r.nu_n - hermite_zero)) <= 1e-12 * hermite_zero, r
 
 
 def test_zero_table_past_the_exact_zero_shortcut():
@@ -273,12 +276,15 @@ def test_zero_table_past_the_exact_zero_shortcut():
     assert -0.65 <= fit_rate([(r.a, r.abs_err) for r in rows]).slope <= -0.35
 
 
-def test_windowed_count_is_the_full_count():
+@pytest.mark.parametrize("c", [2.0, zeros._WINDOW_C])
+def test_windowed_count_is_the_full_count(monkeypatch, c):
     # seeded (n, a, nu) with a up to 1e6: _zeros_below against the full run
-    # from s_0 = -nu.  At (400, 400, 3.0411) the two starts of the first
-    # window (c = 2) count 1 and 2 zeros, so the window doubles.  So do
-    # they at (100, 100, 3.0842), from k0 = 47; but there two runs from
-    # k0 would take more rows than the full run, which is taken instead
+    # from s_0 = -nu, from the first window's c and from c = 2, whose
+    # windows often disagree near a zero.  At (400, 400, 3.0411) the two
+    # starts of the window at c = 2 count 1 and 2 zeros, so it doubles.
+    # So do they at (100, 100, 3.0842), from k0 = 47; but there two runs
+    # from k0 would take more rows than the full run, which is taken instead
+    monkeypatch.setattr(zeros, "_WINDOW_C", c)
     for (n, a, nu), k0 in [((400, 400.0, 3.0411), 293), ((100, 100.0, 3.0842), 47)]:
         assert (_pivots(n, a, nu, k0)[0], _pivots(n, a, nu, k0, low=True)[0]) == (1, 2)
         assert _window(n, a, nu, 2.0) == (k0 if 2 * k0 > n else 0)
@@ -289,12 +295,19 @@ def test_windowed_count_is_the_full_count():
         n = math.floor(a - float(rng.uniform(-2.0, 2.0)) * math.sqrt(2.0 * a))
         nu = float(rng.uniform(0.0, 14.0))
         assert _zeros_below(n, a, nu) == _pivots(n, a, nu)[0], (n, a, nu)
-    # and within 1e-2 to 1e-9 relative of the zero next to 3 at x = 0, where
-    # the first windows do not decide
+    # and within 1e-2 to 1e-9 relative of the zero next to 3 at x = 0, each
+    # count from a first window at c
+    windows, doubled, kernel = [], 0, zeros._window
+    monkeypatch.setattr(zeros, "_window", lambda *args: windows.append(args[3]) or kernel(*args))
     for _ in range(20):
         row, = zero_convergence_table(0.0, 3.0, [float(10.0 ** rng.uniform(2.0, 6.0))])
         nu = row.nu_n * (1.0 + float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-9.0, -2.0)))
+        windows.clear()
         assert _zeros_below(row.n, row.a, nu) == _pivots(row.n, row.a, nu)[0], (row, nu)
+        assert windows[0] == c
+        doubled += len(windows) > 1
+    # at c = 2 the first window does not decide 11 of them; at c = 8 it does
+    assert doubled == (11 if c == 2.0 else 0)
 
 
 def test_nearest_zero_is_isolated_by_counts(monkeypatch):
@@ -311,14 +324,23 @@ def test_nearest_zero_is_isolated_by_counts(monkeypatch):
         assert math.isclose(lo, want[0], abs_tol=1e-9) and math.isclose(hi, want[1]), (zs, lo, hi)
 
 
-@pytest.mark.parametrize("x, target_nu", [(0.0, 2.9), (0.5, 1.7), (-0.5, 2.2), (1.0, 2.5)])
-def test_zero_table_target_is_the_nearest_zero_of_its_scan(x, target_nu):
-    # the target is the zero of the 64-node scan on target_nu +- 0.5
-    # nearest target_nu, and each row's error is measured from it
-    scan = hermite_zeros_in_order(x, target_nu - 0.5, target_nu + 0.5, grid=64)
-    target = min((z.root for z in scan), key=lambda v: abs(v - target_nu))
-    for r in zero_convergence_table(x, target_nu, (100.0, 1000.0)):
-        assert r.error is None and r.abs_err == abs(r.nu_n - target), (r, target)
+@pytest.mark.parametrize("x, target, a_values", [
+    (0.0, 5.0, (3.0, 5.5)), (0.0, 3.0, (1.0,)), (1.0, HERMITE_NU_ZERO_AT_X1, (5.0,)),
+    (-1.0, 3.2801910142750858, (2.0, 3.0)),  # mpmath.hermite's root in nu at 50 digits
+])
+def test_zero_table_row_is_the_nearest_zero_however_far(x, target, a_values):
+    # no window bounds the search: at small a the nearest Charlier zero may lie
+    # nearer another Hermite zero (at x = 0, 3.697 for target 5 at a = 3, where
+    # the Hermite zeros are the odd integers), and the row reports it.  When a
+    # Hermite zero scan bounded the search by half the gap to the adjacent
+    # Hermite zeros, these rows were refused.  The oracle is the nearest zero
+    # of the whole spectrum, by bisection on counts
+    for r in zero_convergence_table(x, target, a_values):
+        assert r.error is None, r
+        spectrum = [z.root for z in charlier_zeros_in_order(r.n, r.a, 0.0, 100.0)]
+        want = min(spectrum, key=lambda v: (abs(v - target), v))
+        assert math.isclose(r.nu_n, want, rel_tol=1e-11), (r, want)
+        assert math.isclose(r.abs_err, abs(want - target), rel_tol=1e-11) and r.abs_err > 0.4, r
 
 
 def test_zero_convergence_carries_per_row_failures():
@@ -571,16 +593,20 @@ def test_zero_table_sums_no_float_series(monkeypatch):
 
 def test_zero_table_rows_are_capped_before_any_count(monkeypatch):
     # 2a overflows at 9e307 and at the largest double; at 1e20 a count would
-    # take 5.5e10 rows, and 1e31 is past the counts' range of a.  Each row
-    # fails before the first run of the pivots
-    runs = []
-    kernel = zeros._pivots
-    monkeypatch.setattr(zeros, "_pivots",
-                        lambda *args, **kw: runs.append(args) or kernel(*args, **kw))
+    # take 1.1e11 rows, and 1e31 is past the counts' range of a.  Each row
+    # fails before any run of the pivots takes its rows: a run is recorded
+    # once it returns, and _pivots refuses one at its first line
+    runs, kernel = [], zeros._pivots
+
+    def recorded(*args, **kw):
+        runs.append(kernel(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(zeros, "_pivots", recorded)
     rows = zero_convergence_table(0.0, 3.0, [9e307, sys.float_info.max, 1e20, 1e31])
     assert runs == [] and [r.n for r in rows] == [-1] * 4
     assert [r.error.split(" ")[:2] for r in rows[:2]] == [["derived", "degree"]] * 2
-    assert re.search(r"nu=3.0 takes 5464\d{7} rows, more than 4194304$", rows[2].error), rows[2]
+    assert re.search(r"nu=3.0 takes 1146\d{8} rows, more than 4194304$", rows[2].error), rows[2]
     assert rows[3].error == "a must be a finite number <= 1e+30, got 1e+31"
     assert zero_convergence_table(0.0, 3.0, [1e4])[0].error is None and runs
 
@@ -592,3 +618,63 @@ def test_zero_table_past_readme_scale_does_not_load_numpy(fresh_cli):
                                              "--a-list", "1e4,4e4,1.6e5,6.4e5")
     assert (code, numpy_loaded) == (0, False)
     assert len(out.splitlines()) == 5 and err.startswith("fitted slope -0.50")
+
+
+def _polynomial(roots, sign):
+    return lambda v: sign * math.prod(v - r for r in roots)
+
+
+def test_scan_zeros_are_bracketed(monkeypatch):
+    # hermite_zeros_in_order's scan on polynomials in place of H_nu(x).  On
+    # a grid of integer multiples of a power of two the nodes are exact, so
+    # roots on nodes, end nodes included, are exact zeros of f there, and
+    # each is found.  Other roots fall anywhere, within a cell or two of a
+    # point on either side, twice over (no sign change) or outside the
+    # range, which may then hold no root.  Every zero found is bracketed
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
+    @hypothesis.given(st.integers(2, 80), st.integers(-6, 6), st.integers(-50, 50),
+                      st.lists(st.integers(-5, 85), max_size=4),
+                      st.lists(st.floats(-0.2, 1.2), max_size=3),
+                      st.lists(st.floats(-2.5, 2.5), max_size=3),
+                      st.sampled_from([(), (0.37,), (0.37, 0.37)]),
+                      st.integers(-10, 170), st.sampled_from([1.0, -1.0]))
+    @hypothesis.example(9, 0, 0, [2, 6], [], [], (), 8, 1.0)
+    @hypothesis.example(9, 0, 0, [2, 6], [], [], (), 8, -1.0)
+    @hypothesis.example(64, -3, 5, [], [], [], (), 60, 1.0)     # no root
+    @hypothesis.example(64, -3, 5, [0, 63], [], [], (), 126, 1.0)  # both end nodes
+    @hypothesis.example(20, 0, 0, [], [], [-0.9, 1.2], (), 21, 1.0)
+    @hypothesis.example(20, 0, 0, [], [], [0.7, -1.2], (), 21, 1.0)
+    def check(grid, power, offset, node_roots, fractions, near, double, half_point, sign):
+        step = 2.0 ** power
+        lo, hi = offset * step, (offset + grid - 1) * step
+        point = lo + 0.5 * half_point * step
+        roots = [lo + i * step for i in node_roots]
+        roots += [lo + u * (hi - lo) for u in fractions]
+        roots += [point + u * step for u in near]
+        roots += [lo + u * (hi - lo) for u in double]
+        f = _polynomial(roots, sign)
+        monkeypatch.setattr(zeros, "hermite_fn", lambda nu, x: f(nu))
+        found = hermite_zeros_in_order(0.0, lo, hi, grid)
+        for z in found:
+            _assert_bracketed(f, z)
+        assert [z.root for z in found] == sorted(z.root for z in found)
+        on_nodes = {lo + i * step for i in node_roots if 0 <= i < grid}
+        assert on_nodes <= {z.root for z in found}, (on_nodes, found)
+
+    check()
+
+
+def test_scan_zeros_of_hermite_windows_are_bracketed():
+    # seeded windows of H_nu(x) in nu, at grids of 64 and 128
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        x = float(rng.uniform(-2.0, 2.0))
+        lo = float(rng.uniform(-4.0, 6.0))
+        hi = lo + float(rng.uniform(0.5, 4.0))
+        found = hermite_zeros_in_order(x, lo, hi, int(rng.choice([64, 128])))
+        for z in found:
+            _assert_bracketed(lambda nu: hermite_fn(nu, x), z)
+        assert [z.root for z in found] == sorted(z.root for z in found)

@@ -28,7 +28,6 @@ three-term recurrence (Gautschi, SIAM Rev. 9, 1967).
 
 from __future__ import annotations
 
-import decimal
 import itertools
 import math
 from collections import namedtuple
@@ -126,11 +125,10 @@ def charlier_state_trace(nu: float, a: float, x_max: float,
     charlier_direct sums c_m at a few anchor nodes, node 0 and the last
     among them, and the degree recurrence gives the values between them
     and at the degree before node 0 (see _node_values).  Node 0 and the
-    last node carry charlier_direct's values bit for bit, and every other
-    c_m is rounded once from 40 digits.  For direction=1, a must be large
-    enough that every node keeps degree m >= 1.  DomainError, before any
-    sum, where the anchors' first blocks would hold more than
-    _MAX_TRACE_TERMS terms in all.
+    last node carry charlier_direct's values bit for bit.  For direction=1,
+    a must be large enough that every node keeps degree m >= 1.
+    DomainError, before any sum, where the anchors' first blocks would hold
+    more than _MAX_TRACE_TERMS terms in all.
     """
     return _polygon_trace(*_trace_rows(nu, a, x_max, direction))
 
@@ -164,10 +162,11 @@ def _node_values(nu: float, a: float, top: int, direction: int, last: int) -> li
 
     charlier_direct gives the anchors: nodes 0 and last, and every span-th
     node between them.  The values between two anchors solve the degree
-    recurrence as a tridiagonal system (Thomas) in 40-digit decimals, with
-    a, nu and the anchors taken at their exact binary values, and each
-    float is rounded once.  Node -1 is one step of the recurrence outward
-    from nodes 0 and 1.
+    recurrence as a tridiagonal system (Thomas) in floats, eliminated
+    upward in degree, with each pivot d_m = a + s_m carried as s_m (dstqds
+    form; Dhillon & Parlett, Linear Algebra Appl. 387, 2004): formed as
+    (m + a - nu) - m h, it would lose nu's digits.  Node -1 is one step of
+    the recurrence outward from nodes 0 and 1.
 
     For 0 < nu < a the recurrence oscillates, turning by at most
     theta = asin(sqrt(nu/a)) radians a degree, and a segment's system is
@@ -175,8 +174,8 @@ def _node_values(nu: float, a: float, top: int, direction: int, last: int) -> li
     nodes apart, as well as _SPAN, and every node is one where nu >= a.
     On 494 traces with a in [5, 2000] and nu in [0, 8], 2 radians kept
     every node within 0.07 of the oracle tolerance; 3 radians missed it
-    17-fold at a = 12, nu = 5.6.  A singular system gives values that are
-    not finite, which charlier_state_trace refuses, and no exception.
+    17-fold at a = 12, nu = 5.6.  A pivot of exactly 0 raises DomainError,
+    and charlier_state_trace refuses values that are not finite.
     """
     theta = math.asin(math.sqrt(min(1.0, max(nu, 0.0) / a)))
     span = int(2.0 / max(theta, 2.0 / _SPAN))
@@ -184,29 +183,28 @@ def _node_values(nu: float, a: float, top: int, direction: int, last: int) -> li
     if anchors * first > _MAX_TRACE_TERMS:
         raise DomainError(f"the state trace at a={a!r} would sum {anchors} anchors of "
                           f"{first} terms each, more than {_MAX_TRACE_TERMS} terms")
-    with decimal.localcontext(decimal.Context(prec=40, traps=[])):
-        a_d, nu_d = decimal.Decimal(a), decimal.Decimal(nu)
-
-        def recurrence(k):
-            # (lo, d, up) with lo c(k-1) - d c(k) + up c(k+1) = 0, by node
-            m = top - direction * k
-            return (a_d, m + a_d - nu_d, m) if direction == 1 else (m, m + a_d - nu_d, a_d)
-
-        c = [decimal.Decimal(charlier_direct(top, a, nu))]
-        for k0 in range(0, last, span):
-            k1 = min(k0 + span, last)
-            g, h = [c[-1]], [0]  # c(k) = g[k - k0] + h[k - k0] c(k+1)
-            for k in range(k0 + 1, k1):
-                lo, d, up = recurrence(k)
-                den = d - lo * h[-1]
-                g.append(lo * g[-1] / den)
-                h.append(up / den)
-            segment = [decimal.Decimal(charlier_direct(top - direction * k1, a, nu))]
-            for g_k, h_k in zip(g[:0:-1], h[:0:-1]):
-                segment.append(g_k + h_k * segment[-1])
-            c += segment[::-1]
-        lo, d, up = recurrence(0)
-        return [float(v) for v in [(d * c[0] - up * c[1]) / lo] + c]
+    c = [charlier_direct(top, a, nu)]
+    for k0 in range(0, last, span):
+        k1 = min(k0 + span, last)
+        # degrees lo .. hi, eliminated upward in degree: c_m = g_m + h_m c_{m+1}
+        lo, c_lo, c_hi = ((top - k1, charlier_direct(top - k1, a, nu), c[-1]) if direction == 1
+                          else (top + k0, c[-1], charlier_direct(top + k1, a, nu)))
+        g, h, q = [c_lo], [], 1.0  # q = s_{m-1} / d_{m-1}
+        try:
+            for m in range(lo + 1, lo + k1 - k0):
+                s = m * q - nu
+                d = a + s
+                q = s / d
+                g.append(m * g[-1] / d)
+                h.append(a / d)
+        except ZeroDivisionError:
+            raise DomainError(f"a zero pivot in the state trace at a={a!r}, nu={nu!r}") from None
+        segment = [c_hi]  # degrees hi down to lo + 1
+        for g_m, h_m in zip(g[:0:-1], h[::-1]):
+            segment.append(g_m + h_m * segment[-1])
+        c += segment[1:] + [c_lo] if direction == 1 else segment[::-1]
+    lo, up = (a, top) if direction == 1 else (top, a)
+    return [((top + a - nu) * c[0] - up * c[1]) / lo] + c
 
 
 def trace_deviation(t1: PolygonTrace, t2: PolygonTrace) -> float:

@@ -665,7 +665,8 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
 loaded = set(sys.modules)
 import json
 print(json.dumps([code, sorted(m.split(".", 1)[1] for m in loaded if m.startswith("charlier_hermite.")),
-                  "numpy" in loaded, sorted(loaded & {"dataclasses", "fractions", "inspect", "json"})]))
+                  "numpy" in loaded,
+                  sorted(loaded & {"dataclasses", "decimal", "fractions", "inspect", "json"})]))
 """
 
 _SCALAR = ["errors", "hermite", "special"]
@@ -675,19 +676,21 @@ _SPLIT = ["asymptotics", "charlier", "cli", "errors", "hermite", "special"]
 
 # Each README command loads neither dataclasses nor inspect; a CSV table
 # loads no json, and a float-mode command no fractions (zeros convergence
-# tests an integer target for an exact zero in rational mode).  The last
-# case shows the probe sees json where it is loaded.
+# tests an integer target for an exact zero in rational mode) and no
+# decimal, which only fractions imports.  The last case shows the probe
+# sees json where it is loaded.
 _README_IMPORTS = [
     ("eval hermite --nu 2 --x 0.5", ["cli", *_SCALAR], False, []),
     ("eval charlier --n 137 --a 250 --nu 0.37", _SUM, False, []),
-    ("eval charlier --n 1 --a 5/2 --nu 1/2 --mode rational", _SUM, False, ["fractions"]),
+    ("eval charlier --n 1 --a 5/2 --nu 1/2 --mode rational", _SUM, False,
+     ["decimal", "fractions"]),
     ("eval scaled --x 0.5 --a 10000 --nu 1.5", _SUM, False, []),
     ("sweep convergence --nu 1.5 --x 0.7 --a-list 100,1000,10000,100000",
      [*_SUM, "hermite", "ratefit", "special"], False, []),
     ("plot fnu --nu -3 --t-max 3 --dt 0.01", ["asymptotics", "cli", "errors", "hermite", "special"],
      False, []),
     ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
-     [*_SUM, "hermite", "ratefit", "special", "zeros"], False, ["fractions"]),
+     [*_SUM, "hermite", "ratefit", "special", "zeros"], False, ["decimal", "fractions"]),
     ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], False, []),
     ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False, []),
     ("eval hermite --nu 2 --x 0.5 --out json", ["cli", *_SCALAR], False, ["json"]),

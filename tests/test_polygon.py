@@ -2,6 +2,7 @@ import functools
 import math
 import sys
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -305,14 +306,17 @@ def _oracle_cases():
     # 32 nodes apart would span a turn of about 2 pi (33 times the
     # tolerance), the largest trace at a = 1e5, and traces at a = 3000,
     # 2e4 and 70050.5 in both directions; the README's `polygon compare`,
-    # where c at node 0 is exactly 0; and a long trace at nu near 0, where
-    # the tolerance is about 16 eps relative.
+    # where c at node 0 is exactly 0; a long trace at nu near 0, where the
+    # tolerance is about 16 eps relative; and nu = 6.6e-4 at a = 10121 both
+    # ways, which a float solve missed 10-fold where it formed each pivot as
+    # (m + a - nu) - m h and so lost nu's digits.
     rng = np.random.default_rng(11)
     cases = [(0.7, 0.5, 2.0, -1), (3.8011888941282166, 97.08298473539806, 2.5, 1),
              (3.9, 1e5, 2.5, -1), (-2.3, 3000.0, 1.0, 1), (-2.3, 3000.0, 1.0, -1),
              (2.7, 20000.0, 1.0, 1), (2.7, 20000.0, 1.0, -1),
              (1.5, 70050.5, 0.3, 1), (-0.4, 70050.5, 0.3, -1),
-             (1.0, 10000.0, 1.0, 1), (-1e-6, 98937.0, 2.5, 1)]
+             (1.0, 10000.0, 1.0, 1), (-1e-6, 98937.0, 2.5, 1),
+             (6.6e-4, 10121.0, 2.5, 1), (6.6e-4, 10121.0, 2.5, -1)]
     for i in range(16):
         cases.append((float(rng.uniform(-3.0, 4.0)), float(10.0 ** rng.uniform(1.0, 5.0)),
                       (1.0, 2.5)[i % 2], (1, -1)[i // 2 % 2]))
@@ -361,6 +365,73 @@ def test_state_trace_sums_only_its_anchors(monkeypatch, nu, a, x_max, direction)
     nodes = sorted({*range(0, steps, span), max(steps, 1)})
     assert degrees == [top - direction * k for k in nodes]
     assert len(degrees) <= steps // span + 2
+
+
+def _exact_node_values(nu, a, top, direction, last, anchors):
+    # _node_values' boundary problems solved in rationals from the same
+    # float anchors (degree -> value), by the textbook Thomas elimination
+    # upward in degree, each pivot formed as (m + a - nu) - m h
+    a_q, nu_q = Fraction(a), Fraction(nu)
+    c = {(top - n) * direction: Fraction(v) for n, v in anchors.items()}
+    ends = sorted(anchors)
+    for lo, hi in zip(ends, ends[1:]):
+        g, h = [c[(top - lo) * direction]], [Fraction(0)]
+        for m in range(lo + 1, hi):
+            den = m + a_q - nu_q - m * h[-1]
+            g.append(m * g[-1] / den)
+            h.append(a_q / den)
+        value = c[(top - hi) * direction]
+        for m in range(hi - 1, lo, -1):
+            value = g[m - lo] + h[m - lo] * value
+            c[(top - m) * direction] = value
+    lo, up = (a_q, top) if direction == 1 else (top, a_q)
+    c[-1] = ((top + a_q - nu_q) * c[0] - up * c[1]) / lo
+    return [c[k] for k in range(-1, last + 1)]
+
+
+def test_node_values_are_the_exact_solve_of_their_segments(monkeypatch):
+    # every node of 12 seeded traces, x_max = 2.5 where the degrees allow,
+    # both directions: nu within 1e-3 of 0, nu <= -5, nu > 0 at a small
+    # enough that anchors are 2/theta apart, and any nu at a up to 1e5.
+    # Each c is within 8 eps of the trace's largest |c| of the rational
+    # solve; the float solve keeps nu's digits in s_m = d_m - a
+    anchors = {}
+
+    def recorded(n, a, nu):
+        anchors[n] = charlier_direct(n, a, nu)
+        return anchors[n]
+
+    monkeypatch.setattr(polygon, "charlier_direct", recorded)
+    rng, cases = np.random.default_rng(33), []
+    for _ in range(3):
+        small = rng.uniform(5.0, 200.0)
+        cases += [(rng.uniform(-1e-3, 1e-3), 10.0 ** rng.uniform(1.0, 5.0)),
+                  (rng.uniform(-8.0, -5.0), 10.0 ** rng.uniform(1.0, 5.0)),
+                  (rng.uniform(0.05, 0.35) * small, small),
+                  (rng.uniform(-3.0, 4.0), 10.0 ** rng.uniform(4.0, 5.0))]
+    for i, (nu, a) in enumerate(cases):
+        nu, a, direction = float(nu), float(a), (1, -1)[i // 4 % 2]
+        top, last = math.ceil(a), int(2.5 * math.sqrt(2.0 * a))
+        if direction == 1:
+            last = min(last, top - 1)
+        anchors.clear()
+        got = polygon._node_values(nu, a, top, direction, last)
+        want = _exact_node_values(nu, a, top, direction, last, anchors)
+        bound = 8 * 2.0 ** -52 * max(map(abs, got))
+        assert len(got) == last + 2
+        for k, (g, w) in enumerate(zip(got, want), -1):
+            assert abs(Fraction(g) - w) <= bound, (nu, a, direction, k)
+
+
+def test_state_trace_refuses_a_zero_pivot(monkeypatch):
+    # no input is known to reach one: for nu < a the first pivot a + m - nu
+    # is above 0, and where nu >= a every node is an anchor.  Without the
+    # 2/theta rule, the pivots from degree 0 at a = 3, nu = 2 are d_1 = 2
+    # and d_2 = 3 + 2 (-1/2) - 2 = 0, exactly
+    monkeypatch.setattr(polygon, "math", types.SimpleNamespace(asin=lambda x: 0.0,
+                                                               sqrt=math.sqrt))
+    with pytest.raises(DomainError, match="a zero pivot in the state trace at a=3.0, nu=2.0"):
+        polygon._node_values(2.0, 3.0, 0, -1, 4)
 
 
 def test_state_trace_end_nodes_are_charlier_direct():

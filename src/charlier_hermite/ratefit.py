@@ -18,7 +18,6 @@ import math
 from collections import namedtuple
 from collections.abc import Sequence
 
-from .charlier import _exact_sqrt, charlier_direct
 from .errors import DomainError, _integer, _rational, _real
 
 # admissible_sharpness_pairs' largest r, whose 32,769 pairs are its last
@@ -71,6 +70,7 @@ def sharpness_check(x, a) -> SharpnessResult:
     string, not a bool); pairs where sqrt(2a) is irrational or n = a - x sqrt(2a)
     is not a non-negative integer are rejected.
     """
+    from .charlier import _exact_sqrt, charlier_direct  # here, as only this function sums a series
     x_r, a_r = _rational(x, "x"), _rational(a, "a", positive=True)
     two_a = 2 * a_r
     r = _exact_sqrt(two_a)
@@ -78,9 +78,7 @@ def sharpness_check(x, a) -> SharpnessResult:
         raise DomainError(f"sqrt(2a) is irrational for a={a!r}")
     n_exact = a_r - x_r * r
     if n_exact.denominator != 1 or n_exact < 0:
-        raise DomainError(
-            f"n = a - x*sqrt(2a) = {n_exact} is not a non-negative integer"
-        )
+        raise DomainError(f"n = a - x*sqrt(2a) = {n_exact} is not a non-negative integer")
     n = int(n_exact)
     c = charlier_direct(n, a_r, 2, mode="rational")
     lhs = two_a * c - (4 * x_r * x_r - 2)

@@ -1,13 +1,14 @@
 """Zero location in the order/argument variable, and zero convergence.
 
 Charlier zeros here are zeros of nu -> c_n^a(nu) (all real, positive and
-simple), found by Sturm counts (_zeros_below, in dstqds form): the number
-of zeros below a point, relatively accurate at every size of nu, in
-O(sqrt a) rows at large a.  zero_convergence_table refines a zero by
-Brent's zeroin on the product of the counts' pivots, c_n^a up to a
-positive factor.  Hermite zeros, of nu -> H_nu(x) for fixed x, come from
-a sign-change scan refined by Brent's zeroin.  Every bracket stops at the
-one relative tolerance _tol, 1e-12.
+simple), found by Sturm counts (_zeros_below, in dstqds form), relatively
+accurate at every size of nu, in O(sqrt a) rows at large a.  The product
+of the counts' pivots, c_n^a up to a positive factor, gives each zero's
+residual and is what zero_convergence_table refines a zero on by Brent's
+zeroin; only the table's exact-zero test at an integer target sums a
+series, in rational mode.  Hermite zeros, of nu -> H_nu(x) for fixed x,
+come from a sign-change scan refined by Brent's zeroin.  Every bracket
+stops at the one relative tolerance _tol, 1e-12.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import sys
 from collections import namedtuple
 from collections.abc import Callable
 
-from .charlier import charlier_direct
 from .errors import DomainError, _integer, _real
 from .hermite import hermite_fn
 
@@ -214,10 +214,10 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
     one that cannot be split in floats, gives one ZeroResult per zero it
     holds: the split point as root (the upper end where it cannot be
     split, as the zero lies in (x0, x1]), the cell as bracket, the counts
-    that narrowed it as iterations, and |c_n^a(root)| as residual, inf
-    where charlier_direct refuses.  (n, a) are taken as
-    count_positive_zeros takes them; DomainError also where
-    k n > _MAX_ZEROS_WORK, after the two counts.
+    that narrowed it as iterations, and |c_n^a(root)|, the product of one
+    full run of the pivots, as residual (inf past the double range).
+    (n, a) are taken as count_positive_zeros takes them; DomainError also
+    where k n > _MAX_ZEROS_WORK, after the two counts.
     """
     n, a, top = _count_args(n, a)
     lo = _real(lo, "lo")
@@ -235,9 +235,9 @@ def charlier_zeros_in_order(n: int, a: float, lo: float, hi: float) -> list:
         mid = math.sqrt(max(x0, math.ulp(0.0))) * math.sqrt(x1)
         if not x0 < mid < x1 or x1 - x0 < _tol(mid):
             root = mid if x0 < mid < x1 else x1
-            try:
-                residual = abs(charlier_direct(n, a, root))
-            except DomainError:
+            try:  # the product of one full run is c_n^a(root) / c_0^a, and c_0^a = 1
+                residual = abs(math.ldexp(*_pivots(n, a, root, product=True)[1:]))
+            except OverflowError:
                 residual = math.inf
             results += [ZeroResult(root, x0, x1, residual, depth)] * (c1 - c0)
             continue
@@ -344,6 +344,8 @@ def zero_convergence_table(x: float, target_nu: float, a_values) -> list:
     if not near:
         raise DomainError(f"no Hermite zero of H_.(x={x}) found within 0.5 of nu={target}")
     target = min(near, key=lambda z: abs(z.root - target)).root
+    if target.is_integer():  # here, as only the exact-zero test sums a series
+        from .charlier import charlier_direct
     rows = []
     for a in a_values:
         try:

@@ -677,8 +677,9 @@ _SPLIT = ["asymptotics", "charlier", "cli", "errors", "hermite", "special"]
 # Each README command loads neither dataclasses nor inspect; a CSV table
 # loads no json, and a float-mode command no fractions (zeros convergence
 # tests an integer target for an exact zero in rational mode) and no
-# decimal, which only fractions imports.  The last case shows the probe
-# sees json where it is loaded.
+# decimal, which only fractions imports.  Only that exact test sums a
+# series in zeros convergence, so at a non-integer target it loads no
+# charlier.  The last case shows the probe sees json where it is loaded.
 _README_IMPORTS = [
     ("eval hermite --nu 2 --x 0.5", ["cli", *_SCALAR], False, []),
     ("eval charlier --n 137 --a 250 --nu 0.37", _SUM, False, []),
@@ -691,6 +692,8 @@ _README_IMPORTS = [
      False, []),
     ("zeros convergence --x 0 --target-nu 3 --a-list 100,400,1600,6400",
      [*_SUM, "hermite", "ratefit", "special", "zeros"], False, ["decimal", "fractions"]),
+    ("zeros convergence --x 0.5 --target-nu 1.66 --a-list 100,400,1600,6400",
+     ["cli", "errors", "hermite", "ratefit", "special", "zeros"], False, []),
     ("polygon compare --nu 1 --x-max 1 --a 10000", ["charlier", "cli", "errors", "polygon"], False, []),
     ("asymptotics head-tail --a 10000 --nu -4", _SPLIT, False, []),
     ("eval hermite --nu 2 --x 0.5 --out json", ["cli", *_SCALAR], False, ["json"]),

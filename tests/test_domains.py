@@ -339,10 +339,11 @@ def test_integer_caps_precede_any_work(monkeypatch):
     # a count or a bisection over the degree cap, a scan over the grid cap,
     # and a rising factorial over the factor cap, are refused before the
     # first pivot, evaluation or product
-    from charlier_hermite import zeros
+    from charlier_hermite import charlier, zeros
     calls = []
-    for name in ("_zeros_below", "charlier_direct", "hermite_fn"):
-        monkeypatch.setattr(zeros, name, lambda *args: calls.append(args))
+    for module, name in ((zeros, "_zeros_below"), (charlier, "charlier_direct"),
+                         (zeros, "hermite_fn")):
+        monkeypatch.setattr(module, name, lambda *args: calls.append(args))
 
     class Counted(float):
         def __add__(self, other):

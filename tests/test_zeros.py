@@ -11,6 +11,7 @@ import pytest
 
 from charlier_hermite import (
     DomainError,
+    charlier,
     charlier_direct,
     charlier_zeros_in_order,
     count_positive_zeros,
@@ -262,6 +263,28 @@ def test_zero_table_against_50_digit_roots(x, target):
                                    mpmath.mpf(r.nu_n))
             assert abs(r.nu_n - want) <= 1e-12 * want, (r, want)
             assert abs(r.abs_err - abs(r.nu_n - hermite_zero)) <= 1e-12 * hermite_zero, r
+
+
+@pytest.mark.parametrize("n, a", [(20, 10.0), (60, 30.0), (200, 100.0), (2, 2.0 ** -1022),
+                                  (100, 0.01)])
+def test_spectrum_residuals_against_160_digit_sums(n, a):
+    # each residual within 5e-2 relative of the exact series at the root,
+    # and inf where that is past the double range: at the upper zero of
+    # (2, 2^-1022), where the mantissa overflows, and at 99 of the 100
+    # zeros of (100, 0.01), where the exponent does.  Worst 1.2e-2, at
+    # (200, 100) and root 6.0000000272; the float series the residuals were
+    # once summed by cancels at nu > 0, off by up to 2.6e4, 4.7e20 and
+    # 1.1e83 relative on the first three spectra
+    mpmath = pytest.importorskip("mpmath")
+    found = charlier_zeros_in_order(n, a, 0.0, 10.0 * (n + a))
+    assert len(found) == n
+    with mpmath.workdps(160):
+        for z in found:
+            exact = abs(_charlier_sum(mpmath, n, a, mpmath.mpf(z.root)))
+            if exact > sys.float_info.max:
+                assert z.residual == math.inf, (z, exact)
+            else:
+                assert abs(z.residual - exact) <= 5e-2 * exact, (z, exact)
 
 
 def test_zero_table_past_the_exact_zero_shortcut():
@@ -568,7 +591,9 @@ def test_zero_table_sums_no_float_series(monkeypatch):
     # the table takes its Charlier zeros from counts and pivot products: its
     # only Charlier sums are the exact tests at integer targets, and its only
     # Hermite values are those of the target's own 64-node scan.  A scan of
-    # a window made 11 to 15 float sums per a, and 511 Hermite calls a table
+    # a window made 11 to 15 float sums per a, and 511 Hermite calls a table.
+    # A spectrum's residuals and a count of zeros sum no series at all; the
+    # residuals were float sums, one per zero
     modes, hermite_calls = [], []
 
     def recorded_charlier(n, a, nu, mode="float"):
@@ -579,7 +604,7 @@ def test_zero_table_sums_no_float_series(monkeypatch):
         hermite_calls.append(nu)
         return hermite_fn(nu, x)
 
-    monkeypatch.setattr(zeros, "charlier_direct", recorded_charlier)
+    monkeypatch.setattr(charlier, "charlier_direct", recorded_charlier)
     monkeypatch.setattr(zeros, "hermite_fn", recorded_hermite)
     hermite_zeros_in_order(0.0, 2.5, 3.5, 64)
     scan, hermite_calls[:] = hermite_calls[:], []
@@ -589,6 +614,8 @@ def test_zero_table_sums_no_float_series(monkeypatch):
     modes.clear()
     assert all(r.error is None for r in zero_convergence_table(0.5, 1.66, a_values))
     assert modes == []
+    assert len(charlier_zeros_in_order(20, 10.0, 0.0, 300.0)) == 20
+    assert count_positive_zeros(60, 30.0) == 60 and modes == []
 
 
 def test_zero_table_rows_are_capped_before_any_count(monkeypatch):

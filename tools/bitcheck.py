@@ -45,8 +45,9 @@ with |x| <= 1, targets in [0.5, 6] and a from 80 to 8000, one at x = 0,
 target 3 and a = 1e6, 1e7 and 1e8, where the float sum at the target
 cancels to 0, and 3 with an a from 9e307 up, where 2a overflows; and
 58 `count_positive_zeros` outcomes, 40 seeded with n <= 6 and a in
-[0.1, 1e6], and 18 at given (n, a), 10 of which the grid-doubling count
-refused.  The grid runs twice on each
+[0.1, 1e6], and 18 at given (n, a): 12 with a from 2 to 1e12, each
+counted as n, and 6 that the argument checks refuse (n = 16385 or True,
+a = -1, 5e-324, 1e31 or 1e300).  The grid runs twice on each
 side: warm, with numpy loaded first, and cold, where the first sums
 build their terms in Python until the process's budget of Python terms
 loads numpy.  Each outcome is the `float.hex` of every value (an exact
